@@ -30,6 +30,24 @@ def _ring(char: int) -> CoeffRing:
     return CoeffRing(char) if char else RATIONALS
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _truncated_quotient(m: int, n: int, ring: CoeffRing, bound: int):
+    # over F_p the plain-variable quotient exceeds the truncated basis
+    # (README, Conventions), so a PASS/FAIL there would answer no theorem
+    if ring.char:
+        raise ValueError("truncation is a characteristic-0 statement; use --char 0")
+    return quotient_oracle.truncated_quotient(m, n, ring, bound)
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -154,9 +172,8 @@ def _verification_payload(report) -> dict:
 def cmd_verify(args) -> int:
     ring = _ring(args.char)
     bound = args.max_degree if args.max_degree is not None else args.m + 2
-    session = quotient_oracle.OracleSession(args.m, ring, bound)
     if args.truncate is not None:
-        report = quotient_oracle.truncated_quotient(args.m, args.truncate, ring, bound)
+        report = _truncated_quotient(args.m, args.truncate, ring, bound)
         payload = _verification_payload(report.verification)
         payload["truncation"] = args.truncate
         payload["dims_total"] = report.dims.total
@@ -164,8 +181,8 @@ def cmd_verify(args) -> int:
         payload["passed"] = report.passed
         ok = report.passed
     else:
-        bs = _basis_for(args.m, args.order, None)
-        report = session.verify_basis(bs)
+        session = quotient_oracle.OracleSession(args.m, ring, bound)
+        report = session.verify_basis(_basis_for(args.m, args.order, None))
         payload = _verification_payload(report)
         ok = report.passed
     if args.format == "json":
@@ -242,7 +259,7 @@ def cmd_count(args) -> int:
 def cmd_truncate(args) -> int:
     ring = _ring(args.char)
     bound = args.max_degree if args.max_degree is not None else args.m + 2
-    report = quotient_oracle.truncated_quotient(args.m, args.n, ring, bound)
+    report = _truncated_quotient(args.m, args.n, ring, bound)
     payload = {
         "m": args.m, "char": ring.char, "truncation": args.n,
         "dims_total": report.dims.total, "basis_size": report.basis_size,
@@ -280,14 +297,14 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--output", help="write to this path instead of stdout")
 
     p = sub.add_parser("basis", help="enumerate a monomial basis")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("--order", choices=["lex", "revlex", "cv"], default="lex")
     p.add_argument("--truncate", type=int, default=None, metavar="N")
     common(p, char=False)
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("gens", help="list ideal generators")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("--family", choices=sorted(_FAMILIES), default="y")
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("--max-weight", type=int, default=None)
@@ -295,13 +312,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gens)
 
     p = sub.add_parser("dim", help="graded quotient dimensions")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("verify", help="verify a candidate basis against the quotient")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("--order", choices=["lex", "revlex", "cv"], default="lex")
     p.add_argument("--truncate", type=int, default=None, metavar="N")
     p.add_argument("--max-degree", type=int, default=None)
@@ -309,7 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("reduce", help="coordinates of a polynomial in a verified basis")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("--poly", required=True)
     p.add_argument("--order", choices=["lex", "revlex", "cv"], default="lex")
     common(p)
@@ -328,13 +345,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dcoeff)
 
     p = sub.add_parser("count", help="low-half census B[m, ell]")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("--ell", type=int, default=None)
     common(p, char=False)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("truncate", help="truncated quotient vs truncated basis")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("-N", dest="n", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
     common(p)

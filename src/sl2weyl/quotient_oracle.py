@@ -23,20 +23,20 @@ produce a spanning row set are used:
   The two constructions span the same space; the tests cross-check their
   ranks.
 
-Rank computations are exact: integer rows with gcd-normalized fraction-free
-elimination over the rationals, ordinary elimination over prime fields.
-Floating point never appears.
+Rank computations and normal forms are exact and fraction-free in both
+rings: one echelon takes integer rows, keeping its pivot rows primitive over
+the rationals and reduced mod p over prime fields, and returns a normal form
+as an integer row together with the scale it carries.  Floating point never
+appears.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .basis_enum import BasisSet, truncated_basis
 from .dpalgebra import (
@@ -57,9 +57,6 @@ class ConfigurationError(ValueError):
 
 class MustVerifyFirstError(RuntimeError):
     """reduce_element called with a candidate basis that was not verified."""
-
-
-THREADS_ENV = "SL2WEYL_THREADS"
 
 
 @lru_cache(maxsize=None)
@@ -86,75 +83,13 @@ def slice_monomials(m: int, d: int, w: int) -> tuple:
 # exact echelon forms (sparse rows: dict column -> coefficient)
 
 
-class _EchelonQ:
-    """Integer rows, fraction-free; pivot rows kept gcd-normalized."""
+class _Echelon:
+    """Integer rows, fraction-free in both rings: over the rationals (p = 0)
+    pivot rows are kept primitive with a positive lead; over F_p entries are
+    reduced mod p and pivots lead with 1.  Only the cancel step and the pivot
+    normalization depend on the ring."""
 
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.pivots: dict[int, dict[int, int]] = {}
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def _reduce(self, row):
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return row
-            a, b = piv[lead], row[lead]
-            g = gcd(a, b)
-            ca, cb = b // g, a // g
-            new = {}
-            for c, v in row.items():
-                new[c] = v * cb
-            for c, v in piv.items():
-                nv = new.get(c, 0) - v * ca
-                if nv:
-                    new[c] = nv
-                else:
-                    new.pop(c, None)
-            row = new
-        return row
-
-    def add(self, row) -> bool:
-        row = self._reduce(dict(row))
-        if not row:
-            return False
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-        lead = min(row)
-        if row[lead] < 0:
-            g = -g
-        self.pivots[lead] = {c: v // g for c, v in row.items()}
-        return True
-
-    def residue(self, row):
-        """Normal form against the pivot rows (every pivot-lead component is
-        eliminated, so the map is linear), with Fraction values."""
-        row = {c: Fraction(v) for c, v in row.items() if v}
-        while True:
-            hits = [c for c in row if c in self.pivots]
-            if not hits:
-                return row
-            lead = min(hits)
-            piv = self.pivots[lead]
-            f = row[lead] / piv[lead]
-            for c, v in piv.items():
-                nv = row.get(c, 0) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-
-
-class _EchelonP:
-    """Rows over F_p; pivots normalized to 1."""
-
-    def __init__(self, ncols, p):
-        self.ncols = ncols
+    def __init__(self, p):
         self.p = p
         self.pivots: dict[int, dict[int, int]] = {}
 
@@ -162,53 +97,89 @@ class _EchelonP:
     def rank(self):
         return len(self.pivots)
 
-    def _reduce(self, row):
+    @property
+    def _cancel(self):
+        # looked up per call: a bound method stored on self would make every
+        # echelon a reference cycle that outlives its session until the next
+        # garbage collection
+        return self._cancel_p if self.p else self._cancel_q
+
+    @staticmethod
+    def _cancel_q(row, piv, lead):
+        """row * (a/g) - piv * (b/g), with a the pivot lead, b the row lead
+        and g = gcd(a, b)."""
+        a, b = piv[lead], row[lead]
+        g = gcd(a, b)
+        ca, cb = b // g, a // g
+        new = {}
+        for c, v in row.items():
+            new[c] = v * cb
+        for c, v in piv.items():
+            nv = new.get(c, 0) - v * ca
+            if nv:
+                new[c] = nv
+            else:
+                new.pop(c, None)
+        return new
+
+    def _cancel_p(self, row, piv, lead):
+        """row - b * piv mod p with b the row lead, in place (the pivot
+        leads with 1)."""
         p = self.p
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                return row
-            f = row[lead]
-            for c, v in piv.items():
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
+        f = row[lead]
+        for c, v in piv.items():
+            nv = (row.get(c, 0) - f * v) % p
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
         return row
 
-    def add(self, row) -> bool:
+    def _normalize(self, row, lead):
         p = self.p
-        row = self._reduce({c: v % p for c, v in row.items() if v % p})
-        if not row:
-            return False
-        lead = min(row)
-        inv = pow(row[lead], -1, p)
-        self.pivots[lead] = {c: v * inv % p for c, v in row.items()}
-        return True
+        if p:
+            inv = pow(row[lead], -1, p)
+            return {c: v * inv % p for c, v in row.items()}
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+        if row[lead] < 0:
+            g = -g
+        return {c: v // g for c, v in row.items()}
+
+    def add(self, row) -> bool:
+        """Echelonize an integer row (nonzero entries nonzero mod p) against
+        the pivots; True when it raises the rank."""
+        row = dict(row)
+        pivots, cancel = self.pivots, self._cancel
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = self._normalize(row, lead)
+                return True
+            row = cancel(row, piv, lead)
+        return False
 
     def residue(self, row):
-        """Normal form against the pivot rows; linear, see _EchelonQ."""
-        p = self.p
-        row = {c: v % p for c, v in row.items() if v % p}
+        """Normal form against the pivot rows, fraction-free: returns
+        (r, scale) with r = scale * normal form.  Every pivot-lead component
+        is eliminated, so the normal form is unique and the map is linear.
+        Rational entries are cleared of denominators on entry."""
+        scale = 1
+        for v in row.values():
+            scale = lcm(scale, v.denominator)
+        row = {c: int(v * scale) for c, v in row.items() if v}
+        pivots, cancel = self.pivots, self._cancel
         while True:
-            hits = [c for c in row if c in self.pivots]
+            hits = [c for c in row if c in pivots]
             if not hits:
-                return row
+                return row, scale
             lead = min(hits)
-            piv = self.pivots[lead]
-            f = row[lead]
-            for c, v in piv.items():
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-
-
-def _new_echelon(ring: CoeffRing, ncols: int):
-    return _EchelonP(ncols, ring.char) if ring.char else _EchelonQ(ncols)
+            piv = pivots[lead]
+            a = piv[lead]
+            scale *= a // gcd(a, row[lead])
+            row = cancel(row, piv, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +274,7 @@ def build_slice(m, ring, d, w, gens: GeneratorSet) -> GradedSlice:
 
 
 def slice_rank(sl: GradedSlice) -> int:
-    ech = _new_echelon(sl.ring, len(sl.monomials))
+    ech = _Echelon(sl.ring.char)
     for vec in sl.ideal_rows:
         ech.add({i: c for i, c in enumerate(vec) if c})
     return ech.rank
@@ -348,11 +319,9 @@ class OracleSession:
             self._by_slice.setdefault((1, j), []).append(
                 DPoly.monomial(ring, m, mono)
             )
-        self._mult_powers = (
-            [1]
-            if not ring.char
-            else [ring.char**e for e in range(12) if ring.char**e <= degree_bound]
-        )
+        self._mult_powers = [1]
+        while ring.char and self._mult_powers[-1] * ring.char <= degree_bound:
+            self._mult_powers.append(self._mult_powers[-1] * ring.char)
         self.verified: set[str] = set()
 
     # -- slice spaces ------------------------------------------------------
@@ -363,7 +332,7 @@ class OracleSession:
             return self._spaces[key]
         monos = slice_monomials(self.m, d, w)
         index = {a: i for i, a in enumerate(monos)}
-        ech = _new_echelon(self.ring, len(monos))
+        ech = _Echelon(self.ring.char)
         rows = []
         for poly in self._by_slice.get(key, ()):
             rows.append({index[a]: c for a, c in poly.terms.items()})
@@ -403,16 +372,8 @@ class OracleSession:
                     yield (d, w)
 
     def _ensure_all(self):
-        nthreads = int(os.environ.get(THREADS_ENV, "1") or "1")
-        if nthreads <= 1:
-            for d, w in self._slice_keys():
-                self.space(d, w)
-            return
-        # slices at one degree level only depend on lower levels
-        for d in range(self.degree_bound + 1):
-            keys = [(dd, ww) for dd, ww in self._slice_keys() if dd == d]
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                list(pool.map(lambda k: self.space(*k), keys))
+        for d, w in self._slice_keys():
+            self.space(d, w)
 
     # -- queries -----------------------------------------------------------
 
@@ -446,15 +407,11 @@ class OracleSession:
             index = {a: i for i, a in enumerate(monos)}
             ech = self.space(d, w)
             cands = cand.get((d, w), [])
-            overlay = _new_echelon(self.ring, len(monos))
+            overlay = _Echelon(self.ring.char)
             indep = True
             for a in cands:
-                res = ech.residue({index[a]: 1})
-                if not res or not overlay.add(
-                    {c: v for c, v in res.items()}
-                    if self.ring.char
-                    else _clear_denominators(res)
-                ):
+                res, _ = ech.residue({index[a]: 1})
+                if not res or not overlay.add(res):
                     indep = False
                     break
             q = len(monos) - ech.rank
@@ -485,34 +442,27 @@ class OracleSession:
             monos = slice_monomials(self.m, d, w)
             index = {a: i for i, a in enumerate(monos)}
             ech = self.space(d, w)
-            res_f = ech.residue({index[a]: c for a, c in terms.items()})
+            res_f, scale_f = ech.residue({index[a]: c for a, c in terms.items()})
             basis_monos = cand.get((d, w), [])
             # solve res_f = sum coords_b * residue(b) by eliminating with
-            # augmented unit tags
+            # augmented tags: row res_b + scale_b * e_t is scale_b times
+            # (residue(b) + e_t), so the tags come out as -coords
+            n = len(monos)
             p = self.ring.char
-            solver = _new_echelon(self.ring, len(monos) + len(basis_monos))
+            solver = _Echelon(p)
             for t, b in enumerate(basis_monos):
-                res_b = ech.residue({index[b]: 1})
-                row = dict(res_b)
-                row[len(monos) + t] = 1
-                solver.add(row if p else _clear_denominators(row))
-            rem = solver.residue(res_f)
-            main = {c: v for c, v in rem.items() if c < len(monos)}
-            if main:
+                res_b, scale_b = ech.residue({index[b]: 1})
+                res_b[n + t] = scale_b
+                solver.add(res_b)
+            rem, scale = solver.residue(res_f)
+            if any(c < n for c in rem):
                 raise ValueError("element does not reduce into the candidate span")
+            scale *= scale_f
             for t, b in enumerate(basis_monos):
-                v = rem.get(len(monos) + t, 0)
+                v = rem.get(n + t, 0)
                 if v:
-                    coords[b] = (-v) % p if p else -v
+                    coords[b] = (-v) % p if p else Fraction(-v, scale)
         return coords
-
-
-def _clear_denominators(row):
-    """Fraction row -> integer row (rank-preserving scaling)."""
-    denom = 1
-    for v in row.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    return {c: int(v * denom) for c, v in row.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,15 @@ def test_truncate_subcommand(capsys):
     assert json.loads(out)["dims_total"] == 5
 
 
+def test_truncation_refuses_positive_characteristic(capsys):
+    for argv in (
+        ["truncate", "-m", "4", "-N", "1", "--char", "2"],
+        ["verify", "-m", "4", "--truncate", "1", "--char", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "characteristic-0" in err, argv
+
+
 def test_gens_json_provenance(capsys):
     code, out, _ = run(capsys, "gens", "-m", "1", "--max-degree", "3", "--format", "json")
     data = json.loads(out)
@@ -101,6 +110,9 @@ def test_usage_errors(capsys):
     assert run(capsys, "kostka", "2,x", "1,1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "count", "-m", "4", "--ell", "3")[0] == 2  # ell > m/2
+    for verb in ("gens", "count", "dim"):
+        code, out, err = run(capsys, verb, "-m", "-1")
+        assert code == 2 and out == "" and "must be >= 0" in err, verb
 
 
 def test_output_file(tmp_path, capsys):

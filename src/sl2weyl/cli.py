@@ -306,14 +306,14 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gens", help="list ideal generators")
     p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("--family", choices=sorted(_FAMILIES), default="y")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--max-weight", type=int, default=None)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=None)
+    p.add_argument("--max-weight", type=_nonnegative_int, default=None)
     common(p)
     p.set_defaults(func=cmd_gens)
 
     p = sub.add_parser("dim", help="graded quotient dimensions")
     p.add_argument("-m", type=_nonnegative_int, required=True)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=None)
     common(p)
     p.set_defaults(func=cmd_dim)
 
@@ -321,7 +321,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("--order", choices=["lex", "revlex", "cv"], default="lex")
     p.add_argument("--truncate", type=int, default=None, metavar="N")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=None)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -353,12 +353,12 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("truncate", help="truncated quotient vs truncated basis")
     p.add_argument("-m", type=_nonnegative_int, required=True)
     p.add_argument("-N", dest="n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_nonnegative_int, default=None)
     common(p)
     p.set_defaults(func=cmd_truncate)
 
     p = sub.add_parser("selftest", help="run the acceptance checks at desk scale")
-    p.add_argument("--max-m", type=int, default=4)
+    p.add_argument("--max-m", type=_nonnegative_int, default=4)
     common(p, char=False, fmt=False, out=False)
     p.set_defaults(func=cmd_selftest)
 

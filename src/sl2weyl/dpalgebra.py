@@ -19,7 +19,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 
 def _is_prime(p: int) -> bool:
@@ -97,6 +97,21 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
 
 def ring_binom(ring: CoeffRing, n: int, k: int):
     return binom_mod_p(n, k, ring.char) if ring.char else comb(n, k)
+
+
+def unit_normalize(terms: dict, at, p: int) -> dict:
+    """Integer `terms` scaled by a unit so that unit multiples agree: mod p
+    (p > 0) the coefficient at key `at` becomes 1; over the rationals (p = 0)
+    the content becomes 1 with a positive coefficient at `at`."""
+    if p:
+        inv = pow(terms[at], -1, p)
+        return {k: v * inv % p for k, v in terms.items()}
+    g = 0
+    for v in terms.values():
+        g = gcd(g, v)
+    if terms[at] < 0:
+        g = -g
+    return {k: v // g for k, v in terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ all monomial multiples of generators landing there.  Two equivalent ways to
 produce a spanning row set are used:
 
 * `build_slice` materializes the defining rows literally: one row per pair
-  (generator, multiplier monomial) with matching degree and weight.  This is
-  the reference construction.
+  (generator, multiplier monomial) with matching degree and weight, from an
+  eager generator family such as `defining_generators`.  This is the
+  reference construction.
 
 * the engine builds slices bottom-up.  Writing any multiplier as
   u = x_i^(j) * u'' with u''_i = 0 splits off the full x_i-power of u, and
@@ -20,8 +21,10 @@ produce a spanning row set are used:
   slice.  Over the rationals j = 1 suffices (the constant C(e+1, 1) = e+1
   never vanishes); over F_p the shifts x_i^(p^e) are used, because every
   divided power factors through p-th-power divided powers up to units there.
-  The two constructions span the same space; the tests cross-check their
-  ranks.
+  Generator rows enter only while the shifted rows leave the rank below the
+  slice size, and series coefficients are built one at a time as needed
+  (`weyl_ideal.slice_series`), so a slice the shifts fill builds none.  The
+  two constructions span the same space; the tests cross-check their ranks.
 
 Rank computations and normal forms are exact and fraction-free in both
 rings: one echelon takes integer rows, keeping its pivot rows primitive over
@@ -46,9 +49,10 @@ from .dpalgebra import (
     mono_degree,
     mono_weight,
     ring_binom,
+    unit_normalize,
 )
 from .partitions import enumerate_partitions
-from .weyl_ideal import GeneratorSet, defining_generators
+from .weyl_ideal import GeneratorSet, slice_series
 
 
 class ConfigurationError(ValueError):
@@ -135,18 +139,6 @@ class _Echelon:
                 row.pop(c, None)
         return row
 
-    def _normalize(self, row, lead):
-        p = self.p
-        if p:
-            inv = pow(row[lead], -1, p)
-            return {c: v * inv % p for c, v in row.items()}
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-        if row[lead] < 0:
-            g = -g
-        return {c: v // g for c, v in row.items()}
-
     def add(self, row) -> bool:
         """Echelonize an integer row (nonzero entries nonzero mod p) against
         the pivots; True when it raises the rank."""
@@ -156,7 +148,7 @@ class _Echelon:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = self._normalize(row, lead)
+                pivots[lead] = unit_normalize(row, lead, self.p)
                 return True
             row = cancel(row, piv, lead)
         return False
@@ -288,6 +280,9 @@ class OracleSession:
     """Holds the echelonized ideal slices for one (m, ring, degree bound) and
     answers dimension, basis-verification, and reduction queries.
 
+    Generator rows enter a slice only where its shifted lower slices fall
+    short (`build_slice` remains the literal reference).  gens: a family
+    covering the degree box, in place of the defining series coefficients.
     extra_degree_one: indices j whose variables x_j are adjoined to the ideal
     (used for truncations).
     """
@@ -299,10 +294,6 @@ class OracleSession:
         self.ring = ring
         self.degree_bound = degree_bound
         self.weight_bound = degree_bound * max(m - 1, 0)
-        if gens is None and m >= 1:
-            gens = defining_generators(
-                m, ring, max(degree_bound, m + 1), self.weight_bound
-            )
         self.gens = gens
         if gens is not None and (
             gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound
@@ -334,8 +325,6 @@ class OracleSession:
         index = {a: i for i, a in enumerate(monos)}
         ech = _Echelon(self.ring.char)
         rows = []
-        for poly in self._by_slice.get(key, ()):
-            rows.append({index[a]: c for a, c in poly.terms.items()})
         for j in self._mult_powers:
             if j > d:
                 break
@@ -362,8 +351,22 @@ class OracleSession:
             if ech.rank == ncols:
                 break
             ech.add(row)
+        if ech.rank < ncols:
+            for poly in self._generators(d, w):
+                ech.add({index[a]: c for a, c in poly.terms.items()})
+                if ech.rank == ncols:
+                    break
         self._spaces[key] = ech
         return ech
+
+    def _generators(self, d, w):
+        """Generator polynomials of slice (d, w), one at a time: the given
+        ones and the truncation variables, then, when no generators were
+        given, the defining series coefficients."""
+        yield from self._by_slice.get((d, w), ())
+        if self.gens is None:
+            for _, pairs in slice_series(self.m, d, w):
+                yield DPoly(self.ring, self.m, dict(pairs))
 
     def _slice_keys(self):
         for d in range(self.degree_bound + 1):

@@ -10,7 +10,9 @@ series are expanded by the multiset rule (T_1 + ... + T_N)^(k) =
 sum over multiplicities summing to k of prod T_j^(i_j), which keeps every
 intermediate coefficient integral, hence valid in every characteristic.
 A generator is the coefficient of a u-monomial u^a in the k'-th divided
-power, retained whenever k' + a_1 + ... + a_s >= m + 1.
+power, retained whenever k' + a_1 + ... + a_s >= m + 1.  `slice_series`
+builds those of one slice (degree k', weight sum i*a_i); `defining_generators`
+collects them over a box.
 
 Each such coefficient is, up to the sign (-1)^(weight), the "forgotten"
 polynomial attached to the partition with multiplicities a; that identity is
@@ -30,6 +32,7 @@ from .dpalgebra import (
     RATIONALS,
     mono_degree,
     mono_weight,
+    unit_normalize,
 )
 from .partitions import Partition, dominates, enumerate_partitions, transpose
 from .symfunc import forgotten_coeff, kostka
@@ -98,8 +101,8 @@ def lowering_series(spec: YSeriesSpec) -> list[tuple[int, int, tuple[int, ...]]]
 
 
 @lru_cache(maxsize=None)
-def _group_combos(s: int, v: int, cap: int):
-    """Ways to assemble x_v to total divided power j <= cap from the series
+def _group_combos(s: int, v: int, kk: int):
+    """Ways to assemble x_v to total divided power j <= kk from the series
     terms with variable x_v (partitions of v with parts <= s), bucketed by j:
     a tuple indexed by j of ((u-exponent delta, integer coefficient), ...).
 
@@ -116,11 +119,11 @@ def _group_combos(s: int, v: int, cap: int):
             c = -c
         for (j, ud), cc in list(combos.items()):
             p = 1
-            for i in range(1, cap - j + 1):
+            for i in range(1, kk - j + 1):
                 p *= c
                 key = (j + i, tuple(x + i * y for x, y in zip(ud, ue)))
                 combos[key] = combos.get(key, 0) + cc * p * comb(j + i, i)
-    buckets: list[list] = [[] for _ in range(cap + 1)]
+    buckets: list[list] = [[] for _ in range(kk + 1)]
     for (j, ud), cc in combos.items():
         if cc:
             buckets[j].append((ud, cc))
@@ -130,7 +133,7 @@ def _group_combos(s: int, v: int, cap: int):
 _SUFFIX_CACHE: dict = {}
 
 
-def _suffix_expand(s: int, cap: int, v: int, kk: int, target: tuple[int, ...]):
+def _suffix_expand(s: int, v: int, kk: int, target: tuple[int, ...]):
     """dict (j_1, ..., j_v) -> coefficient over ways the groups x_1..x_v can
     absorb exactly the u-exponents `target` using at most kk divided powers.
 
@@ -144,12 +147,12 @@ def _suffix_expand(s: int, cap: int, v: int, kk: int, target: tuple[int, ...]):
         return {}
     if any(target[i] for i in range(min(v, s), s)):
         return {}
-    key = (s, cap, v, kk, target)
+    key = (s, v, kk, target)
     hit = _SUFFIX_CACHE.get(key)
     if hit is not None:
         return hit
     out: dict[tuple[int, ...], int] = {}
-    buckets = _group_combos(s, v, cap)
+    buckets = _group_combos(s, v, kk)
     j_lo = max(0, wt - kk * (v - 1))
     j_hi = min(kk, wt // v)
     for j in range(j_lo, j_hi + 1):
@@ -157,7 +160,7 @@ def _suffix_expand(s: int, cap: int, v: int, kk: int, target: tuple[int, ...]):
             if any(u > t for u, t in zip(ud, target)):
                 continue
             rest = tuple(t - u for t, u in zip(target, ud))
-            for tail, c2 in _suffix_expand(s, cap, v - 1, kk - j, rest).items():
+            for tail, c2 in _suffix_expand(s, v - 1, kk - j, rest).items():
                 jv = tail + (j,)
                 out[jv] = out.get(jv, 0) + cc * c2
     _SUFFIX_CACHE[key] = out
@@ -165,18 +168,16 @@ def _suffix_expand(s: int, cap: int, v: int, kk: int, target: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _series_power_coeff(s: int, k: int, uexp: tuple[int, ...], m: int, cap: int = 0):
+def _series_power_coeff(s: int, k: int, uexp: tuple[int, ...], m: int):
     """Integral coefficient of u^uexp in the k-th divided power of the
     series, as a tuple of (monomial, coefficient) pairs.  The x_0 slack
-    (powers of the empty-partition term) carries constant 1.  `cap` only
-    keys the shared combo tables; any value >= k gives the same result."""
+    (powers of the empty-partition term) carries constant 1."""
     if len(uexp) != s:
         raise ValueError("u-exponent length must equal s")
     if m < 1:
         return ()
-    cap = max(cap, k)
     result: dict[tuple[int, ...], int] = {}
-    for jvec, c in _suffix_expand(s, cap, m - 1, k, uexp).items():
+    for jvec, c in _suffix_expand(s, m - 1, k, uexp).items():
         used = sum(jvec)
         mono = (k - used,) + jvec
         result[mono] = result.get(mono, 0) + c
@@ -192,72 +193,47 @@ def series_power_coefficient(spec: YSeriesSpec, uexp, ring: CoeffRing = RATIONAL
     return DPoly(ring, spec.m, dict(pairs))
 
 
-@lru_cache(maxsize=None)
-def _defining_integral(m: int, degree_bound: int, weight_bound: int):
-    """Deduplicated integral defining generators within the (degree, weight)
-    box, as tuples (uexp, power, terms)."""
-    entries = []
-    seen = set()
-    for power in range(1, degree_bound + 1):
-        max_size = min(weight_bound, power * (m - 1))
-        lams = []
-        for size in range(max_size + 1):
-            lams.extend(enumerate_partitions(size, m - 1, size))
-        lams.sort(key=lambda p: (p.size, p.parts))
-        for lam in lams:
-            if lam.length + power < m + 1:
-                continue
-            uexp = lam.multiplicities(m - 1)
-            pairs = _series_power_coeff(m - 1, power, uexp, m, cap=degree_bound)
-            if not pairs:
-                continue
-            fp = _fingerprint(pairs)
-            if fp in seen:
-                continue
-            seen.add(fp)
-            entries.append((uexp, power, pairs))
-    return tuple(entries)
-
-
-def _fingerprint(pairs):
-    """Scalar-free signature: normalize so the DPLEX-leading coefficient is
-    positive and the integer content is 1."""
-    from math import gcd
-
-    lead = max(pairs, key=lambda pc: MonomialOrder.DPLEX.key(pc[0]))
-    g = 0
-    for _, c in pairs:
-        g = gcd(g, c)
-    sign = -1 if lead[1] < 0 else 1
-    g *= sign
-    return tuple((a, c // g) for a, c in pairs)
+def slice_series(m: int, d: int, w: int):
+    """Defining generators of slice (degree d, weight w), before dedup, built
+    one at a time: (uexp, pairs) for each nonzero coefficient of u^uexp in
+    the d-th divided power, uexp the multiplicities of lam |- w with parts
+    <= m-1 and l(lam) >= m+1-d, in lam.parts order."""
+    if m < 1:
+        return
+    for lam in sorted(enumerate_partitions(w, m - 1, w), key=lambda p: p.parts):
+        if lam.length + d < m + 1:
+            continue
+        uexp = lam.multiplicities(m - 1)
+        pairs = _series_power_coeff(m - 1, d, uexp, m)
+        if pairs:
+            yield uexp, pairs
 
 
 def defining_generators(
     m: int, ring: CoeffRing, degree_bound: int, weight_bound: int
 ) -> GeneratorSet:
     """All nonzero series coefficients with power + sum(uexp) >= m+1 landing
-    in the box degree <= degree_bound, weight <= weight_bound, deduplicated
-    up to scalar.  Trailing-zero u-exponent vectors reproduce the lower-s
-    coefficients, so s is fixed at m-1 without loss."""
+    in the box degree <= degree_bound, weight <= weight_bound, in (power,
+    weight, lam.parts) order, deduplicated up to a unit of the ring.
+    Trailing-zero u-exponent vectors reproduce the lower-s coefficients, so s
+    is fixed at m-1 without loss."""
     if degree_bound < m + 1:
         raise ValueError(f"degree_bound must be >= m+1 = {m + 1}")
     gs = GeneratorSet(m, ring, "defining", [], degree_bound, weight_bound)
     seen = set()
-    for uexp, power, pairs in _defining_integral(m, degree_bound, weight_bound):
-        poly = DPoly(ring, m, dict(pairs))
-        if poly.is_zero():
-            continue
-        if ring.char:
-            # scalar-free key mod p: scale so the DPLEX-leading coefficient is 1
-            lead = poly.leading_coeff(MonomialOrder.DPLEX)
-            inv = pow(lead, -1, ring.char)
-            fp = tuple(sorted((a, c * inv % ring.char) for a, c in poly.terms.items()))
-            if fp in seen:
-                continue
-            seen.add(fp)
-        k = power + sum(uexp)
-        gs.entries.append(GeneratorEntry(poly, ("series", uexp, power, k)))
+    for power in range(1, degree_bound + 1):
+        for w in range(min(weight_bound, power * (m - 1)) + 1):
+            for uexp, pairs in slice_series(m, power, w):
+                poly = DPoly(ring, m, dict(pairs))
+                if poly.is_zero():
+                    continue
+                lead = poly.leading_monomial(MonomialOrder.DPLEX)
+                key = frozenset(unit_normalize(poly.terms, lead, ring.char).items())
+                if key in seen:
+                    continue
+                seen.add(key)
+                k = power + sum(uexp)
+                gs.entries.append(GeneratorEntry(poly, ("series", uexp, power, k)))
     return gs
 
 

@@ -17,17 +17,17 @@ def _run(key, **kwargs):
 
 
 def test_criterion_1_dimension_2_to_m():
-    # m <= 6 over QQ, F2, F3, F5; slices of degree m+1, m+2 vanish; < 60 s
+    # m <= 7 over QQ, F2, F3, F5; slices of degree m+1, m+2 vanish; < 60 s
     # per (m, ring)
-    _run("1", max_m=6, chars=(0, 2, 3, 5), time_limit=60.0)
+    _run("1", max_m=7, chars=(0, 2, 3, 5), time_limit=60.0)
 
 
 def test_criterion_2_lex_basis_all_rings():
-    _run("2", max_m=6, chars=(0, 2, 3, 5))
+    _run("2", max_m=7, chars=(0, 2, 3, 5))
 
 
 def test_criterion_3_revlex_basis_over_qq():
-    _run("3", max_m=6)
+    _run("3", max_m=7)
 
 
 def test_criterion_4_cv_equals_revlex():

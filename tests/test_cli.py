@@ -113,6 +113,16 @@ def test_usage_errors(capsys):
     for verb in ("gens", "count", "dim"):
         code, out, err = run(capsys, verb, "-m", "-1")
         assert code == 2 and out == "" and "must be >= 0" in err, verb
+    for argv in (
+        ["gens", "-m", "3", "--max-weight", "-1"],
+        ["gens", "-m", "3", "--max-degree", "-5"],
+        ["dim", "-m", "3", "--max-degree", "-1"],
+        ["verify", "-m", "3", "--max-degree", "-1"],
+        ["truncate", "-m", "3", "-N", "1", "--max-degree", "-1"],
+        ["selftest", "--max-m", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "must be >= 0" in err, argv
 
 
 def test_output_file(tmp_path, capsys):

@@ -66,12 +66,23 @@ def test_cascade_rank_equals_literal_rank():
             bound = m + 2
             gens = defining_generators(m, ring, bound, bound * max(m - 1, 1))
             sess = OracleSession(m, ring, bound, gens=gens)
+            lazy = OracleSession(m, ring, bound)  # series generators per slice
             for d in range(bound + 1):
                 for w in range(d * max(m - 1, 0) + 1):
                     if not slice_monomials(m, d, w):
                         continue
                     lit = slice_rank(build_slice(m, ring, d, w, gens))
                     assert lit == sess.space(d, w).rank, (m, ring.char, d, w)
+                    assert lit == lazy.space(d, w).rank, (m, ring.char, d, w)
+
+
+def test_lazy_dims_equal_eager_dims():
+    # the default session builds series generators only where the shifted
+    # lower slices fall short; the eager family must give the same slices
+    m = 5
+    for ring in RINGS:
+        eager = OracleSession(m, ring, m + 2, gens=defining_generators(m, ring, 7, 28))
+        assert OracleSession(m, ring, m + 2).dims().dims == eager.dims().dims, ring.char
 
 
 # -- dimensions ------------------------------------------------------------------

@@ -114,7 +114,7 @@ def criterion_leading_monomials(max_m=5):
     return ok, f"schur-family leading monomials = reducible census, m<={max_m}"
 
 
-def criterion_identities(max_size=5, max_k=5, max_m=5):
+def criterion_identities(max_size=7, max_k=7, max_m=7):
     ok = True
     for m in range(1, max_m + 1):
         for lam in _all_partitions(max_size):

@@ -313,7 +313,7 @@ class OracleSession:
         self._mult_powers = [1]
         while ring.char and self._mult_powers[-1] * ring.char <= degree_bound:
             self._mult_powers.append(self._mult_powers[-1] * ring.char)
-        self.verified: set[str] = set()
+        self.verified: set[BasisSet] = set()
 
     # -- slice spaces ------------------------------------------------------
 
@@ -423,12 +423,14 @@ class OracleSession:
             )
         report.elapsed_seconds = time.monotonic() - t0
         if report.passed:
-            self.verified.add(candidate.provenance)
+            self.verified.add(candidate)
         return report
 
     def reduce_element(self, f: DPoly, candidate: BasisSet):
-        """Coordinates of the residue of f in the verified candidate basis."""
-        if candidate.provenance not in self.verified:
+        """Coordinates of the residue of f in the verified candidate basis.
+        Only that very basis counts as verified, not others sharing its
+        provenance label."""
+        if candidate not in self.verified:
             raise MustVerifyFirstError(
                 "verify_basis must pass for this candidate before reducing"
             )

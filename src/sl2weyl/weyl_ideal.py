@@ -5,25 +5,28 @@ The defining family comes from a generating series in auxiliary variables
 u_1..u_s: one series term per partition eta with all parts <= s and
 |eta| <= m-1 (the empty partition included), with integer coefficient
 (-1)^l(eta) * l(eta)! / prod_i m_i(eta)!, carrying the algebra variable
-x_{|eta|} and the u-monomial prod u_i^(m_i(eta)).  Divided powers of the
-series are expanded by the multiset rule (T_1 + ... + T_N)^(k) =
-sum over multiplicities summing to k of prod T_j^(i_j), which keeps every
-intermediate coefficient integral, hence valid in every characteristic.
-A generator is the coefficient of a u-monomial u^a in the k'-th divided
-power, retained whenever k' + a_1 + ... + a_s >= m + 1.  `slice_series`
-builds those of one slice (degree k', weight sum i*a_i); `defining_generators`
-collects them over a box.
+x_{|eta|} and the u-monomial prod u_i^(m_i(eta)).  Grouped by variable
+the series is sum_v P_v(u) x_v with P_0 = 1, so its k-th divided power is
+the sum over j_0 + ... + j_{m-1} = k of prod_v P_v(u)^(j_v) x_v^(j_v): the
+coefficient of u^t x^(mu), mu padded to k parts, is the integer
+c(mu, t) = [u^t] prod_i P_{mu_i}(u), valid in every characteristic.  One
+memoized kernel computes c.  A generator is the coefficient of a u-monomial
+u^a in the k'-th divided power, retained whenever k' + a_1 + ... + a_s >=
+m + 1.  `slice_series` builds those of one slice (degree k', weight
+sum i*a_i); `defining_generators` collects them over a box.
 
 Each such coefficient is, up to the sign (-1)^(weight), the "forgotten"
-polynomial attached to the partition with multiplicities a; that identity is
-exposed as a checkable predicate rather than assumed anywhere.
+polynomial attached to the partition with multiplicities a, so the forgotten
+family is built by the same kernel.  The identity is checked against the
+literal `symfunc.forgotten_coeff` rather than assumed anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
+from operator import sub
 
 from .dpalgebra import (
     CoeffRing,
@@ -80,131 +83,102 @@ class GeneratorSet:
     weight_bound: int = 0
 
 
-def lowering_series(spec: YSeriesSpec) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Terms (coefficient, variable index, u-exponents) of the series.
-
-    One term per partition eta with parts <= s and |eta| <= m-1, empty
-    partition included; coefficient (-1)^l(eta) l(eta)!/prod m_i(eta)!,
-    variable x_{|eta|}, u-exponents (m_1(eta), ..., m_s(eta)).
-    """
-    out = []
-    for n in range(spec.m):
-        for eta in enumerate_partitions(n, min(spec.s, n) if n else 0, n):
-            mults = eta.multiplicities(spec.s)
-            c = factorial(eta.length)
-            for v in set(eta.parts):
-                c //= factorial(eta.parts.count(v))
-            if eta.length % 2:
-                c = -c
-            out.append((c, n, mults))
-    return out
-
-
 @lru_cache(maxsize=None)
-def _group_combos(s: int, v: int, kk: int):
-    """Ways to assemble x_v to total divided power j <= kk from the series
-    terms with variable x_v (partitions of v with parts <= s), bucketed by j:
-    a tuple indexed by j of ((u-exponent delta, integer coefficient), ...).
-
-    Combining several terms on the same variable telescopes the structure
-    constants into a multinomial, built up here as C(j_prior + i, i) factors.
-    """
-    combos = {(0, (0,) * s): 1}
+def _series_terms(s: int, v: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The series terms carrying x_v, as (coefficient, u-exponents): one per
+    eta |- v with parts <= s, coefficient (-1)^l(eta) l(eta)!/prod m_i(eta)!,
+    u-exponents (m_1(eta), ..., m_s(eta)).  Summed, they are P_v(u)."""
+    out = []
     for eta in enumerate_partitions(v, min(s, v), v):
-        ue = eta.multiplicities(s)
         c = factorial(eta.length)
         for val in set(eta.parts):
             c //= factorial(eta.parts.count(val))
-        if eta.length % 2:
-            c = -c
-        for (j, ud), cc in list(combos.items()):
-            p = 1
-            for i in range(1, kk - j + 1):
-                p *= c
-                key = (j + i, tuple(x + i * y for x, y in zip(ud, ue)))
-                combos[key] = combos.get(key, 0) + cc * p * comb(j + i, i)
-    buckets: list[list] = [[] for _ in range(kk + 1)]
-    for (j, ud), cc in combos.items():
-        if cc:
-            buckets[j].append((ud, cc))
-    return tuple(tuple(b) for b in buckets)
+        out.append((-c if eta.length % 2 else c, eta.multiplicities(s)))
+    return tuple(out)
 
 
-_SUFFIX_CACHE: dict = {}
+def lowering_series(spec: YSeriesSpec) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Terms (coefficient, variable index, u-exponents) of the series: the
+    terms of `_series_terms(s, n)` with variable x_n, n = 0, ..., m-1."""
+    return [(c, n, ue) for n in range(spec.m) for c, ue in _series_terms(spec.s, n)]
 
 
-def _suffix_expand(s: int, v: int, kk: int, target: tuple[int, ...]):
-    """dict (j_1, ..., j_v) -> coefficient over ways the groups x_1..x_v can
-    absorb exactly the u-exponents `target` using at most kk divided powers.
+def _product_coeff(mu: tuple[int, ...], t: tuple[int, ...], memo: dict) -> int:
+    """c(mu, t) = [u^t] prod_i P_{mu_i}(u), with s = len(t) auxiliary
+    variables: the signed ways to split the parts of the partition with
+    multiplicities t into blocks eta^i |- mu_i.
 
-    Group x_w contributes u-weight exactly j_w * w, which bounds the x_v
-    power two-sidedly: j*v <= wt(target) and the rest must fit below,
-    wt(target) - j*v <= (kk - j)*(v - 1)."""
-    wt = sum((i + 1) * t for i, t in enumerate(target))
-    if wt == 0:
-        return {(0,) * v: 1}
-    if v == 0 or kk == 0 or wt > kk * v:
-        return {}
-    if any(target[i] for i in range(min(v, s), s)):
-        return {}
-    key = (s, v, kk, target)
-    hit = _SUFFIX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out: dict[tuple[int, ...], int] = {}
-    buckets = _group_combos(s, v, kk)
-    j_lo = max(0, wt - kk * (v - 1))
-    j_hi = min(kk, wt // v)
-    for j in range(j_lo, j_hi + 1):
-        for ud, cc in buckets[j]:
-            if any(u > t for u, t in zip(ud, target)):
-                continue
-            rest = tuple(t - u for t, u in zip(target, ud))
-            for tail, c2 in _suffix_expand(s, v - 1, kk - j, rest).items():
-                jv = tail + (j,)
-                out[jv] = out.get(jv, 0) + cc * c2
-    _SUFFIX_CACHE[key] = out
-    return out
+    Peels the last (smallest) part of mu: each eta |- mu_l whose u-exponents
+    fit under t leaves c(mu without mu_l, t - mult eta); small parts have
+    few eta, so this branches least.  The value is 0 when l(mu) > sum(t)
+    (every block takes a part), when t has a part larger than mu_1 or when
+    its smallest part exceeds mu_l.  `memo`, keyed by (mu, t), is shared by
+    the calls of one build."""
+    if not mu:
+        return 0 if any(t) else 1
+    if len(mu) > sum(t) or any(t[mu[0]:]) or not any(t[: mu[-1]]):
+        return 0
+    key = (mu, t)
+    hit = memo.get(key)
+    if hit is None:
+        hit = 0
+        rest = mu[:-1]
+        for c, ue in _series_terms(len(t), mu[-1]):
+            left = tuple(map(sub, t, ue))
+            if min(left) >= 0:
+                hit += c * _product_coeff(rest, left, memo)
+        memo[key] = hit
+    return hit
 
 
 @lru_cache(maxsize=None)
-def _series_power_coeff(s: int, k: int, uexp: tuple[int, ...], m: int):
-    """Integral coefficient of u^uexp in the k-th divided power of the
-    series, as a tuple of (monomial, coefficient) pairs.  The x_0 slack
-    (powers of the empty-partition term) carries constant 1."""
-    if len(uexp) != s:
-        raise ValueError("u-exponent length must equal s")
-    if m < 1:
-        return ()
-    result: dict[tuple[int, ...], int] = {}
-    for jvec, c in _suffix_expand(s, m - 1, k, uexp).items():
-        used = sum(jvec)
-        mono = (k - used,) + jvec
-        result[mono] = result.get(mono, 0) + c
-    return tuple(sorted((a, c) for a, c in result.items() if c))
+def _partition_monomials(w: int, m: int, k: int):
+    """(mu, x^(mu) zero-padded to k parts) for mu |- w with parts <= m-1 and
+    l(mu) <= k."""
+    return tuple(
+        (mu.parts, _padded_mono(mu, k, m))
+        for mu in enumerate_partitions(w, m - 1, k)
+    )
+
+
+def _series_power_coeff(k: int, uexp: tuple[int, ...], m: int, memo: dict):
+    """Integral coefficient of u^uexp (s = len(uexp)) in the k-th divided
+    power of the series, as sorted (monomial, coefficient) pairs: c(mu, uexp)
+    at x^(mu) padded to k parts."""
+    wt = sum((i + 1) * a for i, a in enumerate(uexp))
+    pairs = []
+    for mu, mono in _partition_monomials(wt, m, k):
+        c = _product_coeff(mu, uexp, memo)
+        if c:
+            pairs.append((mono, c))
+    return tuple(sorted(pairs))
 
 
 def series_power_coefficient(spec: YSeriesSpec, uexp, ring: CoeffRing = RATIONALS) -> DPoly:
     """Coefficient of u^uexp in the spec.k-th divided power of the series."""
     uexp = tuple(uexp)
+    if len(uexp) != spec.s:
+        raise ValueError("u-exponent length must equal s")
     if any(a < 0 for a in uexp):
         raise ValueError("u-exponents must be nonnegative")
-    pairs = _series_power_coeff(spec.s, spec.k, uexp, spec.m)
-    return DPoly(ring, spec.m, dict(pairs))
+    return DPoly(ring, spec.m, dict(_series_power_coeff(spec.k, uexp, spec.m, {})))
 
 
-def slice_series(m: int, d: int, w: int):
+def slice_series(m: int, d: int, w: int, memo: dict | None = None):
     """Defining generators of slice (degree d, weight w), before dedup, built
     one at a time: (uexp, pairs) for each nonzero coefficient of u^uexp in
     the d-th divided power, uexp the multiplicities of lam |- w with parts
-    <= m-1 and l(lam) >= m+1-d, in lam.parts order."""
+    <= m-1 and l(lam) >= m+1-d, in lam.parts order.  `memo` holds the
+    kernel values c(mu, t) and may be shared by the slices of one build; by
+    default it lives for this slice only."""
     if m < 1:
         return
+    memo = {} if memo is None else memo
     for lam in sorted(enumerate_partitions(w, m - 1, w), key=lambda p: p.parts):
         if lam.length + d < m + 1:
             continue
         uexp = lam.multiplicities(m - 1)
-        pairs = _series_power_coeff(m - 1, d, uexp, m)
+        pairs = _series_power_coeff(d, uexp, m, memo)
         if pairs:
             yield uexp, pairs
 
@@ -221,9 +195,10 @@ def defining_generators(
         raise ValueError(f"degree_bound must be >= m+1 = {m + 1}")
     gs = GeneratorSet(m, ring, "defining", [], degree_bound, weight_bound)
     seen = set()
+    memo: dict = {}
     for power in range(1, degree_bound + 1):
         for w in range(min(weight_bound, power * (m - 1)) + 1):
-            for uexp, pairs in slice_series(m, power, w):
+            for uexp, pairs in slice_series(m, power, w, memo):
                 poly = DPoly(ring, m, dict(pairs))
                 if poly.is_zero():
                     continue
@@ -271,23 +246,25 @@ def schur_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> 
     return DPoly(ring, m, terms)
 
 
-def forgotten_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> DPoly:
+def forgotten_dpoly(
+    lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS, memo: dict | None = None
+) -> DPoly:
     """Forgotten-type element: sum of the signed multiplicities times x^(mu)
     over mu dominating lam with exactly k parts (zeros included) and parts
-    <= m-1.  May be zero."""
+    <= m-1.  May be zero.  The multiplicity of mu is (-1)^|lam| c(mu, mult
+    lam), nonzero only for mu merged from the parts of lam (so mu dominates
+    lam); `memo` holds the kernel values and may be shared by one build."""
     lam = lam.strip_zeros()
     if lam.largest > m - 1:
         raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
+    t = lam.multiplicities(m - 1)
+    sign = -1 if lam.size % 2 else 1
+    memo = {} if memo is None else memo
     terms = {}
-    if lam.size == 0:
-        if k >= 0:
-            terms[_padded_mono(lam, k, m)] = 1
-        return DPoly(ring, m, terms)
-    for mu in enumerate_partitions(lam.size, min(m - 1, lam.size), k):
-        if dominates(mu, lam):
-            d = forgotten_coeff(lam, mu)
-            if d:
-                terms[_padded_mono(mu, k, m)] = d
+    for mu, mono in _partition_monomials(lam.size, m, k):
+        c = _product_coeff(mu, t, memo)
+        if c:
+            terms[mono] = sign * c
     return DPoly(ring, m, terms)
 
 
@@ -322,6 +299,7 @@ def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
             "the revlex family is only available in characteristic 0"
         )
     gs = GeneratorSet(m, ring, "forgotten", [], m + 1, (m + 1) * (m - 1))
+    memo: dict = {}
     for k in range(2, m + 2):
         lams = []
         for size in range(0, (m - 1) * k + 1):
@@ -330,7 +308,7 @@ def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
                     lams.append(lam)
         lams.sort(key=lambda p: (p.size, p.parts))
         for lam in lams:
-            poly = forgotten_dpoly(lam, k, m, ring)
+            poly = forgotten_dpoly(lam, k, m, ring, memo)
             if not poly.is_zero():
                 gs.entries.append(GeneratorEntry(poly, ("forgotten", lam.parts, k)))
     return gs
@@ -359,11 +337,15 @@ def transition_identity_holds(lam: Partition, k: int, m: int) -> bool:
 
 def series_forgotten_identity_holds(lam: Partition, k: int, m: int) -> bool:
     """The series coefficient at u^(multiplicities of lam) in the k-th
-    divided power equals (-1)^|lam| times the forgotten element."""
+    divided power equals (-1)^|lam| times the forgotten element, the latter
+    summed from the literal `symfunc.forgotten_coeff` (not from the product
+    kernel both `forgotten_dpoly` and the series share)."""
     lam = lam.strip_zeros()
     spec = YSeriesSpec(lam.largest, m, k)
     coeff = series_power_coefficient(spec, lam.multiplicities(lam.largest))
-    f = forgotten_dpoly(lam, k, m, RATIONALS)
-    if lam.size % 2:
-        f = -f
-    return coeff == f
+    sign = -1 if lam.size % 2 else 1
+    terms = {
+        _padded_mono(mu, k, m): sign * forgotten_coeff(lam, mu)
+        for mu in enumerate_partitions(lam.size, m - 1, k)
+    }
+    return coeff == DPoly(RATIONALS, m, terms)

@@ -45,8 +45,8 @@ def test_criterion_6_leading_monomials():
 
 
 def test_criterion_7_identities():
-    # exhaustive: |lam| <= 5, k <= 5, m <= 5
-    _run("7", max_size=5, max_k=5, max_m=5)
+    # exhaustive: |lam| <= 7, k <= 7, m <= 7
+    _run("7", max_size=7, max_k=7, max_m=7)
 
 
 def test_criterion_8_counting():

@@ -301,6 +301,24 @@ def test_reduce_requires_verification():
         sess.reduce_element(parse_dpoly("x0", 3, RATIONALS), lex_basis(3))
 
 
+def test_reduce_requires_verification_of_that_very_basis():
+    # a failed candidate sharing the verified basis's provenance label
+    sess = OracleSession(3, RATIONALS, 5)
+    assert sess.verify_basis(lex_basis(3)).passed
+    fake = BasisSet(3, "lex", lex_basis(3).monomials - {(0, 1, 0)})
+    assert not sess.verify_basis(fake).passed
+    with pytest.raises(MustVerifyFirstError):
+        sess.reduce_element(parse_dpoly("x0*x1", 3, RATIONALS), fake)
+
+
+def test_reduce_requires_verification_for_the_session_m():
+    # the lex basis of another m carries the same label
+    sess = OracleSession(3, RATIONALS, 5)
+    assert sess.verify_basis(lex_basis(3)).passed
+    with pytest.raises(MustVerifyFirstError):
+        sess.reduce_element(parse_dpoly("x0*x1", 3, RATIONALS), lex_basis(4))
+
+
 # -- report plumbing ---------------------------------------------------------------
 
 

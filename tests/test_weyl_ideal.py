@@ -1,6 +1,9 @@
+from functools import lru_cache
+
 import pytest
 
 from sl2weyl.dpalgebra import (
+    DPoly,
     MonomialOrder,
     RATIONALS,
     mono_degree,
@@ -8,8 +11,10 @@ from sl2weyl.dpalgebra import (
     normal_form,
     parse_dpoly,
     prime_field,
+    unit_normalize,
 )
-from sl2weyl.partitions import EMPTY, enumerate_partitions, make_partition
+from sl2weyl.partitions import EMPTY, dominates, enumerate_partitions, make_partition
+from sl2weyl.symfunc import forgotten_coeff
 from sl2weyl.weyl_ideal import (
     UnsupportedCharacteristicError,
     YSeriesSpec,
@@ -25,6 +30,7 @@ from sl2weyl.weyl_ideal import (
 )
 
 F2 = prime_field(2)
+RINGS = (RATIONALS, F2, prime_field(3), prime_field(5))
 
 
 def all_partitions(max_size, max_part=None):
@@ -113,7 +119,11 @@ def naive_power_coefficients(s, m, k):
     }
 
 
-@pytest.mark.parametrize("s,m,k", [(1, 3, 3), (2, 3, 3), (2, 4, 2), (3, 4, 2)])
+@pytest.mark.parametrize(
+    "s,m,k",
+    [(1, 3, 3), (2, 3, 3), (2, 4, 2), (3, 4, 2), (1, 5, 3), (2, 5, 3), (3, 3, 3),
+     (4, 3, 2), (5, 4, 2)],
+)
 def test_power_coeff_matches_naive_expansion(s, m, k):
     naive = naive_power_coefficients(s, m, k)
     seen_uexps = set(naive)
@@ -132,6 +142,73 @@ def test_power_coeff_weight_and_degree_homogeneous():
         assert {mono_degree(a) for a in f.terms} == {k}
         wt = sum((i + 1) * e for i, e in enumerate(uexp))
         assert {mono_weight(a) for a in f.terms} == {wt}
+
+
+# -- the product kernel against the literal forgotten coefficients -----------------
+
+
+@lru_cache(maxsize=None)
+def literal_forgotten_terms(lam, k, m):
+    """Terms of the forgotten element of lam with k parts, summed from
+    `symfunc.forgotten_coeff` over mu |- |lam| dominating lam, l(mu) <= k,
+    parts <= m-1."""
+    terms = {}
+    for mu in enumerate_partitions(lam.size, m - 1, min(k, lam.length)):
+        if dominates(mu, lam):
+            exps = [0] * m
+            exps[0] = k - mu.length
+            for p in mu.parts:
+                exps[p] += 1
+            terms[tuple(exps)] = forgotten_coeff(lam, mu)
+    return terms
+
+
+def test_defining_generators_match_literal_forgotten_elements():
+    # each series coefficient is (-1)^|lam| times a forgotten element; the
+    # expected list repeats the box order and the dedup up to a unit.  The
+    # degree box is m + 2; the weights are the full box up to m = 4, but only
+    # <= 14 (of 28) at m = 5, where the literal coefficients of the full box
+    # take about 30 s.
+    for m, weight_bound in ((1, 0), (2, 4), (3, 10), (4, 18), (5, 14)):
+        bound = m + 2
+        for ring in RINGS:
+            expect, seen = [], set()
+            for power in range(1, bound + 1):
+                for w in range(min(weight_bound, power * (m - 1)) + 1):
+                    for lam in sorted(enumerate_partitions(w, m - 1, w), key=lambda p: p.parts):
+                        if lam.length + power < m + 1:
+                            continue
+                        sign = -1 if w % 2 else 1
+                        terms = literal_forgotten_terms(lam, power, m)
+                        poly = DPoly(ring, m, {a: sign * c for a, c in terms.items()})
+                        if poly.is_zero():
+                            continue
+                        lead = poly.leading_monomial(MonomialOrder.DPLEX)
+                        key = frozenset(unit_normalize(poly.terms, lead, ring.char).items())
+                        if key not in seen:
+                            seen.add(key)
+                            uexp = lam.multiplicities(m - 1)
+                            expect.append((("series", uexp, power, power + lam.length), poly))
+            gs = defining_generators(m, ring, bound, weight_bound)
+            assert [(e.provenance, e.poly) for e in gs.entries] == expect, (m, ring.char)
+
+
+def test_forgotten_family_matches_literal_forgotten_elements():
+    for m in range(1, 6):
+        expect = []
+        for k in range(2, m + 2):
+            lams = [
+                lam
+                for size in range((m - 1) * k + 1)
+                for lam in enumerate_partitions(size, m - 1, m + 1)
+                if lam.length >= m - k + 1
+            ]
+            for lam in sorted(lams, key=lambda p: (p.size, p.parts)):
+                poly = DPoly(RATIONALS, m, literal_forgotten_terms(lam, k, m))
+                if not poly.is_zero():
+                    expect.append((("forgotten", lam.parts, k), poly))
+        got = [(e.provenance, e.poly) for e in forgotten_family(m).entries]
+        assert got == expect, m
 
 
 # -- the defining family ----------------------------------------------------------
@@ -356,7 +433,7 @@ def test_transition_identity_sweep():
 
 
 def test_series_forgotten_identity_sweep():
-    for m in range(1, 6):
-        for lam in all_partitions(5, max_part=m - 1):
-            for k in range(1, 6):
+    for m in range(1, 8):
+        for lam in all_partitions(7, max_part=m - 1):
+            for k in range(1, 8):
                 assert series_forgotten_identity_holds(lam, k, m), (lam, k, m)

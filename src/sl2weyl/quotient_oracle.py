@@ -3,7 +3,8 @@ graded linear algebra.
 
 For each bidegree (degree d, weight w) the slice of the ideal is the span of
 all monomial multiples of generators landing there.  Two equivalent ways to
-produce a spanning row set are used:
+produce a spanning row set are used, and the engine skips the rows of the
+slices it can show are full:
 
 * `build_slice` materializes the defining rows literally: one row per pair
   (generator, multiplier monomial) with matching degree and weight, from an
@@ -25,6 +26,21 @@ produce a spanning row set are used:
   slice size, and series coefficients are built one at a time as needed
   (`weyl_ideal.slice_series`), so a slice the shifts fill builds none.  The
   two constructions span the same space; the tests cross-check their ranks.
+
+* most slices of the degree box lie wholly in the ideal (they are *full*:
+  every basis monomial has degree <= m), and many are known to be full
+  before any row is built.  A slice is *covered* when every monomial b is
+  x_i^(j) * x^(b - j e_i) with the lower slice (d - j, w - i*j) full, j one
+  of the shift powers and C(b_i, j) nonzero in the ring.  A covered slice
+  skips shifted rows, elimination and generators alike; extra generators
+  only add rank, so the rule holds for any generator family.  Every full
+  slice, covered or filled by elimination, keeps the unit pivots
+  {c: {c: 1}}: its normal forms are 0, and the rows shifted up from it are
+  single entries, so integer entries over the rationals do not grow from
+  slice to slice.  A slice that is not covered starts from unit pivots at
+  the columns its full lower slices reach (exactly their shifted rows) and
+  echelonizes only the rows of its other lower slices and, while still
+  short, generators.
 
 Rank computations and normal forms are exact and fraction-free in both
 rings: one echelon takes integer rows, keeping its pivot rows primitive over
@@ -93,9 +109,12 @@ class _Echelon:
     reduced mod p and pivots lead with 1.  Only the cancel step and the pivot
     normalization depend on the ring."""
 
-    def __init__(self, p):
+    def __init__(self, p, units=()):
+        """Starts from the unit pivots {c: {c: 1}} at the columns `units`
+        (all columns for a full slice: its normal forms are 0 and rows
+        shifted up from it stay single entries)."""
         self.p = p
-        self.pivots: dict[int, dict[int, int]] = {}
+        self.pivots: dict[int, dict[int, int]] = {c: {c: 1} for c in units}
 
     @property
     def rank(self):
@@ -280,11 +299,15 @@ class OracleSession:
     """Holds the echelonized ideal slices for one (m, ring, degree bound) and
     answers dimension, basis-verification, and reduction queries.
 
-    Generator rows enter a slice only where its shifted lower slices fall
-    short (`build_slice` remains the literal reference).  gens: a family
-    covering the degree box, in place of the defining series coefficients.
-    extra_degree_one: indices j whose variables x_j are adjoined to the ideal
-    (used for truncations).
+    A covered slice (see the module docstring) is stored full at once;
+    other slices echelonize the shifted rows of their lower slices that are
+    not full, and generator rows enter only where those fall short
+    (`build_slice` remains the literal reference).  Full slices hold unit
+    pivots.
+
+    gens: a family covering the degree box, in place of the defining series
+    coefficients.  extra_degree_one: indices j whose variables x_j are
+    adjoined to the ideal (used for truncations).
     """
 
     def __init__(self, m, ring, degree_bound, gens=None, extra_degree_one=()):
@@ -310,9 +333,13 @@ class OracleSession:
             self._by_slice.setdefault((1, j), []).append(
                 DPoly.monomial(ring, m, mono)
             )
-        self._mult_powers = [1]
-        while ring.char and self._mult_powers[-1] * ring.char <= degree_bound:
-            self._mult_powers.append(self._mult_powers[-1] * ring.char)
+        powers = [1]
+        while ring.char and powers[-1] * ring.char <= degree_bound:
+            powers.append(powers[-1] * ring.char)
+        # structure constants of the shifts: x_i^(j) * x_i^(n-j) = C(n, j) x_i^(n)
+        self._shift_binoms = {
+            j: [ring_binom(ring, n, j) for n in range(degree_bound + 1)] for j in powers
+        }
         self.verified: set[BasisSet] = set()
 
     # -- slice spaces ------------------------------------------------------
@@ -321,30 +348,70 @@ class OracleSession:
         key = (d, w)
         if key in self._spaces:
             return self._spaces[key]
-        monos = slice_monomials(self.m, d, w)
-        index = {a: i for i, a in enumerate(monos)}
-        ech = _Echelon(self.ring.char)
-        rows = []
-        for j in self._mult_powers:
+        m = self.m
+        monos = slice_monomials(m, d, w)
+        full, partial = [], []
+        for j, binoms in self._shift_binoms.items():
             if j > d:
                 break
-            for i in range(self.m):
+            for i in range(m):
                 if w - i * j < 0:
-                    continue
+                    break
                 lower = self.space(d - j, w - i * j)
-                lmonos = slice_monomials(self.m, d - j, w - i * j)
-                for piv in lower.pivots.values():
-                    row = {}
-                    for col, c in piv.items():
-                        a = lmonos[col]
-                        s = ring_binom(self.ring, a[i] + j, j)
-                        if s == 0:
-                            continue
-                        b = list(a)
-                        b[i] += j
-                        row[index[tuple(b)]] = c * s
-                    if row:
-                        rows.append(row)
+                lmonos = slice_monomials(m, d - j, w - i * j)
+                if lower.rank == len(lmonos):
+                    full.append((i, binoms))
+                else:
+                    partial.append((i, j, lower, lmonos))
+        covered = self._covered(monos, full)
+        if len(covered) == len(monos):
+            ech = _Echelon(self.ring.char, covered)
+        else:
+            ech = self._eliminate(d, w, monos, partial, covered)
+        self._spaces[key] = ech
+        return ech
+
+    def _covered(self, monos, full):
+        """Columns of the monomials b that are a shift x_i^(j) * x^a of a
+        monomial a of a full lower slice with C(b_i, j) nonzero in the ring:
+        the shifted unit row e_a is C(b_i, j) e_b, so e_b lies in the slice
+        whatever the generators.  full: (i, [C(n, j) for n]) per full lower
+        slice.  Over F_p the lowest nonzero base-p digit e of b_i gives
+        C(b_i, p^e) != 0, so b is found whenever some x^(b - p^e e_i) lies in
+        a full lower slice."""
+        out = []
+        for col, b in enumerate(monos):
+            # C(b_i, j) = 0 also when b_i < j, where no shift lands on b
+            for i, c in full:
+                if c[b[i]]:
+                    out.append(col)
+                    break
+        return out
+
+    def _eliminate(self, d, w, monos, partial, covered):
+        """Echelon of a slice that is not covered: unit pivots at the
+        covered columns (all that the full lower slices shift up), then the
+        shifted rows of the other lower slices, then generator rows while
+        the rank stays below the slice size.  A slice this fills is stored
+        with unit pivots."""
+        p = self.ring.char
+        index = {a: i for i, a in enumerate(monos)}
+        ech = _Echelon(p, covered)
+        rows = []
+        for i, j, lower, lmonos in partial:
+            binoms = self._shift_binoms[j]
+            for piv in lower.pivots.values():
+                row = {}
+                for col, c in piv.items():
+                    a = lmonos[col]
+                    s = binoms[a[i] + j]
+                    if s == 0:
+                        continue
+                    b = list(a)
+                    b[i] += j
+                    row[index[tuple(b)]] = c * s
+                if row:
+                    rows.append(row)
         rows.sort(key=lambda r: min(r))
         ncols = len(monos)
         for row in rows:
@@ -356,7 +423,8 @@ class OracleSession:
                 ech.add({index[a]: c for a, c in poly.terms.items()})
                 if ech.rank == ncols:
                     break
-        self._spaces[key] = ech
+        if ech.rank == ncols:
+            return _Echelon(p, range(ncols))
         return ech
 
     def _generators(self, d, w):

@@ -33,8 +33,6 @@ from .dpalgebra import (
     DPoly,
     MonomialOrder,
     RATIONALS,
-    mono_degree,
-    mono_weight,
     unit_normalize,
 )
 from .partitions import Partition, dominates, enumerate_partitions, transpose
@@ -61,16 +59,14 @@ class YSeriesSpec:
 
 @dataclass(frozen=True)
 class GeneratorEntry:
+    """A homogeneous generator with its bidegree, which the builder knows
+    (power or k, and the weight or |lam|) and stores once, so sessions read
+    it without scanning the polynomial."""
+
     poly: DPoly
     provenance: tuple  # ("series", uexp, power, k) | ("schur"|"forgotten", lam, k)
-
-    @property
-    def degree(self) -> int:
-        return mono_degree(next(iter(self.poly.terms)))
-
-    @property
-    def weight(self) -> int:
-        return mono_weight(next(iter(self.poly.terms)))
+    degree: int
+    weight: int
 
 
 @dataclass
@@ -208,7 +204,9 @@ def defining_generators(
                     continue
                 seen.add(key)
                 k = power + sum(uexp)
-                gs.entries.append(GeneratorEntry(poly, ("series", uexp, power, k)))
+                gs.entries.append(
+                    GeneratorEntry(poly, ("series", uexp, power, k), power, w)
+                )
     return gs
 
 
@@ -284,7 +282,9 @@ def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
         lams.sort(key=lambda p: (p.size, p.parts))
         for lam in lams:
             gs.entries.append(
-                GeneratorEntry(schur_dpoly(lam, k, m, ring), ("schur", lam.parts, k))
+                GeneratorEntry(
+                    schur_dpoly(lam, k, m, ring), ("schur", lam.parts, k), k, lam.size
+                )
             )
     return gs
 
@@ -310,7 +310,9 @@ def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
         for lam in lams:
             poly = forgotten_dpoly(lam, k, m, ring, memo)
             if not poly.is_zero():
-                gs.entries.append(GeneratorEntry(poly, ("forgotten", lam.parts, k)))
+                gs.entries.append(
+                    GeneratorEntry(poly, ("forgotten", lam.parts, k), k, lam.size)
+                )
     return gs
 
 

@@ -30,6 +30,14 @@ def test_criterion_3_revlex_basis_over_qq():
     _run("3", max_m=7)
 
 
+def test_criteria_1_2_3_at_m_8_over_qq():
+    # the dimension, lex and revlex criteria one m further over QQ, with the
+    # same 60 s bound per (m, ring)
+    _run("1", max_m=8, chars=(0,), time_limit=60.0)
+    _run("2", max_m=8, chars=(0,))
+    _run("3", max_m=8)
+
+
 def test_criterion_4_cv_equals_revlex():
     # pure enumeration, m <= 12, under 5 s
     _run("4", max_m=12, time_limit=5.0)

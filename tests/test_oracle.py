@@ -8,6 +8,7 @@ from sl2weyl.quotient_oracle import (
     ConfigurationError,
     MustVerifyFirstError,
     OracleSession,
+    _Echelon,
     build_slice,
     quotient_dim,
     reduce_element,
@@ -16,7 +17,13 @@ from sl2weyl.quotient_oracle import (
     truncated_quotient,
     verify_basis,
 )
-from sl2weyl.weyl_ideal import defining_generators, forgotten_family, schur_family
+from sl2weyl.weyl_ideal import (
+    GeneratorEntry,
+    GeneratorSet,
+    defining_generators,
+    forgotten_family,
+    schur_family,
+)
 
 RINGS = (RATIONALS, prime_field(2), prime_field(3), prime_field(5))
 
@@ -60,6 +67,14 @@ def test_build_slice_requires_covering_bounds():
         build_slice(3, RATIONALS, 3, 6, gens)
 
 
+def _assert_ranks_match_literal(m, ring, bound, sess, gens):
+    for d in range(bound + 1):
+        for w in range(d * max(m - 1, 0) + 1):
+            if slice_monomials(m, d, w):
+                lit = slice_rank(build_slice(m, ring, d, w, gens))
+                assert lit == sess.space(d, w).rank, (m, ring.char, gens.family, d, w)
+
+
 def test_cascade_rank_equals_literal_rank():
     for m in (1, 2, 3, 4):
         for ring in RINGS:
@@ -67,13 +82,75 @@ def test_cascade_rank_equals_literal_rank():
             gens = defining_generators(m, ring, bound, bound * max(m - 1, 1))
             sess = OracleSession(m, ring, bound, gens=gens)
             lazy = OracleSession(m, ring, bound)  # series generators per slice
-            for d in range(bound + 1):
-                for w in range(d * max(m - 1, 0) + 1):
-                    if not slice_monomials(m, d, w):
+            _assert_ranks_match_literal(m, ring, bound, sess, gens)
+            _assert_ranks_match_literal(m, ring, bound, lazy, gens)
+
+
+def test_given_and_truncated_sessions_equal_literal_rank():
+    # covered slices skip elimination whatever the generators: sessions on
+    # the derived families and with truncation variables must still match
+    # the literal rows slice by slice
+    for m in (1, 2, 3, 4):
+        for ring in RINGS:
+            families = [schur_family(m, ring)]
+            if not ring.char:
+                families.append(forgotten_family(m, ring))
+            for gens in families:
+                sess = OracleSession(m, ring, m + 1, gens=gens)
+                _assert_ranks_match_literal(m, ring, m + 1, sess, gens)
+            bound = m + 2
+            defining = defining_generators(m, ring, bound, bound * max(m - 1, 1))
+            for n in range(1, m):
+                extra = range(n, m)
+                gens = GeneratorSet(
+                    m, ring, "truncated", list(defining.entries),
+                    defining.degree_bound, defining.weight_bound,
+                )
+                for j in extra:
+                    mono = tuple(int(i == j) for i in range(m))
+                    poly = DPoly.monomial(ring, m, mono)
+                    gens.entries.append(GeneratorEntry(poly, ("extra", j), 1, j))
+                sess = OracleSession(m, ring, bound, extra_degree_one=extra)
+                _assert_ranks_match_literal(m, ring, bound, sess, gens)
+
+
+def test_covered_slices_skip_elimination(monkeypatch):
+    # at m = 6 over Q (degree box 8) 126 of the 189 slices are covered and
+    # 21 more are filled by elimination, which starts from unit pivots at the
+    # columns the full lower slices reach; echelonizing every shifted row
+    # takes 9,777 adds for 2,939 pivots
+    calls = [0]
+    add = _Echelon.add
+
+    def counting_add(self, row):
+        calls[0] += 1
+        return add(self, row)
+
+    monkeypatch.setattr(_Echelon, "add", counting_add)
+    assert OracleSession(6, RATIONALS, 8).dims().total == 64
+    assert calls[0] <= 374
+
+
+def test_full_slices_hold_unit_pivots():
+    for m in (1, 2, 3, 4, 5):
+        for ring in RINGS:
+            sessions = [OracleSession(m, ring, m + 2)]
+            sessions.append(OracleSession(m, ring, m + 1, gens=schur_family(m, ring)))
+            for sess in sessions:
+                full = 0
+                for d, w in sess._slice_keys():
+                    n = len(slice_monomials(m, d, w))
+                    ech = sess.space(d, w)
+                    if ech.rank < n:
                         continue
-                    lit = slice_rank(build_slice(m, ring, d, w, gens))
-                    assert lit == sess.space(d, w).rank, (m, ring.char, d, w)
-                    assert lit == lazy.space(d, w).rank, (m, ring.char, d, w)
+                    full += 1
+                    units = {c: {c: 1} for c in range(n)}
+                    assert ech.pivots == units, (m, ring.char, d, w)
+                    rows = [{c: 3} for c in range(n)]
+                    rows.append({c: c + 1 - n for c in range(n - 1)} | {n - 1: 7})
+                    for row in rows:
+                        assert ech.residue(row) == ({}, 1), (m, ring.char, d, w, row)
+                assert full, (m, ring.char)
 
 
 def test_lazy_dims_equal_eager_dims():

@@ -362,6 +362,20 @@ def test_forgotten_family_refuses_positive_characteristic():
         forgotten_family(3, F2)
 
 
+def test_entries_carry_the_bidegree_of_their_terms():
+    # the builders store degree and weight; every term must sit there
+    for m in range(1, 5):
+        box = (m + 1, (m + 1) * (m - 1))
+        families = [defining_generators(m, ring, *box) for ring in RINGS]
+        families += [schur_family(m, ring) for ring in RINGS]
+        families.append(forgotten_family(m, RATIONALS))
+        for gs in families:
+            for e in gs.entries:
+                assert {(mono_degree(a), mono_weight(a)) for a in e.poly.terms} == {
+                    (e.degree, e.weight)
+                }, (m, gs.ring.char, e.provenance)
+
+
 # -- membership of the derived families in the ideal -------------------------------
 
 

@@ -220,9 +220,6 @@ class DPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order: MonomialOrder):
-        return self.terms[self.leading_monomial(order)]
-
     def degrees(self) -> set[int]:
         return {mono_degree(a) for a in self.terms}
 
@@ -273,9 +270,6 @@ class DPoly:
             if s:
                 t[prod] = t.get(prod, 0) + c * s
         return DPoly(self.ring, self.m, t)
-
-    def to_ring(self, ring: CoeffRing) -> "DPoly":
-        return DPoly(ring, self.m, dict(self.terms))
 
     def __eq__(self, other):
         return (

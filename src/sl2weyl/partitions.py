@@ -178,20 +178,24 @@ def enumerate_partitions(size: int, max_part: int, max_len: int) -> list[Partiti
     if size < 0 or max_part < 0 or max_len < 0:
         raise ValueError("size, max_part, max_len must be nonnegative")
     out: list[Partition] = []
-
-    def rec(remaining, cap, slots, acc):
-        if remaining == 0:
-            out.append(Partition(tuple(acc), 0))
-            return
-        if slots == 0 or cap == 0 or cap * slots < remaining:
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            acc.append(p)
-            rec(remaining - p, p, slots - 1, acc)
-            acc.pop()
-
-    rec(size, max_part, max_len, [])
+    _extend_partitions(out, size, max_part, max_len, [])
     return out
+
+
+def _extend_partitions(out, remaining, cap, slots, acc):
+    """Append to `out` the partitions acc + tail with tail |- remaining,
+    parts <= cap, length <= slots.  Module level on purpose: a nested
+    recursive closure refers to itself, and that cycle would keep each
+    returned list alive until the cyclic garbage collector runs."""
+    if remaining == 0:
+        out.append(Partition(tuple(acc), 0))
+        return
+    if slots == 0 or cap == 0 or cap * slots < remaining:
+        return
+    for p in range(min(cap, remaining), 0, -1):
+        acc.append(p)
+        _extend_partitions(out, remaining - p, p, slots - 1, acc)
+        acc.pop()
 
 
 def eta_stretch(mu: Partition, m: int) -> Partition | None:

@@ -42,6 +42,17 @@ slices it can show are full:
   echelonizes only the rows of its other lower slices and, while still
   short, generators.
 
+* what a slice needs besides echelons depends only on (m, characteristic,
+  d, w) and is cached for the whole process, each piece built on first
+  use: the slice monomials and their column index, the nonempty lower
+  slices with their sizes, and per shift the bitmask of the columns it
+  covers (read where the lower slice is full) and its column map (read
+  where it is not).  The echelon of a full slice depends only on its size,
+  so the full slices of all sessions share one per (characteristic, size).
+  A given family is grouped by slice once per `GeneratorSet`; a session
+  holds only the echelons of its slices.  So sessions after the first on
+  the same (m, ring) go straight to elimination.
+
 Rank computations and normal forms are exact and fraction-free in both
 rings: one echelon takes integer rows, keeping its pivot rows primitive over
 the rationals and reduced mod p over prime fields, and returns a normal form
@@ -96,6 +107,105 @@ def slice_monomials(m: int, d: int, w: int) -> tuple:
             exps[p] += 1
         out.append(tuple(exps))
     out.sort(key=MonomialOrder.DPLEX.key, reverse=True)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _column_index(m: int, d: int, w: int) -> dict:
+    """Monomial -> column in slice (d, w), the position in `slice_monomials`.
+    Shared by every caller, so read only."""
+    return {a: i for i, a in enumerate(slice_monomials(m, d, w))}
+
+
+@lru_cache(maxsize=None)
+def _box_slices(m: int, degree_bound: int) -> tuple:
+    """The nonempty slices (d, w) of the degree box, by degree, then weight."""
+    return tuple(
+        (d, w)
+        for d in range(degree_bound + 1)
+        for w in range(d * max(m - 1, 0) + 1)
+        if slice_monomials(m, d, w)
+    )
+
+
+@lru_cache(maxsize=None)
+def _nonzero_binoms(ring: CoeffRing, j: int, d: int) -> dict:
+    """Translation table chr(e) -> "1" if C(e, j) is nonzero in the ring,
+    else "0", for 0 <= e <= d."""
+    return {e: "1" if ring_binom(ring, e, j) else "0" for e in range(d + 1)}
+
+
+class _Lower:
+    """A nonempty lower slice `key` = (d - j, w - i*j) of slice (d, w), with
+    its size and the shift x_i^(j) that carries it up.
+
+    `mask` has bit c set for the columns b of slice (d, w) with C(b_i, j)
+    nonzero in the ring (C(b_i, j) = 0 also when b_i < j): the shifted unit
+    row e_a is C(b_i, j) e_b with a = b - j e_i, so a full lower slice puts
+    e_b in the slice whatever the generators.  Over F_p the lowest nonzero
+    base-p digit e of b_i gives C(b_i, p^e) != 0, so b is reached whenever
+    some x^(b - p^e e_i) lies in a full lower slice.  The column map
+    (`shift`) is needed only where the lower slice is not full, so it is
+    built on first use and kept for every later session."""
+
+    __slots__ = ("up", "key", "size", "i", "j", "mask", "_shift")
+
+    def __init__(self, up, key, size, i, j, mask):
+        self.up = up  # (m, ring, d, w) of the upper slice
+        self.key = key
+        self.size = size
+        self.i = i
+        self.j = j
+        self.mask = mask
+        self._shift = None
+
+    def shift(self) -> tuple:
+        """Per lower column a: (column of x_i^(j) * x^a, C(a_i + j, j)), or
+        None where that constant vanishes in the ring."""
+        if self._shift is None:
+            m, ring, d, w = self.up
+            index = _column_index(m, d, w)
+            i, j = self.i, self.j
+            out = []
+            for a in slice_monomials(m, *self.key):
+                s = ring_binom(ring, a[i] + j, j)
+                if s:
+                    b = list(a)
+                    b[i] += j
+                    out.append((index[tuple(b)], s))
+                else:
+                    out.append(None)
+            self._shift = tuple(out)
+        return self._shift
+
+
+@lru_cache(maxsize=None)
+def _lower_slices(m: int, ring: CoeffRing, d: int, w: int) -> tuple:
+    """The nonempty lower slices of slice (d, w) as `_Lower`s, for the shift
+    powers j <= d (j = 1 over the rationals; j = 1, p, p^2, ... over F_p),
+    by j, then i."""
+    monos = slice_monomials(m, d, w)
+    if not monos:
+        return ()
+    # per variable x_i, the characters chr(b_i) of the columns, last column
+    # first, so translating them to binary digits reads as the bitmask
+    exps = ["".join(map(chr, reversed(col))) for col in zip(*monos)]
+    up = (m, ring, d, w)
+    out = []
+    j = 1
+    while j <= d:
+        digits = _nonzero_binoms(ring, j, d)
+        for i in range(m):
+            lw = w - i * j
+            if lw < 0:
+                break
+            size = len(slice_monomials(m, d - j, lw))
+            if size:
+                mask = int(exps[i].translate(digits), 2)
+                out.append(_Lower(up, (d - j, lw), size, i, j, mask))
+        if not ring.char:
+            break
+        j *= ring.char
     return tuple(out)
 
 
@@ -193,6 +303,15 @@ class _Echelon:
             row = cancel(row, piv, lead)
 
 
+@lru_cache(maxsize=None)
+def _full_echelon(p: int, n: int) -> _Echelon:
+    """The echelon of a full slice of n columns: unit pivots, normal forms 0.
+    One per (characteristic, size), shared by the full slices of every
+    session: `add` and `residue` leave an echelon unchanged when every
+    column of the row is a pivot."""
+    return _Echelon(p, range(n))
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -267,7 +386,7 @@ def build_slice(m, ring, d, w, gens: GeneratorSet) -> GradedSlice:
             f"({gens.degree_bound},{gens.weight_bound})"
         )
     monos = slice_monomials(m, d, w)
-    index = {a: i for i, a in enumerate(monos)}
+    index = _column_index(m, d, w)
     rows = []
     for entry in gens.entries:
         gd, gw = entry.degree, entry.weight
@@ -305,9 +424,18 @@ class OracleSession:
     (`build_slice` remains the literal reference).  Full slices hold unit
     pivots.
 
-    gens: a family covering the degree box, in place of the defining series
-    coefficients.  extra_degree_one: indices j whose variables x_j are
-    adjoined to the ideal (used for truncations).
+    What a slice needs besides its echelon is cached at three levels.  Per
+    (m, ring, d, w), for the whole process: the slice monomials, their
+    column index, the nonempty lower slices with their sizes, and for each
+    shift the bitmask of columns it covers and its column map, each built
+    on first use; full echelons are shared per (characteristic, size).  Per
+    given family: its polynomials grouped by slice (`GeneratorSet.by_slice`).
+    Per session: the echelons of the slices that are not full, and which
+    echelon each slice has.
+
+    gens: a family for the same m and ring covering the degree box, in place
+    of the defining series coefficients.  extra_degree_one: indices j whose
+    variables x_j are adjoined to the ideal (used for truncations).
     """
 
     def __init__(self, m, ring, degree_bound, gens=None, extra_degree_one=()):
@@ -318,147 +446,105 @@ class OracleSession:
         self.degree_bound = degree_bound
         self.weight_bound = degree_bound * max(m - 1, 0)
         self.gens = gens
-        if gens is not None and (
-            gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound
-        ):
-            raise ConfigurationError("generator bounds do not cover the degree box")
-        self.extra = tuple(sorted(set(extra_degree_one)))
-        self._spaces: dict[tuple[int, int], object] = {}
-        self._by_slice: dict[tuple[int, int], list] = {}
+        self._given = {}
         if gens is not None:
-            for e in gens.entries:
-                self._by_slice.setdefault((e.degree, e.weight), []).append(e.poly)
-        for j in self.extra:
-            mono = tuple(1 if i == j else 0 for i in range(m))
-            self._by_slice.setdefault((1, j), []).append(
-                DPoly.monomial(ring, m, mono)
-            )
-        powers = [1]
-        while ring.char and powers[-1] * ring.char <= degree_bound:
-            powers.append(powers[-1] * ring.char)
-        # structure constants of the shifts: x_i^(j) * x_i^(n-j) = C(n, j) x_i^(n)
-        self._shift_binoms = {
-            j: [ring_binom(ring, n, j) for n in range(degree_bound + 1)] for j in powers
+            if gens.m != m or gens.ring != ring:
+                raise ConfigurationError(
+                    f"generators are for m = {gens.m} over {gens.ring}, "
+                    f"not m = {m} over {ring}"
+                )
+            if gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound:
+                raise ConfigurationError("generator bounds do not cover the degree box")
+            self._given = gens.by_slice()
+        self.extra = tuple(sorted(set(extra_degree_one)))
+        self._extra = {
+            (1, j): [DPoly.monomial(ring, m, tuple(int(i == j) for i in range(m)))]
+            for j in self.extra
         }
+        self._spaces: dict[tuple[int, int], _Echelon] = {}
         self.verified: set[BasisSet] = set()
 
     # -- slice spaces ------------------------------------------------------
 
     def space(self, d, w):
-        key = (d, w)
-        if key in self._spaces:
-            return self._spaces[key]
-        m = self.m
-        monos = slice_monomials(m, d, w)
-        full, partial = [], []
-        for j, binoms in self._shift_binoms.items():
-            if j > d:
-                break
-            for i in range(m):
-                if w - i * j < 0:
-                    break
-                lower = self.space(d - j, w - i * j)
-                lmonos = slice_monomials(m, d - j, w - i * j)
-                if lower.rank == len(lmonos):
-                    full.append((i, binoms))
-                else:
-                    partial.append((i, j, lower, lmonos))
-        covered = self._covered(monos, full)
-        if len(covered) == len(monos):
-            ech = _Echelon(self.ring.char, covered)
-        else:
-            ech = self._eliminate(d, w, monos, partial, covered)
-        self._spaces[key] = ech
+        ech = self._spaces.get((d, w))
+        if ech is None:
+            ech = self._spaces[d, w] = self._build(d, w)
         return ech
 
-    def _covered(self, monos, full):
-        """Columns of the monomials b that are a shift x_i^(j) * x^a of a
-        monomial a of a full lower slice with C(b_i, j) nonzero in the ring:
-        the shifted unit row e_a is C(b_i, j) e_b, so e_b lies in the slice
-        whatever the generators.  full: (i, [C(n, j) for n]) per full lower
-        slice.  Over F_p the lowest nonzero base-p digit e of b_i gives
-        C(b_i, p^e) != 0, so b is found whenever some x^(b - p^e e_i) lies in
-        a full lower slice."""
-        out = []
-        for col, b in enumerate(monos):
-            # C(b_i, j) = 0 also when b_i < j, where no shift lands on b
-            for i, c in full:
-                if c[b[i]]:
-                    out.append(col)
-                    break
-        return out
+    def _build(self, d, w):
+        """A covered slice is stored full at once; any other is eliminated."""
+        ncols = len(slice_monomials(self.m, d, w))
+        covered, partial = 0, []
+        for low in _lower_slices(self.m, self.ring, d, w):
+            lower = self._spaces.get(low.key)
+            if lower is None:
+                lower = self.space(*low.key)
+            if lower.rank == low.size:
+                covered |= low.mask
+            else:
+                partial.append((low, lower))
+        if covered == (1 << ncols) - 1:
+            return _full_echelon(self.ring.char, ncols)
+        return self._eliminate(d, w, ncols, partial, covered)
 
-    def _eliminate(self, d, w, monos, partial, covered):
+    def _eliminate(self, d, w, ncols, partial, covered):
         """Echelon of a slice that is not covered: unit pivots at the
         covered columns (all that the full lower slices shift up), then the
         shifted rows of the other lower slices, then generator rows while
         the rank stays below the slice size.  A slice this fills is stored
         with unit pivots."""
         p = self.ring.char
-        index = {a: i for i, a in enumerate(monos)}
-        ech = _Echelon(p, covered)
+        bits = bin(covered)[:1:-1]  # bit c at position c
+        ech = _Echelon(p, [c for c, bit in enumerate(bits) if bit == "1"])
         rows = []
-        for i, j, lower, lmonos in partial:
-            binoms = self._shift_binoms[j]
+        for low, lower in partial:
+            shift = low.shift()
             for piv in lower.pivots.values():
                 row = {}
                 for col, c in piv.items():
-                    a = lmonos[col]
-                    s = binoms[a[i] + j]
-                    if s == 0:
-                        continue
-                    b = list(a)
-                    b[i] += j
-                    row[index[tuple(b)]] = c * s
+                    hit = shift[col]
+                    if hit is not None:
+                        row[hit[0]] = c * hit[1]
                 if row:
                     rows.append(row)
         rows.sort(key=lambda r: min(r))
-        ncols = len(monos)
         for row in rows:
             if ech.rank == ncols:
                 break
             ech.add(row)
         if ech.rank < ncols:
+            index = _column_index(self.m, d, w)
             for poly in self._generators(d, w):
                 ech.add({index[a]: c for a, c in poly.terms.items()})
                 if ech.rank == ncols:
                     break
         if ech.rank == ncols:
-            return _Echelon(p, range(ncols))
+            return _full_echelon(p, ncols)
         return ech
 
     def _generators(self, d, w):
         """Generator polynomials of slice (d, w), one at a time: the given
         ones and the truncation variables, then, when no generators were
         given, the defining series coefficients."""
-        yield from self._by_slice.get((d, w), ())
+        yield from self._given.get((d, w), ())
+        yield from self._extra.get((d, w), ())
         if self.gens is None:
             for _, pairs in slice_series(self.m, d, w):
                 yield DPoly(self.ring, self.m, dict(pairs))
 
     def _slice_keys(self):
-        for d in range(self.degree_bound + 1):
-            for w in range(d * max(self.m - 1, 0) + 1):
-                if slice_monomials(self.m, d, w):
-                    yield (d, w)
-
-    def _ensure_all(self):
-        for d, w in self._slice_keys():
-            self.space(d, w)
+        return _box_slices(self.m, self.degree_bound)
 
     # -- queries -----------------------------------------------------------
 
     def dims(self) -> DimReport:
         t0 = time.monotonic()
-        self._ensure_all()
         dims = {}
-        total = 0
         for d, w in self._slice_keys():
-            q = len(slice_monomials(self.m, d, w)) - self.space(d, w).rank
-            dims[(d, w)] = q
-            total += q
+            dims[(d, w)] = len(slice_monomials(self.m, d, w)) - self.space(d, w).rank
         return DimReport(
-            self.m, self.ring.char, self.degree_bound, dims, total,
+            self.m, self.ring.char, self.degree_bound, dims, sum(dims.values()),
             time.monotonic() - t0,
         )
 
@@ -469,19 +555,17 @@ class OracleSession:
         cand = candidate.by_slice()
         if any(d > self.degree_bound for d, _ in cand):
             raise ValueError("candidate monomials exceed the degree bound")
-        self._ensure_all()
         report = VerificationReport(
             self.m, self.ring.char, candidate.provenance, self.degree_bound
         )
         for d, w in self._slice_keys():
             monos = slice_monomials(self.m, d, w)
-            index = {a: i for i, a in enumerate(monos)}
             ech = self.space(d, w)
             cands = cand.get((d, w), [])
             overlay = _Echelon(self.ring.char)
             indep = True
             for a in cands:
-                res, _ = ech.residue({index[a]: 1})
+                res, _ = ech.residue({_column_index(self.m, d, w)[a]: 1})
                 if not res or not overlay.add(res):
                     indep = False
                     break
@@ -513,7 +597,7 @@ class OracleSession:
             if d > self.degree_bound:
                 raise ValueError("element exceeds the session degree bound")
             monos = slice_monomials(self.m, d, w)
-            index = {a: i for i, a in enumerate(monos)}
+            index = _column_index(self.m, d, w)
             ech = self.space(d, w)
             res_f, scale_f = ech.residue({index[a]: c for a, c in terms.items()})
             basis_monos = cand.get((d, w), [])

@@ -77,6 +77,21 @@ class GeneratorSet:
     entries: list[GeneratorEntry] = field(default_factory=list)
     degree_bound: int = 0
     weight_bound: int = 0
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def by_slice(self) -> dict:
+        """The entries' polynomials grouped by (degree, weight), in entry
+        order; read only.  Built once and kept for the sessions on this set,
+        and built afresh whenever `entries` no longer holds exactly the
+        entries it was built from (appended, removed or replaced), so a
+        session never reads a stale index."""
+        if self._indexed != self.entries:
+            index = {}
+            for e in self.entries:
+                index.setdefault((e.degree, e.weight), []).append(e.poly)
+            self._index, self._indexed = index, list(self.entries)
+        return self._index
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2weyl import quotient_oracle
 from sl2weyl.basis_enum import BasisSet, lex_basis, revlex_basis, truncated_basis
 from sl2weyl.dpalgebra import RATIONALS, DPoly, parse_dpoly, prime_field
 from sl2weyl.quotient_oracle import (
@@ -114,6 +115,74 @@ def test_given_and_truncated_sessions_equal_literal_rank():
                 _assert_ranks_match_literal(m, ring, bound, sess, gens)
 
 
+def test_cached_slice_structure_is_shared_across_sessions():
+    # the per-(m, ring, d, w) caches outlive sessions: sessions over four
+    # rings, interleaved slice by slice and one of them started from its top
+    # slice, must each match the literal ranks
+    for m in (3, 4):
+        bound = m + 2
+        runs = []
+        for ring in RINGS:
+            gens = defining_generators(m, ring, bound, bound * max(m - 1, 1))
+            runs.append((ring, gens, OracleSession(m, ring, bound)))
+        top = max(runs[2][2]._slice_keys())
+        runs[2][2].space(*top)
+        for d, w in runs[0][2]._slice_keys():
+            for ring, gens, sess in runs:
+                lit = slice_rank(build_slice(m, ring, d, w, gens))
+                assert sess.space(d, w).rank == lit, (m, ring.char, d, w)
+
+
+def test_dims_equal_after_clearing_the_caches():
+    m = 5
+    warm = {}
+    for ring in RINGS:
+        sess = OracleSession(m, ring, m + 2)
+        sess.space(m + 2, (m + 2) * (m - 1) // 2)
+        warm[ring.char] = sess.dims().dims
+    for f in vars(quotient_oracle).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    for ring in RINGS:
+        assert OracleSession(m, ring, m + 2).dims().dims == warm[ring.char], ring.char
+
+
+def test_family_index_follows_appended_entries():
+    # a session indexes its family once per GeneratorSet; entries appended
+    # after a session was built must reach the next session
+    m, n = 4, 2
+    for ring in RINGS:
+        gens = schur_family(m, ring)
+        before = OracleSession(m, ring, m + 1, gens=gens).dims()
+        for j in range(n, m):
+            mono = tuple(int(i == j) for i in range(m))
+            poly = DPoly.monomial(ring, m, mono)
+            gens.entries.append(GeneratorEntry(poly, ("extra", j), 1, j))
+        sess = OracleSession(m, ring, m + 1, gens=gens)
+        assert sess.dims().total < before.total, ring.char
+        _assert_ranks_match_literal(m, ring, m + 1, sess, gens)
+        del gens.entries[-(m - n):]
+        again = OracleSession(m, ring, m + 1, gens=gens).dims()
+        assert again.dims == before.dims, ring.char
+
+
+@pytest.mark.parametrize(
+    "m, ring, family, family_m, family_ring",
+    [
+        (4, prime_field(2), forgotten_family, 4, RATIONALS),
+        (3, RATIONALS, schur_family, 4, RATIONALS),
+        (3, prime_field(2), schur_family, 3, RATIONALS),
+    ],
+    ids=["forgotten-QQ-in-F2", "schur-m4-in-m3", "schur-QQ-in-F2"],
+)
+def test_session_rejects_a_family_for_another_m_or_ring(
+    m, ring, family, family_m, family_ring
+):
+    gens = family(family_m, family_ring)
+    with pytest.raises(ConfigurationError):
+        OracleSession(m, ring, m + 1, gens=gens)
+
+
 def test_covered_slices_skip_elimination(monkeypatch):
     # at m = 6 over Q (degree box 8) 126 of the 189 slices are covered and
     # 21 more are filled by elimination, which starts from unit pivots at the
@@ -150,6 +219,8 @@ def test_full_slices_hold_unit_pivots():
                     rows.append({c: c + 1 - n for c in range(n - 1)} | {n - 1: 7})
                     for row in rows:
                         assert ech.residue(row) == ({}, 1), (m, ring.char, d, w, row)
+                        # full echelons are shared between sessions
+                        assert not ech.add(row) and ech.pivots == units
                 assert full, (m, ring.char)
 
 

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given
@@ -194,6 +196,19 @@ def test_enumerate_against_bruteforce():
             for ml in range(5):
                 got = {p.parts for p in enumerate_partitions(n, mp, ml)}
                 assert got == brute(n, mp, ml) if n else got == {()}
+
+
+def test_enumerate_frees_its_result_without_the_collector():
+    # the result must die with its last reference: a self-referencing
+    # recursive closure kept each list alive until the cyclic collector ran
+    gc.disable()
+    try:
+        parts = enumerate_partitions(6, 6, 6)
+        witness = weakref.ref(parts[0])
+        del parts
+        assert witness() is None
+    finally:
+        gc.enable()
 
 
 # -- stretch and the index criterion -----------------------------------------

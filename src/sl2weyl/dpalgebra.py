@@ -11,6 +11,11 @@ lexicographically with x_0 the most significant variable (larger exponent at
 the smallest differing index wins).  DPDEGREVLEX grades by total degree and
 breaks ties so that the smaller exponent at the largest differing index wins.
 Both are total, multiplicative well-orders with 1 minimal.
+
+The monomials of one graded slice (degree d, weight w) are the x^(mu) for
+the partitions mu of w, padded with zeros to d parts; `slice_monomials`
+caches them for the whole process and is the one table that the generator
+families (`weyl_ideal`) and the slice engine (`quotient_oracle`) read.
 """
 
 from __future__ import annotations
@@ -19,7 +24,10 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
+
+from .partitions import iter_partitions
 
 
 def _is_prime(p: int) -> bool:
@@ -173,6 +181,36 @@ def compare(order: MonomialOrder, a: Mono, b: Mono) -> int:
         raise ValueError("variable count mismatch")
     ka, kb = order.key(a), order.key(b)
     return (ka > kb) - (ka < kb)
+
+
+def _padded_mono(mu: tuple[int, ...], k: int, m: int) -> Mono:
+    """Exponent vector of x^(mu), the part tuple mu zero-padded to k parts."""
+    exps = [0] * m
+    exps[0] = k - len(mu)
+    for p in mu:
+        exps[p] += 1
+    return tuple(exps)
+
+
+@lru_cache(maxsize=None)
+def slice_monomials(m: int, d: int, w: int) -> tuple:
+    """Monomials of degree d and weight w, descending in DPLEX: x^(mu) for
+    mu |- w with parts <= m-1 and length <= d, zero-padded to d parts."""
+    if m == 0:
+        return ((),) if d == 0 and w == 0 else ()
+    return tuple(sorted((_padded_mono(mu, d, m) for mu in iter_partitions(w, m - 1, d)),
+                        key=MonomialOrder.DPLEX.key, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def slice_partitions(m: int, d: int, w: int) -> tuple:
+    """The part tuple mu of each monomial x^(mu) of `slice_monomials(m, d, w)`,
+    position by position.  Cached apart, for the slices whose partitions the
+    series kernel or a family reads, so the engine's slices do not hold it."""
+    return tuple(
+        tuple(i for i in range(len(a) - 1, 0, -1) for _ in range(a[i]))
+        for a in slice_monomials(m, d, w)
+    )
 
 
 # ---------------------------------------------------------------------------

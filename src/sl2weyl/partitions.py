@@ -172,30 +172,43 @@ def uplus(lam: Partition, mu: Partition) -> Partition:
     return Partition(merged, lam.zeros + mu.zeros)
 
 
+def iter_partitions(size: int, max_part: int, max_len: int):
+    """Part tuples of the partitions of `size` with parts <= max_part and
+    length <= max_len, yielded lazily in increasing lexicographic order (the
+    most balanced first).  Every enumeration of partitions goes through
+    here; the arguments are checked at the call, not at the first item."""
+    if size < 0 or max_part < 0 or max_len < 0:
+        raise ValueError("size, max_part, max_len must be nonnegative")
+    return _ascending(size, max_part, max_len)
+
+
+def _ascending(size, cap, slots):
+    if size > cap * slots:
+        return
+    parts, rest = [], size
+    while True:
+        if rest:  # fill the free slots with the least tail: balanced parts
+            n = min(slots - len(parts), rest)
+            q, r = divmod(rest, n)
+            parts += [q + 1] * r + [q] * (n - r)
+        yield tuple(parts)
+        # raise by one the last part that may grow (below its predecessor,
+        # or the cap) and has parts after it; those become the new rest
+        rest = 0
+        for i in range(len(parts) - 1, -1, -1):
+            if rest and parts[i] < (parts[i - 1] if i else cap):
+                break
+            rest += parts[i]
+        else:
+            return
+        parts[i:] = [parts[i] + 1]
+        rest -= 1
+
+
 def enumerate_partitions(size: int, max_part: int, max_len: int) -> list[Partition]:
     """All partitions of `size` with parts <= max_part and length <= max_len,
     in decreasing lexicographic order of part sequences."""
-    if size < 0 or max_part < 0 or max_len < 0:
-        raise ValueError("size, max_part, max_len must be nonnegative")
-    out: list[Partition] = []
-    _extend_partitions(out, size, max_part, max_len, [])
-    return out
-
-
-def _extend_partitions(out, remaining, cap, slots, acc):
-    """Append to `out` the partitions acc + tail with tail |- remaining,
-    parts <= cap, length <= slots.  Module level on purpose: a nested
-    recursive closure refers to itself, and that cycle would keep each
-    returned list alive until the cyclic garbage collector runs."""
-    if remaining == 0:
-        out.append(Partition(tuple(acc), 0))
-        return
-    if slots == 0 or cap == 0 or cap * slots < remaining:
-        return
-    for p in range(min(cap, remaining), 0, -1):
-        acc.append(p)
-        _extend_partitions(out, remaining - p, p, slots - 1, acc)
-        acc.pop()
+    return [Partition(p) for p in iter_partitions(size, max_part, max_len)][::-1]
 
 
 def eta_stretch(mu: Partition, m: int) -> Partition | None:

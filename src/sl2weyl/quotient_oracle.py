@@ -44,7 +44,8 @@ slices it can show are full:
 
 * what a slice needs besides echelons depends only on (m, characteristic,
   d, w) and is cached for the whole process, each piece built on first
-  use: the slice monomials and their column index, the nonempty lower
+  use: the slice monomials (`dpalgebra.slice_monomials`, the one table the
+  generator families read too) and their column index, the nonempty lower
   slices with their sizes, and per shift the bitmask of the columns it
   covers (read where the lower slice is full) and its column map (read
   where it is not).  The echelon of a full slice depends only on its size,
@@ -72,13 +73,12 @@ from .basis_enum import BasisSet, truncated_basis
 from .dpalgebra import (
     CoeffRing,
     DPoly,
-    MonomialOrder,
     mono_degree,
     mono_weight,
     ring_binom,
+    slice_monomials,
     unit_normalize,
 )
-from .partitions import enumerate_partitions
 from .weyl_ideal import GeneratorSet, slice_series
 
 
@@ -88,26 +88,6 @@ class ConfigurationError(ValueError):
 
 class MustVerifyFirstError(RuntimeError):
     """reduce_element called with a candidate basis that was not verified."""
-
-
-@lru_cache(maxsize=None)
-def slice_monomials(m: int, d: int, w: int) -> tuple:
-    """Monomials of degree d and weight w, sorted descending in DPLEX.
-
-    Exponent vectors correspond to partitions of w with parts <= m-1 and
-    length <= d; the x_0 exponent absorbs the slack d - length.
-    """
-    if m == 0:
-        return ((),) if d == 0 and w == 0 else ()
-    out = []
-    for lam in enumerate_partitions(w, m - 1, d):
-        exps = [0] * m
-        exps[0] = d - lam.length
-        for p in lam.parts:
-            exps[p] += 1
-        out.append(tuple(exps))
-    out.sort(key=MonomialOrder.DPLEX.key, reverse=True)
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)

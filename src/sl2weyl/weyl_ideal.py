@@ -13,7 +13,11 @@ c(mu, t) = [u^t] prod_i P_{mu_i}(u), valid in every characteristic.  One
 memoized kernel computes c.  A generator is the coefficient of a u-monomial
 u^a in the k'-th divided power, retained whenever k' + a_1 + ... + a_s >=
 m + 1.  `slice_series` builds those of one slice (degree k', weight
-sum i*a_i); `defining_generators` collects them over a box.
+sum i*a_i), one per partition with multiplicities a as the ascending
+stream `partitions.iter_partitions` yields them; `defining_generators`
+collects them over a box.  The kernel and both families read the
+monomials x^(mu) of a slice, and their mu, from the one cached table
+`dpalgebra.slice_monomials` / `slice_partitions`.
 
 Each such coefficient is, up to the sign (-1)^(weight), the "forgotten"
 polynomial attached to the partition with multiplicities a, so the forgotten
@@ -33,9 +37,11 @@ from .dpalgebra import (
     DPoly,
     MonomialOrder,
     RATIONALS,
+    slice_monomials,
+    slice_partitions,
     unit_normalize,
 )
-from .partitions import Partition, dominates, enumerate_partitions, transpose
+from .partitions import Partition, dominates, enumerate_partitions, iter_partitions, transpose
 from .symfunc import forgotten_coeff, kostka
 
 
@@ -142,27 +148,20 @@ def _product_coeff(mu: tuple[int, ...], t: tuple[int, ...], memo: dict) -> int:
     return hit
 
 
-@lru_cache(maxsize=None)
-def _partition_monomials(w: int, m: int, k: int):
-    """(mu, x^(mu) zero-padded to k parts) for mu |- w with parts <= m-1 and
-    l(mu) <= k."""
-    return tuple(
-        (mu.parts, _padded_mono(mu, k, m))
-        for mu in enumerate_partitions(w, m - 1, k)
-    )
-
-
 def _series_power_coeff(k: int, uexp: tuple[int, ...], m: int, memo: dict):
     """Integral coefficient of u^uexp (s = len(uexp)) in the k-th divided
-    power of the series, as sorted (monomial, coefficient) pairs: c(mu, uexp)
-    at x^(mu) padded to k parts."""
+    power of the series, as (monomial, coefficient) pairs in ascending DPLEX
+    order (the slice table read backwards): c(mu, uexp) at x^(mu) padded to
+    k parts."""
     wt = sum((i + 1) * a for i, a in enumerate(uexp))
     pairs = []
-    for mu, mono in _partition_monomials(wt, m, k):
+    for mu, mono in zip(
+        reversed(slice_partitions(m, k, wt)), reversed(slice_monomials(m, k, wt))
+    ):
         c = _product_coeff(mu, uexp, memo)
         if c:
             pairs.append((mono, c))
-    return tuple(sorted(pairs))
+    return tuple(pairs)
 
 
 def series_power_coefficient(spec: YSeriesSpec, uexp, ring: CoeffRing = RATIONALS) -> DPoly:
@@ -179,16 +178,17 @@ def slice_series(m: int, d: int, w: int, memo: dict | None = None):
     """Defining generators of slice (degree d, weight w), before dedup, built
     one at a time: (uexp, pairs) for each nonzero coefficient of u^uexp in
     the d-th divided power, uexp the multiplicities of lam |- w with parts
-    <= m-1 and l(lam) >= m+1-d, in lam.parts order.  `memo` holds the
+    <= m-1 and l(lam) >= m+1-d, in increasing order of lam.parts, each lam
+    enumerated only when the one before it has been used.  `memo` holds the
     kernel values c(mu, t) and may be shared by the slices of one build; by
     default it lives for this slice only."""
     if m < 1:
         return
     memo = {} if memo is None else memo
-    for lam in sorted(enumerate_partitions(w, m - 1, w), key=lambda p: p.parts):
-        if lam.length + d < m + 1:
+    for lam in iter_partitions(w, m - 1, w):
+        if len(lam) + d < m + 1:
             continue
-        uexp = lam.multiplicities(m - 1)
+        uexp = tuple(map(lam.count, range(1, m)))
         pairs = _series_power_coeff(d, uexp, m, memo)
         if pairs:
             yield uexp, pairs
@@ -229,34 +229,17 @@ def defining_generators(
 # the two families built from symmetric-function data
 
 
-def _padded_mono(mu: Partition, k: int, m: int) -> tuple[int, ...]:
-    """Exponent vector of x^(mu) with mu zero-padded to k parts."""
-    if mu.length > k:
-        raise ValueError("partition longer than the padding length")
-    exps = [0] * m
-    exps[0] = k - mu.length
-    for p in mu.parts:
-        exps[p] += 1
-    return tuple(exps)
-
-
 def schur_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> DPoly:
-    """Schur-type element: sum of K_{lam,mu} x^(mu) over mu dominated by lam,
-    each mu zero-padded to k parts."""
+    """Schur-type element: sum of K_{lam,mu} x^(mu) over the monomials of
+    slice (k, |lam|), each mu zero-padded to k parts; K_{lam,mu} vanishes
+    unless lam dominates mu."""
     lam = lam.strip_zeros()
     if lam.length > k:
         raise ValueError(f"need l(lam) <= k, got {lam.length} > {k}")
     if lam.largest > m - 1:
         raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
-    if lam.size == 0:
-        return DPoly.monomial(ring, m, _padded_mono(lam, k, m))
-    terms = {}
-    for mu in enumerate_partitions(lam.size, lam.largest, k):
-        if dominates(lam, mu):
-            kk = kostka(lam, mu)
-            if kk:
-                terms[_padded_mono(mu, k, m)] = kk
-    return DPoly(ring, m, terms)
+    pairs = zip(slice_partitions(m, k, lam.size), slice_monomials(m, k, lam.size))
+    return DPoly(ring, m, {mono: kostka(lam, Partition(mu)) for mu, mono in pairs})
 
 
 def forgotten_dpoly(
@@ -273,12 +256,8 @@ def forgotten_dpoly(
     t = lam.multiplicities(m - 1)
     sign = -1 if lam.size % 2 else 1
     memo = {} if memo is None else memo
-    terms = {}
-    for mu, mono in _partition_monomials(lam.size, m, k):
-        c = _product_coeff(mu, t, memo)
-        if c:
-            terms[mono] = sign * c
-    return DPoly(ring, m, terms)
+    pairs = zip(slice_partitions(m, k, lam.size), slice_monomials(m, k, lam.size))
+    return DPoly(ring, m, {mono: sign * _product_coeff(mu, t, memo) for mu, mono in pairs})
 
 
 def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
@@ -289,18 +268,11 @@ def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
         raise ValueError("m must be >= 1")
     gs = GeneratorSet(m, ring, "schur", [], m + 1, (m + 1) * (m - 1))
     for k in range(1, m + 2):
-        lams = []
-        for size in range(0, (m - 1) * k + 1):
-            for lam in enumerate_partitions(size, m - 1, k):
-                if lam.largest + k > m:
-                    lams.append(lam)
-        lams.sort(key=lambda p: (p.size, p.parts))
-        for lam in lams:
-            gs.entries.append(
-                GeneratorEntry(
-                    schur_dpoly(lam, k, m, ring), ("schur", lam.parts, k), k, lam.size
-                )
-            )
+        for size in range((m - 1) * k + 1):
+            for lam in iter_partitions(size, m - 1, k):
+                if max(lam, default=0) + k > m:
+                    poly = schur_dpoly(Partition(lam), k, m, ring)
+                    gs.entries.append(GeneratorEntry(poly, ("schur", lam, k), k, size))
     return gs
 
 
@@ -316,18 +288,14 @@ def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
     gs = GeneratorSet(m, ring, "forgotten", [], m + 1, (m + 1) * (m - 1))
     memo: dict = {}
     for k in range(2, m + 2):
-        lams = []
-        for size in range(0, (m - 1) * k + 1):
-            for lam in enumerate_partitions(size, m - 1, m + 1):
-                if lam.length >= m - k + 1:
-                    lams.append(lam)
-        lams.sort(key=lambda p: (p.size, p.parts))
-        for lam in lams:
-            poly = forgotten_dpoly(lam, k, m, ring, memo)
-            if not poly.is_zero():
-                gs.entries.append(
-                    GeneratorEntry(poly, ("forgotten", lam.parts, k), k, lam.size)
-                )
+        for size in range((m - 1) * k + 1):
+            for lam in iter_partitions(size, m - 1, m + 1):
+                if len(lam) >= m - k + 1:
+                    poly = forgotten_dpoly(Partition(lam), k, m, ring, memo)
+                    if not poly.is_zero():
+                        gs.entries.append(
+                            GeneratorEntry(poly, ("forgotten", lam, k), k, size)
+                        )
     return gs
 
 
@@ -341,8 +309,6 @@ def transition_identity_holds(lam: Partition, k: int, m: int) -> bool:
     lam = lam.strip_zeros()
     lhs = schur_dpoly(lam, k, m, RATIONALS)
     rhs = DPoly.zero(RATIONALS, m)
-    if lam.size == 0:
-        return lhs == forgotten_dpoly(lam, k, m, RATIONALS)
     lamt = transpose(lam)
     for mu in enumerate_partitions(lam.size, lamt.largest, lam.size):
         if dominates(lamt, mu):
@@ -362,7 +328,7 @@ def series_forgotten_identity_holds(lam: Partition, k: int, m: int) -> bool:
     coeff = series_power_coefficient(spec, lam.multiplicities(lam.largest))
     sign = -1 if lam.size % 2 else 1
     terms = {
-        _padded_mono(mu, k, m): sign * forgotten_coeff(lam, mu)
-        for mu in enumerate_partitions(lam.size, m - 1, k)
+        mono: sign * forgotten_coeff(lam, Partition(mu))
+        for mu, mono in zip(slice_partitions(m, k, lam.size), slice_monomials(m, k, lam.size))
     }
     return coeff == DPoly(RATIONALS, m, terms)

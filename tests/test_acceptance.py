@@ -38,6 +38,13 @@ def test_criteria_1_2_3_at_m_8_over_qq():
     _run("3", max_m=8)
 
 
+def test_criteria_1_2_at_m_8_over_finite_fields():
+    # the dimension and lex criteria at m = 8 over F2, F3, F5 as well, with
+    # the same 60 s bound per (m, ring)
+    _run("1", max_m=8, chars=(2, 3, 5), time_limit=60.0)
+    _run("2", max_m=8, chars=(2, 3, 5))
+
+
 def test_criterion_4_cv_equals_revlex():
     # pure enumeration, m <= 12, under 5 s
     _run("4", max_m=12, time_limit=5.0)

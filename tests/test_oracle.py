@@ -1,10 +1,12 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sl2weyl import quotient_oracle
 from sl2weyl.basis_enum import BasisSet, lex_basis, revlex_basis, truncated_basis
-from sl2weyl.dpalgebra import RATIONALS, DPoly, parse_dpoly, prime_field
+from sl2weyl.dpalgebra import RATIONALS, DPoly, parse_dpoly, prime_field, slice_partitions
 from sl2weyl.quotient_oracle import (
     ConfigurationError,
     MustVerifyFirstError,
@@ -37,6 +39,28 @@ def test_slice_monomials_sorted_and_complete():
     assert monos == ((1, 0, 1), (0, 2, 0))
     assert slice_monomials(3, 1, 5) == ()
     assert slice_monomials(0, 0, 0) == ((),)
+
+
+def test_slice_table_equals_the_literal_enumeration():
+    # every slice of the box m + 2, m <= 6: the monomials are the multisets
+    # of d variable indices with index sum w (mu |- w zero-padded to d
+    # parts), in decreasing DPLEX order, and each cached mu pads back to its
+    # monomial
+    for m in range(1, 7):
+        for d in range(m + 3):
+            literal = {}
+            for combo in itertools.combinations_with_replacement(range(m), d):
+                counts = Counter(combo)
+                literal.setdefault(sum(combo), []).append(tuple(counts[i] for i in range(m)))
+            for w in range(d * (m - 1) + 1):
+                monos = slice_monomials(m, d, w)
+                assert monos == tuple(sorted(literal.get(w, []), reverse=True)), (m, d, w)
+                mus = slice_partitions(m, d, w)
+                assert len(mus) == len(monos)
+                for mu, a in zip(mus, monos):
+                    assert list(mu) == sorted(mu, reverse=True) and 0 not in mu
+                    padded = Counter(mu + (0,) * (d - len(mu)))
+                    assert tuple(padded[i] for i in range(m)) == a, (m, d, w, mu)
 
 
 def test_build_slice_m1_single_row():

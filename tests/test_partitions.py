@@ -14,6 +14,7 @@ from sl2weyl.partitions import (
     dominates,
     enumerate_partitions,
     eta_stretch,
+    iter_partitions,
     format_partition,
     make_partition,
     nu_greatest,
@@ -209,6 +210,29 @@ def test_enumerate_frees_its_result_without_the_collector():
         assert witness() is None
     finally:
         gc.enable()
+
+
+def test_stream_is_ascending_and_matches_bruteforce_and_the_list():
+    # every weakly decreasing tuple with parts in 1..max_part and length <=
+    # max_len, grouped by size; zero sizes, parts and lengths included
+    for mp in range(6):
+        for ml in range(7):
+            brute = {}
+            for length in range(ml + 1):
+                for combo in itertools.combinations_with_replacement(range(mp, 0, -1), length):
+                    brute.setdefault(sum(combo), []).append(combo)
+            for n in range(9):
+                got = list(iter_partitions(n, mp, ml))
+                assert got == sorted(brute.get(n, [])), (n, mp, ml)
+                assert got == sorted(p.parts for p in enumerate_partitions(n, mp, ml))
+
+
+def test_stream_rejects_negative_arguments_at_the_call():
+    for args in ((-1, 2, 2), (2, -1, 2), (2, 2, -1)):
+        with pytest.raises(ValueError):
+            iter_partitions(*args)
+        with pytest.raises(ValueError):
+            enumerate_partitions(*args)
 
 
 # -- stretch and the index criterion -----------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -14,7 +15,7 @@ from sl2weyl.dpalgebra import (
     unit_normalize,
 )
 from sl2weyl.partitions import EMPTY, dominates, enumerate_partitions, make_partition
-from sl2weyl.symfunc import forgotten_coeff
+from sl2weyl.symfunc import forgotten_coeff, kostka
 from sl2weyl.weyl_ideal import (
     UnsupportedCharacteristicError,
     YSeriesSpec,
@@ -26,6 +27,7 @@ from sl2weyl.weyl_ideal import (
     schur_family,
     series_forgotten_identity_holds,
     series_power_coefficient,
+    slice_series,
     transition_identity_holds,
 )
 
@@ -211,6 +213,47 @@ def test_forgotten_family_matches_literal_forgotten_elements():
         assert got == expect, m
 
 
+def test_schur_family_matches_literal_kostka_elements():
+    # the family in (k, |lam|, lam.parts) order, each element summed from
+    # `symfunc.kostka` over the mu |- |lam| that lam dominates, l(mu) <= k
+    for m in range(1, 6):
+        for ring in RINGS:
+            expect = []
+            for k in range(1, m + 2):
+                lams = [
+                    lam
+                    for size in range((m - 1) * k + 1)
+                    for lam in enumerate_partitions(size, m - 1, k)
+                    if lam.largest + k > m
+                ]
+                for lam in sorted(lams, key=lambda p: (p.size, p.parts)):
+                    terms = {}
+                    for mu in enumerate_partitions(lam.size, m - 1, k):
+                        if dominates(lam, mu):
+                            exps = [0] * m
+                            exps[0] = k - mu.length
+                            for p in mu.parts:
+                                exps[p] += 1
+                            terms[tuple(exps)] = kostka(lam, mu)
+                    expect.append((("schur", lam.parts, k), DPoly(ring, m, terms)))
+            got = [(e.provenance, e.poly) for e in schur_family(m, ring).entries]
+            assert got == expect, (m, ring.char)
+
+
+def test_slice_series_yields_its_first_generator_without_enumerating_the_slice():
+    # slice (9, 63) at m = 8 has 55,748 partitions of 63 into parts <= 7; the
+    # first one, 1^63, already gives a generator, so the stream must not
+    # build the rest before yielding it
+    tracemalloc.start()
+    try:
+        uexp, pairs = next(slice_series(8, 9, 63))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert uexp == (63, 0, 0, 0, 0, 0, 0) and pairs
+    assert peak < 1 << 20, peak
+
+
 # -- the defining family ----------------------------------------------------------
 
 
@@ -280,6 +323,11 @@ def test_forgotten_dpoly_examples():
     )
     f = forgotten_dpoly(make_partition([2, 1, 1]), 2, 5)
     assert f.terms[(0, 0, 2, 0, 0)] == -2  # coefficient of x^((2,2))
+
+
+def test_forgotten_dpoly_rejects_a_negative_length():
+    with pytest.raises(ValueError):
+        forgotten_dpoly(EMPTY, -1, 3)
 
 
 def test_forgotten_lead_unit_when_short():

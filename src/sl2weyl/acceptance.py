@@ -203,7 +203,7 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(max_m=4, verbose=True):
+def run_all(max_m=4):
     """Capped run used by the CLI selftest; returns the number of failures."""
     caps = {
         criterion_dimension: dict(max_m=max_m),
@@ -220,8 +220,7 @@ def run_all(max_m=4, verbose=True):
     failures = 0
     for name, fn in ALL_CRITERIA:
         ok, detail = fn(**caps[fn])
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} criterion {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'} criterion {name}: {detail}")
         if not ok:
             failures += 1
     return failures

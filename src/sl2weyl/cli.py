@@ -9,7 +9,7 @@ import json
 import sys
 
 from . import basis_enum, quotient_oracle, symfunc, weyl_ideal
-from .dpalgebra import CoeffRing, RATIONALS, format_dpoly, parse_dpoly
+from .dpalgebra import CoeffRing, format_dpoly, format_monomial, parse_dpoly
 from .partitions import parse_partition
 
 EXIT_OK = 0
@@ -24,10 +24,6 @@ _FAMILIES = {
     "srevlex": "forgotten",
     "forgotten": "forgotten",
 }
-
-
-def _ring(char: int) -> CoeffRing:
-    return CoeffRing(char) if char else RATIONALS
 
 
 def _nonnegative_int(text: str) -> int:
@@ -78,15 +74,13 @@ def cmd_basis(args) -> int:
         ))
     else:
         lines = [f"# m={args.m} order={bs.provenance} count={len(monos)}"]
-        from .dpalgebra import format_monomial
-
         lines += [format_monomial(a) for a in monos]
         _emit(args, "\n".join(lines))
     return EXIT_OK
 
 
 def cmd_gens(args) -> int:
-    ring = _ring(args.char)
+    ring = CoeffRing(args.char)
     family = _FAMILIES[args.family]
     if family == "defining":
         max_d = args.max_degree if args.max_degree is not None else args.m + 2
@@ -127,7 +121,7 @@ def cmd_gens(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    ring = _ring(args.char)
+    ring = CoeffRing(args.char)
     bound = args.max_degree if args.max_degree is not None else args.m + 2
     report = quotient_oracle.quotient_dim(args.m, ring, bound)
     if args.format == "json":
@@ -170,7 +164,7 @@ def _verification_payload(report) -> dict:
 
 
 def cmd_verify(args) -> int:
-    ring = _ring(args.char)
+    ring = CoeffRing(args.char)
     bound = args.max_degree if args.max_degree is not None else args.m + 2
     if args.truncate is not None:
         report = _truncated_quotient(args.m, args.truncate, ring, bound)
@@ -207,7 +201,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    ring = _ring(args.char)
+    ring = CoeffRing(args.char)
     f = parse_dpoly(args.poly, args.m, ring)
     bs = _basis_for(args.m, args.order, None)
     coords = quotient_oracle.reduce_element(f, args.m, ring, bs)
@@ -222,8 +216,6 @@ def cmd_reduce(args) -> int:
             separators=(",", ":"),
         ))
     else:
-        from .dpalgebra import format_monomial
-
         lines = [f"{c}\t{format_monomial(a)}" for a, c in items] or ["0"]
         _emit(args, "\n".join(lines))
     return EXIT_OK
@@ -257,7 +249,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    ring = _ring(args.char)
+    ring = CoeffRing(args.char)
     bound = args.max_degree if args.max_degree is not None else args.m + 2
     report = _truncated_quotient(args.m, args.n, ring, bound)
     payload = {

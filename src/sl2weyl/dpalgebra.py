@@ -63,9 +63,6 @@ class CoeffRing:
             return c.numerator
         return c
 
-    def add(self, a, b):
-        return (a + b) % self.char if self.char else self.convert(a + b)
-
     def mul(self, a, b):
         return (a * b) % self.char if self.char else self.convert(a * b)
 
@@ -327,17 +324,15 @@ class DPoly:
         return f"DPoly({self.ring}, m={self.m}, {format_dpoly(self)})"
 
 
-def format_monomial(a: Mono, divided: bool = True) -> str:
+def format_monomial(a: Mono) -> str:
     bits = []
     for i, e in enumerate(a):
         if e == 0:
             continue
         if e == 1:
             bits.append(f"x{i}")
-        elif divided:
-            bits.append(f"x{i}^({e})")
         else:
-            bits.append(f"x{i}^{e}")
+            bits.append(f"x{i}^({e})")
     return "*".join(bits) if bits else "1"
 
 
@@ -454,11 +449,7 @@ def normal_form(f: DPoly, gens, order: MonomialOrder, with_cofactors: bool = Fal
                     continue
                 quot, c = q
                 lc = gens[i].terms[lms[i]]
-                factor = (
-                    work.terms[mono] * ring.inv(ring.mul(c, lc))
-                    if ring.char
-                    else Fraction(work.terms[mono]) / (Fraction(c) * Fraction(lc))
-                )
+                factor = ring.mul(work.terms[mono], ring.inv(ring.mul(c, lc)))
                 work = work - gens[i].mono_shift(quot).scale(factor)
                 if with_cofactors:
                     cofactors.append((i, quot, ring.convert(factor)))

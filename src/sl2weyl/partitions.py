@@ -54,12 +54,6 @@ class Partition:
     def largest(self) -> int:
         return self.parts[0] if self.parts else 0
 
-    def multiplicity(self, i: int) -> int:
-        """Number of parts equal to i (i = 0 counts the explicit pads)."""
-        if i == 0:
-            return self.zeros
-        return sum(1 for p in self.parts if p == i)
-
     def multiplicities(self, upto: int) -> tuple[int, ...]:
         """(m_1, ..., m_upto) as a fixed-length vector."""
         out = [0] * upto

@@ -46,19 +46,22 @@ slices it can show are full:
   d, w) and is cached for the whole process, each piece built on first
   use: the slice monomials (`dpalgebra.slice_monomials`, the one table the
   generator families read too) and their column index, the nonempty lower
-  slices with their sizes, and per shift the bitmask of the columns it
-  covers (read where the lower slice is full) and its column map (read
-  where it is not).  The echelon of a full slice depends only on its size,
-  so the full slices of all sessions share one per (characteristic, size).
-  A given family is grouped by slice once per `GeneratorSet`; a session
-  holds only the echelons of its slices.  So sessions after the first on
-  the same (m, ring) go straight to elimination.
+  slices as plain records with their sizes and, per shift, the bitmask of
+  the columns it covers (`_lower_slices`, read where the lower slice is
+  full), and the column map of a shift (`_shift`, built only where the
+  lower slice is not full).  The echelon of a full slice depends only on
+  its size, so the full slices of all sessions share one per
+  (characteristic, size).  A given family is grouped by slice once per
+  `GeneratorSet`; a session holds only the echelons of its slices.  So
+  sessions after the first on the same (m, ring) go straight to
+  elimination.
 
 Rank computations and normal forms are exact and fraction-free in both
 rings: one echelon takes integer rows, keeping its pivot rows primitive over
 the rationals and reduced mod p over prime fields, and returns a normal form
-as an integer row together with the scale it carries.  Floating point never
-appears.
+as an integer row together with the scale it carries.  Its one ring-specific
+step is the cancellation of a row against a pivot, `_cancel_q` over the
+rationals and `_cancel_p` over F_p.  Floating point never appears.
 """
 
 from __future__ import annotations
@@ -115,62 +118,26 @@ def _nonzero_binoms(ring: CoeffRing, j: int, d: int) -> dict:
     return {e: "1" if ring_binom(ring, e, j) else "0" for e in range(d + 1)}
 
 
-class _Lower:
-    """A nonempty lower slice `key` = (d - j, w - i*j) of slice (d, w), with
-    its size and the shift x_i^(j) that carries it up.
+@lru_cache(maxsize=None)
+def _lower_slices(m: int, ring: CoeffRing, d: int, w: int) -> tuple:
+    """The nonempty lower slices of slice (d, w) as records
+    (key, size, i, j, mask): the lower slice key = (d - j, w - i*j), its
+    size, and the shift x_i^(j) that carries it up, for the shift powers
+    j <= d (j = 1 over the rationals; j = 1, p, p^2, ... over F_p), by j,
+    then i.
 
     `mask` has bit c set for the columns b of slice (d, w) with C(b_i, j)
     nonzero in the ring (C(b_i, j) = 0 also when b_i < j): the shifted unit
     row e_a is C(b_i, j) e_b with a = b - j e_i, so a full lower slice puts
     e_b in the slice whatever the generators.  Over F_p the lowest nonzero
     base-p digit e of b_i gives C(b_i, p^e) != 0, so b is reached whenever
-    some x^(b - p^e e_i) lies in a full lower slice.  The column map
-    (`shift`) is needed only where the lower slice is not full, so it is
-    built on first use and kept for every later session."""
-
-    __slots__ = ("up", "key", "size", "i", "j", "mask", "_shift")
-
-    def __init__(self, up, key, size, i, j, mask):
-        self.up = up  # (m, ring, d, w) of the upper slice
-        self.key = key
-        self.size = size
-        self.i = i
-        self.j = j
-        self.mask = mask
-        self._shift = None
-
-    def shift(self) -> tuple:
-        """Per lower column a: (column of x_i^(j) * x^a, C(a_i + j, j)), or
-        None where that constant vanishes in the ring."""
-        if self._shift is None:
-            m, ring, d, w = self.up
-            index = _column_index(m, d, w)
-            i, j = self.i, self.j
-            out = []
-            for a in slice_monomials(m, *self.key):
-                s = ring_binom(ring, a[i] + j, j)
-                if s:
-                    b = list(a)
-                    b[i] += j
-                    out.append((index[tuple(b)], s))
-                else:
-                    out.append(None)
-            self._shift = tuple(out)
-        return self._shift
-
-
-@lru_cache(maxsize=None)
-def _lower_slices(m: int, ring: CoeffRing, d: int, w: int) -> tuple:
-    """The nonempty lower slices of slice (d, w) as `_Lower`s, for the shift
-    powers j <= d (j = 1 over the rationals; j = 1, p, p^2, ... over F_p),
-    by j, then i."""
+    some x^(b - p^e e_i) lies in a full lower slice."""
     monos = slice_monomials(m, d, w)
     if not monos:
         return ()
     # per variable x_i, the characters chr(b_i) of the columns, last column
     # first, so translating them to binary digits reads as the bitmask
     exps = ["".join(map(chr, reversed(col))) for col in zip(*monos)]
-    up = (m, ring, d, w)
     out = []
     j = 1
     while j <= d:
@@ -182,10 +149,31 @@ def _lower_slices(m: int, ring: CoeffRing, d: int, w: int) -> tuple:
             size = len(slice_monomials(m, d - j, lw))
             if size:
                 mask = int(exps[i].translate(digits), 2)
-                out.append(_Lower(up, (d - j, lw), size, i, j, mask))
+                out.append(((d - j, lw), size, i, j, mask))
         if not ring.char:
             break
         j *= ring.char
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _shift(m: int, ring: CoeffRing, d: int, w: int, i: int, j: int) -> tuple:
+    """Column map of the shift x_i^(j) from the lower slice
+    (d - j, w - i*j) into slice (d, w): per lower column a,
+    (column of x_i^(j) * x^a, C(a_i + j, j)), or None where that constant
+    vanishes in the ring.  Only the elimination of a slice that is not
+    covered reads it, for its lower slices that are not full, so it is
+    built on first use there."""
+    index = _column_index(m, d, w)
+    out = []
+    for a in slice_monomials(m, d - j, w - i * j):
+        s = ring_binom(ring, a[i] + j, j)
+        if s:
+            b = list(a)
+            b[i] += j
+            out.append((index[tuple(b)], s))
+        else:
+            out.append(None)
     return tuple(out)
 
 
@@ -193,11 +181,43 @@ def _lower_slices(m: int, ring: CoeffRing, d: int, w: int) -> tuple:
 # exact echelon forms (sparse rows: dict column -> coefficient)
 
 
+def _cancel_q(row, piv, lead, p):
+    """Over the rationals: row * (a/g) - piv * (b/g), with a the pivot lead,
+    b the row lead and g = gcd(a, b)."""
+    a, b = piv[lead], row[lead]
+    g = gcd(a, b)
+    ca, cb = b // g, a // g
+    new = {}
+    for c, v in row.items():
+        new[c] = v * cb
+    for c, v in piv.items():
+        nv = new.get(c, 0) - v * ca
+        if nv:
+            new[c] = nv
+        else:
+            new.pop(c, None)
+    return new
+
+
+def _cancel_p(row, piv, lead, p):
+    """Over F_p: row - b * piv mod p with b the row lead, in place (the
+    pivot leads with 1)."""
+    f = row[lead]
+    for c, v in piv.items():
+        nv = (row.get(c, 0) - f * v) % p
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
+    return row
+
+
 class _Echelon:
     """Integer rows, fraction-free in both rings: over the rationals (p = 0)
     pivot rows are kept primitive with a positive lead; over F_p entries are
-    reduced mod p and pivots lead with 1.  Only the cancel step and the pivot
-    normalization depend on the ring."""
+    reduced mod p and pivots lead with 1.  Only the cancel step (`_cancel_q`
+    or `_cancel_p`, picked per call) and the pivot normalization depend on
+    the ring."""
 
     def __init__(self, p, units=()):
         """Starts from the unit pivots {c: {c: 1}} at the columns `units`
@@ -210,56 +230,19 @@ class _Echelon:
     def rank(self):
         return len(self.pivots)
 
-    @property
-    def _cancel(self):
-        # looked up per call: a bound method stored on self would make every
-        # echelon a reference cycle that outlives its session until the next
-        # garbage collection
-        return self._cancel_p if self.p else self._cancel_q
-
-    @staticmethod
-    def _cancel_q(row, piv, lead):
-        """row * (a/g) - piv * (b/g), with a the pivot lead, b the row lead
-        and g = gcd(a, b)."""
-        a, b = piv[lead], row[lead]
-        g = gcd(a, b)
-        ca, cb = b // g, a // g
-        new = {}
-        for c, v in row.items():
-            new[c] = v * cb
-        for c, v in piv.items():
-            nv = new.get(c, 0) - v * ca
-            if nv:
-                new[c] = nv
-            else:
-                new.pop(c, None)
-        return new
-
-    def _cancel_p(self, row, piv, lead):
-        """row - b * piv mod p with b the row lead, in place (the pivot
-        leads with 1)."""
-        p = self.p
-        f = row[lead]
-        for c, v in piv.items():
-            nv = (row.get(c, 0) - f * v) % p
-            if nv:
-                row[c] = nv
-            else:
-                row.pop(c, None)
-        return row
-
     def add(self, row) -> bool:
         """Echelonize an integer row (nonzero entries nonzero mod p) against
         the pivots; True when it raises the rank."""
         row = dict(row)
-        pivots, cancel = self.pivots, self._cancel
+        pivots, p = self.pivots, self.p
+        cancel = _cancel_p if p else _cancel_q
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = unit_normalize(row, lead, self.p)
+                pivots[lead] = unit_normalize(row, lead, p)
                 return True
-            row = cancel(row, piv, lead)
+            row = cancel(row, piv, lead, p)
         return False
 
     def residue(self, row):
@@ -271,7 +254,8 @@ class _Echelon:
         for v in row.values():
             scale = lcm(scale, v.denominator)
         row = {c: int(v * scale) for c, v in row.items() if v}
-        pivots, cancel = self.pivots, self._cancel
+        pivots, p = self.pivots, self.p
+        cancel = _cancel_p if p else _cancel_q
         while True:
             hits = [c for c in row if c in pivots]
             if not hits:
@@ -280,7 +264,7 @@ class _Echelon:
             piv = pivots[lead]
             a = piv[lead]
             scale *= a // gcd(a, row[lead])
-            row = cancel(row, piv, lead)
+            row = cancel(row, piv, lead, p)
 
 
 @lru_cache(maxsize=None)
@@ -406,9 +390,10 @@ class OracleSession:
 
     What a slice needs besides its echelon is cached at three levels.  Per
     (m, ring, d, w), for the whole process: the slice monomials, their
-    column index, the nonempty lower slices with their sizes, and for each
-    shift the bitmask of columns it covers and its column map, each built
-    on first use; full echelons are shared per (characteristic, size).  Per
+    column index, the nonempty lower slices with their sizes and the
+    bitmask of columns each shift covers (`_lower_slices`), and the column
+    map of each shift that `_eliminate` reads (`_shift`), each built on
+    first use; full echelons are shared per (characteristic, size).  Per
     given family: its polynomials grouped by slice (`GeneratorSet.by_slice`).
     Per session: the echelons of the slices that are not full, and which
     echelon each slice has.
@@ -436,10 +421,9 @@ class OracleSession:
             if gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound:
                 raise ConfigurationError("generator bounds do not cover the degree box")
             self._given = gens.by_slice()
-        self.extra = tuple(sorted(set(extra_degree_one)))
         self._extra = {
             (1, j): [DPoly.monomial(ring, m, tuple(int(i == j) for i in range(m)))]
-            for j in self.extra
+            for j in extra_degree_one
         }
         self._spaces: dict[tuple[int, int], _Echelon] = {}
         self.verified: set[BasisSet] = set()
@@ -456,14 +440,14 @@ class OracleSession:
         """A covered slice is stored full at once; any other is eliminated."""
         ncols = len(slice_monomials(self.m, d, w))
         covered, partial = 0, []
-        for low in _lower_slices(self.m, self.ring, d, w):
-            lower = self._spaces.get(low.key)
+        for key, size, i, j, mask in _lower_slices(self.m, self.ring, d, w):
+            lower = self._spaces.get(key)
             if lower is None:
-                lower = self.space(*low.key)
-            if lower.rank == low.size:
-                covered |= low.mask
+                lower = self.space(*key)
+            if lower.rank == size:
+                covered |= mask
             else:
-                partial.append((low, lower))
+                partial.append((i, j, lower))
         if covered == (1 << ncols) - 1:
             return _full_echelon(self.ring.char, ncols)
         return self._eliminate(d, w, ncols, partial, covered)
@@ -478,8 +462,8 @@ class OracleSession:
         bits = bin(covered)[:1:-1]  # bit c at position c
         ech = _Echelon(p, [c for c, bit in enumerate(bits) if bit == "1"])
         rows = []
-        for low, lower in partial:
-            shift = low.shift()
+        for i, j, lower in partial:
+            shift = _shift(self.m, self.ring, d, w, i, j)
             for piv in lower.pivots.values():
                 row = {}
                 for col, c in piv.items():
@@ -513,15 +497,12 @@ class OracleSession:
             for _, pairs in slice_series(self.m, d, w):
                 yield DPoly(self.ring, self.m, dict(pairs))
 
-    def _slice_keys(self):
-        return _box_slices(self.m, self.degree_bound)
-
     # -- queries -----------------------------------------------------------
 
     def dims(self) -> DimReport:
         t0 = time.monotonic()
         dims = {}
-        for d, w in self._slice_keys():
+        for d, w in _box_slices(self.m, self.degree_bound):
             dims[(d, w)] = len(slice_monomials(self.m, d, w)) - self.space(d, w).rank
         return DimReport(
             self.m, self.ring.char, self.degree_bound, dims, sum(dims.values()),
@@ -538,7 +519,7 @@ class OracleSession:
         report = VerificationReport(
             self.m, self.ring.char, candidate.provenance, self.degree_bound
         )
-        for d, w in self._slice_keys():
+        for d, w in _box_slices(self.m, self.degree_bound):
             monos = slice_monomials(self.m, d, w)
             ech = self.space(d, w)
             cands = cand.get((d, w), [])
@@ -643,13 +624,11 @@ def truncated_quotient(m, n_trunc, ring, degree_bound) -> TruncationReport:
     return TruncationReport(m, n_trunc, ring.char, dims, len(basis), verification)
 
 
-def reduce_element(f: DPoly, m, ring, candidate: BasisSet, degree_bound=None):
-    """One-shot reduction; verifies the candidate first (and raises if that
-    fails), then returns the coordinate dict."""
-    if degree_bound is None:
-        degree_bound = max(
-            [m] + [mono_degree(a) for a in f.terms]
-        )
+def reduce_element(f: DPoly, m, ring, candidate: BasisSet):
+    """One-shot reduction over the degree box of f (at least m); verifies the
+    candidate first (and raises if that fails), then returns the coordinate
+    dict."""
+    degree_bound = max([m] + [mono_degree(a) for a in f.terms])
     session = OracleSession(m, ring, degree_bound)
     report = session.verify_basis(candidate)
     if not report.passed:

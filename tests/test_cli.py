@@ -54,7 +54,7 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["passed"] is True and data["total_quotient_dim"] == 8
-    # char 2 revlex: the family equality is char-0; lex still passes
+    # over F_p too (revlex over F_p: test_oracle.py)
     code, _, _ = run(capsys, "verify", "-m", "3", "--order", "lex", "--char", "5")
     assert code == 0
 
@@ -123,6 +123,13 @@ def test_usage_errors(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "must be >= 0" in err, argv
+    for argv in (
+        ["dim", "-m", "5", "--max-degree", "3"],
+        ["verify", "-m", "5", "--max-degree", "4"],
+        ["truncate", "-m", "5", "-N", "2", "--max-degree", "4"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "degree_bound must be >= m = 5" in err, argv
 
 
 def test_output_file(tmp_path, capsys):

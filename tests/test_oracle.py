@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from sl2weyl.quotient_oracle import (
     ConfigurationError,
     MustVerifyFirstError,
     OracleSession,
+    _box_slices,
     _Echelon,
     build_slice,
     quotient_dim,
@@ -149,9 +152,9 @@ def test_cached_slice_structure_is_shared_across_sessions():
         for ring in RINGS:
             gens = defining_generators(m, ring, bound, bound * max(m - 1, 1))
             runs.append((ring, gens, OracleSession(m, ring, bound)))
-        top = max(runs[2][2]._slice_keys())
+        top = max(_box_slices(m, bound))
         runs[2][2].space(*top)
-        for d, w in runs[0][2]._slice_keys():
+        for d, w in _box_slices(m, bound):
             for ring, gens, sess in runs:
                 lit = slice_rank(build_slice(m, ring, d, w, gens))
                 assert sess.space(d, w).rank == lit, (m, ring.char, d, w)
@@ -231,7 +234,7 @@ def test_full_slices_hold_unit_pivots():
             sessions.append(OracleSession(m, ring, m + 1, gens=schur_family(m, ring)))
             for sess in sessions:
                 full = 0
-                for d, w in sess._slice_keys():
+                for d, w in _box_slices(m, sess.degree_bound):
                     n = len(slice_monomials(m, d, w))
                     ech = sess.space(d, w)
                     if ech.rank < n:
@@ -246,6 +249,35 @@ def test_full_slices_hold_unit_pivots():
                         # full echelons are shared between sessions
                         assert not ech.add(row) and ech.pivots == units
                 assert full, (m, ring.char)
+
+
+def test_column_maps_are_built_only_where_elimination_reads_them():
+    # a shift's column map is read only when a slice that is not covered
+    # eliminates the rows of a lower slice that is not full; building one
+    # for every lower slice that is not full gives Q 252 and F_3 498 here
+    for ring, most in zip(RINGS, (227, 516, 343, 257)):
+        for f in vars(quotient_oracle).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+        assert OracleSession(6, ring, 8).dims().total == 64
+        assert quotient_oracle._shift.cache_info().currsize <= most, ring.char
+
+
+def test_echelons_are_freed_without_the_collector():
+    # an echelon must die with its last reference: one that held its cancel
+    # step as a bound method would be a reference cycle, alive until the
+    # cyclic collector ran
+    gc.disable()
+    try:
+        for p in (0, 3):
+            ech = _Echelon(p, [0])
+            assert ech.add({1: 2, 2: 1}) and ech.add({1: 1, 2: 2}) == (p == 0)
+            assert ech.residue({0: 1, 1: Fraction(1, 2), 2: 1})[0] == {}
+            witness = weakref.ref(ech)
+            del ech
+            assert witness() is None, p
+    finally:
+        gc.enable()
 
 
 def test_lazy_dims_equal_eager_dims():
@@ -311,6 +343,24 @@ def test_verify_lex_and_revlex_small():
             assert rep.passed and rep.total_candidates == 2**m
         rep = verify_basis(m, RATIONALS, revlex_basis(m), m + 2)
         assert rep.passed
+
+
+@pytest.mark.parametrize("ring", RINGS[1:], ids=lambda r: str(r))
+def test_revlex_basis_verifies_over_prime_fields(ring):
+    # acceptance criterion 3 checks revlex over Q only; it is a basis over
+    # F_p as well (and so is cv, equal to revlex as a set by criterion 4)
+    for m in range(1, 8):
+        rep = OracleSession(m, ring, m + 2).verify_basis(revlex_basis(m))
+        assert rep.passed and rep.total_candidates == 2**m, m
+
+
+def test_verify_rejects_another_m_and_monomials_beyond_the_bound():
+    sess = OracleSession(3, RATIONALS, 4)
+    with pytest.raises(ValueError, match="different m"):
+        sess.verify_basis(lex_basis(4))
+    beyond = BasisSet(3, "lex", lex_basis(3).monomials | {(5, 0, 0)})
+    with pytest.raises(ValueError, match="degree bound"):
+        sess.verify_basis(beyond)
 
 
 def test_verify_slice_counts_agree_between_bases():
@@ -465,6 +515,20 @@ def test_reduce_element_mod_p():
     assert sess.verify_basis(bs).passed
     f = parse_dpoly("x0*x2", 3, ring)
     assert sess.reduce_element(f, bs) == {(0, 2, 0): 1}  # -1 = 1 mod 2
+
+
+def test_reduce_rejects_elements_outside_the_session():
+    sess = OracleSession(3, RATIONALS, 4)
+    bs = lex_basis(3)
+    assert sess.verify_basis(bs).passed
+    for f in (
+        parse_dpoly("x0*x2", 3, prime_field(3)),  # another ring
+        parse_dpoly("x0*x2", 4, RATIONALS),  # another m
+    ):
+        with pytest.raises(ValueError, match="does not match"):
+            sess.reduce_element(f, bs)
+    with pytest.raises(ValueError, match="degree bound"):
+        sess.reduce_element(parse_dpoly("x0 + x1^(5)", 3, RATIONALS), bs)
 
 
 def test_reduce_requires_verification():

@@ -17,18 +17,23 @@ performed.  The three full bases all have cardinality 2^m:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from ._record import FrozenRecord, _set
 from .dpalgebra import mono_degree, mono_weight
 
 
-@dataclass(frozen=True)
-class BasisSet:
-    m: int
-    provenance: str  # "lex" | "revlex" | "cv" | "truncated-N"
-    monomials: frozenset
+class BasisSet(FrozenRecord):
+    """A candidate basis: the monomials of one construction for one m, as a
+    frozen value, equal and hashed by its fields."""
+
+    __slots__ = ("m", "provenance", "monomials")
+
+    def __init__(self, m: int, provenance: str, monomials: frozenset):
+        _set(self, "m", m)
+        _set(self, "provenance", provenance)  # "lex" | "revlex" | "cv" | "truncated-N"
+        _set(self, "monomials", monomials)
 
     def __len__(self):
         return len(self.monomials)

@@ -5,7 +5,6 @@ elapsed-seconds field in verification reports."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import basis_enum, quotient_oracle, symfunc, weyl_ideal
@@ -52,6 +51,13 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
+def _emit_json(args, payload) -> None:
+    # imported here so that text output never loads json
+    import json
+
+    _emit(args, json.dumps(payload, separators=(",", ":")))
+
+
 def _basis_for(m: int, order: str, trunc) -> basis_enum.BasisSet:
     if trunc is not None:
         return basis_enum.truncated_basis(m, trunc)
@@ -67,11 +73,10 @@ def cmd_basis(args) -> int:
     bs = _basis_for(args.m, args.order, args.truncate)
     monos = bs.sorted_monomials()
     if args.format == "json":
-        _emit(args, json.dumps(
-            {"m": args.m, "order": bs.provenance, "count": len(monos),
-             "monomials": [list(a) for a in monos]},
-            separators=(",", ":"),
-        ))
+        _emit_json(args, {
+            "m": args.m, "order": bs.provenance, "count": len(monos),
+            "monomials": [list(a) for a in monos],
+        })
     else:
         lines = [f"# m={args.m} order={bs.provenance} count={len(monos)}"]
         lines += [format_monomial(a) for a in monos]
@@ -106,12 +111,11 @@ def cmd_gens(args) -> int:
                     for a, c in sorted(e.poly.terms.items())
                 ],
             })
-        _emit(args, json.dumps(
-            {"m": args.m, "char": ring.char, "family": gs.family,
-             "degree_bound": gs.degree_bound, "weight_bound": gs.weight_bound,
-             "count": len(gens), "generators": gens},
-            separators=(",", ":"),
-        ))
+        _emit_json(args, {
+            "m": args.m, "char": ring.char, "family": gs.family,
+            "degree_bound": gs.degree_bound, "weight_bound": gs.weight_bound,
+            "count": len(gens), "generators": gens,
+        })
     else:
         lines = [f"# m={args.m} char={ring.char} family={gs.family} count={len(gs.entries)}"]
         for e in gs.entries:
@@ -125,15 +129,14 @@ def cmd_dim(args) -> int:
     bound = args.max_degree if args.max_degree is not None else args.m + 2
     report = quotient_oracle.quotient_dim(args.m, ring, bound)
     if args.format == "json":
-        _emit(args, json.dumps(
-            {"m": args.m, "char": ring.char, "max_degree": bound,
-             "slices": [
-                 {"degree": d, "weight": w, "dim": q}
-                 for (d, w), q in sorted(report.dims.items()) if q
-             ],
-             "total": report.total},
-            separators=(",", ":"),
-        ))
+        _emit_json(args, {
+            "m": args.m, "char": ring.char, "max_degree": bound,
+            "slices": [
+                {"degree": d, "weight": w, "dim": q}
+                for (d, w), q in sorted(report.dims.items()) if q
+            ],
+            "total": report.total,
+        })
     else:
         lines = [f"# m={args.m} char={ring.char} max_degree={bound}"]
         for (d, w), q in sorted(report.dims.items()):
@@ -180,7 +183,7 @@ def cmd_verify(args) -> int:
         payload = _verification_payload(report)
         ok = report.passed
     if args.format == "json":
-        _emit(args, json.dumps(payload, separators=(",", ":")))
+        _emit_json(args, payload)
     else:
         failing = [s for s in payload["slices"] if not (s["independent"] and s["spanning"])]
         lines = [
@@ -207,14 +210,13 @@ def cmd_reduce(args) -> int:
     coords = quotient_oracle.reduce_element(f, args.m, ring, bs)
     items = sorted(coords.items())
     if args.format == "json":
-        _emit(args, json.dumps(
-            {"m": args.m, "char": ring.char, "poly": args.poly,
-             "basis": bs.provenance,
-             "coordinates": [
-                 {"monomial": list(a), "coeff": str(c)} for a, c in items
-             ]},
-            separators=(",", ":"),
-        ))
+        _emit_json(args, {
+            "m": args.m, "char": ring.char, "poly": args.poly,
+            "basis": bs.provenance,
+            "coordinates": [
+                {"monomial": list(a), "coeff": str(c)} for a, c in items
+            ],
+        })
     else:
         lines = [f"{c}\t{format_monomial(a)}" for a, c in items] or ["0"]
         _emit(args, "\n".join(lines))
@@ -239,10 +241,7 @@ def cmd_count(args) -> int:
         return EXIT_OK
     rows = [(ell, basis_enum.count_B(args.m, ell)) for ell in range(args.m // 2 + 1)]
     if args.format == "json":
-        _emit(args, json.dumps(
-            {"m": args.m, "counts": [{"ell": l, "B": b} for l, b in rows]},
-            separators=(",", ":"),
-        ))
+        _emit_json(args, {"m": args.m, "counts": [{"ell": l, "B": b} for l, b in rows]})
     else:
         _emit(args, "\n".join(f"ell={l} B={b}" for l, b in rows))
     return EXIT_OK
@@ -258,7 +257,7 @@ def cmd_truncate(args) -> int:
         "passed": report.passed,
     }
     if args.format == "json":
-        _emit(args, json.dumps(payload, separators=(",", ":")))
+        _emit_json(args, payload)
     else:
         _emit(args, "\n".join(f"{k}={v}" for k, v in payload.items()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED

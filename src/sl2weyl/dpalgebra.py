@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
+from ._record import FrozenRecord, _set
 from .partitions import iter_partitions
 
 
@@ -41,15 +41,27 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CoeffRing:
-    """char == 0 means the rationals, otherwise the prime field F_char."""
+class CoeffRing(FrozenRecord):
+    """char == 0 means the rationals, otherwise the prime field F_char.
 
-    char: int = 0
+    One object per characteristic: `CoeffRing(p)` returns the same instance
+    on every call (and through pickle and deepcopy), so equality and hashing
+    are by identity."""
 
-    def __post_init__(self):
-        if self.char and not _is_prime(self.char):
-            raise ValueError(f"characteristic must be 0 or prime, got {self.char}")
+    __slots__ = ("char",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+    _interned: dict = {}
+
+    def __new__(cls, char: int = 0):
+        ring = cls._interned.get(char)
+        if ring is None:
+            if char and not _is_prime(char):
+                raise ValueError(f"characteristic must be 0 or prime, got {char}")
+            ring = object.__new__(cls)
+            _set(ring, "char", char)
+            ring = cls._interned.setdefault(char, ring)
+        return ring
 
     def convert(self, c):
         if self.char:

@@ -20,23 +20,25 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+
+from ._record import FrozenRecord, _set
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Positive parts (weakly decreasing) plus a count of explicit zero pads."""
+class Partition(FrozenRecord):
+    """Positive parts (weakly decreasing) plus a count of explicit zero pads;
+    a frozen value, equal and hashed by its fields."""
 
-    parts: tuple[int, ...] = ()
-    zeros: int = 0
+    __slots__ = ("parts", "zeros")
 
-    def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
+    def __init__(self, parts: tuple[int, ...] = (), zeros: int = 0):
+        if any(p <= 0 for p in parts):
             raise ValueError("parts must be positive; encode zeros in `zeros`")
-        if any(self.parts[i] < self.parts[i + 1] for i in range(len(self.parts) - 1)):
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
-        if self.zeros < 0:
+        if zeros < 0:
             raise ValueError("zeros must be nonnegative")
+        _set(self, "parts", parts)
+        _set(self, "zeros", zeros)
 
     @property
     def size(self) -> int:

@@ -67,11 +67,11 @@ rationals and `_cancel_p` over F_p.  Floating point never appears.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from ._record import FrozenRecord, Record, _set
 from .basis_enum import BasisSet, truncated_basis
 from .dpalgebra import (
     CoeffRing,
@@ -280,39 +280,57 @@ def _full_echelon(p: int, n: int) -> _Echelon:
 # reports
 
 
-@dataclass(frozen=True)
-class SliceReport:
-    degree: int
-    weight: int
-    slice_dim: int
-    quotient_dim: int
-    candidate_count: int
-    independent: bool
-    spanning: bool
+class SliceReport(FrozenRecord):
+    __slots__ = (
+        "degree", "weight", "slice_dim", "quotient_dim", "candidate_count",
+        "independent", "spanning",
+    )
+
+    def __init__(
+        self, degree: int, weight: int, slice_dim: int, quotient_dim: int,
+        candidate_count: int, independent: bool, spanning: bool,
+    ):
+        _set(self, "degree", degree)
+        _set(self, "weight", weight)
+        _set(self, "slice_dim", slice_dim)
+        _set(self, "quotient_dim", quotient_dim)
+        _set(self, "candidate_count", candidate_count)
+        _set(self, "independent", independent)
+        _set(self, "spanning", spanning)
 
     @property
     def passed(self) -> bool:
         return self.independent and self.spanning
 
 
-@dataclass
-class DimReport:
-    m: int
-    char: int
-    degree_bound: int
-    dims: dict[tuple[int, int], int]
-    total: int
-    elapsed_seconds: float = 0.0
+class DimReport(Record):
+    __slots__ = ("m", "char", "degree_bound", "dims", "total", "elapsed_seconds")
+
+    def __init__(
+        self, m: int, char: int, degree_bound: int, dims: dict[tuple[int, int], int],
+        total: int, elapsed_seconds: float = 0.0,
+    ):
+        self.m = m
+        self.char = char
+        self.degree_bound = degree_bound
+        self.dims = dims
+        self.total = total
+        self.elapsed_seconds = elapsed_seconds
 
 
-@dataclass
-class VerificationReport:
-    m: int
-    char: int
-    provenance: str
-    degree_bound: int
-    slices: list[SliceReport] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+class VerificationReport(Record):
+    __slots__ = ("m", "char", "provenance", "degree_bound", "slices", "elapsed_seconds")
+
+    def __init__(
+        self, m: int, char: int, provenance: str, degree_bound: int,
+        slices: list[SliceReport] | None = None, elapsed_seconds: float = 0.0,
+    ):
+        self.m = m
+        self.char = char
+        self.provenance = provenance
+        self.degree_bound = degree_bound
+        self.slices = [] if slices is None else slices
+        self.elapsed_seconds = elapsed_seconds
 
     @property
     def passed(self) -> bool:
@@ -327,14 +345,23 @@ class VerificationReport:
         return sum(s.candidate_count for s in self.slices)
 
 
-@dataclass(frozen=True)
-class GradedSlice:
-    m: int
-    ring: CoeffRing
-    degree: int
-    weight: int
-    monomials: tuple
-    ideal_rows: tuple  # rows as coefficient tuples in the monomial coordinates
+class GradedSlice(FrozenRecord):
+    """The literal rows of one slice; `ring` is the one `CoeffRing` object
+    of its characteristic."""
+
+    __slots__ = ("m", "ring", "degree", "weight", "monomials", "ideal_rows")
+
+    def __init__(
+        self, m: int, ring: CoeffRing, degree: int, weight: int, monomials: tuple,
+        ideal_rows: tuple,
+    ):
+        _set(self, "m", m)
+        _set(self, "ring", ring)
+        _set(self, "degree", degree)
+        _set(self, "weight", weight)
+        _set(self, "monomials", monomials)
+        # rows as coefficient tuples in the monomial coordinates
+        _set(self, "ideal_rows", ideal_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +426,9 @@ class OracleSession:
     echelon each slice has.
 
     gens: a family for the same m and ring covering the degree box, in place
-    of the defining series coefficients.  extra_degree_one: indices j whose
-    variables x_j are adjoined to the ideal (used for truncations).
+    of the defining series coefficients.  extra_degree_one: indices j in
+    0..m-1 whose variables x_j are adjoined to the ideal (used for
+    truncations); any other index raises ValueError.
     """
 
     def __init__(self, m, ring, degree_bound, gens=None, extra_degree_one=()):
@@ -421,6 +449,9 @@ class OracleSession:
             if gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound:
                 raise ConfigurationError("generator bounds do not cover the degree box")
             self._given = gens.by_slice()
+        for j in extra_degree_one:
+            if not 0 <= j < m:
+                raise ValueError(f"extra_degree_one index {j} outside 0..{m - 1}")
         self._extra = {
             (1, j): [DPoly.monomial(ring, m, tuple(int(i == j) for i in range(m)))]
             for j in extra_degree_one
@@ -597,14 +628,19 @@ def verify_basis(m, ring, candidate: BasisSet, degree_bound) -> VerificationRepo
     return OracleSession(m, ring, degree_bound).verify_basis(candidate)
 
 
-@dataclass
-class TruncationReport:
-    m: int
-    n_trunc: int
-    char: int
-    dims: DimReport
-    basis_size: int
-    verification: VerificationReport
+class TruncationReport(Record):
+    __slots__ = ("m", "n_trunc", "char", "dims", "basis_size", "verification")
+
+    def __init__(
+        self, m: int, n_trunc: int, char: int, dims: DimReport, basis_size: int,
+        verification: VerificationReport,
+    ):
+        self.m = m
+        self.n_trunc = n_trunc
+        self.char = char
+        self.dims = dims
+        self.basis_size = basis_size
+        self.verification = verification
 
     @property
     def passed(self) -> bool:

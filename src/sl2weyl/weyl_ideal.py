@@ -27,11 +27,11 @@ literal `symfunc.forgotten_coeff` rather than assumed anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 from operator import sub
 
+from ._record import FrozenRecord, Record, _set
 from .dpalgebra import (
     CoeffRing,
     DPoly,
@@ -49,42 +49,57 @@ class UnsupportedCharacteristicError(ValueError):
     """Raised when a family is only available in characteristic zero."""
 
 
-@dataclass(frozen=True)
-class YSeriesSpec:
+class YSeriesSpec(FrozenRecord):
     """Series parameters: s auxiliary variables, divided power k, variable
     indices capped at m-1."""
 
-    s: int
-    m: int
-    k: int
+    __slots__ = ("s", "m", "k")
 
-    def __post_init__(self):
-        if self.s < 0 or self.k < 0 or self.m < 1:
+    def __init__(self, s: int, m: int, k: int):
+        if s < 0 or k < 0 or m < 1:
             raise ValueError("need s >= 0, k >= 0, m >= 1")
+        _set(self, "s", s)
+        _set(self, "m", m)
+        _set(self, "k", k)
 
 
-@dataclass(frozen=True)
-class GeneratorEntry:
+class GeneratorEntry(FrozenRecord):
     """A homogeneous generator with its bidegree, which the builder knows
     (power or k, and the weight or |lam|) and stores once, so sessions read
     it without scanning the polynomial."""
 
-    poly: DPoly
-    provenance: tuple  # ("series", uexp, power, k) | ("schur"|"forgotten", lam, k)
-    degree: int
-    weight: int
+    __slots__ = ("poly", "provenance", "degree", "weight")
+
+    def __init__(self, poly: DPoly, provenance: tuple, degree: int, weight: int):
+        _set(self, "poly", poly)
+        # ("series", uexp, power, k) | ("schur"|"forgotten", lam, k)
+        _set(self, "provenance", provenance)
+        _set(self, "degree", degree)
+        _set(self, "weight", weight)
 
 
-@dataclass
-class GeneratorSet:
-    m: int
-    ring: CoeffRing
-    family: str  # "defining" | "schur" | "forgotten"
-    entries: list[GeneratorEntry] = field(default_factory=list)
-    degree_bound: int = 0
-    weight_bound: int = 0
-    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _indexed: list = field(default_factory=list, init=False, repr=False, compare=False)
+class GeneratorSet(Record):
+    """A generator family for one m and ring (`ring` is the one `CoeffRing`
+    object of its characteristic), with the degree and weight bounds it
+    covers; equal by its fields, not by its slice index."""
+
+    __slots__ = (
+        "m", "ring", "family", "entries", "degree_bound", "weight_bound",
+        "_index", "_indexed",
+    )
+
+    def __init__(
+        self, m: int, ring: CoeffRing, family: str, entries: list | None = None,
+        degree_bound: int = 0, weight_bound: int = 0,
+    ):
+        self.m = m
+        self.ring = ring
+        self.family = family  # "defining" | "schur" | "forgotten"
+        self.entries = [] if entries is None else entries
+        self.degree_bound = degree_bound
+        self.weight_bound = weight_bound
+        self._index = {}
+        self._indexed = []
 
     def by_slice(self) -> dict:
         """The entries' polynomials grouped by (degree, weight), in entry

@@ -443,6 +443,18 @@ def test_truncated_rejects_bad_level():
         truncated_quotient(3, 0, RATIONALS, 5)
 
 
+def test_session_rejects_truncation_indices_outside_the_variables():
+    # such an index used to build the constant monomial under a slice key
+    # (1, j) that the box never reads, so it was silently ignored
+    for extra in ((5,), (-1,), (3,), (0, 5)):
+        with pytest.raises(ValueError, match=f"index {extra[-1]} outside 0..2"):
+            OracleSession(3, RATIONALS, 4, extra_degree_one=extra)
+    for m in range(1, 6):
+        for n in range(1, m + 1):
+            rep = truncated_quotient(m, n, RATIONALS, m + 2)
+            assert rep.passed and rep.dims.total == len(truncated_basis(m, n)), (m, n)
+
+
 # -- reduction -------------------------------------------------------------------------
 
 

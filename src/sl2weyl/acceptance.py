@@ -15,6 +15,7 @@ from .basis_enum import cv_basis, is_reduced_lex, lex_basis, revlex_basis
 from .dpalgebra import CoeffRing, MonomialOrder, RATIONALS
 from .partitions import (
     Partition,
+    check_mu_equals_nu,
     cmp_revlex,
     enumerate_partitions,
     eta_stretch,
@@ -167,8 +168,6 @@ def criterion_stretch(max_m=8):
             eta = eta_stretch(mu, m)
             ok = ok and eta == _eta_brute(mu, m)
             if eta is not None:
-                from .partitions import check_mu_equals_nu
-
                 nu = nu_greatest(eta, mu.length)
                 ok = ok and check_mu_equals_nu(mu, m) == (nu == mu)
     return ok, f"stretch algorithm matches brute force; index criterion, m<={max_m}"

@@ -43,6 +43,11 @@ def _truncated_quotient(m: int, n: int, ring: CoeffRing, bound: int):
     return quotient_oracle.truncated_quotient(m, n, ring, bound)
 
 
+def _degree_bound(args) -> int:
+    """The degree box: --max-degree, by default m + 2."""
+    return args.m + 2 if args.max_degree is None else args.max_degree
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
@@ -88,8 +93,7 @@ def cmd_gens(args) -> int:
     ring = CoeffRing(args.char)
     family = _FAMILIES[args.family]
     if family == "defining":
-        max_d = args.max_degree if args.max_degree is not None else args.m + 2
-        max_d = max(max_d, args.m + 1)
+        max_d = max(_degree_bound(args), args.m + 1)
         max_w = args.max_weight if args.max_weight is not None else max_d * max(args.m - 1, 0)
         gs = weyl_ideal.defining_generators(args.m, ring, max_d, max_w)
     elif family == "schur":
@@ -126,7 +130,7 @@ def cmd_gens(args) -> int:
 
 def cmd_dim(args) -> int:
     ring = CoeffRing(args.char)
-    bound = args.max_degree if args.max_degree is not None else args.m + 2
+    bound = _degree_bound(args)
     report = quotient_oracle.quotient_dim(args.m, ring, bound)
     if args.format == "json":
         _emit_json(args, {
@@ -168,7 +172,7 @@ def _verification_payload(report) -> dict:
 
 def cmd_verify(args) -> int:
     ring = CoeffRing(args.char)
-    bound = args.max_degree if args.max_degree is not None else args.m + 2
+    bound = _degree_bound(args)
     if args.truncate is not None:
         report = _truncated_quotient(args.m, args.truncate, ring, bound)
         payload = _verification_payload(report.verification)
@@ -249,7 +253,7 @@ def cmd_count(args) -> int:
 
 def cmd_truncate(args) -> int:
     ring = CoeffRing(args.char)
-    bound = args.max_degree if args.max_degree is not None else args.m + 2
+    bound = _degree_bound(args)
     report = _truncated_quotient(args.m, args.n, ring, bound)
     payload = {
         "m": args.m, "char": ring.char, "truncation": args.n,
@@ -364,7 +368,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -380,7 +380,7 @@ def parse_monomial(text: str, m: int):
     scalar = 1
     for factor in text.split("*"):
         factor = factor.strip()
-        if factor in ("", "1"):
+        if factor == "1":
             continue
         mm = _TERM_RE.fullmatch(factor)
         if not mm:
@@ -404,27 +404,29 @@ def parse_monomial(text: str, m: int):
     return tuple(mono), scalar
 
 
+# one polynomial term: optional sign, then `coeff`, `coeff*monomial` or
+# `monomial`, the monomial text checked by `parse_monomial`
+_POLY_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)(?:\*([^+-]+))?|([^+-]+))")
+
+
 def parse_dpoly(text: str, m: int, ring: CoeffRing) -> DPoly:
-    """Parse a signed sum of coefficient*monomial terms."""
-    text = text.strip()
-    if not text or text == "0":
-        return DPoly.zero(ring, m)
-    chunks = re.findall(r"[+-]?[^+-]+", text.replace(" ", ""))
+    """Parse a signed sum of `[sign]coeff*monomial` terms (coefficient or
+    monomial may be left out, the first sign is optional, spaces are
+    ignored).  Text that is not such a sum, such as a stray sign or an empty
+    factor, raises ValueError."""
+    text = "".join(text.split())
     terms = {}
-    for chunk in chunks:
-        sign = 1
-        if chunk[0] == "+":
-            chunk = chunk[1:]
-        elif chunk[0] == "-":
-            sign, chunk = -1, chunk[1:]
-        coeff = Fraction(1)
-        parts = chunk.split("*")
-        head = parts[0]
-        if re.fullmatch(r"\d+(/\d+)?", head):
-            coeff = Fraction(head)
-            parts = parts[1:]
-        mono, scalar = parse_monomial("*".join(parts), m) if parts else ((0,) * m, 1)
-        terms[mono] = terms.get(mono, 0) + sign * coeff * scalar
+    pos = 0
+    while pos < len(text):
+        mm = _POLY_TERM_RE.match(text, pos)
+        if mm is None or (pos and not mm.group(1)):
+            raise ValueError(f"bad polynomial {text!r} at position {pos}")
+        sign, coeff, mono_text, bare = mm.groups()
+        mono_text = mono_text or bare
+        mono, scalar = parse_monomial(mono_text, m) if mono_text else ((0,) * m, 1)
+        c = Fraction(coeff or 1) * scalar
+        terms[mono] = terms.get(mono, 0) + (-c if sign == "-" else c)
+        pos = mm.end()
     return DPoly(ring, m, terms)
 
 

@@ -10,7 +10,9 @@ the series is sum_v P_v(u) x_v with P_0 = 1, so its k-th divided power is
 the sum over j_0 + ... + j_{m-1} = k of prod_v P_v(u)^(j_v) x_v^(j_v): the
 coefficient of u^t x^(mu), mu padded to k parts, is the integer
 c(mu, t) = [u^t] prod_i P_{mu_i}(u), valid in every characteristic.  One
-memoized kernel computes c.  A generator is the coefficient of a u-monomial
+kernel computes c, reading and filling one table keyed by (mu, t) that lives
+for the whole process, like the slice tables, so every build and every
+engine slice shares it.  A generator is the coefficient of a u-monomial
 u^a in the k'-th divided power, retained whenever k' + a_1 + ... + a_s >=
 m + 1.  `slice_series` builds those of one slice (degree k', weight
 sum i*a_i), one per partition with multiplicities a as the ascending
@@ -21,8 +23,10 @@ monomials x^(mu) of a slice, and their mu, from the one cached table
 
 Each such coefficient is, up to the sign (-1)^(weight), the "forgotten"
 polynomial attached to the partition with multiplicities a, so the forgotten
-family is built by the same kernel.  The identity is checked against the
-literal `symfunc.forgotten_coeff` rather than assumed anywhere.
+element is that signed series coefficient.  The identity is checked against
+the literal `symfunc.forgotten_coeff` rather than assumed anywhere.  The
+Schur elements read their Kostka numbers by part tuple from the cache
+`symfunc._kostka`.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .dpalgebra import (
     unit_normalize,
 )
 from .partitions import Partition, dominates, enumerate_partitions, iter_partitions, transpose
-from .symfunc import forgotten_coeff, kostka
+from .symfunc import _kostka, forgotten_coeff, kostka
 
 
 class UnsupportedCharacteristicError(ValueError):
@@ -135,7 +139,13 @@ def lowering_series(spec: YSeriesSpec) -> list[tuple[int, int, tuple[int, ...]]]
     return [(c, n, ue) for n in range(spec.m) for c, ue in _series_terms(spec.s, n)]
 
 
-def _product_coeff(mu: tuple[int, ...], t: tuple[int, ...], memo: dict) -> int:
+# c(mu, t) by (mu, t) for the whole process, filled only past the cheap zero
+# tests of `_product_coeff`: caching the whole function would also store the
+# zeros, which outnumber the values
+_product_table: dict = {}
+
+
+def _product_coeff(mu: tuple[int, ...], t: tuple[int, ...]) -> int:
     """c(mu, t) = [u^t] prod_i P_{mu_i}(u), with s = len(t) auxiliary
     variables: the signed ways to split the parts of the partition with
     multiplicities t into blocks eta^i |- mu_i.
@@ -144,26 +154,26 @@ def _product_coeff(mu: tuple[int, ...], t: tuple[int, ...], memo: dict) -> int:
     fit under t leaves c(mu without mu_l, t - mult eta); small parts have
     few eta, so this branches least.  The value is 0 when l(mu) > sum(t)
     (every block takes a part), when t has a part larger than mu_1 or when
-    its smallest part exceeds mu_l.  `memo`, keyed by (mu, t), is shared by
-    the calls of one build."""
+    its smallest part exceeds mu_l.  Other values are kept in
+    `_product_table`."""
     if not mu:
         return 0 if any(t) else 1
     if len(mu) > sum(t) or any(t[mu[0]:]) or not any(t[: mu[-1]]):
         return 0
     key = (mu, t)
-    hit = memo.get(key)
+    hit = _product_table.get(key)
     if hit is None:
         hit = 0
         rest = mu[:-1]
         for c, ue in _series_terms(len(t), mu[-1]):
             left = tuple(map(sub, t, ue))
             if min(left) >= 0:
-                hit += c * _product_coeff(rest, left, memo)
-        memo[key] = hit
+                hit += c * _product_coeff(rest, left)
+        _product_table[key] = hit
     return hit
 
 
-def _series_power_coeff(k: int, uexp: tuple[int, ...], m: int, memo: dict):
+def _series_power_coeff(k: int, uexp: tuple[int, ...], m: int):
     """Integral coefficient of u^uexp (s = len(uexp)) in the k-th divided
     power of the series, as (monomial, coefficient) pairs in ascending DPLEX
     order (the slice table read backwards): c(mu, uexp) at x^(mu) padded to
@@ -173,7 +183,7 @@ def _series_power_coeff(k: int, uexp: tuple[int, ...], m: int, memo: dict):
     for mu, mono in zip(
         reversed(slice_partitions(m, k, wt)), reversed(slice_monomials(m, k, wt))
     ):
-        c = _product_coeff(mu, uexp, memo)
+        c = _product_coeff(mu, uexp)
         if c:
             pairs.append((mono, c))
     return tuple(pairs)
@@ -186,25 +196,22 @@ def series_power_coefficient(spec: YSeriesSpec, uexp, ring: CoeffRing = RATIONAL
         raise ValueError("u-exponent length must equal s")
     if any(a < 0 for a in uexp):
         raise ValueError("u-exponents must be nonnegative")
-    return DPoly(ring, spec.m, dict(_series_power_coeff(spec.k, uexp, spec.m, {})))
+    return DPoly(ring, spec.m, dict(_series_power_coeff(spec.k, uexp, spec.m)))
 
 
-def slice_series(m: int, d: int, w: int, memo: dict | None = None):
+def slice_series(m: int, d: int, w: int):
     """Defining generators of slice (degree d, weight w), before dedup, built
     one at a time: (uexp, pairs) for each nonzero coefficient of u^uexp in
     the d-th divided power, uexp the multiplicities of lam |- w with parts
     <= m-1 and l(lam) >= m+1-d, in increasing order of lam.parts, each lam
-    enumerated only when the one before it has been used.  `memo` holds the
-    kernel values c(mu, t) and may be shared by the slices of one build; by
-    default it lives for this slice only."""
+    enumerated only when the one before it has been used."""
     if m < 1:
         return
-    memo = {} if memo is None else memo
     for lam in iter_partitions(w, m - 1, w):
         if len(lam) + d < m + 1:
             continue
         uexp = tuple(map(lam.count, range(1, m)))
-        pairs = _series_power_coeff(d, uexp, m, memo)
+        pairs = _series_power_coeff(d, uexp, m)
         if pairs:
             yield uexp, pairs
 
@@ -221,10 +228,9 @@ def defining_generators(
         raise ValueError(f"degree_bound must be >= m+1 = {m + 1}")
     gs = GeneratorSet(m, ring, "defining", [], degree_bound, weight_bound)
     seen = set()
-    memo: dict = {}
     for power in range(1, degree_bound + 1):
         for w in range(min(weight_bound, power * (m - 1)) + 1):
-            for uexp, pairs in slice_series(m, power, w, memo):
+            for uexp, pairs in slice_series(m, power, w):
                 poly = DPoly(ring, m, dict(pairs))
                 if poly.is_zero():
                     continue
@@ -254,25 +260,22 @@ def schur_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> 
     if lam.largest > m - 1:
         raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
     pairs = zip(slice_partitions(m, k, lam.size), slice_monomials(m, k, lam.size))
-    return DPoly(ring, m, {mono: kostka(lam, Partition(mu)) for mu, mono in pairs})
+    return DPoly(ring, m, {mono: _kostka(lam.parts, mu) for mu, mono in pairs})
 
 
-def forgotten_dpoly(
-    lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS, memo: dict | None = None
-) -> DPoly:
+def forgotten_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> DPoly:
     """Forgotten-type element: sum of the signed multiplicities times x^(mu)
     over mu dominating lam with exactly k parts (zeros included) and parts
     <= m-1.  May be zero.  The multiplicity of mu is (-1)^|lam| c(mu, mult
     lam), nonzero only for mu merged from the parts of lam (so mu dominates
-    lam); `memo` holds the kernel values and may be shared by one build."""
+    lam): the element is (-1)^|lam| times the series coefficient of u^(mult
+    lam) in the k-th divided power."""
     lam = lam.strip_zeros()
     if lam.largest > m - 1:
         raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
-    t = lam.multiplicities(m - 1)
     sign = -1 if lam.size % 2 else 1
-    memo = {} if memo is None else memo
-    pairs = zip(slice_partitions(m, k, lam.size), slice_monomials(m, k, lam.size))
-    return DPoly(ring, m, {mono: sign * _product_coeff(mu, t, memo) for mu, mono in pairs})
+    pairs = _series_power_coeff(k, lam.multiplicities(m - 1), m)
+    return DPoly(ring, m, {mono: sign * c for mono, c in pairs})
 
 
 def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
@@ -301,12 +304,11 @@ def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
             "the revlex family is only available in characteristic 0"
         )
     gs = GeneratorSet(m, ring, "forgotten", [], m + 1, (m + 1) * (m - 1))
-    memo: dict = {}
     for k in range(2, m + 2):
         for size in range((m - 1) * k + 1):
             for lam in iter_partitions(size, m - 1, m + 1):
                 if len(lam) >= m - k + 1:
-                    poly = forgotten_dpoly(Partition(lam), k, m, ring, memo)
+                    poly = forgotten_dpoly(Partition(lam), k, m, ring)
                     if not poly.is_zero():
                         gs.entries.append(
                             GeneratorEntry(poly, ("forgotten", lam, k), k, size)

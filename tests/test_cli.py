@@ -105,7 +105,7 @@ def test_gens_srevlex_rejects_char(capsys):
     assert code == 2 and "characteristic" in err
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "basis", "-m", "2", "--order", "bogus")[0] == 2
     assert run(capsys, "kostka", "2,x", "1,1")[0] == 2
     assert run(capsys, "nonsense")[0] == 2
@@ -123,6 +123,12 @@ def test_usage_errors(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "must be >= 0" in err, argv
+    for argv in (
+        ["reduce", "-m", "2", "--poly=--x0"],  # a stray sign, once read as -x0
+        ["dim", "-m", "3", "--output", str(tmp_path / "missing" / "x.txt")],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
     for argv in (
         ["dim", "-m", "5", "--max-degree", "3"],
         ["verify", "-m", "5", "--max-degree", "4"],

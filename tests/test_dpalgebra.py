@@ -262,12 +262,22 @@ def test_parse_monomial():
         parse_monomial("x5", 2)
     with pytest.raises(ValueError):
         parse_monomial("y0", 2)
+    for text in ("", "x0**x1", "x0*"):  # empty factors
+        with pytest.raises(ValueError):
+            parse_monomial(text, 2)
 
 
-def test_poly_text_roundtrip():
-    for text in ["x0^(2)*x2 + x1", "-x1^(2) + 2*x0", "0", "3", "x0 - x1 + x2"]:
-        f = parse_dpoly(text, 3, RATIONALS)
-        assert parse_dpoly(format_dpoly(f), 3, RATIONALS) == f
+@given(dpolys(), st.sampled_from([1, 2, 4]), st.sampled_from([RATIONALS, F3]))
+def test_poly_text_roundtrip(f, den, ring):
+    # the parser accepts everything the formatter writes, fractions included
+    f = DPoly(ring, 3, {a: Fraction(c, den) for a, c in f.terms.items()})
+    assert parse_dpoly(format_dpoly(f), 3, ring) == f
+
+
+def test_parse_dpoly_rejects_malformed_text():
+    for text in ["--x0", "2*-x0", "3--x0", "x0-", "-", "+", "x0**x1", "2*"]:
+        with pytest.raises(ValueError):
+            parse_dpoly(text, 3, RATIONALS)
 
 
 def test_format_deterministic_dplex_descending():

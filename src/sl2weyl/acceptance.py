@@ -95,13 +95,9 @@ def criterion_truncation(max_m=5):
     return ok, f"truncated dims match the truncated basis, 1<=N<m<={max_m}"
 
 
-def criterion_leading_monomials(max_m=5):
+def criterion_leading_monomials(max_m=5, chars=(0,)):
     ok = True
     for m in range(1, max_m + 1):
-        lms = {
-            e.poly.leading_monomial(MonomialOrder.DPLEX)
-            for e in weyl_ideal.schur_family(m, RATIONALS).entries
-        }
         census = set()
         reduced = set()
         for d in range(m + 3):
@@ -111,7 +107,13 @@ def criterion_leading_monomials(max_m=5):
                         reduced.add(a)
                     elif d <= m + 1:
                         census.add(a)
-        ok = ok and lms == census and reduced == lex_basis(m).monomials
+        ok = ok and reduced == lex_basis(m).monomials
+        for char in chars:
+            lms = {
+                e.poly.leading_monomial(MonomialOrder.DPLEX)
+                for e in weyl_ideal.schur_family(m, CoeffRing(char)).entries
+            }
+            ok = ok and lms == census
     return ok, f"schur-family leading monomials = reducible census, m<={max_m}"
 
 

@@ -64,16 +64,21 @@ class CoeffRing(FrozenRecord):
         return ring
 
     def convert(self, c):
-        if self.char:
-            if isinstance(c, Fraction):
+        """c as an element of this ring.  Only exact coefficients are taken,
+        an int (bools included) or a Fraction; anything else, a float or a
+        Decimal say, raises TypeError."""
+        if type(c) is int:  # the common case, ahead of the ABC test below
+            return c % self.char if self.char else c
+        if isinstance(c, Fraction):
+            if self.char:
                 den = c.denominator % self.char
                 if den == 0:
                     raise ZeroDivisionError("denominator not invertible mod p")
                 return c.numerator * pow(den, -1, self.char) % self.char
-            return c % self.char
-        if isinstance(c, Fraction) and c.denominator == 1:
-            return c.numerator
-        return c
+            return c.numerator if c.denominator == 1 else c
+        if isinstance(c, int):
+            return c % self.char if self.char else c
+        raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
 
     def mul(self, a, b):
         return (a * b) % self.char if self.char else self.convert(a * b)

@@ -2,6 +2,10 @@
 multiplicities relating the forgotten and monomial bases, and normal forms in
 the coinvariant algebra.
 
+Kostka numbers come two ways: one pair at a time from the literal strip
+recursion (`kostka`), the reference, and one content at a time as a row of
+all shapes by the Pieri rule (`kostka_row`), which the Schur family reads.
+
 The coinvariant computations use the complete homogeneous polynomials
 h_{m-r+1}(t_1, ..., t_r), 1 <= r <= m, which form a Groebner basis of the
 ideal of positive-degree symmetric polynomials for the lexicographic order
@@ -15,6 +19,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import factorial
+from operator import sub
 
 from .partitions import Partition, dominates, enumerate_partitions
 
@@ -64,6 +69,60 @@ def kostka(lam: Partition, mu: Partition) -> int:
     if lam.size != mu.size:
         return 0
     return _kostka(lam.parts, mu.parts)
+
+
+# the Kostka row of each content by (content, cap) for the whole process, so
+# every degree, slice and ring reads one row per content
+_kostka_rows: dict = {}
+
+
+def kostka_row(content: tuple[int, ...], cap: int) -> dict:
+    """{lam: K_{lam,content}} over the shapes lam with lam_1 <= cap whose
+    Kostka number is nonzero, for `content` a descending tuple of positive
+    parts, such as the mu of a slice, which is not padded to its degree.
+    Pieri rule: each shape in the row of content[:-1] gains every horizontal
+    strip of content[-1] cells that keeps it within cap columns; strips only
+    widen a shape, so the cap loses no term.  Kept in `_kostka_rows`; read
+    only."""
+    key = (content, cap)
+    row = _kostka_rows.get(key)
+    if row is None:
+        if not content:
+            row = {(): 1}
+        else:
+            row = {}
+            size = content[-1]
+            for nu, k in kostka_row(content[:-1], cap).items():
+                for lam in _added_horizontal_strips(nu, size, cap):
+                    row[lam] = row.get(lam, 0) + k
+        _kostka_rows[key] = row
+    return row
+
+
+def _added_horizontal_strips(nu: tuple[int, ...], size: int, cap: int) -> list:
+    """Shapes lam >= nu with lam/nu a horizontal strip of `size` cells and
+    lam_1 <= cap: row i gains at most nu_{i-1} - nu_i cells (row 0 at most
+    cap - nu_0), and one new row at most nu_last cells."""
+    base = nu + (0,)
+    room = (cap - nu[0] if nu else cap,) + tuple(map(sub, nu, base[1:]))
+    free = list(itertools.accumulate(reversed(room)))[::-1] + [0]  # cells rows i.. can take
+    last = len(nu)
+    lam = list(base)
+    out = []
+
+    def fill(i, left):
+        # rows 0..i-1 are set; rows i.. take the `left` cells still to place
+        if i == last:
+            lam[i] = left
+            out.append(tuple(lam) if left else tuple(lam[:-1]))
+            return
+        for a in range(max(0, left - free[i + 1]), min(room[i], left) + 1):
+            lam[i] = base[i] + a
+            fill(i + 1, left - a)
+
+    if size <= free[0]:
+        fill(0, size)
+    return out
 
 
 def _multiset_weight(eta: tuple[int, ...]) -> int:

@@ -25,8 +25,11 @@ Each such coefficient is, up to the sign (-1)^(weight), the "forgotten"
 polynomial attached to the partition with multiplicities a, so the forgotten
 element is that signed series coefficient.  The identity is checked against
 the literal `symfunc.forgotten_coeff` rather than assumed anywhere.  The
-Schur elements read their Kostka numbers by part tuple from the cache
-`symfunc._kostka`.
+Schur elements read their Kostka numbers from the process-wide row table
+`symfunc.kostka_row`: one Pieri-built row {lam: K_{lam,mu}} per content mu
+of the slice, capped at lam_1 <= m-1.  `schur_family` reads the rows of a
+slice once and inverts them, so it visits only the nonzero numbers; the
+literal `symfunc.kostka` stays the reference the tests compare them with.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .dpalgebra import (
     unit_normalize,
 )
 from .partitions import Partition, dominates, enumerate_partitions, iter_partitions, transpose
-from .symfunc import _kostka, forgotten_coeff, kostka
+from .symfunc import forgotten_coeff, kostka, kostka_row
 
 
 class UnsupportedCharacteristicError(ValueError):
@@ -253,14 +256,16 @@ def defining_generators(
 def schur_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> DPoly:
     """Schur-type element: sum of K_{lam,mu} x^(mu) over the monomials of
     slice (k, |lam|), each mu zero-padded to k parts; K_{lam,mu} vanishes
-    unless lam dominates mu."""
+    unless lam dominates mu.  K_{lam,mu} is read from the Kostka row of mu
+    capped at m-1, which holds lam since lam_1 <= m-1."""
     lam = lam.strip_zeros()
     if lam.length > k:
         raise ValueError(f"need l(lam) <= k, got {lam.length} > {k}")
     if lam.largest > m - 1:
         raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
     pairs = zip(slice_partitions(m, k, lam.size), slice_monomials(m, k, lam.size))
-    return DPoly(ring, m, {mono: _kostka(lam.parts, mu) for mu, mono in pairs})
+    shape = lam.parts
+    return DPoly(ring, m, {mono: kostka_row(mu, m - 1).get(shape, 0) for mu, mono in pairs})
 
 
 def forgotten_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> DPoly:
@@ -281,15 +286,23 @@ def forgotten_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS)
 def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
     """Schur-type elements with lam_1 + k > m, l(lam) <= k <= m+1 and parts
     <= m-1.  Their DPLEX leading monomials realize the reducible-monomial
-    census in every characteristic."""
+    census in every characteristic.
+
+    Per slice (k, size) the Kostka rows of its contents mu are read once and
+    inverted into {lam: {x^(mu): K_{lam,mu}}}, in slice order; a row holds
+    only nonzero numbers, and every lam in it has l(lam) <= l(mu) <= k."""
     if m < 1:
         raise ValueError("m must be >= 1")
     gs = GeneratorSet(m, ring, "schur", [], m + 1, (m + 1) * (m - 1))
     for k in range(1, m + 2):
         for size in range((m - 1) * k + 1):
+            by_shape = {}
+            for mu, mono in zip(slice_partitions(m, k, size), slice_monomials(m, k, size)):
+                for lam, c in kostka_row(mu, m - 1).items():
+                    by_shape.setdefault(lam, {})[mono] = c
             for lam in iter_partitions(size, m - 1, k):
                 if max(lam, default=0) + k > m:
-                    poly = schur_dpoly(Partition(lam), k, m, ring)
+                    poly = DPoly(ring, m, by_shape[lam])
                     gs.entries.append(GeneratorEntry(poly, ("schur", lam, k), k, size))
     return gs
 

@@ -1,4 +1,5 @@
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
@@ -39,6 +40,19 @@ def test_ring_convert():
     assert RATIONALS.convert(Fraction(4, 2)) == 2
     with pytest.raises(ZeroDivisionError):
         F2.convert(Fraction(1, 2))
+    # exact coefficients only: ints (bools included) and Fractions
+    for ring in (RATIONALS, F3):
+        for inexact in (0.5, 1.0, Decimal("0.5")):
+            with pytest.raises(TypeError):
+                ring.convert(inexact)
+            with pytest.raises(TypeError):
+                DPoly(ring, 1, {(1,): inexact})
+    assert RATIONALS.convert(7) == 7 and type(RATIONALS.convert(7)) is int
+    assert RATIONALS.convert(True) == 1 and F3.convert(True) == 1
+    assert F3.convert(Fraction(4, 2)) == 2
+    assert type(RATIONALS.convert(Fraction(4, 2))) is int
+    assert DPoly(RATIONALS, 1, {(1,): Fraction(4, 2)}).terms == {(1,): 2}
+    assert DPoly(F3, 1, {(1,): True, (0,): 3}).terms == {(1,): 1}
 
 
 # -- structure constants -------------------------------------------------------

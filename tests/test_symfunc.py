@@ -17,6 +17,7 @@ from sl2weyl.symfunc import (
     complete_h,
     forgotten_coeff,
     kostka,
+    kostka_row,
     mono_sym,
     schur_nonvanishing,
     schur_poly,
@@ -88,6 +89,23 @@ def test_kostka_positivity_iff_dominance():
 def test_kostka_ignores_content_padding():
     lam = make_partition([2, 1])
     assert kostka(lam, Partition((1, 1, 1), 2)) == kostka(lam, make_partition([1, 1, 1]))
+
+
+def test_kostka_rows_match_literal_kostka():
+    # every content mu of the Schur family up to m = 6 (parts <= m-1, length
+    # <= m+1) against every lam |- |mu| within the cap, zeros included
+    for m in range(1, 7):
+        for size in range((m - 1) * (m + 1) + 1):
+            for mu in enumerate_partitions(size, m - 1, m + 1):
+                row = kostka_row(mu.parts, m - 1)
+                for lam in enumerate_partitions(size, m - 1, size):
+                    assert row.get(lam.parts, 0) == kostka(lam, mu), (m, lam, mu)
+
+
+def test_kostka_row_holds_the_nonzero_numbers_within_the_cap():
+    assert kostka_row((), 0) == {(): 1}
+    assert kostka_row((1, 1, 1), 2) == {(2, 1): 2, (1, 1, 1): 1}
+    assert kostka_row((2, 2), 1) == {}
 
 
 # -- forgotten coefficients ---------------------------------------------------

@@ -1,13 +1,14 @@
-"""Plain value records: `__slots__` classes with field-wise equality and repr.
+"""Plain value records: frozen `__slots__` classes with field-wise equality,
+hash and repr.
 
 A record's fields are the names in its own `__slots__` that do not start
 with an underscore, in order; underscored slots hold private state that
-equality and repr ignore.  Two records are equal when they are of the same
-class and their fields are equal.  `Record` is mutable and unhashable;
-`FrozenRecord` hashes its fields and refuses assignment, so its
-constructor sets fields with `_set`.  Both pickle and copy through the
-constructor, called with the fields in order, so every class's `__init__`
-takes its fields positionally in slot order.
+equality, hash and repr ignore.  Two records are equal when they are of the
+same class and their fields are equal, and a record hashes its fields, so
+one holding a dict is unhashable.  A record refuses assignment and
+deletion, so its constructor sets slots with `_set`.  Records pickle and
+copy through the constructor, called with the fields in order, so every
+class's `__init__` takes its fields positionally in slot order.
 """
 
 from __future__ import annotations
@@ -33,19 +34,15 @@ class Record:
             return self._key(self) == self._key(other)
         return NotImplemented
 
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
     def __repr__(self) -> str:
         body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{self.__class__.__qualname__}({body})"
 
     def __reduce__(self):
         return self.__class__, tuple(getattr(self, n) for n in self._fields)
-
-
-class FrozenRecord(Record):
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._key(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

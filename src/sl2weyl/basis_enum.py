@@ -20,11 +20,11 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from ._record import FrozenRecord, _set
+from ._record import Record, _set
 from .dpalgebra import mono_degree, mono_weight
 
 
-class BasisSet(FrozenRecord):
+class BasisSet(Record):
     """A candidate basis: the monomials of one construction for one m, as a
     frozen value, equal and hashed by its fields."""
 

@@ -161,7 +161,6 @@ def _verification_payload(report) -> dict:
              "quotient_dim": s.quotient_dim, "candidates": s.candidate_count,
              "independent": s.independent, "spanning": s.spanning}
             for s in report.slices
-            if s.slice_dim or s.candidate_count
         ],
         "total_quotient_dim": report.total_quotient_dim,
         "total_candidates": report.total_candidates,

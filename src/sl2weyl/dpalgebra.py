@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from ._record import FrozenRecord, _set
+from ._record import Record, _set
 from .partitions import iter_partitions
 
 
@@ -41,7 +41,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class CoeffRing(FrozenRecord):
+class CoeffRing(Record):
     """char == 0 means the rationals, otherwise the prime field F_char.
 
     One object per characteristic: `CoeffRing(p)` returns the same instance

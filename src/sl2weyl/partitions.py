@@ -21,10 +21,10 @@ from __future__ import annotations
 import functools
 import re
 
-from ._record import FrozenRecord, _set
+from ._record import Record, _set
 
 
-class Partition(FrozenRecord):
+class Partition(Record):
     """Positive parts (weakly decreasing) plus a count of explicit zero pads;
     a frozen value, equal and hashed by its fields."""
 

@@ -46,7 +46,7 @@ slices it can show are full:
   d, w) and is cached for the whole process, each piece built on first
   use: the slice monomials (`dpalgebra.slice_monomials`, the one table the
   generator families read too) and their column index, the nonempty lower
-  slices as plain records with their sizes and, per shift, the bitmask of
+  slices as plain tuples with their sizes and, per shift, the bitmask of
   the columns it covers (`_lower_slices`, read where the lower slice is
   full), and the column map of a shift (`_shift`, built only where the
   lower slice is not full).  The echelon of a full slice depends only on
@@ -69,9 +69,10 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 
-from ._record import FrozenRecord, Record, _set
+from ._record import Record, _set
 from .basis_enum import BasisSet, truncated_basis
 from .dpalgebra import (
     CoeffRing,
@@ -120,7 +121,7 @@ def _nonzero_binoms(ring: CoeffRing, j: int, d: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _lower_slices(m: int, ring: CoeffRing, d: int, w: int) -> tuple:
-    """The nonempty lower slices of slice (d, w) as records
+    """The nonempty lower slices of slice (d, w) as tuples
     (key, size, i, j, mask): the lower slice key = (d - j, w - i*j), its
     size, and the shift x_i^(j) that carries it up, for the shift powers
     j <= d (j = 1 over the rationals; j = 1, p, p^2, ... over F_p), by j,
@@ -280,7 +281,7 @@ def _full_echelon(p: int, n: int) -> _Echelon:
 # reports
 
 
-class SliceReport(FrozenRecord):
+class SliceReport(Record):
     __slots__ = (
         "degree", "weight", "slice_dim", "quotient_dim", "candidate_count",
         "independent", "spanning",
@@ -308,14 +309,14 @@ class DimReport(Record):
 
     def __init__(
         self, m: int, char: int, degree_bound: int, dims: dict[tuple[int, int], int],
-        total: int, elapsed_seconds: float = 0.0,
+        total: int, elapsed_seconds: float,
     ):
-        self.m = m
-        self.char = char
-        self.degree_bound = degree_bound
-        self.dims = dims
-        self.total = total
-        self.elapsed_seconds = elapsed_seconds
+        _set(self, "m", m)
+        _set(self, "char", char)
+        _set(self, "degree_bound", degree_bound)
+        _set(self, "dims", dims)
+        _set(self, "total", total)
+        _set(self, "elapsed_seconds", elapsed_seconds)
 
 
 class VerificationReport(Record):
@@ -323,14 +324,14 @@ class VerificationReport(Record):
 
     def __init__(
         self, m: int, char: int, provenance: str, degree_bound: int,
-        slices: list[SliceReport] | None = None, elapsed_seconds: float = 0.0,
+        slices, elapsed_seconds: float,
     ):
-        self.m = m
-        self.char = char
-        self.provenance = provenance
-        self.degree_bound = degree_bound
-        self.slices = [] if slices is None else slices
-        self.elapsed_seconds = elapsed_seconds
+        _set(self, "m", m)
+        _set(self, "char", char)
+        _set(self, "provenance", provenance)
+        _set(self, "degree_bound", degree_bound)
+        _set(self, "slices", tuple(slices))
+        _set(self, "elapsed_seconds", elapsed_seconds)
 
     @property
     def passed(self) -> bool:
@@ -345,7 +346,7 @@ class VerificationReport(Record):
         return sum(s.candidate_count for s in self.slices)
 
 
-class GradedSlice(FrozenRecord):
+class GradedSlice(Record):
     """The literal rows of one slice; `ring` is the one `CoeffRing` object
     of its characteristic."""
 
@@ -544,12 +545,17 @@ class OracleSession:
         t0 = time.monotonic()
         if candidate.m != self.m:
             raise ValueError("candidate basis is for a different m")
+        # the slices would skip a negative or fractional exponent and find no
+        # column for a monomial of another length; the check reads only the
+        # distinct lengths and exponents, a few of each
+        lengths = set(map(len, candidate.monomials))
+        exponents = set(chain.from_iterable(candidate.monomials))
+        if lengths - {self.m} or not all(isinstance(e, int) and e >= 0 for e in exponents):
+            raise ValueError(f"candidate monomials must be {self.m} nonnegative integers each")
         cand = candidate.by_slice()
         if any(d > self.degree_bound for d, _ in cand):
             raise ValueError("candidate monomials exceed the degree bound")
-        report = VerificationReport(
-            self.m, self.ring.char, candidate.provenance, self.degree_bound
-        )
+        slices = []
         for d, w in _box_slices(self.m, self.degree_bound):
             monos = slice_monomials(self.m, d, w)
             ech = self.space(d, w)
@@ -562,10 +568,11 @@ class OracleSession:
                     indep = False
                     break
             q = len(monos) - ech.rank
-            report.slices.append(
-                SliceReport(d, w, len(monos), q, len(cands), indep, q == len(cands))
-            )
-        report.elapsed_seconds = time.monotonic() - t0
+            slices.append(SliceReport(d, w, len(monos), q, len(cands), indep, q == len(cands)))
+        report = VerificationReport(
+            self.m, self.ring.char, candidate.provenance, self.degree_bound, slices,
+            time.monotonic() - t0,
+        )
         if report.passed:
             self.verified.add(candidate)
         return report
@@ -635,12 +642,12 @@ class TruncationReport(Record):
         self, m: int, n_trunc: int, char: int, dims: DimReport, basis_size: int,
         verification: VerificationReport,
     ):
-        self.m = m
-        self.n_trunc = n_trunc
-        self.char = char
-        self.dims = dims
-        self.basis_size = basis_size
-        self.verification = verification
+        _set(self, "m", m)
+        _set(self, "n_trunc", n_trunc)
+        _set(self, "char", char)
+        _set(self, "dims", dims)
+        _set(self, "basis_size", basis_size)
+        _set(self, "verification", verification)
 
     @property
     def passed(self) -> bool:

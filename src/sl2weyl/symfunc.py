@@ -71,31 +71,23 @@ def kostka(lam: Partition, mu: Partition) -> int:
     return _kostka(lam.parts, mu.parts)
 
 
-# the Kostka row of each content by (content, cap) for the whole process, so
-# every degree, slice and ring reads one row per content
-_kostka_rows: dict = {}
-
-
+@lru_cache(maxsize=None)
 def kostka_row(content: tuple[int, ...], cap: int) -> dict:
     """{lam: K_{lam,content}} over the shapes lam with lam_1 <= cap whose
     Kostka number is nonzero, for `content` a descending tuple of positive
     parts, such as the mu of a slice, which is not padded to its degree.
     Pieri rule: each shape in the row of content[:-1] gains every horizontal
     strip of content[-1] cells that keeps it within cap columns; strips only
-    widen a shape, so the cap loses no term.  Kept in `_kostka_rows`; read
-    only."""
-    key = (content, cap)
-    row = _kostka_rows.get(key)
-    if row is None:
-        if not content:
-            row = {(): 1}
-        else:
-            row = {}
-            size = content[-1]
-            for nu, k in kostka_row(content[:-1], cap).items():
-                for lam in _added_horizontal_strips(nu, size, cap):
-                    row[lam] = row.get(lam, 0) + k
-        _kostka_rows[key] = row
+    widen a shape, so the cap loses no term.  Cached for the whole process by
+    (content, cap), so every degree, slice and ring reads one row per
+    content; read only."""
+    if not content:
+        return {(): 1}
+    row = {}
+    size = content[-1]
+    for nu, k in kostka_row(content[:-1], cap).items():
+        for lam in _added_horizontal_strips(nu, size, cap):
+            row[lam] = row.get(lam, 0) + k
     return row
 
 

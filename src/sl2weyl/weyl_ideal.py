@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import factorial
 from operator import sub
 
-from ._record import FrozenRecord, Record, _set
+from ._record import Record, _set
 from .dpalgebra import (
     CoeffRing,
     DPoly,
@@ -56,7 +56,7 @@ class UnsupportedCharacteristicError(ValueError):
     """Raised when a family is only available in characteristic zero."""
 
 
-class YSeriesSpec(FrozenRecord):
+class YSeriesSpec(Record):
     """Series parameters: s auxiliary variables, divided power k, variable
     indices capped at m-1."""
 
@@ -70,7 +70,7 @@ class YSeriesSpec(FrozenRecord):
         _set(self, "k", k)
 
 
-class GeneratorEntry(FrozenRecord):
+class GeneratorEntry(Record):
     """A homogeneous generator with its bidegree, which the builder knows
     (power or k, and the weight or |lam|) and stores once, so sessions read
     it without scanning the polynomial."""
@@ -91,34 +91,30 @@ class GeneratorSet(Record):
     covers; equal by its fields, not by its slice index."""
 
     __slots__ = (
-        "m", "ring", "family", "entries", "degree_bound", "weight_bound",
-        "_index", "_indexed",
+        "m", "ring", "family", "entries", "degree_bound", "weight_bound", "_index",
     )
 
     def __init__(
-        self, m: int, ring: CoeffRing, family: str, entries: list | None = None,
-        degree_bound: int = 0, weight_bound: int = 0,
+        self, m: int, ring: CoeffRing, family: str, entries, degree_bound: int,
+        weight_bound: int,
     ):
-        self.m = m
-        self.ring = ring
-        self.family = family  # "defining" | "schur" | "forgotten"
-        self.entries = [] if entries is None else entries
-        self.degree_bound = degree_bound
-        self.weight_bound = weight_bound
-        self._index = {}
-        self._indexed = []
+        _set(self, "m", m)
+        _set(self, "ring", ring)
+        _set(self, "family", family)  # "defining" | "schur" | "forgotten"
+        _set(self, "entries", tuple(entries))
+        _set(self, "degree_bound", degree_bound)
+        _set(self, "weight_bound", weight_bound)
+        _set(self, "_index", None)
 
     def by_slice(self) -> dict:
         """The entries' polynomials grouped by (degree, weight), in entry
-        order; read only.  Built once and kept for the sessions on this set,
-        and built afresh whenever `entries` no longer holds exactly the
-        entries it was built from (appended, removed or replaced), so a
-        session never reads a stale index."""
-        if self._indexed != self.entries:
+        order; built on the first call and kept for the sessions on this
+        set, so read only."""
+        if self._index is None:
             index = {}
             for e in self.entries:
                 index.setdefault((e.degree, e.weight), []).append(e.poly)
-            self._index, self._indexed = index, list(self.entries)
+            _set(self, "_index", index)
         return self._index
 
 
@@ -229,8 +225,7 @@ def defining_generators(
     is fixed at m-1 without loss."""
     if degree_bound < m + 1:
         raise ValueError(f"degree_bound must be >= m+1 = {m + 1}")
-    gs = GeneratorSet(m, ring, "defining", [], degree_bound, weight_bound)
-    seen = set()
+    entries, seen = [], set()
     for power in range(1, degree_bound + 1):
         for w in range(min(weight_bound, power * (m - 1)) + 1):
             for uexp, pairs in slice_series(m, power, w):
@@ -243,10 +238,8 @@ def defining_generators(
                     continue
                 seen.add(key)
                 k = power + sum(uexp)
-                gs.entries.append(
-                    GeneratorEntry(poly, ("series", uexp, power, k), power, w)
-                )
-    return gs
+                entries.append(GeneratorEntry(poly, ("series", uexp, power, k), power, w))
+    return GeneratorSet(m, ring, "defining", entries, degree_bound, weight_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +286,7 @@ def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
     only nonzero numbers, and every lam in it has l(lam) <= l(mu) <= k."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    gs = GeneratorSet(m, ring, "schur", [], m + 1, (m + 1) * (m - 1))
+    entries = []
     for k in range(1, m + 2):
         for size in range((m - 1) * k + 1):
             by_shape = {}
@@ -303,8 +296,8 @@ def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
             for lam in iter_partitions(size, m - 1, k):
                 if max(lam, default=0) + k > m:
                     poly = DPoly(ring, m, by_shape[lam])
-                    gs.entries.append(GeneratorEntry(poly, ("schur", lam, k), k, size))
-    return gs
+                    entries.append(GeneratorEntry(poly, ("schur", lam, k), k, size))
+    return GeneratorSet(m, ring, "schur", entries, m + 1, (m + 1) * (m - 1))
 
 
 def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
@@ -316,17 +309,15 @@ def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
         raise UnsupportedCharacteristicError(
             "the revlex family is only available in characteristic 0"
         )
-    gs = GeneratorSet(m, ring, "forgotten", [], m + 1, (m + 1) * (m - 1))
+    entries = []
     for k in range(2, m + 2):
         for size in range((m - 1) * k + 1):
             for lam in iter_partitions(size, m - 1, m + 1):
                 if len(lam) >= m - k + 1:
                     poly = forgotten_dpoly(Partition(lam), k, m, ring)
                     if not poly.is_zero():
-                        gs.entries.append(
-                            GeneratorEntry(poly, ("forgotten", lam, k), k, size)
-                        )
-    return gs
+                        entries.append(GeneratorEntry(poly, ("forgotten", lam, k), k, size))
+    return GeneratorSet(m, ring, "forgotten", entries, m + 1, (m + 1) * (m - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 import gc
+import importlib
 import itertools
+import pkgutil
 import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from sl2weyl import quotient_oracle
+import sl2weyl
+from sl2weyl import quotient_oracle, symfunc, weyl_ideal
 from sl2weyl.basis_enum import BasisSet, lex_basis, revlex_basis, truncated_basis
 from sl2weyl.dpalgebra import RATIONALS, DPoly, parse_dpoly, prime_field, slice_partitions
 from sl2weyl.quotient_oracle import (
@@ -95,6 +98,15 @@ def test_build_slice_requires_covering_bounds():
         build_slice(3, RATIONALS, 3, 6, gens)
 
 
+def _variables(m, ring, indices):
+    """The variables x_j, j in `indices`, as degree-one generator entries."""
+    out = []
+    for j in indices:
+        mono = tuple(int(i == j) for i in range(m))
+        out.append(GeneratorEntry(DPoly.monomial(ring, m, mono), ("extra", j), 1, j))
+    return tuple(out)
+
+
 def _assert_ranks_match_literal(m, ring, bound, sess, gens):
     for d in range(bound + 1):
         for w in range(d * max(m - 1, 0) + 1):
@@ -131,13 +143,9 @@ def test_given_and_truncated_sessions_equal_literal_rank():
             for n in range(1, m):
                 extra = range(n, m)
                 gens = GeneratorSet(
-                    m, ring, "truncated", list(defining.entries),
+                    m, ring, "truncated", defining.entries + _variables(m, ring, extra),
                     defining.degree_bound, defining.weight_bound,
                 )
-                for j in extra:
-                    mono = tuple(int(i == j) for i in range(m))
-                    poly = DPoly.monomial(ring, m, mono)
-                    gens.entries.append(GeneratorEntry(poly, ("extra", j), 1, j))
                 sess = OracleSession(m, ring, bound, extra_degree_one=extra)
                 _assert_ranks_match_literal(m, ring, bound, sess, gens)
 
@@ -161,34 +169,42 @@ def test_cached_slice_structure_is_shared_across_sessions():
 
 
 def test_dims_equal_after_clearing_the_caches():
+    # every process-wide table of the package, emptied, must fill again with
+    # the same values
     m = 5
     warm = {}
     for ring in RINGS:
         sess = OracleSession(m, ring, m + 2)
         sess.space(m + 2, (m + 2) * (m - 1) // 2)
         warm[ring.char] = sess.dims().dims
-    for f in vars(quotient_oracle).values():
-        if hasattr(f, "cache_clear"):
-            f.cache_clear()
+    warm_schur = schur_family(m, prime_field(3))
+    for info in pkgutil.iter_modules(sl2weyl.__path__):
+        module = importlib.import_module(f"sl2weyl.{info.name}")
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    weyl_ideal._product_table.clear()
+    assert symfunc.kostka_row.cache_info().currsize == 0
+    assert schur_family(m, prime_field(3)) == warm_schur
     for ring in RINGS:
         assert OracleSession(m, ring, m + 2).dims().dims == warm[ring.char], ring.char
 
 
 def test_family_index_follows_appended_entries():
-    # a session indexes its family once per GeneratorSet; entries appended
-    # after a session was built must reach the next session
+    # a session indexes its family once per GeneratorSet; a set built from a
+    # family plus appended entries must be read whole by its sessions, and
+    # the family's own index must stay as it was
     m, n = 4, 2
     for ring in RINGS:
         gens = schur_family(m, ring)
         before = OracleSession(m, ring, m + 1, gens=gens).dims()
-        for j in range(n, m):
-            mono = tuple(int(i == j) for i in range(m))
-            poly = DPoly.monomial(ring, m, mono)
-            gens.entries.append(GeneratorEntry(poly, ("extra", j), 1, j))
-        sess = OracleSession(m, ring, m + 1, gens=gens)
+        more = GeneratorSet(
+            m, ring, gens.family, gens.entries + _variables(m, ring, range(n, m)),
+            gens.degree_bound, gens.weight_bound,
+        )
+        sess = OracleSession(m, ring, m + 1, gens=more)
         assert sess.dims().total < before.total, ring.char
-        _assert_ranks_match_literal(m, ring, m + 1, sess, gens)
-        del gens.entries[-(m - n):]
+        _assert_ranks_match_literal(m, ring, m + 1, sess, more)
         again = OracleSession(m, ring, m + 1, gens=gens).dims()
         assert again.dims == before.dims, ring.char
 
@@ -311,11 +327,12 @@ def test_three_presentations_agree_over_qq():
     for m in (1, 2, 3, 4):
         base = OracleSession(m, RATIONALS, m + 2).dims()
         for family in (schur_family, forgotten_family):
-            gens = family(m, RATIONALS)
+            capped = family(m, RATIONALS)
             # derived families are capped at degree m+1; extend coverage by
             # declaring their box (their multiples still span every slice)
-            gens.degree_bound = m + 2
-            gens.weight_bound = (m + 2) * max(m - 1, 0)
+            gens = GeneratorSet(
+                m, RATIONALS, capped.family, capped.entries, m + 2, (m + 2) * max(m - 1, 0)
+            )
             alt = OracleSession(m, RATIONALS, m + 2, gens=gens).dims()
             assert alt.dims == base.dims, (m, gens.family)
 
@@ -361,6 +378,15 @@ def test_verify_rejects_another_m_and_monomials_beyond_the_bound():
     beyond = BasisSet(3, "lex", lex_basis(3).monomials | {(5, 0, 0)})
     with pytest.raises(ValueError, match="degree bound"):
         sess.verify_basis(beyond)
+    # a negative or fractional exponent lies in no slice of the box, and a
+    # monomial of another length has no column: each must be refused, not
+    # skipped
+    for bad in ((-1, 1, 0), (2, -1, 0), (0, 0, -1), (1, 0), (0.5, 0, 0)):
+        malformed = BasisSet(3, "lex", lex_basis(3).monomials | {bad})
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            sess.verify_basis(malformed)
+        assert malformed not in sess.verified
+    assert not sess.verified
 
 
 def test_verify_slice_counts_agree_between_bases():

@@ -33,28 +33,40 @@ slices it can show are full:
   x_i^(j) * x^(b - j e_i) with the lower slice (d - j, w - i*j) full, j one
   of the shift powers and C(b_i, j) nonzero in the ring.  A covered slice
   skips shifted rows, elimination and generators alike; extra generators
-  only add rank, so the rule holds for any generator family.  Every full
-  slice, covered or filled by elimination, keeps the unit pivots
-  {c: {c: 1}}: its normal forms are 0, and the rows shifted up from it are
-  single entries, so integer entries over the rationals do not grow from
-  slice to slice.  A slice that is not covered starts from unit pivots at
-  the columns its full lower slices reach (exactly their shifted rows) and
-  echelonizes only the rows of its other lower slices and, while still
-  short, generators.
+  only add rank, so the rule holds for any generator family.
+
+* unit pivots e_c are one bitmask of columns per echelon, not rows.  A full
+  slice, covered or filled by elimination, is the all-ones mask with no
+  rows: its normal forms are 0, and the rows shifted up from it are single
+  entries.  A slice that is not covered starts from the unit columns its
+  full lower slices reach (exactly their shifted rows) and those that the
+  unit columns of its other lower slices shift to with a nonzero constant.
+  It echelonizes only the other rows of those lower slices, stripped of the
+  unit columns, and, while still short, generators.  A row drops its unit
+  columns on entry, so integer entries over the rationals do not grow from
+  slice to slice.
+
+* the pivot leads, unit columns and row leads alike, are the DPLEX leading
+  monomials of the ideal slice (rows lead at their least column, and the
+  columns run in descending DPLEX order).  So candidates whose columns
+  avoid every lead are their own normal forms and independent at once;
+  `verify_basis` echelonizes residues only in a slice where a candidate
+  sits on a lead.  The lex basis is exactly the set of non-lead columns
+  of the ideal (the Groebner-Shirshov statement of the source paper), so
+  verifying it computes no residue.
 
 * what a slice needs besides echelons depends only on (m, characteristic,
   d, w) and is cached for the whole process, each piece built on first
   use: the slice monomials (`dpalgebra.slice_monomials`, the one table the
   generator families read too) and their column index, the nonempty lower
-  slices as plain tuples with their sizes and, per shift, the bitmask of
-  the columns it covers (`_lower_slices`, read where the lower slice is
-  full), and the column map of a shift (`_shift`, built only where the
-  lower slice is not full).  The echelon of a full slice depends only on
-  its size, so the full slices of all sessions share one per
-  (characteristic, size).  A given family is grouped by slice once per
-  `GeneratorSet`; a session holds only the echelons of its slices.  So
-  sessions after the first on the same (m, ring) go straight to
-  elimination.
+  slices as plain tuples with the all-ones masks of their columns and, per
+  shift, the bitmask of the columns it covers (`_lower_slices`, read where
+  the lower slice is full), the column map of a shift (`_shift`, built only
+  where the lower slice is not full), and the slices of a degree box with
+  their sizes (`_box_slices`).  A given family is grouped by slice once per
+  `GeneratorSet`; a session holds only the echelons of its slices, a full
+  one being a single mask.  So sessions after the first on the same
+  (m, ring) go straight to elimination.
 
 Rank computations and normal forms are exact and fraction-free in both
 rings: one echelon takes integer rows, keeping its pivot rows primitive over
@@ -103,12 +115,13 @@ def _column_index(m: int, d: int, w: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _box_slices(m: int, degree_bound: int) -> tuple:
-    """The nonempty slices (d, w) of the degree box, by degree, then weight."""
+    """The nonempty slices of the degree box as (d, w, size), by degree,
+    then weight."""
     return tuple(
-        (d, w)
+        (d, w, size)
         for d in range(degree_bound + 1)
         for w in range(d * max(m - 1, 0) + 1)
-        if slice_monomials(m, d, w)
+        if (size := len(slice_monomials(m, d, w)))
     )
 
 
@@ -122,8 +135,9 @@ def _nonzero_binoms(ring: CoeffRing, j: int, d: int) -> dict:
 @lru_cache(maxsize=None)
 def _lower_slices(m: int, ring: CoeffRing, d: int, w: int) -> tuple:
     """The nonempty lower slices of slice (d, w) as tuples
-    (key, size, i, j, mask): the lower slice key = (d - j, w - i*j), its
-    size, and the shift x_i^(j) that carries it up, for the shift powers
+    (key, full, i, j, mask): the lower slice key = (d - j, w - i*j), the
+    all-ones mask of its columns (its unit columns when it is full), and
+    the shift x_i^(j) that carries it up, for the shift powers
     j <= d (j = 1 over the rationals; j = 1, p, p^2, ... over F_p), by j,
     then i.
 
@@ -150,7 +164,7 @@ def _lower_slices(m: int, ring: CoeffRing, d: int, w: int) -> tuple:
             size = len(slice_monomials(m, d - j, lw))
             if size:
                 mask = int(exps[i].translate(digits), 2)
-                out.append(((d - j, lw), size, i, j, mask))
+                out.append(((d - j, lw), (1 << size) - 1, i, j, mask))
         if not ring.char:
             break
         j *= ring.char
@@ -184,20 +198,20 @@ def _shift(m: int, ring: CoeffRing, d: int, w: int, i: int, j: int) -> tuple:
 
 def _cancel_q(row, piv, lead, p):
     """Over the rationals: row * (a/g) - piv * (b/g), with a the pivot lead,
-    b the row lead and g = gcd(a, b)."""
+    b the row lead and g = gcd(a, b), in place."""
     a, b = piv[lead], row[lead]
     g = gcd(a, b)
     ca, cb = b // g, a // g
-    new = {}
-    for c, v in row.items():
-        new[c] = v * cb
+    if cb != 1:
+        for c, v in row.items():
+            row[c] = v * cb
     for c, v in piv.items():
-        nv = new.get(c, 0) - v * ca
+        nv = row.get(c, 0) - v * ca
         if nv:
-            new[c] = nv
+            row[c] = nv
         else:
-            new.pop(c, None)
-    return new
+            row.pop(c, None)
+    return row
 
 
 def _cancel_p(row, piv, lead, p):
@@ -218,23 +232,34 @@ class _Echelon:
     pivot rows are kept primitive with a positive lead; over F_p entries are
     reduced mod p and pivots lead with 1.  Only the cancel step (`_cancel_q`
     or `_cancel_p`, picked per call) and the pivot normalization depend on
-    the ring."""
+    the ring.
 
-    def __init__(self, p, units=()):
-        """Starts from the unit pivots {c: {c: 1}} at the columns `units`
-        (all columns for a full slice: its normal forms are 0 and rows
-        shifted up from it stay single entries)."""
+    The unit pivots e_c are the bitmask `units` (bit c for column c);
+    `pivots` holds the other rows by lead, and their entries avoid the unit
+    columns.  A full slice of n columns is units = 2^n - 1 with no rows:
+    every row reduces to 0 against it."""
+
+    __slots__ = ("p", "units", "pivots", "__weakref__")
+
+    def __init__(self, p, units=0):
         self.p = p
-        self.pivots: dict[int, dict[int, int]] = {c: {c: 1} for c in units}
+        self.units = units
+        self.pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self):
-        return len(self.pivots)
+        return self.units.bit_count() + len(self.pivots)
 
     def add(self, row) -> bool:
         """Echelonize an integer row (nonzero entries nonzero mod p) against
-        the pivots; True when it raises the rank."""
-        row = dict(row)
+        the pivots; True when it raises the rank.  Unit columns are dropped
+        on entry, which is the cancellation against their unit pivots."""
+        units = self.units
+        return self._insert({c: v for c, v in row.items() if not units >> c & 1})
+
+    def _insert(self, row) -> bool:
+        """`add` for a row of its own that avoids the unit columns; the row
+        is consumed."""
         pivots, p = self.pivots, self.p
         cancel = _cancel_p if p else _cancel_q
         while row:
@@ -250,11 +275,13 @@ class _Echelon:
         """Normal form against the pivot rows, fraction-free: returns
         (r, scale) with r = scale * normal form.  Every pivot-lead component
         is eliminated, so the normal form is unique and the map is linear.
-        Rational entries are cleared of denominators on entry."""
+        Rational entries are cleared of denominators on entry, and unit
+        columns are dropped."""
         scale = 1
         for v in row.values():
             scale = lcm(scale, v.denominator)
-        row = {c: int(v * scale) for c, v in row.items() if v}
+        units = self.units
+        row = {c: int(v * scale) for c, v in row.items() if v and not units >> c & 1}
         pivots, p = self.pivots, self.p
         cancel = _cancel_p if p else _cancel_q
         while True:
@@ -266,15 +293,6 @@ class _Echelon:
             a = piv[lead]
             scale *= a // gcd(a, row[lead])
             row = cancel(row, piv, lead, p)
-
-
-@lru_cache(maxsize=None)
-def _full_echelon(p: int, n: int) -> _Echelon:
-    """The echelon of a full slice of n columns: unit pivots, normal forms 0.
-    One per (characteristic, size), shared by the full slices of every
-    session: `add` and `residue` leave an echelon unchanged when every
-    column of the row is a pivot."""
-    return _Echelon(p, range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +431,19 @@ class OracleSession:
     A covered slice (see the module docstring) is stored full at once;
     other slices echelonize the shifted rows of their lower slices that are
     not full, and generator rows enter only where those fall short
-    (`build_slice` remains the literal reference).  Full slices hold unit
-    pivots.
+    (`build_slice` remains the literal reference).  Unit pivots are a
+    column bitmask, and a full slice is the all-ones mask with no rows.
 
     What a slice needs besides its echelon is cached at three levels.  Per
     (m, ring, d, w), for the whole process: the slice monomials, their
-    column index, the nonempty lower slices with their sizes and the
-    bitmask of columns each shift covers (`_lower_slices`), and the column
+    column index, the nonempty lower slices with the all-ones masks of
+    their columns and the bitmask of columns each shift covers
+    (`_lower_slices`), and the column
     map of each shift that `_eliminate` reads (`_shift`), each built on
-    first use; full echelons are shared per (characteristic, size).  Per
+    first use; per (m, degree bound), the box slices with their sizes.  Per
     given family: its polynomials grouped by slice (`GeneratorSet.by_slice`).
-    Per session: the echelons of the slices that are not full, and which
-    echelon each slice has.
+    Per session: the echelon of each slice, a full one holding only its
+    all-ones mask.
 
     gens: a family for the same m and ring covering the degree box, in place
     of the defining series coefficients.  extra_degree_one: indices j in
@@ -472,51 +491,68 @@ class OracleSession:
         """A covered slice is stored full at once; any other is eliminated."""
         ncols = len(slice_monomials(self.m, d, w))
         covered, partial = 0, []
-        for key, size, i, j, mask in _lower_slices(self.m, self.ring, d, w):
+        for key, lower_full, i, j, mask in _lower_slices(self.m, self.ring, d, w):
             lower = self._spaces.get(key)
             if lower is None:
                 lower = self.space(*key)
-            if lower.rank == size:
+            if lower.units == lower_full:
                 covered |= mask
             else:
                 partial.append((i, j, lower))
-        if covered == (1 << ncols) - 1:
-            return _full_echelon(self.ring.char, ncols)
-        return self._eliminate(d, w, ncols, partial, covered)
+        full = (1 << ncols) - 1
+        if covered == full:
+            return _Echelon(self.ring.char, full)
+        return self._eliminate(d, w, full, partial, covered)
 
-    def _eliminate(self, d, w, ncols, partial, covered):
-        """Echelon of a slice that is not covered: unit pivots at the
-        covered columns (all that the full lower slices shift up), then the
-        shifted rows of the other lower slices, then generator rows while
-        the rank stays below the slice size.  A slice this fills is stored
-        with unit pivots."""
+    def _eliminate(self, d, w, full, partial, covered):
+        """Echelon of a slice that is not covered: unit columns at the
+        covered columns (all that the full lower slices shift up) and at the
+        images of the unit columns of the other lower slices, then the
+        shifted rows of those lower slices without the unit columns, then
+        generator rows while the rank stays below the slice size.  A slice
+        this fills is stored full."""
         p = self.ring.char
-        bits = bin(covered)[:1:-1]  # bit c at position c
-        ech = _Echelon(p, [c for c, bit in enumerate(bits) if bit == "1"])
-        rows = []
+        shifts = []
         for i, j, lower in partial:
             shift = _shift(self.m, self.ring, d, w, i, j)
-            for piv in lower.pivots.values():
+            shifts.append((shift, lower.pivots))
+            # the shifted unit row e_a is C(a_i + j, j) e_b: a unit column
+            # of this slice wherever the constant is nonzero
+            units = lower.units
+            while units:
+                low = units & -units
+                hit = shift[low.bit_length() - 1]
+                if hit is not None:
+                    covered |= 1 << hit[0]
+                units ^= low
+        if covered == full:
+            return _Echelon(p, full)
+        rows = []
+        for shift, pivots in shifts:
+            for piv in pivots.values():
                 row = {}
                 for col, c in piv.items():
                     hit = shift[col]
-                    if hit is not None:
+                    if hit is not None and not covered >> hit[0] & 1:
                         row[hit[0]] = c * hit[1]
                 if row:
                     rows.append(row)
-        rows.sort(key=lambda r: min(r))
+        rows.sort(key=min)
+        ech = _Echelon(p, covered)
+        pivots = ech.pivots
+        target = (full ^ covered).bit_count()
         for row in rows:
-            if ech.rank == ncols:
+            if len(pivots) == target:
                 break
-            ech.add(row)
-        if ech.rank < ncols:
+            ech._insert(row)
+        if len(pivots) < target:
             index = _column_index(self.m, d, w)
             for poly in self._generators(d, w):
                 ech.add({index[a]: c for a, c in poly.terms.items()})
-                if ech.rank == ncols:
+                if len(pivots) == target:
                     break
-        if ech.rank == ncols:
-            return _full_echelon(p, ncols)
+        if len(pivots) == target:
+            return _Echelon(p, full)
         return ech
 
     def _generators(self, d, w):
@@ -534,14 +570,18 @@ class OracleSession:
     def dims(self) -> DimReport:
         t0 = time.monotonic()
         dims = {}
-        for d, w in _box_slices(self.m, self.degree_bound):
-            dims[(d, w)] = len(slice_monomials(self.m, d, w)) - self.space(d, w).rank
+        for d, w, size in _box_slices(self.m, self.degree_bound):
+            dims[(d, w)] = size - self.space(d, w).rank
         return DimReport(
             self.m, self.ring.char, self.degree_bound, dims, sum(dims.values()),
             time.monotonic() - t0,
         )
 
     def verify_basis(self, candidate: BasisSet) -> VerificationReport:
+        """A slice whose candidate columns avoid every pivot lead passes
+        independence at once: distinct non-lead columns are their own normal
+        forms.  Otherwise the residues of the candidates are echelonized in
+        an overlay, which decides."""
         t0 = time.monotonic()
         if candidate.m != self.m:
             raise ValueError("candidate basis is for a different m")
@@ -556,19 +596,23 @@ class OracleSession:
         if any(d > self.degree_bound for d, _ in cand):
             raise ValueError("candidate monomials exceed the degree bound")
         slices = []
-        for d, w in _box_slices(self.m, self.degree_bound):
-            monos = slice_monomials(self.m, d, w)
+        for d, w, size in _box_slices(self.m, self.degree_bound):
             ech = self.space(d, w)
-            cands = cand.get((d, w), [])
-            overlay = _Echelon(self.ring.char)
+            cands = cand.get((d, w), ())
             indep = True
-            for a in cands:
-                res, _ = ech.residue({_column_index(self.m, d, w)[a]: 1})
-                if not res or not overlay.add(res):
-                    indep = False
-                    break
-            q = len(monos) - ech.rank
-            slices.append(SliceReport(d, w, len(monos), q, len(cands), indep, q == len(cands)))
+            if cands:
+                index = _column_index(self.m, d, w)
+                cols = [index[a] for a in cands]
+                units, pivots = ech.units, ech.pivots
+                if any(units >> c & 1 or c in pivots for c in cols):
+                    overlay = _Echelon(self.ring.char)
+                    for c in cols:
+                        res, _ = ech.residue({c: 1})
+                        if not res or not overlay.add(res):
+                            indep = False
+                            break
+            q = size - ech.rank
+            slices.append(SliceReport(d, w, size, q, len(cands), indep, q == len(cands)))
         report = VerificationReport(
             self.m, self.ring.char, candidate.provenance, self.degree_bound, slices,
             time.monotonic() - t0,

@@ -1,4 +1,5 @@
 import json
+import re
 
 from sl2weyl.cli import main
 
@@ -171,3 +172,14 @@ def test_selftest_smoke(capsys):
     assert code == 0
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 10 and all(l.startswith("PASS") for l in lines)
+
+
+def test_selftest_stdout_is_byte_identical_across_runs(capsys):
+    # criterion timings go to stderr; the second run reads warm caches, so
+    # any time left on stdout would differ
+    code1, out1, err1 = run(capsys, "selftest", "--max-m", "2")
+    code2, out2, err2 = run(capsys, "selftest", "--max-m", "2")
+    assert code1 == code2 == 0 and out1 == out2
+    assert not re.search(r"\d\.\d+s", out1)
+    assert len(err1.splitlines()) == len(err2.splitlines()) == 10
+    assert all(line.endswith("s") for line in err1.splitlines())

@@ -10,12 +10,13 @@ import pytest
 
 import sl2weyl
 from sl2weyl import quotient_oracle, symfunc, weyl_ideal
-from sl2weyl.basis_enum import BasisSet, lex_basis, revlex_basis, truncated_basis
+from sl2weyl.basis_enum import BasisSet, cv_basis, lex_basis, revlex_basis, truncated_basis
 from sl2weyl.dpalgebra import RATIONALS, DPoly, parse_dpoly, prime_field, slice_partitions
 from sl2weyl.quotient_oracle import (
     ConfigurationError,
     MustVerifyFirstError,
     OracleSession,
+    SliceReport,
     _box_slices,
     _Echelon,
     build_slice,
@@ -161,8 +162,8 @@ def test_cached_slice_structure_is_shared_across_sessions():
             gens = defining_generators(m, ring, bound, bound * max(m - 1, 1))
             runs.append((ring, gens, OracleSession(m, ring, bound)))
         top = max(_box_slices(m, bound))
-        runs[2][2].space(*top)
-        for d, w in _box_slices(m, bound):
+        runs[2][2].space(*top[:2])
+        for d, w, _ in _box_slices(m, bound):
             for ring, gens, sess in runs:
                 lit = slice_rank(build_slice(m, ring, d, w, gens))
                 assert sess.space(d, w).rank == lit, (m, ring.char, d, w)
@@ -228,42 +229,46 @@ def test_session_rejects_a_family_for_another_m_or_ring(
 
 def test_covered_slices_skip_elimination(monkeypatch):
     # at m = 6 over Q (degree box 8) 126 of the 189 slices are covered and
-    # 21 more are filled by elimination, which starts from unit pivots at the
-    # columns the full lower slices reach; echelonizing every shifted row
-    # takes 9,777 adds for 2,939 pivots
+    # 21 more are filled by elimination, which starts from unit columns at
+    # the columns the full lower slices reach and the images of the unit
+    # columns of the others; echelonizing every shifted row takes 9,777
+    # rows for 2,939 pivots.  Every row reaches the pivots through
+    # `_insert`, `add` included.
     calls = [0]
-    add = _Echelon.add
+    insert = _Echelon._insert
 
-    def counting_add(self, row):
+    def counting_insert(self, row):
         calls[0] += 1
-        return add(self, row)
+        return insert(self, row)
 
-    monkeypatch.setattr(_Echelon, "add", counting_add)
+    monkeypatch.setattr(_Echelon, "_insert", counting_insert)
     assert OracleSession(6, RATIONALS, 8).dims().total == 64
-    assert calls[0] <= 374
+    assert 0 < calls[0] <= 292
 
 
 def test_full_slices_hold_unit_pivots():
+    # a full slice is the all-ones mask of unit columns with no rows: every
+    # row reduces to 0 against it, and adding one changes nothing
     for m in (1, 2, 3, 4, 5):
         for ring in RINGS:
             sessions = [OracleSession(m, ring, m + 2)]
             sessions.append(OracleSession(m, ring, m + 1, gens=schur_family(m, ring)))
             for sess in sessions:
                 full = 0
-                for d, w in _box_slices(m, sess.degree_bound):
-                    n = len(slice_monomials(m, d, w))
+                for d, w, n in _box_slices(m, sess.degree_bound):
+                    assert n == len(slice_monomials(m, d, w)) > 0
                     ech = sess.space(d, w)
                     if ech.rank < n:
                         continue
                     full += 1
-                    units = {c: {c: 1} for c in range(n)}
-                    assert ech.pivots == units, (m, ring.char, d, w)
+                    units = (1 << n) - 1
+                    assert ech.units == units and ech.pivots == {}, (m, ring.char, d, w)
                     rows = [{c: 3} for c in range(n)]
                     rows.append({c: c + 1 - n for c in range(n - 1)} | {n - 1: 7})
                     for row in rows:
                         assert ech.residue(row) == ({}, 1), (m, ring.char, d, w, row)
-                        # full echelons are shared between sessions
-                        assert not ech.add(row) and ech.pivots == units
+                        assert not ech.add(row), (m, ring.char, d, w, row)
+                        assert ech.units == units and ech.pivots == {} and ech.rank == n
                 assert full, (m, ring.char)
 
 
@@ -286,8 +291,9 @@ def test_echelons_are_freed_without_the_collector():
     gc.disable()
     try:
         for p in (0, 3):
-            ech = _Echelon(p, [0])
+            ech = _Echelon(p, 1)  # a unit column at 0
             assert ech.add({1: 2, 2: 1}) and ech.add({1: 1, 2: 2}) == (p == 0)
+            assert ech.units == 1 and ech.rank == (3 if p == 0 else 2)
             assert ech.residue({0: 1, 1: Fraction(1, 2), 2: 1})[0] == {}
             witness = weakref.ref(ech)
             del ech
@@ -416,6 +422,88 @@ def test_verify_corrupted_candidate_fails_once():
     assert len(failing2) == 1 and not failing2[0].independent
 
 
+def _overlay_slices(sess, candidate):
+    """The slice verdicts with every candidate's residue echelonized in an
+    overlay, the reference the fast path must equal."""
+    cand = candidate.by_slice()
+    out = []
+    for d, w, size in _box_slices(sess.m, sess.degree_bound):
+        monos = slice_monomials(sess.m, d, w)
+        ech = sess.space(d, w)
+        cands = cand.get((d, w), [])
+        overlay = _Echelon(sess.ring.char)
+        indep = True
+        for a in cands:
+            res, _ = ech.residue({monos.index(a): 1})
+            if not res or not overlay.add(res):
+                indep = False
+                break
+        q = size - ech.rank
+        out.append(SliceReport(d, w, size, q, len(cands), indep, q == len(cands)))
+    return tuple(out)
+
+
+def _lead_monomial(sess):
+    """A monomial at a pivot lead: a row lead where there is one, else a unit
+    column of a slice that is not full, else a column of a full slice."""
+    units = []
+    for d, w, size in _box_slices(sess.m, sess.degree_bound):
+        ech = sess.space(d, w)
+        monos = slice_monomials(sess.m, d, w)
+        if ech.pivots:
+            return monos[min(ech.pivots)]
+        units += [(ech.rank == size, monos[c]) for c in range(size) if ech.units >> c & 1]
+    return min(units)[1]
+
+
+def test_verification_fast_path_equals_the_overlay():
+    for m in range(1, 7):
+        lex = lex_basis(m)
+        for ring in RINGS:
+            sessions = {
+                "default": OracleSession(m, ring, m + 1),
+                "schur": OracleSession(m, ring, m + 1, gens=schur_family(m, ring)),
+            }
+            if not ring.char:
+                sessions["forgotten"] = OracleSession(
+                    m, ring, m + 1, gens=forgotten_family(m, ring)
+                )
+            for kind, sess in sessions.items():
+                lead = _lead_monomial(sess)
+                assert lead not in lex.monomials
+                candidates = [
+                    lex, revlex_basis(m), cv_basis(m),
+                    BasisSet(m, "lex-minus", lex.monomials - {max(lex.monomials)}),
+                    BasisSet(m, "lex-plus", lex.monomials | {lead}),
+                ]
+                if m > 2:
+                    candidates.append(truncated_basis(m, 2))
+                for candidate in candidates:
+                    where = (m, ring.char, kind, candidate.provenance)
+                    rep = sess.verify_basis(candidate)
+                    assert rep.slices == _overlay_slices(sess, candidate), where
+                    assert rep.passed == (candidate.provenance in ("lex", "revlex", "cv")), where
+
+
+def test_lex_verification_makes_no_residue_calls(monkeypatch):
+    # the lex basis is the set of non-lead columns in every slice, so each
+    # slice passes on the fast path
+    calls = [0]
+    residue = _Echelon.residue
+
+    def counting_residue(self, row):
+        calls[0] += 1
+        return residue(self, row)
+
+    monkeypatch.setattr(_Echelon, "residue", counting_residue)
+    for ring in RINGS:
+        sess = OracleSession(6, ring, 7, gens=schur_family(6, ring))
+        assert sess.verify_basis(lex_basis(6)).passed, ring.char
+    assert calls[0] == 0
+    sess.verify_basis(revlex_basis(6))
+    assert calls[0] > 0
+
+
 def test_greedy_pivot_complement_is_the_lex_basis():
     # the monomials NOT appearing as pivot leads, slice by slice, are exactly
     # the reduced monomials (pivots are taken greedily in descending DPLEX)
@@ -430,6 +518,8 @@ def test_greedy_pivot_complement_is_the_lex_basis():
                     continue
                 ech = sess.space(d, w)
                 pivot_cols = set(ech.pivots)
+                pivot_cols.update(c for c in range(len(monos)) if ech.units >> c & 1)
+                assert len(pivot_cols) == ech.rank, (m, d, w)
                 free.update(
                     monos[i] for i in range(len(monos)) if i not in pivot_cols
                 )

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Sweep the graded quotient dimensions over m and ground fields.
 
-Prints, per m: the total dimension in each characteristic (they agree and
-equal 2^m), the wall time, and the graded table (degree rows, weight columns)
-over the rationals.  Degrees above m are verified to vanish through m+2.
+Prints, per m: the total dimension in each characteristic, the wall time,
+and the graded table (degree rows, weight columns) in the first listed
+characteristic (the rationals by default).  Exits 1 unless the totals agree
+and equal 2^m and every slice of degree m+1 or m+2 vanishes; a `--chars`
+entry that is not 0 or a prime is a usage error (exit 2).
 
 Usage: python3 scripts/dimension_sweep.py [max_m] [--chars 0,2,3,5]
 """
@@ -15,22 +17,29 @@ import time
 from sl2weyl import CoeffRing, quotient_dim
 
 
+def rings(text: str) -> list:
+    """The comma-separated characteristics as rings, 0 meaning the rationals."""
+    try:
+        return [CoeffRing(int(c)) for c in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("max_m", type=int, nargs="?", default=5)
-    ap.add_argument("--chars", default="0,2,3,5")
+    ap.add_argument("--chars", type=rings, default="0,2,3,5")
     args = ap.parse_args()
-    chars = [int(c) for c in args.chars.split(",")]
 
     for m in range(1, args.max_m + 1):
         totals = {}
         tables = {}
-        for char in chars:
+        for ring in args.chars:
             t0 = time.monotonic()
-            rep = quotient_dim(m, CoeffRing(char), m + 2)
+            rep = quotient_dim(m, ring, m + 2)
             dt = time.monotonic() - t0
-            totals[char] = (rep.total, dt)
-            tables[char] = rep.dims
+            totals[ring.char] = (rep.total, dt)
+            tables[ring.char] = rep.dims
         line = "  ".join(
             f"char {c}: {tot} [{dt:.2f}s]" for c, (tot, dt) in totals.items()
         )
@@ -38,7 +47,15 @@ def main() -> int:
         if len({t for t, _ in totals.values()}) != 1:
             print("  !! totals disagree between characteristics")
             return 1
-        dims = tables[chars[0]]
+        if any(t != 2**m for t, _ in totals.values()):
+            print(f"  !! totals differ from 2^m = {2**m}")
+            return 1
+        for c, dims in tables.items():
+            high = sorted(k for k, q in dims.items() if k[0] > m and q)
+            if high:
+                print(f"  !! char {c}: slices above degree {m} do not vanish: {high}")
+                return 1
+        dims = tables[args.chars[0].char]
         max_w = max((w for (_, w), q in dims.items() if q), default=0)
         print("     weight:", " ".join(f"{w:>3}" for w in range(max_w + 1)))
         for d in range(m + 1):

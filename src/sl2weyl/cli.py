@@ -1,6 +1,8 @@
 """Command-line front end.  Every payload is exact (integers or rational
 strings); output is byte-identical across runs except for the clearly marked
-elapsed-seconds field in verification reports."""
+elapsed-seconds field in verification reports.  Timings in text mode (the
+elapsed seconds of `dim` and `verify`, the criterion times of `selftest`) go
+to stderr."""
 
 from __future__ import annotations
 

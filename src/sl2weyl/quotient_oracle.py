@@ -51,9 +51,13 @@ slices it can show are full:
   columns run in descending DPLEX order).  So candidates whose columns
   avoid every lead are their own normal forms and independent at once;
   `verify_basis` echelonizes residues only in a slice where a candidate
-  sits on a lead.  The lex basis is exactly the set of non-lead columns
-  of the ideal (the Groebner-Shirshov statement of the source paper), so
-  verifying it computes no residue.
+  sits on a lead (an overlay slice).  A verified basis is exactly the set
+  of non-lead columns outside its overlay slices, so there `reduce_element`
+  reads the coordinates off the normal form of the element and solves only
+  in the overlay slices.  The lex basis is exactly the set of non-lead
+  columns of the ideal (the Groebner-Shirshov statement of the source
+  paper), so verifying it computes no residue and reducing in it builds no
+  solver.
 
 * what a slice needs besides echelons depends only on (m, characteristic,
   d, w) and is cached for the whole process, each piece built on first
@@ -477,7 +481,9 @@ class OracleSession:
             for j in extra_degree_one
         }
         self._spaces: dict[tuple[int, int], _Echelon] = {}
-        self.verified: set[BasisSet] = set()
+        # each verified basis -> its overlay slices, where a candidate sits
+        # on a pivot lead
+        self.verified: dict[BasisSet, frozenset] = {}
 
     # -- slice spaces ------------------------------------------------------
 
@@ -580,8 +586,9 @@ class OracleSession:
     def verify_basis(self, candidate: BasisSet) -> VerificationReport:
         """A slice whose candidate columns avoid every pivot lead passes
         independence at once: distinct non-lead columns are their own normal
-        forms.  Otherwise the residues of the candidates are echelonized in
-        an overlay, which decides."""
+        forms.  Otherwise (an overlay slice) the residues of the candidates
+        are echelonized in an overlay, which decides.  A basis that passes
+        is stored in `verified` with its overlay slices."""
         t0 = time.monotonic()
         if candidate.m != self.m:
             raise ValueError("candidate basis is for a different m")
@@ -595,7 +602,7 @@ class OracleSession:
         cand = candidate.by_slice()
         if any(d > self.degree_bound for d, _ in cand):
             raise ValueError("candidate monomials exceed the degree bound")
-        slices = []
+        slices, overlays = [], []
         for d, w, size in _box_slices(self.m, self.degree_bound):
             ech = self.space(d, w)
             cands = cand.get((d, w), ())
@@ -605,6 +612,7 @@ class OracleSession:
                 cols = [index[a] for a in cands]
                 units, pivots = ech.units, ech.pivots
                 if any(units >> c & 1 or c in pivots for c in cols):
+                    overlays.append((d, w))
                     overlay = _Echelon(self.ring.char)
                     for c in cols:
                         res, _ = ech.residue({c: 1})
@@ -618,20 +626,29 @@ class OracleSession:
             time.monotonic() - t0,
         )
         if report.passed:
-            self.verified.add(candidate)
+            self.verified[candidate] = frozenset(overlays)
         return report
 
     def reduce_element(self, f: DPoly, candidate: BasisSet):
         """Coordinates of the residue of f in the verified candidate basis.
         Only that very basis counts as verified, not others sharing its
-        provenance label."""
-        if candidate not in self.verified:
+        provenance label.
+
+        Outside the overlay slices of the basis its monomials are exactly
+        the non-lead columns, where the normal form of f lives, so the
+        coordinates are the entries of the residue (r, scale) of f divided
+        by the scale; the lex basis has no overlay slice.  In an overlay
+        slice the residues of the basis monomials are echelonized with
+        tags, and the coordinates are solved for."""
+        overlays = self.verified.get(candidate)
+        if overlays is None:
             raise MustVerifyFirstError(
                 "verify_basis must pass for this candidate before reducing"
             )
         if f.m != self.m or f.ring != self.ring:
             raise ValueError("element does not match the session")
-        cand = candidate.by_slice()
+        cand = candidate.by_slice() if overlays else None
+        p = self.ring.char
         coords: dict[tuple, object] = {}
         by_slice: dict[tuple[int, int], dict] = {}
         for a, c in f.terms.items():
@@ -643,12 +660,20 @@ class OracleSession:
             index = _column_index(self.m, d, w)
             ech = self.space(d, w)
             res_f, scale_f = ech.residue({index[a]: c for a, c in terms.items()})
+            if (d, w) not in overlays:
+                if p:
+                    inv = pow(scale_f, -1, p)
+                    for c, v in res_f.items():
+                        coords[monos[c]] = v * inv % p
+                else:
+                    for c, v in res_f.items():
+                        coords[monos[c]] = Fraction(v, scale_f)
+                continue
             basis_monos = cand.get((d, w), [])
             # solve res_f = sum coords_b * residue(b) by eliminating with
             # augmented tags: row res_b + scale_b * e_t is scale_b times
             # (residue(b) + e_t), so the tags come out as -coords
             n = len(monos)
-            p = self.ring.char
             solver = _Echelon(p)
             for t, b in enumerate(basis_monos):
                 res_b, scale_b = ech.residue({index[b]: 1})

@@ -2,6 +2,7 @@ import gc
 import importlib
 import itertools
 import pkgutil
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -643,6 +644,87 @@ def test_reduce_element_mod_p():
     assert sess.verify_basis(bs).passed
     f = parse_dpoly("x0*x2", 3, ring)
     assert sess.reduce_element(f, bs) == {(0, 2, 0): 1}  # -1 = 1 mod 2
+
+
+def _solver_coords(sess, f, basis):
+    """Coordinates with the tagged solver forced in every slice, by marking
+    every slice of the box an overlay slice of the basis: the reference the
+    normal-form path must equal."""
+    overlays = sess.verified[basis]
+    sess.verified[basis] = frozenset((d, w) for d, w, _ in _box_slices(sess.m, sess.degree_bound))
+    try:
+        return sess.reduce_element(f, basis)
+    finally:
+        sess.verified[basis] = overlays
+
+
+def _typed(coords):
+    return {a: (type(v), v) for a, v in coords.items()}
+
+
+def test_normal_form_reduction_equals_the_solver():
+    rng = random.Random(20261018)
+    for m in range(1, 6):
+        bound = m + 1
+        box = [a for d, w, _ in _box_slices(m, bound) for a in slice_monomials(m, d, w)]
+        for ring in RINGS:
+            for kind, gens in (("default", None), ("schur", schur_family(m, ring))):
+                sess = OracleSession(m, ring, bound, gens=gens)
+                for basis in (lex_basis(m), revlex_basis(m), cv_basis(m)):
+                    assert sess.verify_basis(basis).passed
+                    inputs = []
+                    for b in sorted(basis.monomials):
+                        inputs.append(DPoly.monomial(ring, m, b))
+                        for i in range(m):
+                            for j in range(1, bound - sum(b) + 1):
+                                u = tuple(j if k == i else 0 for k in range(m))
+                                inputs.append(DPoly.monomial(ring, m, b).mono_shift(u))
+                    for _ in range(20):
+                        picks = rng.sample(box, min(len(box), rng.randint(1, 8)))
+                        if ring.char:
+                            terms = {a: rng.randrange(1, ring.char) for a in picks}
+                        else:
+                            terms = {a: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                                 rng.randint(1, 6)) for a in picks}
+                        inputs.append(DPoly(ring, m, terms))
+                    for f in inputs:
+                        where = (m, ring.char, kind, basis.provenance, str(f))
+                        coords = sess.reduce_element(f, basis)
+                        assert coords.keys() <= basis.monomials, where
+                        assert _typed(coords) == _typed(_solver_coords(sess, f, basis)), where
+
+
+def test_lex_reduction_builds_no_solver(monkeypatch):
+    # the lex basis has no overlay slice, so a reduction reads the residue
+    # of f alone; revlex sits on pivot leads in some slices
+    regroups, echelons = [0], [0]
+    by_slice, init = BasisSet.by_slice, _Echelon.__init__
+
+    def counting_by_slice(self):
+        regroups[0] += 1
+        return by_slice(self)
+
+    def counting_init(self, *args):
+        echelons[0] += 1
+        init(self, *args)
+
+    for ring in RINGS:
+        sess = OracleSession(5, ring, 7)
+        lex, revlex = lex_basis(5), revlex_basis(5)
+        assert sess.verify_basis(lex).passed and sess.verify_basis(revlex).passed
+        assert sess.verified[lex] == frozenset() and sess.verified[revlex]
+        d, w = min(sess.verified[revlex])
+        # a revlex monomial of an overlay slice that is not a lex monomial
+        b = min(set(revlex.by_slice()[d, w]) - lex.monomials)
+        f = DPoly.monomial(ring, 5, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(BasisSet, "by_slice", counting_by_slice)
+            patch.setattr(_Echelon, "__init__", counting_init)
+            assert sess.reduce_element(f, lex)
+            assert regroups == echelons == [0], ring.char
+            assert sess.reduce_element(f, revlex) == {b: 1}
+            assert regroups[0] == 1 and echelons[0] > 0, ring.char
+        regroups[0] = echelons[0] = 0
 
 
 def test_reduce_rejects_elements_outside_the_session():

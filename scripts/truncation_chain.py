@@ -2,6 +2,10 @@
 """Show the truncation chain for one m: basis sizes, oracle dimensions, and
 the nesting of index sets as the truncation level N grows.
 
+Exits 1 when a level fails verification or its index set does not contain
+the one before, and, with a `!!` line, when the full (revlex) basis or the
+N = m oracle total differs from 2^m; exits 0 otherwise.
+
 Usage: python3 scripts/truncation_chain.py [m]
 """
 
@@ -20,7 +24,10 @@ def main() -> int:
 
     full = revlex_basis(m)
     prev: frozenset = frozenset()
-    print(f"m={m}: full basis size {len(full)} = 2^{m}")
+    print(f"m={m}: full basis size {len(full)}  (2^m = {2**m})")
+    if len(full) != 2**m:
+        print(f"  !! full basis size differs from 2^m = {2**m}")
+        return 1
     for n in range(1, m + 1):
         bs = truncated_basis(m, n)
         nested = prev <= bs.monomials
@@ -31,6 +38,9 @@ def main() -> int:
             f"nested={nested}  verified={status}"
         )
         if not rep.passed or not nested:
+            return 1
+        if n == m and rep.dims.total != 2**m:
+            print(f"  !! N={m} oracle total differs from 2^m = {2**m}")
             return 1
         prev = bs.monomials
     return 0

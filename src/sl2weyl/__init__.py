@@ -56,7 +56,6 @@ from .symfunc import (
 )
 from .weyl_ideal import (
     GeneratorSet,
-    YSeriesSpec,
     defining_generators,
     forgotten_dpoly,
     forgotten_family,

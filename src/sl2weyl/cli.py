@@ -94,6 +94,10 @@ def cmd_basis(args) -> int:
 def cmd_gens(args) -> int:
     ring = CoeffRing(args.char)
     family = _FAMILIES[args.family]
+    if family != "defining" and (args.max_degree is not None or args.max_weight is not None):
+        # the Schur and forgotten families have fixed bounds
+        raise ValueError(f"--max-degree and --max-weight apply to the defining family only, "
+                         f"not to {args.family}")
     if family == "defining":
         max_d = max(_degree_bound(args), args.m + 1)
         max_w = args.max_weight if args.max_weight is not None else max_d * max(args.m - 1, 0)

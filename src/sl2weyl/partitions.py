@@ -1,44 +1,43 @@
-"""Integer partitions with explicit zero padding, their orders, and the
-stretch/level constructions used to locate leading monomials.
+"""Integer partitions, their orders, and the stretch/level constructions
+used to locate leading monomials.
 
-A partition is a weakly decreasing sequence of positive integers; we keep an
-explicit count of trailing zero parts because several formulas pad partitions
-to a prescribed length before comparing them.  All comparisons pad both sides
-to a common total length first, so they are padding-stable.
+A partition is its weakly decreasing tuple of positive parts and nothing
+else.  The paper pads a partition mu to k parts only to name the monomial
+x^(mu); the engine writes that monomial as an exponent vector whose x_0
+entry counts the zero parts (`dpalgebra.slice_monomials`), so no pad count
+is kept here.  `make_partition` and `parse_partition` drop zero entries, and
+the orders below read a missing trailing part as zero.
 
-Reverse lexicographic convention (pinned here once and for all): comparing the
-zero-padded part sequences front to back, the partition with the SMALLER part
-at the first differing index is the greater one.  This is the unique choice
-under which (a) dominance refines revlex the right way round (mu dominating
-lam forces mu <= lam in revlex), (b) the stretching algorithm below computes
-the revlex-least partition above its input, and (c) comparing x^(lam) against
-x^(mu) in the graded reverse lexicographic monomial order agrees with
-comparing lam against mu here.
+Reverse lexicographic convention (pinned here once and for all): comparing
+the part sequences front to back, a missing part counting as zero, the
+partition with the SMALLER part at the first differing index is the greater
+one.  This is the unique choice under which (a) dominance refines revlex the
+right way round (mu dominating lam forces mu <= lam in revlex), (b) the
+stretching algorithm below computes the revlex-least partition above its
+input, and (c) comparing x^(lam) against x^(mu) in the graded reverse
+lexicographic monomial order agrees with comparing lam against mu here.
 """
 
 from __future__ import annotations
 
 import functools
-import re
+from itertools import zip_longest
 
 from ._record import Record, _set
 
 
 class Partition(Record):
-    """Positive parts (weakly decreasing) plus a count of explicit zero pads;
-    a frozen value, equal and hashed by its fields."""
+    """Positive parts, weakly decreasing; a frozen value, equal and hashed
+    by its parts."""
 
-    __slots__ = ("parts", "zeros")
+    __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[int, ...] = (), zeros: int = 0):
+    def __init__(self, parts: tuple[int, ...] = ()):
         if any(p <= 0 for p in parts):
-            raise ValueError("parts must be positive; encode zeros in `zeros`")
+            raise ValueError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
-        if zeros < 0:
-            raise ValueError("zeros must be nonnegative")
         _set(self, "parts", parts)
-        _set(self, "zeros", zeros)
 
     @property
     def size(self) -> int:
@@ -47,10 +46,6 @@ class Partition(Record):
     @property
     def length(self) -> int:
         return len(self.parts)
-
-    @property
-    def total_length(self) -> int:
-        return len(self.parts) + self.zeros
 
     @property
     def largest(self) -> int:
@@ -64,15 +59,6 @@ class Partition(Record):
                 out[p - 1] += 1
         return tuple(out)
 
-    def padded(self, n: int) -> tuple[int, ...]:
-        """Part sequence extended by zeros to length n (n >= total_length)."""
-        if n < self.total_length:
-            raise ValueError(f"cannot pad to length {n} < {self.total_length}")
-        return self.parts + (0,) * (n - len(self.parts))
-
-    def strip_zeros(self) -> "Partition":
-        return Partition(self.parts, 0)
-
     def __str__(self) -> str:
         return format_partition(self)
 
@@ -81,49 +67,35 @@ EMPTY = Partition()
 
 
 def make_partition(values) -> Partition:
-    """Sort values decreasingly, splitting zeros into the padding counter."""
+    """Sort values decreasingly, dropping zero entries."""
     vals = list(values)
     if any(v < 0 for v in vals):
         raise ValueError(f"negative part in {vals!r}")
-    vals.sort(reverse=True)
-    nz = sum(1 for v in vals if v == 0)
-    return Partition(tuple(v for v in vals if v > 0), nz)
+    return Partition(tuple(sorted((v for v in vals if v), reverse=True)))
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "3,1,1" or "3,1,1|+2z"; "-" or "" is the empty partition."""
-    text = text.strip()
-    zeros = 0
-    if "|" in text:
-        text, pad = text.split("|", 1)
-        mm = re.fullmatch(r"\+(\d+)z", pad.strip())
-        if not mm:
-            raise ValueError(f"bad padding suffix {pad!r}")
-        zeros = int(mm.group(1))
+    """Parse "3,1,1", dropping zero entries; "-" or "" is the empty
+    partition."""
     text = text.strip()
     if text in ("", "-"):
-        p = EMPTY
-    else:
-        try:
-            p = make_partition(int(tok) for tok in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad partition text {text!r}: {exc}") from None
-    return Partition(p.parts, p.zeros + zeros)
+        return EMPTY
+    try:
+        return make_partition(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad partition text {text!r}: {exc}") from None
 
 
 def format_partition(p: Partition) -> str:
-    body = ",".join(str(x) for x in p.parts) if p.parts else "-"
-    return body + (f"|+{p.zeros}z" if p.zeros else "")
+    return ",".join(map(str, p.parts)) or "-"
 
 
 def transpose(lam: Partition) -> Partition:
     """Conjugate partition (rows and columns of the Ferrers diagram swapped)."""
-    if lam.zeros:
-        raise ValueError("transpose requires an unpadded partition")
     if not lam.parts:
         return EMPTY
     cols = tuple(sum(1 for p in lam.parts if p > j) for j in range(lam.parts[0]))
-    return Partition(cols, 0)
+    return Partition(cols)
 
 
 def dominates(mu: Partition, lam: Partition) -> bool:
@@ -131,13 +103,10 @@ def dominates(mu: Partition, lam: Partition) -> bool:
     those of lam).  Partitions of different sizes are never comparable."""
     if mu.size != lam.size:
         return False
-    n = max(mu.length, lam.length)
-    a = mu.padded(max(n, mu.total_length))
-    b = lam.padded(max(n, lam.total_length))
     sa = sb = 0
-    for j in range(n):
-        sa += a[j] if j < len(a) else 0
-        sb += b[j] if j < len(b) else 0
+    for a, b in zip_longest(mu.parts, lam.parts, fillvalue=0):
+        sa += a
+        sb += b
         if sa < sb:
             return False
     return True
@@ -146,16 +115,15 @@ def dominates(mu: Partition, lam: Partition) -> bool:
 def cmp_revlex(lam: Partition, mu: Partition) -> int:
     """-1, 0, or 1 as lam <, =, > mu in reverse lexicographic order.
 
-    Both sides are padded to a common length; the smaller part at the first
-    differing index wins.  Only defined for partitions of equal size.
+    The smaller part at the first differing index wins.  Only defined for
+    partitions of equal size, whose part sequences are equal or first
+    differ within the shorter one, so no part is read as a zero.
     """
     if lam.size != mu.size:
         raise ValueError(f"revlex needs equal sizes, got {lam.size} != {mu.size}")
-    n = max(lam.total_length, mu.total_length)
-    a, b = lam.padded(n), mu.padded(n)
-    for i in range(n):
-        if a[i] != b[i]:
-            return 1 if a[i] < b[i] else -1
+    for a, b in zip(lam.parts, mu.parts):
+        if a != b:
+            return 1 if a < b else -1
     return 0
 
 
@@ -163,9 +131,8 @@ revlex_key = functools.cmp_to_key(cmp_revlex)
 
 
 def uplus(lam: Partition, mu: Partition) -> Partition:
-    """Multiset union of parts, rearranged decreasingly; pads add up."""
-    merged = tuple(sorted(lam.parts + mu.parts, reverse=True))
-    return Partition(merged, lam.zeros + mu.zeros)
+    """Multiset union of parts, rearranged decreasingly."""
+    return Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
 
 
 def iter_partitions(size: int, max_part: int, max_len: int):
@@ -217,8 +184,6 @@ def eta_stretch(mu: Partition, m: int) -> Partition | None:
     (part - r) followed by r ones.  The split appends exactly r ones so that
     the size |mu| is preserved (appending one fewer would lose a box).
     """
-    if mu.zeros:
-        raise ValueError("eta_stretch requires an unpadded partition")
     k = mu.length
     if not (2 <= k and 2 * k <= m):
         raise ValueError(f"need 2 <= l(mu) <= m/2, got l={k}, m={m}")
@@ -239,7 +204,7 @@ def eta_stretch(mu: Partition, m: int) -> Partition | None:
             eta[i] = mu.parts[i] - r
             tail.extend([1] * r)
             break
-    result = Partition(tuple(sorted(eta + tail, reverse=True)), 0)
+    result = Partition(tuple(sorted(eta + tail, reverse=True)))
     assert result.size == mu.size and result.length == target_len
     return result
 

@@ -155,14 +155,14 @@ def forgotten_coeff(lam: Partition, mu: Partition) -> int:
         with eta^i a partition of mu_i whose disjoint union is lam, of
         prod_i l(eta^i)! / prod_j m_j(eta^i)!
 
-    Zero pads of mu force empty eta^i and do not change the value.  Returns 0
-    when no sequence exists (in particular when |lam| != |mu|).
+    The sum runs over the positive parts of mu alone: a zero part, as in the
+    mu of a monomial x^(mu) padded to k parts, would take the empty eta^i
+    and a factor 1.  Returns 0 when no sequence exists (in particular when
+    |lam| != |mu|).
     """
-    if lam.zeros or any(p <= 0 for p in lam.parts):
-        raise ValueError("lam must have positive parts and no padding")
     if lam.size != mu.size:
         return 0
-    parts = mu.parts  # pads dropped: they contribute empty factors
+    parts = mu.parts
     counts0 = {v: lam.parts.count(v) for v in set(lam.parts)}
 
     def rec(i, counts):
@@ -267,7 +267,7 @@ def mono_sym(lam: Partition, r: int) -> OPoly:
         raise ValueError("need at least one variable")
     if lam.length > r:
         return OPoly(r)
-    vec = lam.padded(max(r, lam.total_length))[:r]
+    vec = lam.parts + (0,) * (r - lam.length)
     return OPoly(r, {p: 1 for p in _distinct_perms(vec)})
 
 

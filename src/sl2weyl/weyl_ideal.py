@@ -56,20 +56,6 @@ class UnsupportedCharacteristicError(ValueError):
     """Raised when a family is only available in characteristic zero."""
 
 
-class YSeriesSpec(Record):
-    """Series parameters: s auxiliary variables, divided power k, variable
-    indices capped at m-1."""
-
-    __slots__ = ("s", "m", "k")
-
-    def __init__(self, s: int, m: int, k: int):
-        if s < 0 or k < 0 or m < 1:
-            raise ValueError("need s >= 0, k >= 0, m >= 1")
-        _set(self, "s", s)
-        _set(self, "m", m)
-        _set(self, "k", k)
-
-
 class GeneratorEntry(Record):
     """A homogeneous generator with its bidegree, which the builder knows
     (power or k, and the weight or |lam|) and stores once, so sessions read
@@ -132,10 +118,13 @@ def _series_terms(s: int, v: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def lowering_series(spec: YSeriesSpec) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Terms (coefficient, variable index, u-exponents) of the series: the
-    terms of `_series_terms(s, n)` with variable x_n, n = 0, ..., m-1."""
-    return [(c, n, ue) for n in range(spec.m) for c, ue in _series_terms(spec.s, n)]
+def lowering_series(s: int, m: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Terms (coefficient, variable index, u-exponents) of the series in s
+    auxiliary variables: the terms of `_series_terms(s, n)` with variable
+    x_n, n = 0, ..., m-1."""
+    if s < 0 or m < 1:
+        raise ValueError("need s >= 0, m >= 1")
+    return [(c, n, ue) for n in range(m) for c, ue in _series_terms(s, n)]
 
 
 # c(mu, t) by (mu, t) for the whole process, filled only past the cheap zero
@@ -188,14 +177,15 @@ def _series_power_coeff(k: int, uexp: tuple[int, ...], m: int):
     return tuple(pairs)
 
 
-def series_power_coefficient(spec: YSeriesSpec, uexp, ring: CoeffRing = RATIONALS) -> DPoly:
-    """Coefficient of u^uexp in the spec.k-th divided power of the series."""
+def series_power_coefficient(k: int, uexp, m: int, ring: CoeffRing = RATIONALS) -> DPoly:
+    """Coefficient of u^uexp in the k-th divided power of the series, with
+    s = len(uexp) auxiliary variables and variable indices capped at m-1."""
     uexp = tuple(uexp)
-    if len(uexp) != spec.s:
-        raise ValueError("u-exponent length must equal s")
+    if k < 0 or m < 1:
+        raise ValueError("need k >= 0, m >= 1")
     if any(a < 0 for a in uexp):
         raise ValueError("u-exponents must be nonnegative")
-    return DPoly(ring, spec.m, dict(_series_power_coeff(spec.k, uexp, spec.m)))
+    return DPoly(ring, m, dict(_series_power_coeff(k, uexp, m)))
 
 
 def slice_series(m: int, d: int, w: int):
@@ -251,7 +241,6 @@ def schur_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> 
     slice (k, |lam|), each mu zero-padded to k parts; K_{lam,mu} vanishes
     unless lam dominates mu.  K_{lam,mu} is read from the Kostka row of mu
     capped at m-1, which holds lam since lam_1 <= m-1."""
-    lam = lam.strip_zeros()
     if lam.length > k:
         raise ValueError(f"need l(lam) <= k, got {lam.length} > {k}")
     if lam.largest > m - 1:
@@ -268,7 +257,6 @@ def forgotten_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS)
     lam), nonzero only for mu merged from the parts of lam (so mu dominates
     lam): the element is (-1)^|lam| times the series coefficient of u^(mult
     lam) in the k-th divided power."""
-    lam = lam.strip_zeros()
     if lam.largest > m - 1:
         raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
     sign = -1 if lam.size % 2 else 1
@@ -327,7 +315,6 @@ def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
 def transition_identity_holds(lam: Partition, k: int, m: int) -> bool:
     """Schur element as the Kostka-weighted sum of forgotten elements of the
     conjugate's dominance-lower set, checked exactly over the rationals."""
-    lam = lam.strip_zeros()
     lhs = schur_dpoly(lam, k, m, RATIONALS)
     rhs = DPoly.zero(RATIONALS, m)
     lamt = transpose(lam)
@@ -344,9 +331,7 @@ def series_forgotten_identity_holds(lam: Partition, k: int, m: int) -> bool:
     divided power equals (-1)^|lam| times the forgotten element, the latter
     summed from the literal `symfunc.forgotten_coeff` (not from the product
     kernel both `forgotten_dpoly` and the series share)."""
-    lam = lam.strip_zeros()
-    spec = YSeriesSpec(lam.largest, m, k)
-    coeff = series_power_coefficient(spec, lam.multiplicities(lam.largest))
+    coeff = series_power_coefficient(k, lam.multiplicities(lam.largest), m)
     sign = -1 if lam.size % 2 else 1
     terms = {
         mono: sign * forgotten_coeff(lam, Partition(mu))

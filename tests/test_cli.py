@@ -43,6 +43,9 @@ def test_kostka_and_dcoeff(capsys):
     assert run(capsys, "kostka", "2,1", "1,1,1") == (0, "2\n", "")
     assert run(capsys, "dcoeff", "2,1,1", "2,2") == (0, "-2\n", "")
     assert run(capsys, "dcoeff", "1,1", "2,0") == (0, "1\n", "")
+    # zero entries are dropped, on either side
+    assert run(capsys, "kostka", "2,1,0", "1,1,1") == (0, "2\n", "")
+    assert run(capsys, "dcoeff", "2,1,1,0", "2,2") == (0, "-2\n", "")
 
 
 def test_count(capsys):
@@ -109,6 +112,7 @@ def test_gens_srevlex_rejects_char(capsys):
 def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "basis", "-m", "2", "--order", "bogus")[0] == 2
     assert run(capsys, "kostka", "2,x", "1,1")[0] == 2
+    assert run(capsys, "kostka", "2,1|+3z", "1,1,1")[0] == 2  # no padding suffix
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys, "count", "-m", "4", "--ell", "3")[0] == 2  # ell > m/2
     for verb in ("gens", "count", "dim"):
@@ -127,6 +131,9 @@ def test_usage_errors(capsys, tmp_path):
     for argv in (
         ["reduce", "-m", "2", "--poly=--x0"],  # a stray sign, once read as -x0
         ["dim", "-m", "3", "--output", str(tmp_path / "missing" / "x.txt")],
+        # the Schur and forgotten families have fixed bounds
+        ["gens", "-m", "3", "--family", "gm", "--max-degree", "2"],
+        ["gens", "-m", "3", "--family", "srevlex", "--max-weight", "2"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), argv

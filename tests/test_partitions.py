@@ -36,7 +36,7 @@ def all_partitions_of(n, max_len=None):
 
 def test_make_partition_sorts():
     p = make_partition([1, 3, 1])
-    assert p.parts == (3, 1, 1) and p.zeros == 0
+    assert p.parts == (3, 1, 1) and p == Partition((3, 1, 1))
 
 
 def test_make_partition_empty():
@@ -44,9 +44,9 @@ def test_make_partition_empty():
     assert p == EMPTY and p.size == 0 and p.length == 0
 
 
-def test_make_partition_splits_zeros():
+def test_make_partition_drops_zeros():
     p = make_partition([2, 0, 0])
-    assert p.parts == (2,) and p.zeros == 2 and p.total_length == 3
+    assert p.parts == (2,) and p == Partition((2,)) and p.length == 1
 
 
 def test_make_partition_rejects_negative():
@@ -61,14 +61,17 @@ def test_make_partition_is_decreasing(vals):
     assert p.size == sum(vals)
 
 
-def test_text_roundtrip():
-    for text in ["3,1,1", "3,1,1|+2z", "-", "-|+3z", "5"]:
+@given(parts_lists)
+def test_text_roundtrip(vals):
+    p = make_partition(vals)
+    assert parse_partition(format_partition(p)) == p
+    assert make_partition(vals + [0, 0]) == make_partition([0] + vals) == p
+    for text in ["3,1,1", "-", "5"]:
         assert format_partition(parse_partition(text)) == text
-    assert parse_partition("2,0,0") == Partition((2,), 2)
-    with pytest.raises(ValueError):
-        parse_partition("2,x")
-    with pytest.raises(ValueError):
-        parse_partition("2|oops")
+    assert parse_partition("2,0,0") == Partition((2,))
+    for text in ["2,x", "2|oops", "3,1|+2z", "-|+3z"]:
+        with pytest.raises(ValueError):
+            parse_partition(text)
 
 
 # -- transpose ---------------------------------------------------------------
@@ -87,11 +90,6 @@ def test_transpose_involution():
             assert t.size == lam.size
             assert t.length == lam.largest
             assert transpose(t) == lam
-
-
-def test_transpose_rejects_padding():
-    with pytest.raises(ValueError):
-        transpose(Partition((2,), 1))
 
 
 # -- dominance ---------------------------------------------------------------
@@ -136,15 +134,10 @@ def test_revlex_size_mismatch():
         cmp_revlex(make_partition([2]), make_partition([1]))
 
 
-def test_revlex_total_order_and_padding_stable():
+def test_revlex_total_order():
     for n in range(9):
-        ps = all_partitions_of(n)
-        for a, b in itertools.combinations(ps, 2):
+        for a, b in itertools.combinations(all_partitions_of(n), 2):
             assert cmp_revlex(a, b) == -cmp_revlex(b, a) != 0
-        # padding both sides must not change comparisons
-        for a, b in itertools.combinations(ps, 2):
-            pa = Partition(a.parts, a.zeros + 2)
-            assert cmp_revlex(pa, b) == cmp_revlex(a, b)
 
 
 def test_dominance_refines_revlex():

@@ -30,7 +30,7 @@ from sl2weyl.quotient_oracle import (
     TruncationReport,
     VerificationReport,
 )
-from sl2weyl.weyl_ideal import GeneratorEntry, GeneratorSet, YSeriesSpec, schur_family
+from sl2weyl.weyl_ideal import GeneratorEntry, GeneratorSet, schur_family
 
 F3 = CoeffRing(3)
 X1 = DPoly.variable(F3, 2, 1)
@@ -42,20 +42,13 @@ VERIFY = VerificationReport(1, 0, "lex", 3, [SLICE], 0.5)
 # (builder of a fresh record, a record of the same class differing in one
 # field, its field names in order, its repr)
 RECORDS = [
-    (
-        lambda: Partition((2, 1)), Partition((2, 1), 1), ("parts", "zeros"),
-        "Partition(parts=(2, 1), zeros=0)",
-    ),
-    (lambda: Partition(), Partition((1,)), ("parts", "zeros"), "Partition(parts=(), zeros=0)"),
+    (lambda: Partition((2, 1)), Partition((3, 1)), ("parts",), "Partition(parts=(2, 1))"),
+    (lambda: Partition(), Partition((1,)), ("parts",), "Partition(parts=())"),
     (
         lambda: BasisSet(1, "lex", frozenset({(0,), (1,)})),
         BasisSet(1, "revlex", frozenset({(0,), (1,)})),
         ("m", "provenance", "monomials"),
         "BasisSet(m=1, provenance='lex', monomials=frozenset({(0,), (1,)}))",
-    ),
-    (
-        lambda: YSeriesSpec(1, 2, 3), YSeriesSpec(1, 2, 4), ("s", "m", "k"),
-        "YSeriesSpec(s=1, m=2, k=3)",
     ),
     (
         lambda: GeneratorEntry(X1, ("schur", (1,), 1), 1, 1),
@@ -187,12 +180,8 @@ def test_constructors_keep_their_validation():
         Partition((2, 0))
     with pytest.raises(ValueError, match="weakly decreasing"):
         Partition((1, 2))
-    with pytest.raises(ValueError, match="zeros must be nonnegative"):
-        Partition((1,), -1)
-    for args in ((-1, 2, 1), (1, 0, 1), (1, 2, -1)):
-        with pytest.raises(ValueError, match="need s >= 0, k >= 0, m >= 1"):
-            YSeriesSpec(*args)
-    assert Partition(parts=(2, 1), zeros=1) == Partition((2, 1), 1)
+    assert Partition(parts=(2, 1)) == Partition((2, 1))
+    assert Partition.__slots__ == ("parts",)
 
 
 def test_coeff_ring_is_one_object_per_characteristic():

@@ -3,17 +3,31 @@ import pathlib
 
 import pytest
 
-from sl2weyl.quotient_oracle import DimReport, quotient_dim
+from sl2weyl.basis_enum import BasisSet, revlex_basis
+from sl2weyl.quotient_oracle import (
+    DimReport,
+    TruncationReport,
+    quotient_dim,
+    truncated_quotient,
+)
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _sweep(monkeypatch, *argv):
-    spec = importlib.util.spec_from_file_location("dimension_sweep", SCRIPTS / "dimension_sweep.py")
+def _script(monkeypatch, name, *argv):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr("sys.argv", ["dimension_sweep.py", *argv])
+    monkeypatch.setattr("sys.argv", [f"{name}.py", *argv])
     return module
+
+
+def _sweep(monkeypatch, *argv):
+    return _script(monkeypatch, "dimension_sweep", *argv)
+
+
+def _chain(monkeypatch, *argv):
+    return _script(monkeypatch, "truncation_chain", *argv)
 
 
 def test_sweep_passes_on_the_engine(monkeypatch, capsys):
@@ -49,3 +63,39 @@ def test_sweep_fails_on_a_wrong_total_or_a_high_slice(monkeypatch, capsys, chang
     monkeypatch.setattr(module, "quotient_dim", _altered(change))
     assert module.main() == 1
     assert message in capsys.readouterr().out
+
+
+def test_chain_passes_on_the_engine(monkeypatch, capsys):
+    assert _chain(monkeypatch, "3").main() == 0
+    out = capsys.readouterr().out
+    assert "full basis size 8" in out and "!!" not in out
+
+
+def test_chain_fails_on_a_basis_short_of_2_to_the_m(monkeypatch, capsys):
+    module = _chain(monkeypatch, "3")
+
+    def short(m):
+        bs = revlex_basis(m)
+        return BasisSet(m, bs.provenance, frozenset(sorted(bs.monomials)[1:]))
+
+    monkeypatch.setattr(module, "revlex_basis", short)
+    assert module.main() == 1
+    assert "!! full basis size differs from 2^m" in capsys.readouterr().out
+
+
+def test_chain_fails_when_the_top_level_total_is_not_2_to_the_m(monkeypatch, capsys):
+    module = _chain(monkeypatch, "3")
+
+    def fake(m, n, ring, degree_bound):
+        rep = truncated_quotient(m, n, ring, degree_bound)
+        if n < m:
+            return rep
+        # one more in both the total and the basis size: the level still passes
+        d = rep.dims
+        dims = DimReport(d.m, d.char, d.degree_bound, d.dims, d.total + 1, 0.0)
+        return TruncationReport(m, n, ring.char, dims, rep.basis_size + 1, rep.verification)
+
+    monkeypatch.setattr(module, "truncated_quotient", fake)
+    assert module.main() == 1
+    out = capsys.readouterr().out
+    assert "verified=ok" in out and "!! N=3 oracle total differs from 2^m" in out

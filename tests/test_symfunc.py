@@ -7,6 +7,7 @@ from sl2weyl.partitions import (
     dominates,
     enumerate_partitions,
     make_partition,
+    parse_partition,
     transpose,
     uplus,
 )
@@ -85,6 +86,19 @@ def test_kostka_positivity_iff_dominance():
                 assert (kostka(lam, mu) > 0) == dominates(lam, mu)
 
 
+def test_kostka_ignores_content_padding():
+    # zero entries in a content, as a list or as CLI text, are dropped
+    for n in range(1, 6):
+        for lam in all_partitions_of(n):
+            for mu in all_partitions_of(n):
+                want = kostka(lam, mu)
+                for z in range(1, 4):
+                    padded = list(mu.parts) + [0] * z
+                    assert kostka(lam, make_partition(padded)) == want
+                    text = ",".join(map(str, padded))
+                    assert kostka(lam, parse_partition(text)) == want
+
+
 def test_kostka_rows_match_literal_kostka():
     # every content mu of the Schur family up to m = 6 (parts <= m-1, length
     # <= m+1) against every lam |- |mu| within the cap, zeros included
@@ -150,6 +164,19 @@ def test_forgotten_matches_bruteforce():
 
 def test_forgotten_size_mismatch_zero():
     assert forgotten_coeff(make_partition([2]), make_partition([1])) == 0
+
+
+def test_forgotten_padding_invariant():
+    # mu is padded to name the monomial x^(mu); the pad must not change f_{lam,mu}
+    for n in range(1, 6):
+        for lam in all_partitions_of(n):
+            for mu in all_partitions_of(n):
+                want = forgotten_coeff(lam, mu)
+                for z in range(1, 4):
+                    padded = [0] * z + list(mu.parts)
+                    assert forgotten_coeff(lam, make_partition(padded)) == want
+                    text = ",".join(map(str, padded))
+                    assert forgotten_coeff(lam, parse_partition(text)) == want
 
 
 # -- polynomials --------------------------------------------------------------

@@ -8,7 +8,9 @@ same class and their fields are equal, and a record hashes its fields, so
 one holding a dict is unhashable.  A record refuses assignment and
 deletion, so its constructor sets slots with `_set`.  Records pickle and
 copy through the constructor, called with the fields in order, so every
-class's `__init__` takes its fields positionally in slot order.
+class's `__init__` takes its fields positionally in slot order.  A class
+whose field is a property over private slots names its fields in its own
+`_fields`, and its `__init__` takes them in that order.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
         if cls._fields:
             # the field tuple, read in C; a bare value for one field
             cls._key = attrgetter(*cls._fields)

@@ -76,14 +76,15 @@ def make_partition(values) -> Partition:
 
 def parse_partition(text: str) -> Partition:
     """Parse "3,1,1", dropping zero entries; "-" or "" is the empty
-    partition."""
+    partition.  Each part is ASCII digits alone: no sign, underscore or
+    space, which `int` would accept."""
     text = text.strip()
     if text in ("", "-"):
         return EMPTY
-    try:
-        return make_partition(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad partition text {text!r}: {exc}") from None
+    parts = text.split(",")
+    if not all(tok.isascii() and tok.isdigit() for tok in parts):
+        raise ValueError(f"bad partition text {text!r}: parts must be ASCII digits")
+    return make_partition(map(int, parts))
 
 
 def format_partition(p: Partition) -> str:

@@ -48,10 +48,14 @@ slices it can show are full:
 
 * the pivot leads, unit columns and row leads alike, are the DPLEX leading
   monomials of the ideal slice (rows lead at their least column, and the
-  columns run in descending DPLEX order).  So candidates whose columns
-  avoid every lead are their own normal forms and independent at once;
-  `verify_basis` echelonizes residues only in a slice where a candidate
-  sits on a lead (an overlay slice).  A verified basis is exactly the set
+  columns run in descending DPLEX order); each echelon keeps them as one
+  bitmask, its lead mask.  So candidates whose columns avoid every lead
+  are their own normal forms and independent at once.  `verify_basis`
+  reads the candidates once into one bitmask of columns per slice, and
+  echelonizes residues only in a slice where that mask meets the lead mask
+  (an overlay slice).  Its report keeps the per-slice results as plain
+  tuples and builds the `SliceReport` records on the first read of
+  `slices`.  A verified basis is exactly the set
   of non-lead columns outside its overlay slices, so there `reduce_element`
   reads the coordinates off the normal form of the element and solves only
   in the overlay slices.  The lex basis is exactly the set of non-lead
@@ -69,8 +73,11 @@ slices it can show are full:
   where the lower slice is not full), and the slices of a degree box with
   their sizes (`_box_slices`).  A given family is grouped by slice once per
   `GeneratorSet`; a session holds only the echelons of its slices, a full
-  one being a single mask.  So sessions after the first on the same
-  (m, ring) go straight to elimination.
+  one being a single mask.  `dims` and `verify_basis` walk the box slices
+  in order, building each missing slice with the size the walk holds, so
+  its lower slices are already there; `space` serves callers out of box
+  order.  So sessions after the first on the same (m, ring) go straight to
+  elimination.
 
 Rank computations and normal forms are exact and fraction-free in both
 rings: one echelon takes integer rows, keeping its pivot rows primitive over
@@ -85,8 +92,9 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, starmap
 from math import gcd, lcm
+from operator import mul
 
 from ._record import Record, _set
 from .basis_enum import BasisSet, truncated_basis
@@ -240,14 +248,16 @@ class _Echelon:
 
     The unit pivots e_c are the bitmask `units` (bit c for column c);
     `pivots` holds the other rows by lead, and their entries avoid the unit
-    columns.  A full slice of n columns is units = 2^n - 1 with no rows:
-    every row reduces to 0 against it."""
+    columns.  `leads` is the bitmask of every pivot lead: the unit columns
+    and the leads of the rows.  A full slice of n columns is
+    units = leads = 2^n - 1 with no rows: every row reduces to 0 against
+    it."""
 
-    __slots__ = ("p", "units", "pivots", "__weakref__")
+    __slots__ = ("p", "units", "leads", "pivots", "__weakref__")
 
     def __init__(self, p, units=0):
         self.p = p
-        self.units = units
+        self.units = self.leads = units
         self.pivots: dict[int, dict[int, int]] = {}
 
     @property
@@ -271,6 +281,7 @@ class _Echelon:
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = unit_normalize(row, lead, p)
+                self.leads |= 1 << lead
                 return True
             row = cancel(row, piv, lead, p)
         return False
@@ -342,30 +353,61 @@ class DimReport(Record):
 
 
 class VerificationReport(Record):
-    __slots__ = ("m", "char", "provenance", "degree_bound", "slices", "elapsed_seconds")
+    """The per-slice results are kept as plain tuples in `SliceReport` field
+    order (`_rows`); `slices` builds their records on first read and keeps
+    them, and the verdict and totals read the tuples."""
+
+    __slots__ = (
+        "m", "char", "provenance", "degree_bound", "elapsed_seconds", "_rows", "_slices",
+    )
+    _fields = ("m", "char", "provenance", "degree_bound", "slices", "elapsed_seconds")
 
     def __init__(
         self, m: int, char: int, provenance: str, degree_bound: int,
         slices, elapsed_seconds: float,
     ):
+        slices = tuple(slices)
+        self._fill(
+            m, char, provenance, degree_bound, tuple(map(SliceReport._key, slices)),
+            elapsed_seconds,
+        )
+        _set(self, "_slices", slices)
+
+    @classmethod
+    def _of_rows(cls, m, char, provenance, degree_bound, rows, elapsed_seconds):
+        """A report on per-slice tuples in `SliceReport` field order."""
+        report = cls.__new__(cls)
+        report._fill(m, char, provenance, degree_bound, rows, elapsed_seconds)
+        _set(report, "_slices", None)
+        return report
+
+    def _fill(self, m, char, provenance, degree_bound, rows, elapsed_seconds):
         _set(self, "m", m)
         _set(self, "char", char)
         _set(self, "provenance", provenance)
         _set(self, "degree_bound", degree_bound)
-        _set(self, "slices", tuple(slices))
+        _set(self, "_rows", rows)
         _set(self, "elapsed_seconds", elapsed_seconds)
 
     @property
+    def slices(self) -> tuple:
+        slices = self._slices
+        if slices is None:
+            slices = tuple(starmap(SliceReport, self._rows))
+            _set(self, "_slices", slices)
+        return slices
+
+    @property
     def passed(self) -> bool:
-        return all(s.passed for s in self.slices)
+        return all(independent and spanning for *_, independent, spanning in self._rows)
 
     @property
     def total_quotient_dim(self) -> int:
-        return sum(s.quotient_dim for s in self.slices)
+        return sum(r[3] for r in self._rows)  # quotient_dim
 
     @property
     def total_candidates(self) -> int:
-        return sum(s.candidate_count for s in self.slices)
+        return sum(r[4] for r in self._rows)  # candidate_count
 
 
 class GradedSlice(Record):
@@ -490,12 +532,23 @@ class OracleSession:
     def space(self, d, w):
         ech = self._spaces.get((d, w))
         if ech is None:
-            ech = self._spaces[d, w] = self._build(d, w)
+            ncols = len(slice_monomials(self.m, d, w))
+            ech = self._spaces[d, w] = self._build(d, w, ncols)
         return ech
 
-    def _build(self, d, w):
+    def _walk(self):
+        """(d, w, size, echelon) for each slice of the degree box in box
+        order, building the missing ones; their lower slices come earlier,
+        so each build finds them."""
+        spaces = self._spaces
+        for d, w, size in _box_slices(self.m, self.degree_bound):
+            ech = spaces.get((d, w))
+            if ech is None:
+                ech = spaces[d, w] = self._build(d, w, size)
+            yield d, w, size, ech
+
+    def _build(self, d, w, ncols):
         """A covered slice is stored full at once; any other is eliminated."""
-        ncols = len(slice_monomials(self.m, d, w))
         covered, partial = 0, []
         for key, lower_full, i, j, mask in _lower_slices(self.m, self.ring, d, w):
             lower = self._spaces.get(key)
@@ -554,7 +607,10 @@ class OracleSession:
         if len(pivots) < target:
             index = _column_index(self.m, d, w)
             for poly in self._generators(d, w):
-                ech.add({index[a]: c for a, c in poly.terms.items()})
+                ech._insert({
+                    col: c for a, c in poly.terms.items()
+                    if not covered >> (col := index[a]) & 1
+                })
                 if len(pivots) == target:
                     break
         if len(pivots) == target:
@@ -575,54 +631,62 @@ class OracleSession:
 
     def dims(self) -> DimReport:
         t0 = time.monotonic()
-        dims = {}
-        for d, w, size in _box_slices(self.m, self.degree_bound):
-            dims[(d, w)] = size - self.space(d, w).rank
+        dims = {
+            (d, w): size - ech.units.bit_count() - len(ech.pivots)
+            for d, w, size, ech in self._walk()
+        }
         return DimReport(
             self.m, self.ring.char, self.degree_bound, dims, sum(dims.values()),
             time.monotonic() - t0,
         )
 
     def verify_basis(self, candidate: BasisSet) -> VerificationReport:
-        """A slice whose candidate columns avoid every pivot lead passes
-        independence at once: distinct non-lead columns are their own normal
-        forms.  Otherwise (an overlay slice) the residues of the candidates
-        are echelonized in an overlay, which decides.  A basis that passes
-        is stored in `verified` with its overlay slices."""
+        """The candidates of a slice are one bitmask of its columns.  A slice
+        whose mask avoids every pivot lead passes independence at once:
+        distinct non-lead columns are their own normal forms.  Otherwise (an
+        overlay slice) the residues of the candidates are echelonized in an
+        overlay, which decides.  A basis that passes is stored in `verified`
+        with its overlay slices."""
         t0 = time.monotonic()
-        if candidate.m != self.m:
+        m = self.m
+        if candidate.m != m:
             raise ValueError("candidate basis is for a different m")
         # the slices would skip a negative or fractional exponent and find no
         # column for a monomial of another length; the check reads only the
         # distinct lengths and exponents, a few of each
         lengths = set(map(len, candidate.monomials))
         exponents = set(chain.from_iterable(candidate.monomials))
-        if lengths - {self.m} or not all(isinstance(e, int) and e >= 0 for e in exponents):
-            raise ValueError(f"candidate monomials must be {self.m} nonnegative integers each")
-        cand = candidate.by_slice()
-        if any(d > self.degree_bound for d, _ in cand):
-            raise ValueError("candidate monomials exceed the degree bound")
-        slices, overlays = [], []
-        for d, w, size in _box_slices(self.m, self.degree_bound):
-            ech = self.space(d, w)
-            cands = cand.get((d, w), ())
+        if lengths - {m} or not all(isinstance(e, int) and e >= 0 for e in exponents):
+            raise ValueError(f"candidate monomials must be {m} nonnegative integers each")
+        masks: dict[tuple[int, int], int] = {}
+        weights = range(m)
+        for a in candidate.monomials:
+            d = sum(a)
+            if d > self.degree_bound:
+                raise ValueError("candidate monomials exceed the degree bound")
+            w = sum(map(mul, a, weights))
+            masks[d, w] = masks.get((d, w), 0) | 1 << _column_index(m, d, w)[a]
+        p = self.ring.char
+        rows, overlays = [], []
+        for d, w, size, ech in self._walk():
+            cands = masks.get((d, w), 0)
             indep = True
-            if cands:
-                index = _column_index(self.m, d, w)
-                cols = [index[a] for a in cands]
-                units, pivots = ech.units, ech.pivots
-                if any(units >> c & 1 or c in pivots for c in cols):
-                    overlays.append((d, w))
-                    overlay = _Echelon(self.ring.char)
-                    for c in cols:
-                        res, _ = ech.residue({c: 1})
-                        if not res or not overlay.add(res):
-                            indep = False
-                            break
-            q = size - ech.rank
-            slices.append(SliceReport(d, w, size, q, len(cands), indep, q == len(cands)))
-        report = VerificationReport(
-            self.m, self.ring.char, candidate.provenance, self.degree_bound, slices,
+            if cands & ech.leads:
+                overlays.append((d, w))
+                overlay = _Echelon(p)
+                left = cands
+                while left:
+                    low = left & -left
+                    res, _ = ech.residue({low.bit_length() - 1: 1})
+                    if not res or not overlay.add(res):
+                        indep = False
+                        break
+                    left ^= low
+            count = cands.bit_count()
+            q = size - ech.units.bit_count() - len(ech.pivots)
+            rows.append((d, w, size, q, count, indep, q == count))
+        report = VerificationReport._of_rows(
+            m, p, candidate.provenance, self.degree_bound, tuple(rows),
             time.monotonic() - t0,
         )
         if report.passed:

@@ -48,6 +48,16 @@ def test_kostka_and_dcoeff(capsys):
     assert run(capsys, "dcoeff", "2,1,1,0", "2,2") == (0, "-2\n", "")
 
 
+def test_partition_parts_are_ascii_digits(capsys):
+    # int() would read 1_0 as 10 and " +2" as 2
+    for argv in (
+        ["kostka", "1_0", "1,1,1,1,1,1,1,1,1,1"],
+        ["kostka", " +2, 1", "1,1,1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+
+
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "-m", "12", "--ell", "3")
     assert code == 0 and out.strip() == str(220 - 66)

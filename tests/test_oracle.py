@@ -1,6 +1,7 @@
 import gc
 import importlib
 import itertools
+import pickle
 import pkgutil
 import random
 import weakref
@@ -18,6 +19,7 @@ from sl2weyl.quotient_oracle import (
     MustVerifyFirstError,
     OracleSession,
     SliceReport,
+    VerificationReport,
     _box_slices,
     _Echelon,
     build_slice,
@@ -271,6 +273,85 @@ def test_full_slices_hold_unit_pivots():
                         assert not ech.add(row), (m, ring.char, d, w, row)
                         assert ech.units == units and ech.pivots == {} and ech.rank == n
                 assert full, (m, ring.char)
+
+
+def _box_poly(m, ring, bound):
+    """The sum of every monomial of the degree box."""
+    box = (a for d, w, _ in _box_slices(m, bound) for a in slice_monomials(m, d, w))
+    return DPoly(ring, m, dict.fromkeys(box, 1))
+
+
+def test_lead_mask_is_the_units_and_the_row_leads(monkeypatch):
+    # every echelon keeps `leads` equal to its unit columns plus the leads of
+    # its rows: the slices of a session and the overlays and solvers that
+    # verification and reduction build alike
+    made = []
+    init = _Echelon.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    def check(where):
+        for ech in made:
+            leads = ech.units
+            for c in ech.pivots:
+                leads |= 1 << c
+            assert ech.leads == leads, where
+
+    monkeypatch.setattr(_Echelon, "__init__", recording_init)
+    for m in range(1, 7):
+        bound = m + 1
+        for ring in RINGS:
+            sessions = [
+                ("default", OracleSession(m, ring, bound), revlex_basis(m)),
+                ("schur", OracleSession(m, ring, bound, gens=schur_family(m, ring)),
+                 cv_basis(m)),
+            ]
+            if not ring.char:
+                gens = forgotten_family(m, ring)
+                sessions.append(
+                    ("forgotten", OracleSession(m, ring, bound, gens=gens), revlex_basis(m))
+                )
+            for n in range(1, m):
+                sess = OracleSession(m, ring, bound, extra_degree_one=range(n, m))
+                sessions.append((f"truncated-{n}", sess, truncated_basis(m, n)))
+            f = _box_poly(m, ring, bound)
+            for kind, sess, basis in sessions:
+                where = (m, ring.char, kind)
+                made.clear()
+                sess.dims()
+                check((*where, "dims"))
+                passed = sess.verify_basis(basis).passed
+                check((*where, "verify_basis"))
+                if passed:
+                    sess.reduce_element(f, basis)
+                    check((*where, "reduce_element"))
+                assert passed or kind.startswith("truncated") and ring.char, where
+
+
+def test_dims_do_not_depend_on_build_order():
+    # `dims` walks the box in order; a session whose slices were built first
+    # by verification and reduction, or one by one through `space` in a
+    # shuffled order, must report the same dims slice for slice
+    rng = random.Random(20261019)
+    for m in range(1, 7):
+        bound = m + 1
+        revlex = revlex_basis(m)
+        for ring in RINGS:
+            f = _box_poly(m, ring, bound)
+            for kind, gens in (("default", None), ("schur", schur_family(m, ring))):
+                want = OracleSession(m, ring, bound, gens=gens).dims().dims
+                verified = OracleSession(m, ring, bound, gens=gens)
+                assert verified.verify_basis(revlex).passed
+                assert verified.reduce_element(f, revlex)
+                shuffled = OracleSession(m, ring, bound, gens=gens)
+                order = list(_box_slices(m, bound))
+                rng.shuffle(order)
+                for d, w, _ in order:
+                    shuffled.space(d, w)
+                for sess in (verified, shuffled):
+                    assert sess.dims().dims == want, (m, ring.char, kind)
 
 
 def test_column_maps_are_built_only_where_elimination_reads_them():
@@ -773,3 +854,56 @@ def test_verification_report_totals():
     assert rep.total_quotient_dim == 8 == rep.total_candidates
     assert rep.m == 3 and rep.char == 0 and rep.provenance == "lex"
     assert rep.elapsed_seconds >= 0.0
+
+
+def test_verification_reports_build_slice_records_on_first_read(monkeypatch):
+    # verification keeps its per-slice results as tuples: no SliceReport is
+    # built until `slices` is read, and a report on the tuples equals,
+    # hashes, prints and pickles like one built from the records
+    built = [0]
+    init = SliceReport.__init__
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(SliceReport, "__init__", counting_init)
+    for m in range(1, 6):
+        lex = lex_basis(m)
+        candidates = [
+            lex, revlex_basis(m), cv_basis(m),
+            BasisSet(m, "lex-minus", lex.monomials - {max(lex.monomials)}),
+        ]
+        if m > 2:
+            candidates.append(truncated_basis(m, 2))
+        for ring in RINGS:
+            sess = OracleSession(m, ring, m + 1)
+            for candidate in candidates:
+                where = (m, ring.char, candidate.provenance)
+                built[0] = 0
+                rep = sess.verify_basis(candidate)
+                twin = VerificationReport._of_rows(
+                    rep.m, rep.char, rep.provenance, rep.degree_bound, rep._rows,
+                    rep.elapsed_seconds,
+                )
+                verdict = (rep.passed, rep.total_quotient_dim, rep.total_candidates)
+                assert verdict[0] == (candidate.provenance in ("lex", "revlex", "cv")), where
+                assert built[0] == 0, where
+                slices = rep.slices
+                assert built[0] == len(slices) and rep.slices is slices, where
+                records = VerificationReport(
+                    rep.m, rep.char, rep.provenance, rep.degree_bound, list(slices),
+                    rep.elapsed_seconds,
+                )
+                assert verdict == (
+                    all(s.passed for s in slices),
+                    sum(s.quotient_dim for s in slices),
+                    sum(s.candidate_count for s in slices),
+                ) == (records.passed, records.total_quotient_dim, records.total_candidates)
+                assert records._rows == rep._rows, where
+                for report in (rep, twin):
+                    assert report == records and records == report, where
+                    assert hash(report) == hash(records), where
+                    assert repr(report) == repr(records), where
+                    assert pickle.loads(pickle.dumps(report)) == records, where
+                    assert report.slices == slices, where

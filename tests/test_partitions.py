@@ -69,7 +69,7 @@ def test_text_roundtrip(vals):
     for text in ["3,1,1", "-", "5"]:
         assert format_partition(parse_partition(text)) == text
     assert parse_partition("2,0,0") == Partition((2,))
-    for text in ["2,x", "2|oops", "3,1|+2z", "-|+3z"]:
+    for text in ["2,x", "2|oops", "3,1|+2z", "-|+3z", "1_0", "+2", "2, 1", "\u0661"]:
         with pytest.raises(ValueError):
             parse_partition(text)
 

@@ -73,11 +73,8 @@ slices it can show are full:
   where the lower slice is not full), and the slices of a degree box with
   their sizes (`_box_slices`).  A given family is grouped by slice once per
   `GeneratorSet`; a session holds only the echelons of its slices, a full
-  one being a single mask.  `dims` and `verify_basis` walk the box slices
-  in order, building each missing slice with the size the walk holds, so
-  its lower slices are already there; `space` serves callers out of box
-  order.  So sessions after the first on the same (m, ring) go straight to
-  elimination.
+  one being a single mask.  So sessions after the first on the same
+  (m, ring) go straight to elimination.
 
 Rank computations and normal forms are exact and fraction-free in both
 rings: one echelon takes integer rows, keeping its pivot rows primitive over
@@ -532,23 +529,12 @@ class OracleSession:
     def space(self, d, w):
         ech = self._spaces.get((d, w))
         if ech is None:
-            ncols = len(slice_monomials(self.m, d, w))
-            ech = self._spaces[d, w] = self._build(d, w, ncols)
+            ech = self._spaces[d, w] = self._build(d, w)
         return ech
 
-    def _walk(self):
-        """(d, w, size, echelon) for each slice of the degree box in box
-        order, building the missing ones; their lower slices come earlier,
-        so each build finds them."""
-        spaces = self._spaces
-        for d, w, size in _box_slices(self.m, self.degree_bound):
-            ech = spaces.get((d, w))
-            if ech is None:
-                ech = spaces[d, w] = self._build(d, w, size)
-            yield d, w, size, ech
-
-    def _build(self, d, w, ncols):
+    def _build(self, d, w):
         """A covered slice is stored full at once; any other is eliminated."""
+        ncols = len(slice_monomials(self.m, d, w))
         covered, partial = 0, []
         for key, lower_full, i, j, mask in _lower_slices(self.m, self.ring, d, w):
             lower = self._spaces.get(key)
@@ -607,10 +593,7 @@ class OracleSession:
         if len(pivots) < target:
             index = _column_index(self.m, d, w)
             for poly in self._generators(d, w):
-                ech._insert({
-                    col: c for a, c in poly.terms.items()
-                    if not covered >> (col := index[a]) & 1
-                })
+                ech.add({index[a]: c for a, c in poly.terms.items()})
                 if len(pivots) == target:
                     break
         if len(pivots) == target:
@@ -631,10 +614,9 @@ class OracleSession:
 
     def dims(self) -> DimReport:
         t0 = time.monotonic()
-        dims = {
-            (d, w): size - ech.units.bit_count() - len(ech.pivots)
-            for d, w, size, ech in self._walk()
-        }
+        dims = {}
+        for d, w, size in _box_slices(self.m, self.degree_bound):
+            dims[(d, w)] = size - self.space(d, w).rank
         return DimReport(
             self.m, self.ring.char, self.degree_bound, dims, sum(dims.values()),
             time.monotonic() - t0,
@@ -668,7 +650,8 @@ class OracleSession:
             masks[d, w] = masks.get((d, w), 0) | 1 << _column_index(m, d, w)[a]
         p = self.ring.char
         rows, overlays = [], []
-        for d, w, size, ech in self._walk():
+        for d, w, size in _box_slices(m, self.degree_bound):
+            ech = self.space(d, w)
             cands = masks.get((d, w), 0)
             indep = True
             if cands & ech.leads:
@@ -683,7 +666,7 @@ class OracleSession:
                         break
                     left ^= low
             count = cands.bit_count()
-            q = size - ech.units.bit_count() - len(ech.pivots)
+            q = size - ech.rank
             rows.append((d, w, size, q, count, indep, q == count))
         report = VerificationReport._of_rows(
             m, p, candidate.provenance, self.degree_bound, tuple(rows),

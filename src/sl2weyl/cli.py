@@ -65,6 +65,14 @@ def _emit_json(args, payload) -> None:
     _emit(args, json.dumps(payload, separators=(",", ":")))
 
 
+def _basis_order(args) -> str:
+    """The --order of `basis` and `verify`: lex when left out, and refused
+    next to --truncate, whose basis has its own order."""
+    if args.order is not None and args.truncate is not None:
+        raise ValueError("--order does not apply with --truncate")
+    return args.order or "lex"
+
+
 def _basis_for(m: int, order: str, trunc) -> basis_enum.BasisSet:
     if trunc is not None:
         return basis_enum.truncated_basis(m, trunc)
@@ -77,7 +85,7 @@ def _basis_for(m: int, order: str, trunc) -> basis_enum.BasisSet:
 
 
 def cmd_basis(args) -> int:
-    bs = _basis_for(args.m, args.order, args.truncate)
+    bs = _basis_for(args.m, _basis_order(args), args.truncate)
     monos = bs.sorted_monomials()
     if args.format == "json":
         _emit_json(args, {
@@ -178,6 +186,7 @@ def _verification_payload(report) -> dict:
 def cmd_verify(args) -> int:
     ring = CoeffRing(args.char)
     bound = _degree_bound(args)
+    order = _basis_order(args)
     if args.truncate is not None:
         report = _truncated_quotient(args.m, args.truncate, ring, bound)
         payload = _verification_payload(report.verification)
@@ -188,7 +197,7 @@ def cmd_verify(args) -> int:
         ok = report.passed
     else:
         session = quotient_oracle.OracleSession(args.m, ring, bound)
-        report = session.verify_basis(_basis_for(args.m, args.order, None))
+        report = session.verify_basis(_basis_for(args.m, order, None))
         payload = _verification_payload(report)
         ok = report.passed
     if args.format == "json":
@@ -298,7 +307,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="enumerate a monomial basis")
     p.add_argument("-m", type=_nonnegative_int, required=True)
-    p.add_argument("--order", choices=["lex", "revlex", "cv"], default="lex")
+    p.add_argument("--order", choices=["lex", "revlex", "cv"], default=None,
+                   help="default lex; not with --truncate")
     p.add_argument("--truncate", type=int, default=None, metavar="N")
     common(p, char=False)
     p.set_defaults(func=cmd_basis)
@@ -319,7 +329,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a candidate basis against the quotient")
     p.add_argument("-m", type=_nonnegative_int, required=True)
-    p.add_argument("--order", choices=["lex", "revlex", "cv"], default="lex")
+    p.add_argument("--order", choices=["lex", "revlex", "cv"], default=None,
+                   help="default lex; not with --truncate")
     p.add_argument("--truncate", type=int, default=None, metavar="N")
     p.add_argument("--max-degree", type=_nonnegative_int, default=None)
     common(p)

@@ -5,6 +5,9 @@ the coinvariant algebra.
 Kostka numbers come two ways: one pair at a time from the literal strip
 recursion (`kostka`), the reference, and one content at a time as a row of
 all shapes by the Pieri rule (`kostka_row`), which the Schur family reads.
+The rows read one process-wide table of Pieri strips
+(`_added_horizontal_strips`, keyed by shape, strip size and cap), so each
+strip set is enumerated once and every row keys on the table's shape tuples.
 
 The coinvariant computations use the complete homogeneous polynomials
 h_{m-r+1}(t_1, ..., t_r), 1 <= r <= m, which form a Groebner basis of the
@@ -78,9 +81,10 @@ def kostka_row(content: tuple[int, ...], cap: int) -> dict:
     parts, such as the mu of a slice, which is not padded to its degree.
     Pieri rule: each shape in the row of content[:-1] gains every horizontal
     strip of content[-1] cells that keeps it within cap columns; strips only
-    widen a shape, so the cap loses no term.  Cached for the whole process by
-    (content, cap), so every degree, slice and ring reads one row per
-    content; read only."""
+    widen a shape, so the cap loses no term.  The strips come from the shared
+    strip table, and the row's keys are the table's shape tuples.  Cached for
+    the whole process by (content, cap), so every degree, slice and ring
+    reads one row per content; read only."""
     if not content:
         return {(): 1}
     row = {}
@@ -91,10 +95,14 @@ def kostka_row(content: tuple[int, ...], cap: int) -> dict:
     return row
 
 
-def _added_horizontal_strips(nu: tuple[int, ...], size: int, cap: int) -> list:
+@lru_cache(maxsize=None)
+def _added_horizontal_strips(nu: tuple[int, ...], size: int, cap: int) -> tuple:
     """Shapes lam >= nu with lam/nu a horizontal strip of `size` cells and
-    lam_1 <= cap: row i gains at most nu_{i-1} - nu_i cells (row 0 at most
-    cap - nu_0), and one new row at most nu_last cells."""
+    lam_1 <= cap, in increasing lexicographic order: row i gains at most
+    nu_{i-1} - nu_i cells (row 0 at most cap - nu_0), and one new row at
+    most nu_last cells.  Cached for the whole process by (nu, size, cap):
+    the Kostka rows of every content repeat most strip sets, and share the
+    returned shape tuples; read only."""
     base = nu + (0,)
     room = (cap - nu[0] if nu else cap,) + tuple(map(sub, nu, base[1:]))
     free = list(itertools.accumulate(reversed(room)))[::-1] + [0]  # cells rows i.. can take
@@ -114,7 +122,7 @@ def _added_horizontal_strips(nu: tuple[int, ...], size: int, cap: int) -> list:
 
     if size <= free[0]:
         fill(0, size)
-    return out
+    return tuple(out)
 
 
 def _multiset_weight(eta: tuple[int, ...]) -> int:

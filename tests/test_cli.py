@@ -144,6 +144,10 @@ def test_usage_errors(capsys, tmp_path):
         # the Schur and forgotten families have fixed bounds
         ["gens", "-m", "3", "--family", "gm", "--max-degree", "2"],
         ["gens", "-m", "3", "--family", "srevlex", "--max-weight", "2"],
+        # a truncated basis has its own order
+        ["basis", "-m", "4", "--truncate", "2", "--order", "cv"],
+        ["basis", "-m", "4", "--truncate", "2", "--order", "lex"],
+        ["verify", "-m", "4", "--truncate", "2", "--order", "cv"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), argv

@@ -182,6 +182,7 @@ def test_dims_equal_after_clearing_the_caches():
         sess.space(m + 2, (m + 2) * (m - 1) // 2)
         warm[ring.char] = sess.dims().dims
     warm_schur = schur_family(m, prime_field(3))
+    warm_schur_q = schur_family(m, RATIONALS)
     for info in pkgutil.iter_modules(sl2weyl.__path__):
         module = importlib.import_module(f"sl2weyl.{info.name}")
         for f in vars(module).values():
@@ -189,7 +190,9 @@ def test_dims_equal_after_clearing_the_caches():
                 f.cache_clear()
     weyl_ideal._product_table.clear()
     assert symfunc.kostka_row.cache_info().currsize == 0
+    assert symfunc._added_horizontal_strips.cache_info().currsize == 0
     assert schur_family(m, prime_field(3)) == warm_schur
+    assert schur_family(m, RATIONALS) == warm_schur_q
     for ring in RINGS:
         assert OracleSession(m, ring, m + 2).dims().dims == warm[ring.char], ring.char
 

@@ -6,6 +6,7 @@ from sl2weyl.partitions import (
     EMPTY,
     dominates,
     enumerate_partitions,
+    iter_partitions,
     make_partition,
     parse_partition,
     transpose,
@@ -13,6 +14,8 @@ from sl2weyl.partitions import (
 )
 from sl2weyl.symfunc import (
     OPoly,
+    _added_horizontal_strips,
+    _horizontal_substrips,
     coinvariant_reduce,
     complete_h,
     forgotten_coeff,
@@ -108,6 +111,24 @@ def test_kostka_rows_match_literal_kostka():
                 row = kostka_row(mu.parts, m - 1)
                 for lam in enumerate_partitions(size, m - 1, size):
                     assert row.get(lam.parts, 0) == kostka(lam, mu), (m, lam, mu)
+
+
+def test_added_strips_match_literal_substrips():
+    # the shared strip table against the literal strip recursion read
+    # backwards: lam gains the strip exactly when nu is a substrip of lam,
+    # in increasing lexicographic order; one immutable tuple per key
+    for cap in range(6):
+        for n in range(7):
+            for nu in iter_partitions(n, cap, n):
+                for size in range(5):
+                    strips = _added_horizontal_strips(nu, size, cap)
+                    assert isinstance(strips, tuple)
+                    assert _added_horizontal_strips(nu, size, cap) is strips
+                    want = [
+                        lam for lam in iter_partitions(n + size, cap, n + size)
+                        if nu in _horizontal_substrips(lam, size)
+                    ]
+                    assert list(strips) == want, (nu, size, cap)
 
 
 def test_kostka_row_holds_the_nonzero_numbers_within_the_cap():

@@ -34,12 +34,12 @@ def main() -> int:
         rep = truncated_quotient(m, n, RATIONALS, m + 2)
         status = "ok" if rep.passed else "MISMATCH"
         print(
-            f"  N={n}: basis {len(bs):>4}  oracle dims {rep.dims.total:>4}  "
+            f"  N={n}: basis {len(bs):>4}  oracle dims {rep.total_quotient_dim:>4}  "
             f"nested={nested}  verified={status}"
         )
         if not rep.passed or not nested:
             return 1
-        if n == m and rep.dims.total != 2**m:
+        if n == m and rep.total_quotient_dim != 2**m:
             print(f"  !! N={m} oracle total differs from 2^m = {2**m}")
             return 1
         prev = bs.monomials

@@ -94,7 +94,7 @@ def criterion_truncation(max_m=5):
             rep = truncated_quotient(m, n, RATIONALS, m + 2)
             ok = ok and rep.passed
             if n == 1:
-                ok = ok and rep.dims.total == m + 1
+                ok = ok and rep.total_quotient_dim == m + 1
     return ok, f"truncated dims match the truncated basis, 1<=N<m<={max_m}"
 
 

@@ -107,7 +107,7 @@ def cmd_gens(args) -> int:
         raise ValueError(f"--max-degree and --max-weight apply to the defining family only, "
                          f"not to {args.family}")
     if family == "defining":
-        max_d = max(_degree_bound(args), args.m + 1)
+        max_d = _degree_bound(args)
         max_w = args.max_weight if args.max_weight is not None else max_d * max(args.m - 1, 0)
         gs = weyl_ideal.defining_generators(args.m, ring, max_d, max_w)
     elif family == "schur":
@@ -189,17 +189,15 @@ def cmd_verify(args) -> int:
     order = _basis_order(args)
     if args.truncate is not None:
         report = _truncated_quotient(args.m, args.truncate, ring, bound)
-        payload = _verification_payload(report.verification)
-        payload["truncation"] = args.truncate
-        payload["dims_total"] = report.dims.total
-        payload["basis_size"] = report.basis_size
-        payload["passed"] = report.passed
-        ok = report.passed
     else:
-        session = quotient_oracle.OracleSession(args.m, ring, bound)
-        report = session.verify_basis(_basis_for(args.m, order, None))
-        payload = _verification_payload(report)
-        ok = report.passed
+        report = quotient_oracle.verify_basis(args.m, ring, _basis_for(args.m, order, None), bound)
+    payload = _verification_payload(report)
+    if args.truncate is not None:
+        payload.update(
+            truncation=args.truncate, dims_total=report.total_quotient_dim,
+            basis_size=report.total_candidates,
+        )
+    ok = report.passed
     if args.format == "json":
         _emit_json(args, payload)
     else:
@@ -254,12 +252,12 @@ def cmd_dcoeff(args) -> int:
 
 
 def cmd_count(args) -> int:
-    if args.ell is not None:
-        _emit(args, str(basis_enum.count_B(args.m, args.ell)))
-        return EXIT_OK
-    rows = [(ell, basis_enum.count_B(args.m, ell)) for ell in range(args.m // 2 + 1)]
+    ells = range(args.m // 2 + 1) if args.ell is None else (args.ell,)
+    rows = [(ell, basis_enum.count_B(args.m, ell)) for ell in ells]
     if args.format == "json":
         _emit_json(args, {"m": args.m, "counts": [{"ell": l, "B": b} for l, b in rows]})
+    elif args.ell is not None:
+        _emit(args, str(rows[0][1]))
     else:
         _emit(args, "\n".join(f"ell={l} B={b}" for l, b in rows))
     return EXIT_OK
@@ -271,7 +269,7 @@ def cmd_truncate(args) -> int:
     report = _truncated_quotient(args.m, args.n, ring, bound)
     payload = {
         "m": args.m, "char": ring.char, "truncation": args.n,
-        "dims_total": report.dims.total, "basis_size": report.basis_size,
+        "dims_total": report.total_quotient_dim, "basis_size": report.total_candidates,
         "passed": report.passed,
     }
     if args.format == "json":

@@ -104,7 +104,7 @@ from .dpalgebra import (
     slice_monomials,
     unit_normalize,
 )
-from .weyl_ideal import GeneratorSet, slice_series
+from .weyl_ideal import GeneratorSet, slice_series, truncation_relations
 
 
 class ConfigurationError(ValueError):
@@ -489,12 +489,13 @@ class OracleSession:
     all-ones mask.
 
     gens: a family for the same m and ring covering the degree box, in place
-    of the defining series coefficients.  extra_degree_one: indices j in
-    0..m-1 whose variables x_j are adjoined to the ideal (used for
-    truncations); any other index raises ValueError.
+    of the defining series coefficients.  relations: a map from slice
+    (d, w) to integral polynomials of that slice for the same m and ring,
+    adjoined to the ideal whichever the base (the defining series or
+    `gens`); `weyl_ideal.truncation_relations` builds the truncations.
     """
 
-    def __init__(self, m, ring, degree_bound, gens=None, extra_degree_one=()):
+    def __init__(self, m, ring, degree_bound, gens=None, relations=None):
         if degree_bound < m:
             raise ValueError(f"degree_bound must be >= m = {m}")
         self.m = m
@@ -512,13 +513,7 @@ class OracleSession:
             if gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound:
                 raise ConfigurationError("generator bounds do not cover the degree box")
             self._given = gens.by_slice()
-        for j in extra_degree_one:
-            if not 0 <= j < m:
-                raise ValueError(f"extra_degree_one index {j} outside 0..{m - 1}")
-        self._extra = {
-            (1, j): [DPoly.monomial(ring, m, tuple(int(i == j) for i in range(m)))]
-            for j in extra_degree_one
-        }
+        self.relations = relations or {}
         self._spaces: dict[tuple[int, int], _Echelon] = {}
         # each verified basis -> its overlay slices, where a candidate sits
         # on a pivot lead
@@ -602,10 +597,10 @@ class OracleSession:
 
     def _generators(self, d, w):
         """Generator polynomials of slice (d, w), one at a time: the given
-        ones and the truncation variables, then, when no generators were
-        given, the defining series coefficients."""
+        ones and the relations, then, when no generators were given, the
+        defining series coefficients."""
         yield from self._given.get((d, w), ())
-        yield from self._extra.get((d, w), ())
+        yield from self.relations.get((d, w), ())
         if self.gens is None:
             for _, pairs in slice_series(self.m, d, w):
                 yield DPoly(self.ring, self.m, dict(pairs))
@@ -751,36 +746,12 @@ def verify_basis(m, ring, candidate: BasisSet, degree_bound) -> VerificationRepo
     return OracleSession(m, ring, degree_bound).verify_basis(candidate)
 
 
-class TruncationReport(Record):
-    __slots__ = ("m", "n_trunc", "char", "dims", "basis_size", "verification")
-
-    def __init__(
-        self, m: int, n_trunc: int, char: int, dims: DimReport, basis_size: int,
-        verification: VerificationReport,
-    ):
-        _set(self, "m", m)
-        _set(self, "n_trunc", n_trunc)
-        _set(self, "char", char)
-        _set(self, "dims", dims)
-        _set(self, "basis_size", basis_size)
-        _set(self, "verification", verification)
-
-    @property
-    def passed(self) -> bool:
-        return self.dims.total == self.basis_size and self.verification.passed
-
-
-def truncated_quotient(m, n_trunc, ring, degree_bound) -> TruncationReport:
-    """Quotient with the variables x_N..x_{m-1} adjoined to the ideal,
-    compared against the truncated basis."""
-    if n_trunc < 1:
-        raise ValueError("truncation level must be >= 1")
-    extra = tuple(range(min(n_trunc, m), m))
-    session = OracleSession(m, ring, degree_bound, extra_degree_one=extra)
-    dims = session.dims()
-    basis = truncated_basis(m, n_trunc)
-    verification = session.verify_basis(basis)
-    return TruncationReport(m, n_trunc, ring.char, dims, len(basis), verification)
+def truncated_quotient(m, n_trunc, ring, degree_bound) -> VerificationReport:
+    """The truncated basis verified in the quotient by the variables
+    x_N..x_{m-1} (`truncation_relations`)."""
+    relations = truncation_relations(m, n_trunc, ring)
+    session = OracleSession(m, ring, degree_bound, relations=relations)
+    return session.verify_basis(truncated_basis(m, n_trunc))
 
 
 def reduce_element(f: DPoly, m, ring, candidate: BasisSet):

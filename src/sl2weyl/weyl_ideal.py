@@ -30,6 +30,10 @@ Schur elements read their Kostka numbers from the process-wide row table
 of the slice, capped at lam_1 <= m-1.  `schur_family` reads the rows of a
 slice once and inverts them, so it visits only the nonzero numbers; the
 literal `symfunc.kostka` stays the reference the tests compare them with.
+
+Extra relations, which a session adjoins to whichever family it has, are
+maps from slice (d, w) to polynomials.  `truncation_relations` is the one
+builder of the truncation ideal: the variables x_N, ..., x_{m-1}.
 """
 
 from __future__ import annotations
@@ -230,6 +234,14 @@ def defining_generators(
                 k = power + sum(uexp)
                 entries.append(GeneratorEntry(poly, ("series", uexp, power, k), power, w))
     return GeneratorSet(m, ring, "defining", entries, degree_bound, weight_bound)
+
+
+def truncation_relations(m: int, n_trunc: int, ring: CoeffRing) -> dict:
+    """The truncation ideal as session relations: {(1, j): (x_j,)} for
+    n_trunc <= j < m, empty when n_trunc >= m."""
+    if n_trunc < 1:
+        raise ValueError("truncation level must be >= 1")
+    return {(1, j): (DPoly.variable(ring, m, j),) for j in range(n_trunc, m)}
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,13 @@ def test_partition_parts_are_ascii_digits(capsys):
 def test_count(capsys):
     code, out, _ = run(capsys, "count", "-m", "12", "--ell", "3")
     assert code == 0 and out.strip() == str(220 - 66)
+    # JSON with --ell has the shape of the full census
+    code, out, _ = run(capsys, "count", "-m", "4", "--ell", "1", "--format", "json")
+    assert (code, out) == (0, '{"m":4,"counts":[{"ell":1,"B":3}]}\n')
+    code, out, _ = run(capsys, "count", "-m", "4", "--format", "json")
+    census = json.loads(out)
+    assert code == 0 and census["counts"][1] == {"ell": 1, "B": 3}
+    assert run(capsys, "count", "-m", "4", "--ell", "1") == (0, "3\n", "")
 
 
 def test_verify_pass_and_fail_exit_codes(capsys):
@@ -158,6 +165,10 @@ def test_usage_errors(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "degree_bound must be >= m = 5" in err, argv
+    # the defining generators need the box m + 1
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "gens", "-m", "3", "--max-degree", "2", "--format", fmt)
+        assert code == 2 and out == "" and "degree_bound must be >= m+1 = 4" in err, fmt
 
 
 def test_output_file(tmp_path, capsys):

@@ -36,6 +36,7 @@ from sl2weyl.weyl_ideal import (
     defining_generators,
     forgotten_family,
     schur_family,
+    truncation_relations,
 )
 
 RINGS = (RATIONALS, prime_field(2), prime_field(3), prime_field(5))
@@ -145,13 +146,65 @@ def test_given_and_truncated_sessions_equal_literal_rank():
             bound = m + 2
             defining = defining_generators(m, ring, bound, bound * max(m - 1, 1))
             for n in range(1, m):
-                extra = range(n, m)
                 gens = GeneratorSet(
-                    m, ring, "truncated", defining.entries + _variables(m, ring, extra),
+                    m, ring, "truncated", defining.entries + _variables(m, ring, range(n, m)),
                     defining.degree_bound, defining.weight_bound,
                 )
-                sess = OracleSession(m, ring, bound, extra_degree_one=extra)
+                sess = OracleSession(m, ring, bound, relations=truncation_relations(m, n, ring))
                 _assert_ranks_match_literal(m, ring, bound, sess, gens)
+
+
+def _random_entries(rng, m, ring, bound):
+    """1-8 homogeneous polynomials of 1-3 terms with small nonzero integer
+    coefficients, each in a random slice of positive degree in the box."""
+    slices = [s for s in _box_slices(m, bound) if s[0]]
+    entries = []
+    for _ in range(rng.randint(1, 8)):
+        d, w, size = rng.choice(slices)
+        monos = rng.sample(slice_monomials(m, d, w), min(size, rng.randint(1, 3)))
+        terms = {a: rng.choice((-3, -2, -1, 1, 2, 3)) for a in monos}
+        entries.append(GeneratorEntry(DPoly(ring, m, terms), ("random",), d, w))
+    return tuple(entries)
+
+
+def test_random_families_equal_literal_rank():
+    # coverage and the shifted rows hold for any family: seeded random sets
+    # given as the whole family must match the literal rows slice by slice
+    rng = random.Random(1801)
+    for trial in range(500):
+        m, ring = rng.randint(1, 5), RINGS[trial % len(RINGS)]
+        bound = rng.randint(m, m + 2)
+        entries = _random_entries(rng, m, ring, bound)
+        gens = GeneratorSet(m, ring, "random", entries, bound, bound * max(m - 1, 0))
+        sess = OracleSession(m, ring, bound, gens=gens)
+        for d, w, _ in _box_slices(m, bound):
+            lit = slice_rank(build_slice(m, ring, d, w, gens))
+            assert sess.space(d, w).rank == lit, (trial, m, ring.char, bound, d, w)
+
+
+def test_random_relations_on_the_defining_ideal_equal_literal_rank():
+    # relations are adjoined to the series generators: the session must
+    # match the literal rows of the defining family plus the relations
+    rng = random.Random(1802)
+    defining = {}
+    for trial in range(200):
+        m, ring = rng.randint(1, 4), RINGS[trial % len(RINGS)]
+        bound = rng.randint(m, m + 2)
+        if (m, ring) not in defining:
+            defining[m, ring] = defining_generators(m, ring, m + 2, (m + 2) * max(m - 1, 1))
+        base = defining[m, ring]
+        entries = _random_entries(rng, m, ring, bound)
+        relations = {}
+        for e in entries:
+            relations.setdefault((e.degree, e.weight), []).append(e.poly)
+        gens = GeneratorSet(
+            m, ring, "defining+random", base.entries + entries, base.degree_bound,
+            base.weight_bound,
+        )
+        sess = OracleSession(m, ring, bound, relations=relations)
+        for d, w, _ in _box_slices(m, bound):
+            lit = slice_rank(build_slice(m, ring, d, w, gens))
+            assert sess.space(d, w).rank == lit, (trial, m, ring.char, bound, d, w)
 
 
 def test_cached_slice_structure_is_shared_across_sessions():
@@ -317,7 +370,7 @@ def test_lead_mask_is_the_units_and_the_row_leads(monkeypatch):
                     ("forgotten", OracleSession(m, ring, bound, gens=gens), revlex_basis(m))
                 )
             for n in range(1, m):
-                sess = OracleSession(m, ring, bound, extra_degree_one=range(n, m))
+                sess = OracleSession(m, ring, bound, relations=truncation_relations(m, n, ring))
                 sessions.append((f"truncated-{n}", sess, truncated_basis(m, n)))
             f = _box_poly(m, ring, bound)
             for kind, sess, basis in sessions:
@@ -615,19 +668,19 @@ def test_greedy_pivot_complement_is_the_lex_basis():
 
 
 def test_truncated_quotient_small():
-    for m in range(2, 6):
-        for n in range(1, m):
+    for m in range(1, 6):
+        for n in range(1, m + 1):
             rep = truncated_quotient(m, n, RATIONALS, m + 2)
             assert rep.passed, (m, n)
-            assert rep.dims.total == len(truncated_basis(m, n))
-        assert truncated_quotient(m, 1, RATIONALS, m + 2).dims.total == m + 1
+            assert rep.total_quotient_dim == rep.total_candidates == len(truncated_basis(m, n))
+        assert truncated_quotient(m, 1, RATIONALS, m + 2).total_quotient_dim == m + 1
 
 
 def test_truncated_quotient_full_when_n_at_least_m():
     for m in (2, 3, 4):
         full = quotient_dim(m, RATIONALS, m + 2)
         trunc = truncated_quotient(m, m, RATIONALS, m + 2)
-        assert trunc.dims.dims == full.dims
+        assert {(s.degree, s.weight): s.quotient_dim for s in trunc.slices} == full.dims
         assert trunc.passed
 
 
@@ -636,24 +689,13 @@ def test_truncation_by_plain_variables_is_a_char_zero_statement():
     # the plain-variable truncation genuinely exceeds the basis size there;
     # the truncation theorem lives in characteristic zero
     rep = truncated_quotient(4, 1, prime_field(2), 6)
-    assert rep.dims.total == 6 > 5 == len(truncated_basis(4, 1))
+    assert rep.total_quotient_dim == 6 > 5 == rep.total_candidates == len(truncated_basis(4, 1))
+    assert not rep.passed
 
 
 def test_truncated_rejects_bad_level():
     with pytest.raises(ValueError):
         truncated_quotient(3, 0, RATIONALS, 5)
-
-
-def test_session_rejects_truncation_indices_outside_the_variables():
-    # such an index used to build the constant monomial under a slice key
-    # (1, j) that the box never reads, so it was silently ignored
-    for extra in ((5,), (-1,), (3,), (0, 5)):
-        with pytest.raises(ValueError, match=f"index {extra[-1]} outside 0..2"):
-            OracleSession(3, RATIONALS, 4, extra_degree_one=extra)
-    for m in range(1, 6):
-        for n in range(1, m + 1):
-            rep = truncated_quotient(m, n, RATIONALS, m + 2)
-            assert rep.passed and rep.dims.total == len(truncated_basis(m, n)), (m, n)
 
 
 # -- reduction -------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from sl2weyl.quotient_oracle import (
     GradedSlice,
     OracleSession,
     SliceReport,
-    TruncationReport,
     VerificationReport,
 )
 from sl2weyl.weyl_ideal import GeneratorEntry, GeneratorSet, schur_family
@@ -36,7 +35,6 @@ F3 = CoeffRing(3)
 X1 = DPoly.variable(F3, 2, 1)
 ENTRY = GeneratorEntry(X1, ("schur", (1,), 1), 1, 1)
 SLICE = SliceReport(1, 1, 2, 1, 1, True, True)
-DIMS = DimReport(1, 0, 3, {(0, 0): 1, (1, 0): 1}, 2, 0.0)
 VERIFY = VerificationReport(1, 0, "lex", 3, [SLICE], 0.5)
 
 # (builder of a fresh record, a record of the same class differing in one
@@ -97,21 +95,17 @@ RECORDS = [
         "slices=(), elapsed_seconds=0.0)",
     ),
     (
-        lambda: TruncationReport(1, 1, 0, DIMS, 2, VERIFY),
-        TruncationReport(1, 1, 0, DIMS, 3, VERIFY),
-        ("m", "n_trunc", "char", "dims", "basis_size", "verification"),
-        "TruncationReport(m=1, n_trunc=1, char=0, dims=DimReport(m=1, char=0, "
-        "degree_bound=3, dims={(0, 0): 1, (1, 0): 1}, total=2, elapsed_seconds=0.0), "
-        "basis_size=2, verification=VerificationReport(m=1, char=0, provenance='lex', "
-        "degree_bound=3, slices=(SliceReport(degree=1, weight=1, slice_dim=2, "
-        "quotient_dim=1, candidate_count=1, independent=True, spanning=True),), "
-        "elapsed_seconds=0.5))",
+        lambda: VerificationReport(1, 0, "lex", 3, [SLICE], 0.5),
+        VerificationReport(1, 0, "lex", 3, [SLICE], 0.25),
+        ("m", "char", "provenance", "degree_bound", "slices", "elapsed_seconds"),
+        "VerificationReport(m=1, char=0, provenance='lex', degree_bound=3, "
+        "slices=(SliceReport(degree=1, weight=1, slice_dim=2, quotient_dim=1, "
+        "candidate_count=1, independent=True, spanning=True),), elapsed_seconds=0.5)",
     ),
 ]
 ROW = "make, other, fields, text"
-# the records with a dict among their fields (DimReport.dims, and the
-# DimReport a TruncationReport holds)
-UNHASHABLE = (DimReport, TruncationReport)
+# the records with a dict among their fields (DimReport.dims)
+UNHASHABLE = (DimReport,)
 
 
 @pytest.mark.parametrize(ROW, RECORDS)

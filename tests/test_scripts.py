@@ -6,7 +6,8 @@ import pytest
 from sl2weyl.basis_enum import BasisSet, revlex_basis
 from sl2weyl.quotient_oracle import (
     DimReport,
-    TruncationReport,
+    SliceReport,
+    VerificationReport,
     quotient_dim,
     truncated_quotient,
 )
@@ -90,10 +91,12 @@ def test_chain_fails_when_the_top_level_total_is_not_2_to_the_m(monkeypatch, cap
         rep = truncated_quotient(m, n, ring, degree_bound)
         if n < m:
             return rep
-        # one more in both the total and the basis size: the level still passes
-        d = rep.dims
-        dims = DimReport(d.m, d.char, d.degree_bound, d.dims, d.total + 1, 0.0)
-        return TruncationReport(m, n, ring.char, dims, rep.basis_size + 1, rep.verification)
+        # one more passing slice, one more in both the total and the
+        # candidates: the level still passes
+        extra = SliceReport(degree_bound + 1, 0, 1, 1, 1, True, True)
+        return VerificationReport(
+            m, ring.char, rep.provenance, degree_bound, rep.slices + (extra,), 0.0
+        )
 
     monkeypatch.setattr(module, "truncated_quotient", fake)
     assert module.main() == 1

@@ -28,6 +28,7 @@ from sl2weyl.weyl_ideal import (
     series_power_coefficient,
     slice_series,
     transition_identity_holds,
+    truncation_relations,
 )
 
 F2 = prime_field(2)
@@ -270,6 +271,19 @@ def test_defining_m1():
 def test_defining_requires_bound():
     with pytest.raises(ValueError):
         defining_generators(3, RATIONALS, 3, 9)
+
+
+def test_truncation_relations_are_the_variables_from_n_on():
+    for ring in RINGS:
+        relations = truncation_relations(3, 1, ring)
+        assert relations == {
+            (1, 1): (DPoly(ring, 3, {(0, 1, 0): 1}),),
+            (1, 2): (DPoly(ring, 3, {(0, 0, 1): 1}),),
+        }
+        for n in (3, 4, 7):
+            assert truncation_relations(3, n, ring) == {}
+        with pytest.raises(ValueError, match="truncation level must be >= 1"):
+            truncation_relations(3, 0, ring)
 
 
 def test_defining_m3_contains_the_paper_table_row():

@@ -2,12 +2,23 @@
 strings); output is byte-identical across runs except for the clearly marked
 elapsed-seconds field in verification reports.  Timings in text mode (the
 elapsed seconds of `dim` and `verify`, the criterion times of `selftest`) go
-to stderr."""
+to stderr.
+
+Output goes through one writer, `_write`, to stdout or `--output`, which
+writes each chunk as soon as it is formatted, so memory does not grow with
+the size of the output.  `gens` and `basis` format their text lines, or
+the items of their JSON list, a small batch at a time; the JSON is still
+the bytes of `json.dumps(payload, separators=(",", ":"))`.  Every command
+computes and validates its whole result before the first byte, so a usage
+error or an unopenable `--output` path leaves no output; an OSError in the
+middle of writing leaves what was written before it."""
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
+from itertools import islice
 
 from . import basis_enum, quotient_oracle, symfunc, weyl_ideal
 from .dpalgebra import CoeffRing, format_dpoly, format_monomial, parse_dpoly
@@ -16,6 +27,12 @@ from .partitions import parse_partition
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+# text lines per write, and JSON list items per encoder call and write, of
+# a streamed output: a chunk per line or item would cost a Python-level
+# call per line, and a system call where stdout is unbuffered
+# (PYTHONUNBUFFERED); a JSON item of `gens` can be a few kB
+_LINE_BATCH = 256
+_JSON_BATCH = 16
 
 _FAMILIES = {
     "y": "defining",
@@ -50,19 +67,59 @@ def _degree_bound(args) -> int:
     return args.m + 2 if args.max_degree is None else args.max_degree
 
 
+def _write(args, chunks) -> None:
+    """Write the text chunks and a final newline to --output, or else to
+    stdout, each as the iterable yields it.  The file is opened before the
+    first chunk is formatted."""
+    path = getattr(args, "output", None)
+    with open(path, "w") if path else nullcontext(sys.stdout) as fh:
+        fh.writelines(chunks)
+        fh.write("\n")
+
+
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, (text,))
 
 
-def _emit_json(args, payload) -> None:
+def _emit_lines(args, first: str, rest) -> None:
+    """The line `first`, then the lines of `rest` as the iterable yields
+    them, _LINE_BATCH to a chunk: the bytes of "\\n".join([first, *rest])
+    and a newline."""
+    def chunks():
+        yield first
+        lines = iter(rest)
+        while batch := list(islice(lines, _LINE_BATCH)):
+            yield "\n" + "\n".join(batch)
+
+    _write(args, chunks())
+
+
+def _emit_json(args, payload: dict, key=None, items=()) -> None:
+    """The bytes of json.dumps(payload, separators=(",", ":")); with `key`,
+    of the (nonempty) payload with the last field key: list(items), its
+    items encoded and written a batch at a time as the iterable yields
+    them."""
     # imported here so that text output never loads json
     import json
 
-    _emit(args, json.dumps(payload, separators=(",", ":")))
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    text = encode(payload)
+    if key is None:
+        _emit(args, text)
+        return
+
+    def chunks():
+        yield f"{text[:-1]},{encode(key)}:["
+        # a list encodes as its items joined by commas in brackets, so a
+        # batch per encoder call gives the same bytes
+        rest = iter(items)
+        sep = ""
+        while batch := list(islice(rest, _JSON_BATCH)):
+            yield sep + encode(batch)[1:-1]
+            sep = ","
+        yield "]}"
+
+    _write(args, chunks())
 
 
 def _basis_order(args) -> str:
@@ -88,14 +145,15 @@ def cmd_basis(args) -> int:
     bs = _basis_for(args.m, _basis_order(args), args.truncate)
     monos = bs.sorted_monomials()
     if args.format == "json":
-        _emit_json(args, {
-            "m": args.m, "order": bs.provenance, "count": len(monos),
-            "monomials": [list(a) for a in monos],
-        })
+        _emit_json(
+            args, {"m": args.m, "order": bs.provenance, "count": len(monos)},
+            "monomials", map(list, monos),
+        )
     else:
-        lines = [f"# m={args.m} order={bs.provenance} count={len(monos)}"]
-        lines += [format_monomial(a) for a in monos]
-        _emit(args, "\n".join(lines))
+        _emit_lines(
+            args, f"# m={args.m} order={bs.provenance} count={len(monos)}",
+            map(format_monomial, monos),
+        )
     return EXIT_OK
 
 
@@ -115,31 +173,35 @@ def cmd_gens(args) -> int:
     else:
         gs = weyl_ideal.forgotten_family(args.m, ring)
     if args.format == "json":
-        gens = []
-        for e in gs.entries:
-            prov: dict = {"family": gs.family}
-            if e.provenance[0] == "series":
-                prov.update(uexp=list(e.provenance[1]), power=e.provenance[2], k=e.provenance[3])
-            else:
-                prov.update(partition=list(e.provenance[1]), k=e.provenance[2])
-            gens.append({
-                "degree": e.degree, "weight": e.weight, "provenance": prov,
-                "terms": [
-                    {"coeff": str(c), "monomial": list(a)}
-                    for a, c in sorted(e.poly.terms.items())
-                ],
-            })
-        _emit_json(args, {
-            "m": args.m, "char": ring.char, "family": gs.family,
-            "degree_bound": gs.degree_bound, "weight_bound": gs.weight_bound,
-            "count": len(gens), "generators": gens,
-        })
+        _emit_json(
+            args, {
+                "m": args.m, "char": ring.char, "family": gs.family,
+                "degree_bound": gs.degree_bound, "weight_bound": gs.weight_bound,
+                "count": len(gs.entries),
+            },
+            "generators", (_generator_record(gs.family, e) for e in gs.entries),
+        )
     else:
-        lines = [f"# m={args.m} char={ring.char} family={gs.family} count={len(gs.entries)}"]
-        for e in gs.entries:
-            lines.append(f"{e.provenance}\t{format_dpoly(e.poly)}")
-        _emit(args, "\n".join(lines))
+        _emit_lines(
+            args, f"# m={args.m} char={ring.char} family={gs.family} count={len(gs.entries)}",
+            (f"{e.provenance}\t{format_dpoly(e.poly)}" for e in gs.entries),
+        )
     return EXIT_OK
+
+
+def _generator_record(family: str, e) -> dict:
+    """The JSON record of one generator entry."""
+    prov: dict = {"family": family}
+    if e.provenance[0] == "series":
+        prov.update(uexp=list(e.provenance[1]), power=e.provenance[2], k=e.provenance[3])
+    else:
+        prov.update(partition=list(e.provenance[1]), k=e.provenance[2])
+    return {
+        "degree": e.degree, "weight": e.weight, "provenance": prov,
+        "terms": [
+            {"coeff": str(c), "monomial": list(a)} for a, c in sorted(e.poly.terms.items())
+        ],
+    }
 
 
 def cmd_dim(args) -> int:

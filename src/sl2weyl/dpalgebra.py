@@ -24,7 +24,7 @@ import enum
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from ._record import Record, _set
 from .partitions import iter_partitions
@@ -303,6 +303,16 @@ class DPoly:
     def scale(self, c):
         c = self.ring.convert(c)
         return DPoly(self.ring, self.m, {a: self.ring.mul(v, c) for a, v in self.terms.items()})
+
+    def integral(self):
+        """A unit multiple with integer coefficients: self times the lcm of
+        its denominators over the rationals, self when that is 1 (always
+        over F_p, whose coefficients are integers)."""
+        den = 1
+        for c in self.terms.values():
+            if type(c) is not int:
+                den = lcm(den, c.denominator)
+        return self if den == 1 else self.scale(den)
 
     def __mul__(self, other):
         self._check(other)

@@ -467,6 +467,30 @@ def slice_rank(sl: GradedSlice) -> int:
 # the cascading engine
 
 
+def _checked_relations(m, ring, relations) -> dict:
+    """The relations as a session adjoins them: each of the session's m and
+    ring, homogeneous and filed under its own slice, with integer
+    coefficients (`DPoly.integral`); a zero relation is filed anywhere."""
+    out = {}
+    for key, polys in relations.items():
+        rows = []
+        for f in polys:
+            if f.m != m or f.ring != ring:
+                raise ValueError(
+                    f"relation {f} is for m = {f.m} over {f.ring}, not m = {m} over {ring}"
+                )
+            if not f.is_homogeneous():
+                raise ValueError(f"relation {f} is not homogeneous")
+            if f.terms:
+                a = next(iter(f.terms))
+                own = (mono_degree(a), mono_weight(a))
+                if own != key:
+                    raise ValueError(f"relation {f} of slice {own} is filed under {key}")
+            rows.append(f.integral())
+        out[key] = tuple(rows)
+    return out
+
+
 class OracleSession:
     """Holds the echelonized ideal slices for one (m, ring, degree bound) and
     answers dimension, basis-verification, and reduction queries.
@@ -490,9 +514,13 @@ class OracleSession:
 
     gens: a family for the same m and ring covering the degree box, in place
     of the defining series coefficients.  relations: a map from slice
-    (d, w) to integral polynomials of that slice for the same m and ring,
-    adjoined to the ideal whichever the base (the defining series or
-    `gens`); `weyl_ideal.truncation_relations` builds the truncations.
+    (d, w) to polynomials of that slice for the same m and ring, adjoined
+    to the ideal whichever the base (the defining series or `gens`);
+    `weyl_ideal.truncation_relations` builds the truncations.  A relation
+    of another m or ring, one that is not homogeneous and one filed under
+    a key that is not its slice raise ValueError.  Generator and relation
+    rows enter with integer coefficients, over the rationals as the unit
+    multiples `DPoly.integral`.
     """
 
     def __init__(self, m, ring, degree_bound, gens=None, relations=None):
@@ -513,7 +541,7 @@ class OracleSession:
             if gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound:
                 raise ConfigurationError("generator bounds do not cover the degree box")
             self._given = gens.by_slice()
-        self.relations = relations or {}
+        self.relations = _checked_relations(m, ring, relations or {})
         self._spaces: dict[tuple[int, int], _Echelon] = {}
         # each verified basis -> its overlay slices, where a candidate sits
         # on a pivot lead

@@ -98,12 +98,13 @@ class GeneratorSet(Record):
 
     def by_slice(self) -> dict:
         """The entries' polynomials grouped by (degree, weight), in entry
-        order; built on the first call and kept for the sessions on this
-        set, so read only."""
+        order, each with integer coefficients (`DPoly.integral`, a unit
+        multiple: the rows sessions echelonize); built on the first call
+        and kept for the sessions on this set, so read only."""
         if self._index is None:
             index = {}
             for e in self.entries:
-                index.setdefault((e.degree, e.weight), []).append(e.poly)
+                index.setdefault((e.degree, e.weight), []).append(e.poly.integral())
             _set(self, "_index", index)
         return self._index
 
@@ -216,12 +217,17 @@ def defining_generators(
     in the box degree <= degree_bound, weight <= weight_bound, in (power,
     weight, lam.parts) order, deduplicated up to a unit of the ring.
     Trailing-zero u-exponent vectors reproduce the lower-s coefficients, so s
-    is fixed at m-1 without loss."""
+    is fixed at m-1 without loss.
+
+    A coefficient is homogeneous of bidegree (power, weight), and so are
+    its unit multiples, so the dedup set holds one slice at a time: the
+    entries are those of a set kept over the whole box."""
     if degree_bound < m + 1:
         raise ValueError(f"degree_bound must be >= m+1 = {m + 1}")
-    entries, seen = [], set()
+    entries = []
     for power in range(1, degree_bound + 1):
         for w in range(min(weight_bound, power * (m - 1)) + 1):
+            seen = set()
             for uexp, pairs in slice_series(m, power, w):
                 poly = DPoly(ring, m, dict(pairs))
                 if poly.is_zero():

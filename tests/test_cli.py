@@ -1,7 +1,12 @@
 import json
+import os
 import re
+import sys
+import tracemalloc
 
+from sl2weyl import basis_enum, weyl_ideal
 from sl2weyl.cli import main
+from sl2weyl.dpalgebra import CoeffRing, format_dpoly, format_monomial
 
 
 def run(capsys, *argv):
@@ -148,6 +153,10 @@ def test_usage_errors(capsys, tmp_path):
     for argv in (
         ["reduce", "-m", "2", "--poly=--x0"],  # a stray sign, once read as -x0
         ["dim", "-m", "3", "--output", str(tmp_path / "missing" / "x.txt")],
+        # gens and basis stream, but open the file before the first byte
+        ["gens", "-m", "3", "--output", str(tmp_path / "missing" / "x.txt")],
+        ["gens", "-m", "3", "--format", "json", "--output", str(tmp_path / "missing" / "x")],
+        ["basis", "-m", "4", "--format", "json", "--output", str(tmp_path / "missing" / "x")],
         # the Schur and forgotten families have fixed bounds
         ["gens", "-m", "3", "--family", "gm", "--max-degree", "2"],
         ["gens", "-m", "3", "--family", "srevlex", "--max-weight", "2"],
@@ -215,3 +224,97 @@ def test_selftest_stdout_is_byte_identical_across_runs(capsys):
     assert not re.search(r"\d\.\d+s", out1)
     assert len(err1.splitlines()) == len(err2.splitlines()) == 10
     assert all(line.endswith("s") for line in err1.splitlines())
+
+
+# -- streamed output: the bytes of one json.dumps, the lines of one join --------
+
+
+def _gens_reference(m, family, char, max_d=None, max_w=None):
+    """(json, text) of `gens` built at once from the family."""
+    ring = CoeffRing(char)
+    if family == "y":
+        max_d = m + 2 if max_d is None else max_d
+        max_w = max_d * max(m - 1, 0) if max_w is None else max_w
+        gs = weyl_ideal.defining_generators(m, ring, max_d, max_w)
+    elif family == "gm":
+        gs = weyl_ideal.schur_family(m, ring)
+    else:
+        gs = weyl_ideal.forgotten_family(m, ring)
+    gens = []
+    for e in gs.entries:
+        kind, *rest = e.provenance
+        if kind == "series":
+            prov = {"family": gs.family, "uexp": list(rest[0]), "power": rest[1], "k": rest[2]}
+        else:
+            prov = {"family": gs.family, "partition": list(rest[0]), "k": rest[1]}
+        gens.append({
+            "degree": e.degree, "weight": e.weight, "provenance": prov,
+            "terms": [{"coeff": str(c), "monomial": list(a)} for a, c in sorted(e.poly.terms.items())],
+        })
+    payload = {
+        "m": m, "char": char, "family": gs.family, "degree_bound": gs.degree_bound,
+        "weight_bound": gs.weight_bound, "count": len(gens), "generators": gens,
+    }
+    lines = [f"# m={m} char={char} family={gs.family} count={len(gens)}"]
+    lines += [f"{e.provenance}\t{format_dpoly(e.poly)}" for e in gs.entries]
+    return json.dumps(payload, separators=(",", ":")) + "\n", "\n".join(lines) + "\n"
+
+
+def _basis_reference(m, order=None, trunc=None):
+    """(json, text) of `basis` built at once from the basis set."""
+    if trunc is None:
+        bs = getattr(basis_enum, f"{order or 'lex'}_basis")(m)
+    else:
+        bs = basis_enum.truncated_basis(m, trunc)
+    monos = bs.sorted_monomials()
+    payload = {
+        "m": m, "order": bs.provenance, "count": len(monos),
+        "monomials": [list(a) for a in monos],
+    }
+    lines = [f"# m={m} order={bs.provenance} count={len(monos)}"]
+    lines += [format_monomial(a) for a in monos]
+    return json.dumps(payload, separators=(",", ":")) + "\n", "\n".join(lines) + "\n"
+
+
+def _streamed_cases():
+    for m in range(6):
+        for char in (0, 3):
+            yield ["gens", "-m", m, "--char", char], _gens_reference(m, "y", char)
+            if m:
+                yield (["gens", "-m", m, "--family", "gm", "--char", char],
+                       _gens_reference(m, "gm", char))
+        if m:
+            yield ["gens", "-m", m, "--family", "srevlex"], _gens_reference(m, "srevlex", 0)
+    for m in range(5):
+        yield (["gens", "-m", m, "--max-degree", m + 3, "--max-weight", 2 * m, "--char", 3],
+               _gens_reference(m, "y", 3, m + 3, 2 * m))
+    for m in (0, 1, 4, 7):
+        for order in ("lex", "revlex", "cv"):
+            yield ["basis", "-m", m, "--order", order], _basis_reference(m, order)
+        yield ["basis", "-m", m], _basis_reference(m)
+        for n in sorted({1, 2, max(m, 1)}):
+            yield ["basis", "-m", m, "--truncate", n], _basis_reference(m, trunc=n)
+
+
+def test_streamed_output_is_one_dumps_and_one_join(capsys, tmp_path):
+    path = tmp_path / "out.txt"
+    for argv, (want_json, want_text) in _streamed_cases():
+        argv = list(map(str, argv))
+        for fmt, want in (("json", want_json), ("text", want_text)):
+            assert run(capsys, *argv, "--format", fmt) == (0, want, ""), (argv, fmt)
+            code, out, err = run(capsys, *argv, "--format", fmt, "--output", str(path))
+            assert (code, out, err) == (0, "", "") and path.read_bytes() == want.encode(), (argv, fmt)
+
+
+def test_gens_json_memory_does_not_grow_with_the_output(monkeypatch):
+    # about 1.07 MB of JSON; built whole before writing, the payload and its
+    # text peaked at 15.7 MiB traced (13.5 MiB with warm tables)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["gens", "-m", "5", "--max-degree", "7", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 6 << 20, peak

@@ -207,6 +207,36 @@ def test_random_relations_on_the_defining_ideal_equal_literal_rank():
             assert sess.space(d, w).rank == lit, (trial, m, ring.char, bound, d, w)
 
 
+def test_relations_are_checked_and_cleared_of_denominators():
+    Q, F3 = RATIONALS, prime_field(3)
+    x2 = parse_dpoly("x2", 3, Q)
+    for relations in (
+        {(1, 2): (parse_dpoly("x2", 4, Q),)},  # another m
+        {(1, 2): (parse_dpoly("x2", 3, F3),)},  # another ring
+        {(2, 2): (parse_dpoly("x0*x2 + x1", 3, Q),)},  # two degrees
+        {(2, 2): (parse_dpoly("x0*x2 + x0*x1", 3, Q),)},  # two weights
+        {(1, 1): (x2,)},  # another slice inside the box
+        {(9, 2): (x2,)},  # another slice outside it
+    ):
+        with pytest.raises(ValueError):
+            OracleSession(3, Q, 3, relations=relations)
+    # a zero relation has every slice
+    assert OracleSession(3, Q, 3, relations={(9, 2): (DPoly.zero(Q, 3),)}).dims().total == 8
+    # over Q a row is a unit multiple with integer coefficients: 1/2 and 2
+    # give the same ideal, given as relations or as generators
+    half = parse_dpoly("1/2*x0*x2 + x1^(2)", 3, Q)
+    whole = parse_dpoly("x0*x2 + 2*x1^(2)", 3, Q)
+    base = defining_generators(3, Q, 5, 10)
+    totals = []
+    for f in (half, whole):
+        totals.append(OracleSession(3, Q, 3, relations={(2, 2): (f,)}).dims().total)
+        gens = GeneratorSet(
+            3, Q, "defining+f", base.entries + (GeneratorEntry(f, ("f",), 2, 2),), 5, 10
+        )
+        totals.append(quotient_dim(3, Q, 5, gens).total)
+    assert totals == [7, 7, 7, 7]
+
+
 def test_cached_slice_structure_is_shared_across_sessions():
     # the per-(m, ring, d, w) caches outlive sessions: sessions over four
     # rings, interleaved slice by slice and one of them started from its top

@@ -292,6 +292,32 @@ def test_defining_m3_contains_the_paper_table_row():
     assert any(e.poly in (target, -target) for e in gs.entries)
 
 
+def test_per_slice_dedup_equals_a_whole_box_seen_set():
+    # unit multiples share a slice, so a dedup set per slice keeps the
+    # entries, and their order, of one set kept over the whole box
+    dropped = 0
+    for m in range(1, 6):
+        bound = m + 2
+        for ring in RINGS:
+            expect, seen = [], set()
+            for power in range(1, bound + 1):
+                for w in range(power * (m - 1) + 1):
+                    for uexp, pairs in slice_series(m, power, w):
+                        poly = DPoly(ring, m, dict(pairs))
+                        if poly.is_zero():
+                            continue
+                        lead = poly.leading_monomial(MonomialOrder.DPLEX)
+                        key = frozenset(unit_normalize(poly.terms, lead, ring.char).items())
+                        if key in seen:
+                            dropped += 1
+                            continue
+                        seen.add(key)
+                        expect.append((("series", uexp, power, power + sum(uexp)), poly.terms))
+            gs = defining_generators(m, ring, bound, bound * (m - 1))
+            assert [(e.provenance, e.poly.terms) for e in gs.entries] == expect, (m, ring.char)
+    assert dropped
+
+
 def test_defining_homogeneous_integral_dedup():
     gs = defining_generators(4, RATIONALS, 5, 15)
     seen = set()

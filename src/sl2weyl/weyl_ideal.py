@@ -9,15 +9,22 @@ x_{|eta|} and the u-monomial prod u_i^(m_i(eta)).  Grouped by variable
 the series is sum_v P_v(u) x_v with P_0 = 1, so its k-th divided power is
 the sum over j_0 + ... + j_{m-1} = k of prod_v P_v(u)^(j_v) x_v^(j_v): the
 coefficient of u^t x^(mu), mu padded to k parts, is the integer
-c(mu, t) = [u^t] prod_i P_{mu_i}(u), valid in every characteristic.  One
-kernel computes c, reading and filling one table keyed by (mu, t) that lives
-for the whole process, like the slice tables, so every build and every
-engine slice shares it.  A generator is the coefficient of a u-monomial
-u^a in the k'-th divided power, retained whenever k' + a_1 + ... + a_s >=
-m + 1.  `slice_series` builds those of one slice (degree k', weight
-sum i*a_i), one per partition with multiplicities a as the ascending
-stream `partitions.iter_partitions` yields them; `defining_generators`
-collects them over a box.  The kernel and both families read the
+c(mu, t) = [u^t] prod_i P_{mu_i}(u), valid in every characteristic.  A
+generator is the coefficient of a u-monomial u^a in the k'-th divided
+power, retained whenever k' + a_1 + ... + a_s >= m + 1.
+
+Two builders compute c, one per access pattern.  The engine pulls few
+coefficients from large slices, so `slice_series` builds the generators of
+one slice (degree k', weight sum i*a_i) lazily, one per partition with
+multiplicities a as the ascending stream `partitions.iter_partitions`
+yields them; its kernel `_product_coeff` reads and fills one table keyed
+by (mu, t) that lives for the whole process, like the slice tables.  The
+eager families need every coefficient of every slice, so
+`_slice_table` builds a whole slice at once from the sparse u-products
+prod_i P_{mu_i}(u), each the product of a shorter one kept in a memo for
+one family build; `defining_generators` collects a box of slices that
+way, and `forgotten_family` too, dropping every u-monomial of total degree
+above m + 1, the largest l(lam) it keeps.  Both builders read the
 monomials x^(mu) of a slice, and their mu, from the one cached table
 `dpalgebra.slice_monomials` / `slice_partitions`.
 
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from operator import sub
+from operator import add, sub
 
 from ._record import Record, _set
 from .dpalgebra import (
@@ -48,6 +55,8 @@ from .dpalgebra import (
     DPoly,
     MonomialOrder,
     RATIONALS,
+    mono_degree,
+    mono_weight,
     slice_monomials,
     slice_partitions,
     unit_normalize,
@@ -100,13 +109,36 @@ class GeneratorSet(Record):
         """The entries' polynomials grouped by (degree, weight), in entry
         order, each with integer coefficients (`DPoly.integral`, a unit
         multiple: the rows sessions echelonize); built on the first call
-        and kept for the sessions on this set, so read only."""
+        and kept for the sessions on this set, so read only.  Building it
+        checks each entry once: a polynomial of another m or ring, or with
+        a term outside the slice its entry declares, raises ValueError."""
         if self._index is None:
-            index = {}
-            for e in self.entries:
-                index.setdefault((e.degree, e.weight), []).append(e.poly.integral())
+            index, slices = {}, {}
+            for i, e in enumerate(self.entries):
+                f, key = e.poly, (e.degree, e.weight)
+                if f.m != self.m or f.ring is not self.ring or not _lies_in(f, key, slices):
+                    raise ValueError(
+                        f"generator entry {i} {e.provenance} is not a polynomial of "
+                        f"slice {key} for m = {self.m} over {self.ring}"
+                    )
+                index.setdefault(key, []).append(f.integral())
             _set(self, "_index", index)
         return self._index
+
+
+def _lies_in(f: DPoly, key: tuple, slices: dict) -> bool:
+    """Whether every term of f has (degree, weight) = key.  `slices` keeps
+    the monomial set of each slice met so far, built only once a term of f
+    is seen to lie in it."""
+    if not f.terms:
+        return True
+    monos = slices.get(key)
+    if monos is None:
+        a = next(iter(f.terms))
+        if (mono_degree(a), mono_weight(a)) != key:
+            return False
+        monos = slices[key] = frozenset(slice_monomials(f.m, *key))
+    return f.terms.keys() <= monos
 
 
 @lru_cache(maxsize=None)
@@ -193,18 +225,60 @@ def series_power_coefficient(k: int, uexp, m: int, ring: CoeffRing = RATIONALS) 
     return DPoly(ring, m, dict(_series_power_coeff(k, uexp, m)))
 
 
-def slice_series(m: int, d: int, w: int):
-    """Defining generators of slice (degree d, weight w), before dedup, built
-    one at a time: (uexp, pairs) for each nonzero coefficient of u^uexp in
-    the d-th divided power, uexp the multiplicities of lam |- w with parts
-    <= m-1 and l(lam) >= m+1-d, in increasing order of lam.parts, each lam
-    enumerated only when the one before it has been used."""
+def _series_exponents(m: int, d: int, w: int):
+    """The u-exponents of the defining generators of slice (degree d, weight
+    w): the multiplicities (m_1, ..., m_{m-1}) of each lam |- w with parts
+    <= m-1 and l(lam) >= m+1-d, in increasing order of lam.parts."""
     if m < 1:
         return
     for lam in iter_partitions(w, m - 1, w):
-        if len(lam) + d < m + 1:
-            continue
-        uexp = tuple(map(lam.count, range(1, m)))
+        if len(lam) + d >= m + 1:
+            yield tuple(map(lam.count, range(1, m)))
+
+
+def _slice_table(m: int, k: int, w: int, cap: int, memo: dict) -> dict:
+    """Every nonzero series coefficient of slice (k, w) with s = m-1 and
+    sum(uexp) <= cap, in one pass: {uexp: pairs}, each pair list in
+    ascending DPLEX order, as `_series_power_coeff(k, uexp, m)` returns it.
+
+    The product prod_i P_{mu_i}(u) of each mu of the slice is a sparse map
+    {t: c(mu, t)}: the product of mu without its last part times the terms
+    of P_{mu_last}.  Every term of P_v, v >= 1, adds at least 1 to sum(t),
+    so a product drops each t with sum(t) > cap.  `memo` keeps the
+    products by mu across the slices of one family build, at one cap."""
+    s = m - 1
+    table = {}
+    for mu, mono in zip(
+        reversed(slice_partitions(m, k, w)), reversed(slice_monomials(m, k, w))
+    ):
+        prod = memo.get(mu)
+        if prod is None:
+            i = len(mu)
+            while i and mu[:i] not in memo:
+                i -= 1
+            prod = memo[mu[:i]] if i else {(0,) * s: 1}
+            for j in range(i, len(mu)):
+                terms = _series_terms(s, mu[j])
+                nxt = {}
+                for t, c in prod.items():
+                    room = cap - sum(t)
+                    for e, ue in terms:
+                        if sum(ue) <= room:
+                            key = tuple(map(add, t, ue))
+                            nxt[key] = nxt.get(key, 0) + c * e
+                prod = memo[mu[: j + 1]] = {t: c for t, c in nxt.items() if c}
+        for t, c in prod.items():
+            table.setdefault(t, []).append((mono, c))
+    return table
+
+
+def slice_series(m: int, d: int, w: int):
+    """Defining generators of slice (degree d, weight w), before dedup, built
+    one at a time from the lazy kernel: (uexp, pairs) for each nonzero
+    coefficient of u^uexp in the d-th divided power, uexp as
+    `_series_exponents` yields them, each computed only when the one before
+    it has been used."""
+    for uexp in _series_exponents(m, d, w):
         pairs = _series_power_coeff(d, uexp, m)
         if pairs:
             yield uexp, pairs
@@ -219,16 +293,23 @@ def defining_generators(
     Trailing-zero u-exponent vectors reproduce the lower-s coefficients, so s
     is fixed at m-1 without loss.
 
-    A coefficient is homogeneous of bidegree (power, weight), and so are
-    its unit multiples, so the dedup set holds one slice at a time: the
-    entries are those of a set kept over the whole box."""
+    Each slice is read from its `_slice_table`, whose u-products are kept
+    for the whole build; the cap weight_bound bounds sum(uexp) <= weight
+    anyway, so it drops nothing.  A coefficient is homogeneous of bidegree
+    (power, weight), and so are its unit multiples, so the dedup set holds
+    one slice at a time: the entries are those of a set kept over the whole
+    box."""
     if degree_bound < m + 1:
         raise ValueError(f"degree_bound must be >= m+1 = {m + 1}")
-    entries = []
+    entries, memo = [], {}
     for power in range(1, degree_bound + 1):
         for w in range(min(weight_bound, power * (m - 1)) + 1):
+            table = _slice_table(m, power, w, weight_bound, memo)
             seen = set()
-            for uexp, pairs in slice_series(m, power, w):
+            for uexp in _series_exponents(m, power, w):
+                pairs = table.get(uexp)
+                if pairs is None:
+                    continue
                 poly = DPoly(ring, m, dict(pairs))
                 if poly.is_zero():
                     continue
@@ -307,21 +388,29 @@ def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
 
 
 def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
-    """Forgotten-type elements with 2 <= k <= m+1 and l(lam) >= m-k+1;
-    characteristic zero only (leading coefficients need not survive mod p)."""
+    """Forgotten-type elements with 2 <= k <= m+1 and m-k+1 <= l(lam) <=
+    m+1; characteristic zero only (leading coefficients need not survive mod
+    p), refused before anything is built.
+
+    Each element is (-1)^|lam| times the series coefficient of u^(mult lam),
+    read from the `_slice_table` of slice (k, |lam|) at the cap m+1 on
+    l(lam) = sum(mult lam), with the u-products kept for the whole build."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if ring.char:
         raise UnsupportedCharacteristicError(
             "the revlex family is only available in characteristic 0"
         )
-    entries = []
+    entries, memo = [], {}
     for k in range(2, m + 2):
         for size in range((m - 1) * k + 1):
+            table = _slice_table(m, k, size, m + 1, memo)
+            sign = -1 if size % 2 else 1
             for lam in iter_partitions(size, m - 1, m + 1):
                 if len(lam) >= m - k + 1:
-                    poly = forgotten_dpoly(Partition(lam), k, m, ring)
-                    if not poly.is_zero():
+                    pairs = table.get(tuple(map(lam.count, range(1, m))))
+                    if pairs:
+                        poly = DPoly(ring, m, {mono: sign * c for mono, c in pairs})
                         entries.append(GeneratorEntry(poly, ("forgotten", lam, k), k, size))
     return GeneratorSet(m, ring, "forgotten", entries, m + 1, (m + 1) * (m - 1))
 

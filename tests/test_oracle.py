@@ -237,6 +237,32 @@ def test_relations_are_checked_and_cleared_of_denominators():
     assert totals == [7, 7, 7, 7]
 
 
+def test_given_entries_are_checked_against_their_declared_slice():
+    # an entry filed under another slice, inside the box or outside it, and
+    # an entry polynomial of another m or ring are refused by name when the
+    # family is indexed; filed under its own slice (1, 2), x2 gives 6
+    Q = RATIONALS
+    base = defining_generators(3, Q, 5, 10)
+    x2 = parse_dpoly("x2", 3, Q)
+    for f, degree, weight in (
+        (x2, 1, 1),
+        (x2, 4, 2),
+        (parse_dpoly("x2", 4, Q), 1, 2),
+        (parse_dpoly("x2", 3, prime_field(3)), 1, 2),
+        (parse_dpoly("x0*x2 + x1", 3, Q), 2, 2),
+    ):
+        gens = GeneratorSet(
+            3, Q, "defining+f", base.entries + (GeneratorEntry(f, ("f",), degree, weight),), 5, 10
+        )
+        with pytest.raises(ValueError, match=r"entry \d+ \('f',\)"):
+            quotient_dim(3, Q, 5, gens)
+        assert gens._index is None
+    gens = GeneratorSet(
+        3, Q, "defining+f", base.entries + (GeneratorEntry(x2, ("f",), 1, 2),), 5, 10
+    )
+    assert quotient_dim(3, Q, 5, gens).total == 6
+
+
 def test_cached_slice_structure_is_shared_across_sessions():
     # the per-(m, ring, d, w) caches outlive sessions: sessions over four
     # rings, interleaved slice by slice and one of them started from its top

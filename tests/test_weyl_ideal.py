@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from sl2weyl import weyl_ideal
 from sl2weyl.dpalgebra import (
     DPoly,
     MonomialOrder,
@@ -14,7 +15,13 @@ from sl2weyl.dpalgebra import (
     prime_field,
     unit_normalize,
 )
-from sl2weyl.partitions import EMPTY, dominates, enumerate_partitions, make_partition
+from sl2weyl.partitions import (
+    EMPTY,
+    dominates,
+    enumerate_partitions,
+    iter_partitions,
+    make_partition,
+)
 from sl2weyl.symfunc import forgotten_coeff, kostka
 from sl2weyl.weyl_ideal import (
     UnsupportedCharacteristicError,
@@ -294,11 +301,11 @@ def test_defining_m3_contains_the_paper_table_row():
 
 def test_per_slice_dedup_equals_a_whole_box_seen_set():
     # unit multiples share a slice, so a dedup set per slice keeps the
-    # entries, and their order, of one set kept over the whole box
+    # entries, and their order, of one set kept over the whole box; the
+    # family's slice tables against the lazy kernel of `slice_series`
     dropped = 0
-    for m in range(1, 6):
-        bound = m + 2
-        for ring in RINGS:
+    for m, bound, rings in [(m, m + 2, RINGS) for m in range(1, 6)] + [(6, 7, (RATIONALS,))]:
+        for ring in rings:
             expect, seen = [], set()
             for power in range(1, bound + 1):
                 for w in range(power * (m - 1) + 1):
@@ -450,9 +457,43 @@ def test_schur_family_membership_condition():
     assert any(e.provenance[1] == (1, 1) and e.provenance[2] == 2 for e in gs3.entries)
 
 
-def test_forgotten_family_refuses_positive_characteristic():
-    with pytest.raises(UnsupportedCharacteristicError):
-        forgotten_family(3, F2)
+def test_forgotten_family_refuses_positive_characteristic(monkeypatch):
+    # refused before any slice is enumerated or tabled
+    def unreachable(*args):
+        raise AssertionError("built a slice before refusing")
+
+    monkeypatch.setattr(weyl_ideal, "_slice_table", unreachable)
+    monkeypatch.setattr(weyl_ideal, "iter_partitions", unreachable)
+    for ring in RINGS[1:]:
+        with pytest.raises(UnsupportedCharacteristicError):
+            forgotten_family(6, ring)
+
+
+def test_forgotten_family_equals_the_lazy_kernel_family():
+    # the slice tables against `forgotten_dpoly`, lam by lam: the same
+    # entries in the same order
+    for m in range(1, 7):
+        expect = []
+        for k in range(2, m + 2):
+            for size in range((m - 1) * k + 1):
+                for parts in iter_partitions(size, m - 1, m + 1):
+                    if len(parts) >= m - k + 1:
+                        poly = forgotten_dpoly(make_partition(parts), k, m)
+                        if not poly.is_zero():
+                            expect.append((("forgotten", parts, k), k, size, poly.terms))
+        got = [
+            (e.provenance, e.degree, e.weight, e.poly.terms)
+            for e in forgotten_family(m, RATIONALS).entries
+        ]
+        assert got == expect, m
+
+
+def test_eager_families_leave_the_kernel_table_empty():
+    # the families read their own slice tables, not the engine's kernel
+    weyl_ideal._product_table.clear()
+    defining_generators(5, RATIONALS, 7, 28)
+    forgotten_family(6, RATIONALS)
+    assert weyl_ideal._product_table == {}
 
 
 def test_entries_carry_the_bidegree_of_their_terms():

@@ -18,22 +18,25 @@ performed.  The three full bases all have cardinality 2^m:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
 from math import comb
+from operator import mul
 
 from ._record import Record, _set
-from .dpalgebra import mono_degree, mono_weight
+from .dpalgebra import column_index, mono_degree, mono_weight
 
 
 class BasisSet(Record):
     """A candidate basis: the monomials of one construction for one m, as a
-    frozen value, equal and hashed by its fields."""
+    frozen value, equal and hashed by its fields, not by its column masks."""
 
-    __slots__ = ("m", "provenance", "monomials")
+    __slots__ = ("m", "provenance", "monomials", "_masks")
 
     def __init__(self, m: int, provenance: str, monomials: frozenset):
         _set(self, "m", m)
         _set(self, "provenance", provenance)  # "lex" | "revlex" | "cv" | "truncated-N"
         _set(self, "monomials", monomials)
+        _set(self, "_masks", None)
 
     def __len__(self):
         return len(self.monomials)
@@ -46,6 +49,32 @@ class BasisSet(Record):
         for a in self.sorted_monomials():
             out.setdefault((mono_degree(a), mono_weight(a)), []).append(a)
         return out
+
+    def column_masks(self) -> tuple[int, dict[tuple[int, int], int]]:
+        """(top degree, masks): the largest degree of a monomial (0 for no
+        monomials) and, per slice (d, w), the bitmask with bit c set for
+        the monomial in column c (`column_index`).  Built on the first call
+        and kept for every session that verifies this set, so read only.
+        A monomial that is not m nonnegative integers raises ValueError, on
+        every call, since nothing is kept then."""
+        if self._masks is None:
+            m = self.m
+            # the slices would skip a negative or fractional exponent and
+            # find no column for a monomial of another length; the check
+            # reads only the distinct lengths and exponents, a few of each
+            lengths = set(map(len, self.monomials))
+            exponents = set(chain.from_iterable(self.monomials))
+            if lengths - {m} or not all(isinstance(e, int) and e >= 0 for e in exponents):
+                raise ValueError(f"candidate monomials must be {m} nonnegative integers each")
+            masks: dict[tuple[int, int], int] = {}
+            top, weights = 0, range(m)
+            for a in self.monomials:
+                d = sum(a)
+                top = max(top, d)
+                w = sum(map(mul, a, weights))
+                masks[d, w] = masks.get((d, w), 0) | 1 << column_index(m, d, w)[a]
+            _set(self, "_masks", (top, masks))
+        return self._masks
 
 
 def is_reduced_lex(a, m: int) -> bool:
@@ -69,8 +98,10 @@ def _bounded_tuples(slots: int, cap: int):
             yield (e,) + rest
 
 
+@lru_cache(maxsize=None)
 def lex_basis(m: int) -> BasisSet:
-    """Monomials with top index s and prefix total <= m - s; 2^m of them."""
+    """Monomials with top index s and prefix total <= m - s; 2^m of them.
+    Kept per m, so its column masks are built once."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     out = {(0,) * m}

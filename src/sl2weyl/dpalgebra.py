@@ -15,7 +15,9 @@ Both are total, multiplicative well-orders with 1 minimal.
 The monomials of one graded slice (degree d, weight w) are the x^(mu) for
 the partitions mu of w, padded with zeros to d parts; `slice_monomials`
 caches them for the whole process and is the one table that the generator
-families (`weyl_ideal`) and the slice engine (`quotient_oracle`) read.
+families (`weyl_ideal`), the candidate bases (`basis_enum`) and the slice
+engine (`quotient_oracle`) read; `column_index` maps each monomial to its
+position there, the column of a slice row.
 """
 
 from __future__ import annotations
@@ -214,6 +216,13 @@ def slice_monomials(m: int, d: int, w: int) -> tuple:
         return ((),) if d == 0 and w == 0 else ()
     return tuple(sorted((_padded_mono(mu, d, m) for mu in iter_partitions(w, m - 1, d)),
                         key=MonomialOrder.DPLEX.key, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def column_index(m: int, d: int, w: int) -> dict:
+    """Monomial -> column in slice (d, w), its position in
+    `slice_monomials`.  Shared by every caller, so read only."""
+    return {a: i for i, a in enumerate(slice_monomials(m, d, w))}
 
 
 @lru_cache(maxsize=None)

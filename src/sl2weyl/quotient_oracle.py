@@ -51,7 +51,9 @@ slices it can show are full:
   columns run in descending DPLEX order); each echelon keeps them as one
   bitmask, its lead mask.  So candidates whose columns avoid every lead
   are their own normal forms and independent at once.  `verify_basis`
-  reads the candidates once into one bitmask of columns per slice, and
+  reads the candidates as one bitmask of columns per slice, kept on the
+  `BasisSet` from its first verification (`BasisSet.column_masks`, with the
+  top degree that every session checks against its degree bound), and
   echelonizes residues only in a slice where that mask meets the lead mask
   (an overlay slice).  Its report keeps the per-slice results as plain
   tuples and builds the `SliceReport` records on the first read of
@@ -65,16 +67,22 @@ slices it can show are full:
 
 * what a slice needs besides echelons depends only on (m, characteristic,
   d, w) and is cached for the whole process, each piece built on first
-  use: the slice monomials (`dpalgebra.slice_monomials`, the one table the
-  generator families read too) and their column index, the nonempty lower
-  slices as plain tuples with the all-ones masks of their columns and, per
-  shift, the bitmask of the columns it covers (`_lower_slices`, read where
-  the lower slice is full), the column map of a shift (`_shift`, built only
-  where the lower slice is not full), and the slices of a degree box with
-  their sizes (`_box_slices`).  A given family is grouped by slice once per
-  `GeneratorSet`; a session holds only the echelons of its slices, a full
-  one being a single mask.  So sessions after the first on the same
-  (m, ring) go straight to elimination.
+  use: the slice monomials (`dpalgebra.slice_monomials`) and their column
+  index (`dpalgebra.column_index`), the tables the generator families and
+  the candidate bases read too, the nonempty lower slices as plain tuples
+  with the all-ones masks of their columns and, per shift, the bitmask of
+  the columns it covers (`_lower_slices`, read where the lower slice is
+  full), the column map of a shift (`_shift`, built only where the lower
+  slice is not full), and the slices of a degree box with their sizes
+  (`_box_slices`).  A given family is grouped by slice once per
+  `GeneratorSet`, and keeps the column rows of each slice that a session
+  pulls generators from, filled lazily (`GeneratorSet.slice_rows`); a
+  session holds only the echelons of its slices, a full one being a single
+  mask.  So sessions after the first on the same (m, ring) go straight to
+  elimination.  Generator rows reach the echelon in one form, column rows
+  {column: integer}: the given rows from the family, the relations as the
+  session converts them once, and the defining series coefficients read
+  straight off their (monomial, coefficient) pairs.
 
 Rank computations and normal forms are exact and fraction-free in both
 rings: one echelon takes integer rows, keeping its pivot rows primitive over
@@ -89,15 +97,15 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, starmap
+from itertools import starmap
 from math import gcd, lcm
-from operator import mul
 
 from ._record import Record, _set
 from .basis_enum import BasisSet, truncated_basis
 from .dpalgebra import (
     CoeffRing,
     DPoly,
+    column_index,
     mono_degree,
     mono_weight,
     ring_binom,
@@ -113,13 +121,6 @@ class ConfigurationError(ValueError):
 
 class MustVerifyFirstError(RuntimeError):
     """reduce_element called with a candidate basis that was not verified."""
-
-
-@lru_cache(maxsize=None)
-def _column_index(m: int, d: int, w: int) -> dict:
-    """Monomial -> column in slice (d, w), the position in `slice_monomials`.
-    Shared by every caller, so read only."""
-    return {a: i for i, a in enumerate(slice_monomials(m, d, w))}
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +189,7 @@ def _shift(m: int, ring: CoeffRing, d: int, w: int, i: int, j: int) -> tuple:
     vanishes in the ring.  Only the elimination of a slice that is not
     covered reads it, for its lower slices that are not full, so it is
     built on first use there."""
-    index = _column_index(m, d, w)
+    index = column_index(m, d, w)
     out = []
     for a in slice_monomials(m, d - j, w - i * j):
         s = ring_binom(ring, a[i] + j, j)
@@ -439,7 +440,7 @@ def build_slice(m, ring, d, w, gens: GeneratorSet) -> GradedSlice:
             f"({gens.degree_bound},{gens.weight_bound})"
         )
     monos = slice_monomials(m, d, w)
-    index = _column_index(m, d, w)
+    index = column_index(m, d, w)
     rows = []
     for entry in gens.entries:
         gd, gw = entry.degree, entry.weight
@@ -468,9 +469,10 @@ def slice_rank(sl: GradedSlice) -> int:
 
 
 def _checked_relations(m, ring, relations) -> dict:
-    """The relations as a session adjoins them: each of the session's m and
-    ring, homogeneous and filed under its own slice, with integer
-    coefficients (`DPoly.integral`); a zero relation is filed anywhere."""
+    """The relations as a session adjoins them, as column rows of their
+    slice: each of the session's m and ring, homogeneous and filed under its
+    own slice, with integer coefficients (`DPoly.integral`); a zero
+    relation is filed anywhere and adds no row."""
     out = {}
     for key, polys in relations.items():
         rows = []
@@ -486,7 +488,8 @@ def _checked_relations(m, ring, relations) -> dict:
                 own = (mono_degree(a), mono_weight(a))
                 if own != key:
                     raise ValueError(f"relation {f} of slice {own} is filed under {key}")
-            rows.append(f.integral())
+                index = column_index(m, *key)
+                rows.append({index[a]: c for a, c in f.integral().terms.items()})
         out[key] = tuple(rows)
     return out
 
@@ -505,12 +508,16 @@ class OracleSession:
     (m, ring, d, w), for the whole process: the slice monomials, their
     column index, the nonempty lower slices with the all-ones masks of
     their columns and the bitmask of columns each shift covers
-    (`_lower_slices`), and the column
-    map of each shift that `_eliminate` reads (`_shift`), each built on
-    first use; per (m, degree bound), the box slices with their sizes.  Per
-    given family: its polynomials grouped by slice (`GeneratorSet.by_slice`).
-    Per session: the echelon of each slice, a full one holding only its
-    all-ones mask.
+    (`_lower_slices`), and the column map of each shift that `_eliminate`
+    reads (`_shift`), each built on first use; per (m, degree bound), the
+    box slices with their sizes.  Per input object, for every session that
+    reads it: a given family's polynomials grouped by slice
+    (`GeneratorSet.by_slice`) and the column rows of each slice a session
+    pulls from (`GeneratorSet.slice_rows`, filled lazily), and a candidate
+    basis's column masks and top degree (`BasisSet.column_masks`, built on
+    its first verification).  Per session: the echelon of each slice, a
+    full one holding only its all-ones mask, and the relations as column
+    rows.
 
     gens: a family for the same m and ring covering the degree box, in place
     of the defining series coefficients.  relations: a map from slice
@@ -531,7 +538,6 @@ class OracleSession:
         self.degree_bound = degree_bound
         self.weight_bound = degree_bound * max(m - 1, 0)
         self.gens = gens
-        self._given = {}
         if gens is not None:
             if gens.m != m or gens.ring != ring:
                 raise ConfigurationError(
@@ -540,7 +546,7 @@ class OracleSession:
                 )
             if gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound:
                 raise ConfigurationError("generator bounds do not cover the degree box")
-            self._given = gens.by_slice()
+            gens.by_slice()  # checks every entry once per family
         self.relations = _checked_relations(m, ring, relations or {})
         self._spaces: dict[tuple[int, int], _Echelon] = {}
         # each verified basis -> its overlay slices, where a candidate sits
@@ -614,24 +620,31 @@ class OracleSession:
                 break
             ech._insert(row)
         if len(pivots) < target:
-            index = _column_index(self.m, d, w)
-            for poly in self._generators(d, w):
-                ech.add({index[a]: c for a, c in poly.terms.items()})
+            for row in self._generator_rows(d, w):
+                ech.add(row)
                 if len(pivots) == target:
                     break
         if len(pivots) == target:
             return _Echelon(p, full)
         return ech
 
-    def _generators(self, d, w):
-        """Generator polynomials of slice (d, w), one at a time: the given
-        ones and the relations, then, when no generators were given, the
-        defining series coefficients."""
-        yield from self._given.get((d, w), ())
+    def _generator_rows(self, d, w):
+        """Generator rows of slice (d, w), one at a time, as column rows
+        with integer entries (nonzero mod p): the given ones
+        (`GeneratorSet.slice_rows`) and the relations, then, when no
+        generators were given, the defining series coefficients, read
+        straight off their (monomial, coefficient) pairs."""
+        if self.gens is not None:
+            yield from self.gens.slice_rows(d, w)
         yield from self.relations.get((d, w), ())
         if self.gens is None:
+            index = column_index(self.m, d, w)
+            p = self.ring.char
             for _, pairs in slice_series(self.m, d, w):
-                yield DPoly(self.ring, self.m, dict(pairs))
+                if p:
+                    yield {index[a]: v for a, c in pairs if (v := c % p)}
+                else:
+                    yield {index[a]: c for a, c in pairs}
 
     # -- queries -----------------------------------------------------------
 
@@ -646,31 +659,21 @@ class OracleSession:
         )
 
     def verify_basis(self, candidate: BasisSet) -> VerificationReport:
-        """The candidates of a slice are one bitmask of its columns.  A slice
-        whose mask avoids every pivot lead passes independence at once:
-        distinct non-lead columns are their own normal forms.  Otherwise (an
-        overlay slice) the residues of the candidates are echelonized in an
-        overlay, which decides.  A basis that passes is stored in `verified`
-        with its overlay slices."""
+        """The candidates of a slice are one bitmask of its columns, read
+        once per `BasisSet` (`BasisSet.column_masks`); its top degree is
+        checked against this session's degree bound.  A slice whose mask
+        avoids every pivot lead passes independence at once: distinct
+        non-lead columns are their own normal forms.  Otherwise (an overlay
+        slice) the residues of the candidates are echelonized in an overlay,
+        which decides.  A basis that passes is stored in `verified` with its
+        overlay slices."""
         t0 = time.monotonic()
         m = self.m
         if candidate.m != m:
             raise ValueError("candidate basis is for a different m")
-        # the slices would skip a negative or fractional exponent and find no
-        # column for a monomial of another length; the check reads only the
-        # distinct lengths and exponents, a few of each
-        lengths = set(map(len, candidate.monomials))
-        exponents = set(chain.from_iterable(candidate.monomials))
-        if lengths - {m} or not all(isinstance(e, int) and e >= 0 for e in exponents):
-            raise ValueError(f"candidate monomials must be {m} nonnegative integers each")
-        masks: dict[tuple[int, int], int] = {}
-        weights = range(m)
-        for a in candidate.monomials:
-            d = sum(a)
-            if d > self.degree_bound:
-                raise ValueError("candidate monomials exceed the degree bound")
-            w = sum(map(mul, a, weights))
-            masks[d, w] = masks.get((d, w), 0) | 1 << _column_index(m, d, w)[a]
+        top, masks = candidate.column_masks()
+        if top > self.degree_bound:
+            raise ValueError("candidate monomials exceed the degree bound")
         p = self.ring.char
         rows, overlays = [], []
         for d, w, size in _box_slices(m, self.degree_bound):
@@ -727,7 +730,7 @@ class OracleSession:
             if d > self.degree_bound:
                 raise ValueError("element exceeds the session degree bound")
             monos = slice_monomials(self.m, d, w)
-            index = _column_index(self.m, d, w)
+            index = column_index(self.m, d, w)
             ech = self.space(d, w)
             res_f, scale_f = ech.residue({index[a]: c for a, c in terms.items()})
             if (d, w) not in overlays:

@@ -53,8 +53,8 @@ from ._record import Record, _set
 from .dpalgebra import (
     CoeffRing,
     DPoly,
-    MonomialOrder,
     RATIONALS,
+    column_index,
     mono_degree,
     mono_weight,
     slice_monomials,
@@ -87,10 +87,11 @@ class GeneratorEntry(Record):
 class GeneratorSet(Record):
     """A generator family for one m and ring (`ring` is the one `CoeffRing`
     object of its characteristic), with the degree and weight bounds it
-    covers; equal by its fields, not by its slice index."""
+    covers; equal by its fields, not by its slice index or column rows."""
 
     __slots__ = (
         "m", "ring", "family", "entries", "degree_bound", "weight_bound", "_index",
+        "_rows",
     )
 
     def __init__(
@@ -104,6 +105,7 @@ class GeneratorSet(Record):
         _set(self, "degree_bound", degree_bound)
         _set(self, "weight_bound", weight_bound)
         _set(self, "_index", None)
+        _set(self, "_rows", {})
 
     def by_slice(self) -> dict:
         """The entries' polynomials grouped by (degree, weight), in entry
@@ -124,6 +126,20 @@ class GeneratorSet(Record):
                 index.setdefault(key, []).append(f.integral())
             _set(self, "_index", index)
         return self._index
+
+    def slice_rows(self, d: int, w: int) -> tuple:
+        """The polynomials of slice (d, w) from `by_slice` as column rows
+        {column: coefficient} (`column_index`), in entry order.  A slice's
+        rows are built the first time a session pulls from it and kept for
+        every session on this set, so read only; slices no session pulls
+        from never hold rows."""
+        rows = self._rows.get((d, w))
+        if rows is None:
+            index = column_index(self.m, d, w)
+            rows = self._rows[d, w] = tuple(
+                {index[a]: c for a, c in f.terms.items()} for f in self.by_slice().get((d, w), ())
+            )
+        return rows
 
 
 def _lies_in(f: DPoly, key: tuple, slices: dict) -> bool:
@@ -313,7 +329,8 @@ def defining_generators(
                 poly = DPoly(ring, m, dict(pairs))
                 if poly.is_zero():
                     continue
-                lead = poly.leading_monomial(MonomialOrder.DPLEX)
+                # the pairs ascend in DPLEX, so the last term leads
+                lead = next(reversed(poly.terms))
                 key = frozenset(unit_normalize(poly.terms, lead, ring.char).items())
                 if key in seen:
                     continue

@@ -325,6 +325,62 @@ def test_family_index_follows_appended_entries():
         assert again.dims == before.dims, ring.char
 
 
+def test_a_shared_family_cannot_go_stale():
+    # a family keeps the column rows of each slice that a session pulls
+    # from, for every later session on it: sessions of both degree boxes,
+    # with and without truncation relations, in either order, on one
+    # shared set and on a set equal to it by fields, must match the literal
+    # ranks and the leads of sessions on a freshly built family (a slice's
+    # echelon does not depend on the box around it)
+    for m in range(1, 6):
+        for ring in RINGS:
+            bound = m + 2
+            args = (m, ring, bound, bound * max(m - 1, 1))
+            base = defining_generators(*args)
+            fields = [getattr(base, name) for name in GeneratorSet._fields]
+            n = max(1, m // 2)
+            relations = {False: None, True: truncation_relations(m, n, ring)}
+            variables = GeneratorSet(
+                m, ring, "variables", _variables(m, ring, range(n, m)), bound, base.weight_bound
+            )
+            fresh = {
+                rel: OracleSession(
+                    m, ring, bound, gens=defining_generators(*args), relations=relations[rel]
+                )
+                for rel in (False, True)
+            }
+            expect = {}
+            for d, w, _ in _box_slices(m, bound):
+                # the literal rows of the family, then those of the variables
+                literal = _Echelon(ring.char)
+                for rel, gens in ((False, base), (True, variables)):
+                    for vec in build_slice(m, ring, d, w, gens).ideal_rows:
+                        literal.add({i: c for i, c in enumerate(vec) if c})
+                    ech = fresh[rel].space(d, w)
+                    assert ech.rank == literal.rank, (m, ring.char, rel, d, w)
+                    expect[rel, d, w] = (ech.rank, ech.leads)
+            runs = [(b, rel) for b in (m + 1, m + 2) for rel in (False, True)]
+            for order in (runs, runs[::-1]):
+                shared, twin = GeneratorSet(*fields), GeneratorSet(*fields)
+                assert shared == twin == base and shared is not twin
+                for b, rel in order:
+                    for gens in (shared, twin):
+                        sess = OracleSession(m, ring, b, gens=gens, relations=relations[rel])
+                        for d, w, _ in _box_slices(m, b):
+                            ech = sess.space(d, w)
+                            where = (m, ring.char, b, rel, d, w)
+                            assert (ech.rank, ech.leads) == expect[rel, d, w], where
+            # a bad entry is still refused by name when a session is built
+            misfiled = GeneratorEntry(DPoly.variable(ring, m, m - 1), ("bad",), 2, m - 1)
+            bad = GeneratorSet(
+                m, ring, "defining+bad", base.entries + (misfiled,), base.degree_bound,
+                base.weight_bound,
+            )
+            for _ in range(2):
+                with pytest.raises(ValueError, match=r"entry \d+ \('bad',\)"):
+                    OracleSession(m, ring, m + 1, gens=bad)
+
+
 @pytest.mark.parametrize(
     "m, ring, family, family_m, family_ring",
     [
@@ -587,6 +643,42 @@ def test_verify_rejects_another_m_and_monomials_beyond_the_bound():
             sess.verify_basis(malformed)
         assert malformed not in sess.verified
     assert not sess.verified
+
+
+def test_reused_column_masks_still_check():
+    # a basis keeps its column masks for every session that verifies it:
+    # each session still checks its own degree bound, a malformed basis
+    # keeps nothing and is refused on every call, and repeated
+    # verifications report the same as a fresh copy of the basis
+    Q, F3 = RATIONALS, prime_field(3)
+    empty = GeneratorSet(2, Q, "empty", (), 4, 4)
+    box = BasisSet(
+        2, "box", frozenset(a for d, w, _ in _box_slices(2, 4) for a in slice_monomials(2, d, w))
+    )
+    assert OracleSession(2, Q, 4, gens=empty).verify_basis(box).passed
+    assert box._masks is not None
+    with pytest.raises(ValueError, match="exceed the degree bound"):
+        OracleSession(2, Q, 3, gens=empty).verify_basis(box)
+    malformed = BasisSet(3, "lex", lex_basis(3).monomials | {(-1, 1, 0)})
+    sess = OracleSession(3, Q, 4)
+    for session in (sess, sess, OracleSession(3, F3, 5)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            session.verify_basis(malformed)
+        assert malformed._masks is None
+    for m in range(1, 6):
+        lex = lex_basis(m)
+        assert lex is lex_basis(m) and lex == lex_basis.__wrapped__(m)
+        lead = _lead_monomial(OracleSession(m, Q, m + 1))
+        for ring in RINGS:
+            sess = OracleSession(m, ring, m + 1)
+            for candidate in (
+                lex, revlex_basis(m), BasisSet(m, "lex-plus", lex.monomials | {lead})
+            ):
+                reports = [sess.verify_basis(candidate) for _ in range(2)]
+                reports.append(
+                    sess.verify_basis(BasisSet(m, candidate.provenance, candidate.monomials))
+                )
+                assert len({(r.slices, r.passed) for r in reports}) == 1, (m, ring.char)
 
 
 def test_verify_slice_counts_agree_between_bases():

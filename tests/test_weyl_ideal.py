@@ -325,6 +325,22 @@ def test_per_slice_dedup_equals_a_whole_box_seen_set():
     assert dropped
 
 
+def test_defining_entries_lead_at_their_last_term():
+    # the dedup key normalizes at the last term: the series pairs ascend in
+    # DPLEX and a DPoly keeps their order, dropping only the zeros, so the
+    # last term is the DPLEX lead
+    count = 0
+    for m in range(1, 6):
+        for ring in RINGS:
+            bound = m + 2
+            for e in defining_generators(m, ring, bound, bound * max(m - 1, 1)).entries:
+                assert next(reversed(e.poly.terms)) == e.poly.leading_monomial(
+                    MonomialOrder.DPLEX
+                ), (m, ring.char, e.provenance)
+                count += 1
+    assert count > 10_000
+
+
 def test_defining_homogeneous_integral_dedup():
     gs = defining_generators(4, RATIONALS, 5, 15)
     seen = set()

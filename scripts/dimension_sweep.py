@@ -4,8 +4,9 @@
 Prints, per m: the total dimension in each characteristic, the wall time,
 and the graded table (degree rows, weight columns) in the first listed
 characteristic (the rationals by default).  Exits 1 unless the totals agree
-and equal 2^m and every slice of degree m+1 or m+2 vanishes; a `--chars`
-entry that is not 0 or a prime is a usage error (exit 2).
+and equal 2^m and every slice of degree m+1 or m+2 vanishes; a negative
+max_m, or a `--chars` entry that is not 0 or a prime, is a usage error
+(exit 2).
 
 Usage: python3 scripts/dimension_sweep.py [max_m] [--chars 0,2,3,5]
 """
@@ -15,6 +16,7 @@ import sys
 import time
 
 from sl2weyl import CoeffRing, quotient_dim
+from sl2weyl.cli import _nonnegative_int
 
 
 def rings(text: str) -> list:
@@ -27,7 +29,7 @@ def rings(text: str) -> list:
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("max_m", type=int, nargs="?", default=5)
+    ap.add_argument("max_m", type=_nonnegative_int, nargs="?", default=5)
     ap.add_argument("--chars", type=rings, default="0,2,3,5")
     args = ap.parse_args()
 

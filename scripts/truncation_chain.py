@@ -4,7 +4,8 @@ the nesting of index sets as the truncation level N grows.
 
 Exits 1 when a level fails verification or its index set does not contain
 the one before, and, with a `!!` line, when the full (revlex) basis or the
-N = m oracle total differs from 2^m; exits 0 otherwise.
+N = m oracle total differs from 2^m; exits 0 otherwise.  A negative m is a
+usage error (exit 2).
 
 Usage: python3 scripts/truncation_chain.py [m]
 """
@@ -14,11 +15,12 @@ import sys
 
 from sl2weyl import RATIONALS, truncated_basis, truncated_quotient
 from sl2weyl.basis_enum import revlex_basis
+from sl2weyl.cli import _nonnegative_int
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("m", type=int, nargs="?", default=5)
+    ap.add_argument("m", type=_nonnegative_int, nargs="?", default=5)
     args = ap.parse_args()
     m = args.m
 

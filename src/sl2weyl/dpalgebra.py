@@ -281,15 +281,6 @@ class DPoly:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def degrees(self) -> set[int]:
-        return {mono_degree(a) for a in self.terms}
-
-    def weights(self) -> set[int]:
-        return {mono_weight(a) for a in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1 and len(self.weights()) <= 1
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):

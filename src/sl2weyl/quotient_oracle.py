@@ -74,15 +74,15 @@ slices it can show are full:
   the columns it covers (`_lower_slices`, read where the lower slice is
   full), the column map of a shift (`_shift`, built only where the lower
   slice is not full), and the slices of a degree box with their sizes
-  (`_box_slices`).  A given family is grouped by slice once per
-  `GeneratorSet`, and keeps the column rows of each slice that a session
-  pulls generators from, filled lazily (`GeneratorSet.slice_rows`); a
-  session holds only the echelons of its slices, a full one being a single
-  mask.  So sessions after the first on the same (m, ring) go straight to
-  elimination.  Generator rows reach the echelon in one form, column rows
-  {column: integer}: the given rows from the family, the relations as the
-  session converts them once, and the defining series coefficients read
-  straight off their (monomial, coefficient) pairs.
+  (`_box_slices`).  A given family or relation set is grouped by slice
+  once per `GeneratorSet`, and keeps the column rows of each slice that a
+  session pulls generators from, filled lazily (`GeneratorSet.slice_rows`);
+  a session holds only the echelons of its slices, a full one being a
+  single mask.  So sessions after the first on the same (m, ring) go
+  straight to elimination.  Generator rows reach the echelon in one form,
+  column rows {column: integer}: those of the given sets, and the defining
+  series coefficients read straight off their (monomial, coefficient)
+  pairs.
 
 Rank computations and normal forms are exact and fraction-free in both
 rings: one echelon takes integer rows, keeping its pivot rows primitive over
@@ -468,32 +468,6 @@ def slice_rank(sl: GradedSlice) -> int:
 # the cascading engine
 
 
-def _checked_relations(m, ring, relations) -> dict:
-    """The relations as a session adjoins them, as column rows of their
-    slice: each of the session's m and ring, homogeneous and filed under its
-    own slice, with integer coefficients (`DPoly.integral`); a zero
-    relation is filed anywhere and adds no row."""
-    out = {}
-    for key, polys in relations.items():
-        rows = []
-        for f in polys:
-            if f.m != m or f.ring != ring:
-                raise ValueError(
-                    f"relation {f} is for m = {f.m} over {f.ring}, not m = {m} over {ring}"
-                )
-            if not f.is_homogeneous():
-                raise ValueError(f"relation {f} is not homogeneous")
-            if f.terms:
-                a = next(iter(f.terms))
-                own = (mono_degree(a), mono_weight(a))
-                if own != key:
-                    raise ValueError(f"relation {f} of slice {own} is filed under {key}")
-                index = column_index(m, *key)
-                rows.append({index[a]: c for a, c in f.integral().terms.items()})
-        out[key] = tuple(rows)
-    return out
-
-
 class OracleSession:
     """Holds the echelonized ideal slices for one (m, ring, degree bound) and
     answers dimension, basis-verification, and reduction queries.
@@ -516,18 +490,13 @@ class OracleSession:
     pulls from (`GeneratorSet.slice_rows`, filled lazily), and a candidate
     basis's column masks and top degree (`BasisSet.column_masks`, built on
     its first verification).  Per session: the echelon of each slice, a
-    full one holding only its all-ones mask, and the relations as column
-    rows.
+    full one holding only its all-ones mask.
 
-    gens: a family for the same m and ring covering the degree box, in place
-    of the defining series coefficients.  relations: a map from slice
-    (d, w) to polynomials of that slice for the same m and ring, adjoined
-    to the ideal whichever the base (the defining series or `gens`);
-    `weyl_ideal.truncation_relations` builds the truncations.  A relation
-    of another m or ring, one that is not homogeneous and one filed under
-    a key that is not its slice raise ValueError.  Generator and relation
-    rows enter with integer coefficients, over the rationals as the unit
-    multiples `DPoly.integral`.
+    gens: a family covering the degree box, in place of the defining series
+    coefficients.  relations: a set adjoined to the ideal whichever the base
+    (`weyl_ideal.truncation_relations` builds the truncations).  Both are
+    `GeneratorSet`s of the session's m and ring, or a ConfigurationError
+    is raised, and are checked and read the same way.
     """
 
     def __init__(self, m, ring, degree_bound, gens=None, relations=None):
@@ -538,16 +507,21 @@ class OracleSession:
         self.degree_bound = degree_bound
         self.weight_bound = degree_bound * max(m - 1, 0)
         self.gens = gens
-        if gens is not None:
-            if gens.m != m or gens.ring != ring:
+        self.relations = relations
+        for given in (gens, relations):
+            if given is None:
+                continue
+            if given.m != m or given.ring != ring:
                 raise ConfigurationError(
-                    f"generators are for m = {gens.m} over {gens.ring}, "
+                    f"{given.family} set is for m = {given.m} over {given.ring}, "
                     f"not m = {m} over {ring}"
                 )
-            if gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound:
+            # relations only adjoin rows, so need not cover the box
+            if given is gens and (
+                gens.degree_bound < degree_bound or gens.weight_bound < self.weight_bound
+            ):
                 raise ConfigurationError("generator bounds do not cover the degree box")
-            gens.by_slice()  # checks every entry once per family
-        self.relations = _checked_relations(m, ring, relations or {})
+            given.by_slice()  # checks every entry once per set
         self._spaces: dict[tuple[int, int], _Echelon] = {}
         # each verified basis -> its overlay slices, where a candidate sits
         # on a pivot lead
@@ -630,13 +604,13 @@ class OracleSession:
 
     def _generator_rows(self, d, w):
         """Generator rows of slice (d, w), one at a time, as column rows
-        with integer entries (nonzero mod p): the given ones
-        (`GeneratorSet.slice_rows`) and the relations, then, when no
-        generators were given, the defining series coefficients, read
-        straight off their (monomial, coefficient) pairs."""
-        if self.gens is not None:
-            yield from self.gens.slice_rows(d, w)
-        yield from self.relations.get((d, w), ())
+        with integer entries (nonzero mod p): those of the given family,
+        then of the relations (`GeneratorSet.slice_rows`), then, when no
+        family was given, the defining series coefficients, read straight
+        off their (monomial, coefficient) pairs."""
+        for given in (self.gens, self.relations):
+            if given is not None:
+                yield from given.slice_rows(d, w)
         if self.gens is None:
             index = column_index(self.m, d, w)
             p = self.ring.char

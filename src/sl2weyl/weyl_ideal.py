@@ -38,9 +38,8 @@ of the slice, capped at lam_1 <= m-1.  `schur_family` reads the rows of a
 slice once and inverts them, so it visits only the nonzero numbers; the
 literal `symfunc.kostka` stays the reference the tests compare them with.
 
-Extra relations, which a session adjoins to whichever family it has, are
-maps from slice (d, w) to polynomials.  `truncation_relations` is the one
-builder of the truncation ideal: the variables x_N, ..., x_{m-1}.
+Relations that a session adjoins to its family are a `GeneratorSet` too:
+`truncation_relations` holds the variables x_N, ..., x_{m-1}.
 """
 
 from __future__ import annotations
@@ -79,15 +78,17 @@ class GeneratorEntry(Record):
     def __init__(self, poly: DPoly, provenance: tuple, degree: int, weight: int):
         _set(self, "poly", poly)
         # ("series", uexp, power, k) | ("schur"|"forgotten", lam, k)
+        # | ("truncation", j)
         _set(self, "provenance", provenance)
         _set(self, "degree", degree)
         _set(self, "weight", weight)
 
 
 class GeneratorSet(Record):
-    """A generator family for one m and ring (`ring` is the one `CoeffRing`
-    object of its characteristic), with the degree and weight bounds it
-    covers; equal by its fields, not by its slice index or column rows."""
+    """A generator family, or a session's relations, for one m and ring
+    (`ring` is the one `CoeffRing` object of its characteristic), with the
+    degree and weight bounds it covers; equal by its fields, not by its
+    slice index or column rows."""
 
     __slots__ = (
         "m", "ring", "family", "entries", "degree_bound", "weight_bound", "_index",
@@ -100,7 +101,7 @@ class GeneratorSet(Record):
     ):
         _set(self, "m", m)
         _set(self, "ring", ring)
-        _set(self, "family", family)  # "defining" | "schur" | "forgotten"
+        _set(self, "family", family)  # "defining" | "schur" | "forgotten" | "truncation"
         _set(self, "entries", tuple(entries))
         _set(self, "degree_bound", degree_bound)
         _set(self, "weight_bound", weight_bound)
@@ -340,12 +341,16 @@ def defining_generators(
     return GeneratorSet(m, ring, "defining", entries, degree_bound, weight_bound)
 
 
-def truncation_relations(m: int, n_trunc: int, ring: CoeffRing) -> dict:
-    """The truncation ideal as session relations: {(1, j): (x_j,)} for
-    n_trunc <= j < m, empty when n_trunc >= m."""
+def truncation_relations(m: int, n_trunc: int, ring: CoeffRing) -> GeneratorSet:
+    """The truncation ideal as session relations: the variables x_j of
+    slice (1, j) for n_trunc <= j < m, none when n_trunc >= m."""
     if n_trunc < 1:
         raise ValueError("truncation level must be >= 1")
-    return {(1, j): (DPoly.variable(ring, m, j),) for j in range(n_trunc, m)}
+    entries = (
+        GeneratorEntry(DPoly.variable(ring, m, j), ("truncation", j), 1, j)
+        for j in range(n_trunc, m)
+    )
+    return GeneratorSet(m, ring, "truncation", entries, 1, max(m - 1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,10 @@ def test_usage_errors(capsys, tmp_path):
         ["basis", "-m", "4", "--truncate", "2", "--order", "cv"],
         ["basis", "-m", "4", "--truncate", "2", "--order", "lex"],
         ["verify", "-m", "4", "--truncate", "2", "--order", "cv"],
+        # the truncation level is at least 1
+        ["truncate", "-m", "3", "-N", "0"],
+        ["verify", "-m", "3", "--truncate", "0"],
+        ["basis", "-m", "3", "--truncate", "0"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), argv

@@ -194,9 +194,7 @@ def test_random_relations_on_the_defining_ideal_equal_literal_rank():
             defining[m, ring] = defining_generators(m, ring, m + 2, (m + 2) * max(m - 1, 1))
         base = defining[m, ring]
         entries = _random_entries(rng, m, ring, bound)
-        relations = {}
-        for e in entries:
-            relations.setdefault((e.degree, e.weight), []).append(e.poly)
+        relations = GeneratorSet(m, ring, "random", entries, bound, bound * max(m - 1, 0))
         gens = GeneratorSet(
             m, ring, "defining+random", base.entries + entries, base.degree_bound,
             base.weight_bound,
@@ -207,21 +205,36 @@ def test_random_relations_on_the_defining_ideal_equal_literal_rank():
             assert sess.space(d, w).rank == lit, (trial, m, ring.char, bound, d, w)
 
 
+def _relation_set(m, ring, *filed):
+    """Relations given as (polynomial, degree, weight), each entry declaring
+    the slice it is filed under."""
+    entries = [GeneratorEntry(f, ("relation", i), d, w) for i, (f, d, w) in enumerate(filed)]
+    return GeneratorSet(
+        m, ring, "relations", entries, max(d for _, d, _ in filed), max(w for _, _, w in filed)
+    )
+
+
 def test_relations_are_checked_and_cleared_of_denominators():
     Q, F3 = RATIONALS, prime_field(3)
     x2 = parse_dpoly("x2", 3, Q)
-    for relations in (
-        {(1, 2): (parse_dpoly("x2", 4, Q),)},  # another m
-        {(1, 2): (parse_dpoly("x2", 3, F3),)},  # another ring
-        {(2, 2): (parse_dpoly("x0*x2 + x1", 3, Q),)},  # two degrees
-        {(2, 2): (parse_dpoly("x0*x2 + x0*x1", 3, Q),)},  # two weights
-        {(1, 1): (x2,)},  # another slice inside the box
-        {(9, 2): (x2,)},  # another slice outside it
+    for filed in (
+        (parse_dpoly("x2", 4, Q), 1, 2),  # another m
+        (parse_dpoly("x2", 3, F3), 1, 2),  # another ring
+        (parse_dpoly("x0*x2 + x1", 3, Q), 2, 2),  # two degrees
+        (parse_dpoly("x0*x2 + x0*x1", 3, Q), 2, 2),  # two weights
+        (x2, 1, 1),  # another slice inside the box
+        (x2, 9, 2),  # another slice outside it
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"entry \d+ \('relation', 0\)"):
+            OracleSession(3, Q, 3, relations=_relation_set(3, Q, filed))
+    # a set whose own m or ring differs from the session's
+    for m, ring in ((4, Q), (3, F3)):
+        relations = _relation_set(m, ring, (parse_dpoly("x2", m, ring), 1, 2))
+        with pytest.raises(ConfigurationError, match="relations set is for m"):
             OracleSession(3, Q, 3, relations=relations)
     # a zero relation has every slice
-    assert OracleSession(3, Q, 3, relations={(9, 2): (DPoly.zero(Q, 3),)}).dims().total == 8
+    zero = _relation_set(3, Q, (DPoly.zero(Q, 3), 9, 2))
+    assert OracleSession(3, Q, 3, relations=zero).dims().total == 8
     # over Q a row is a unit multiple with integer coefficients: 1/2 and 2
     # give the same ideal, given as relations or as generators
     half = parse_dpoly("1/2*x0*x2 + x1^(2)", 3, Q)
@@ -229,7 +242,9 @@ def test_relations_are_checked_and_cleared_of_denominators():
     base = defining_generators(3, Q, 5, 10)
     totals = []
     for f in (half, whole):
-        totals.append(OracleSession(3, Q, 3, relations={(2, 2): (f,)}).dims().total)
+        totals.append(
+            OracleSession(3, Q, 3, relations=_relation_set(3, Q, (f, 2, 2))).dims().total
+        )
         gens = GeneratorSet(
             3, Q, "defining+f", base.entries + (GeneratorEntry(f, ("f",), 2, 2),), 5, 10
         )

@@ -44,6 +44,14 @@ def test_sweep_rejects_a_characteristic_that_is_not_prime(monkeypatch, capsys, c
     assert "--chars" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("script, m", [("dimension_sweep", "-3"), ("truncation_chain", "-1")])
+def test_scripts_reject_a_negative_m(monkeypatch, capsys, script, m):
+    with pytest.raises(SystemExit) as exc:
+        _script(monkeypatch, script, m).main()
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 def _altered(change):
     def fake(m, ring, degree_bound):
         rep = quotient_dim(m, ring, degree_bound)

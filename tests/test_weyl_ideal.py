@@ -24,6 +24,8 @@ from sl2weyl.partitions import (
 )
 from sl2weyl.symfunc import forgotten_coeff, kostka
 from sl2weyl.weyl_ideal import (
+    GeneratorEntry,
+    GeneratorSet,
     UnsupportedCharacteristicError,
     defining_generators,
     forgotten_dpoly,
@@ -283,12 +285,13 @@ def test_defining_requires_bound():
 def test_truncation_relations_are_the_variables_from_n_on():
     for ring in RINGS:
         relations = truncation_relations(3, 1, ring)
-        assert relations == {
-            (1, 1): (DPoly(ring, 3, {(0, 1, 0): 1}),),
-            (1, 2): (DPoly(ring, 3, {(0, 0, 1): 1}),),
-        }
+        assert relations.entries == (
+            GeneratorEntry(DPoly(ring, 3, {(0, 1, 0): 1}), ("truncation", 1), 1, 1),
+            GeneratorEntry(DPoly(ring, 3, {(0, 0, 1): 1}), ("truncation", 2), 1, 2),
+        )
+        assert relations == GeneratorSet(3, ring, "truncation", relations.entries, 1, 2)
         for n in (3, 4, 7):
-            assert truncation_relations(3, n, ring) == {}
+            assert truncation_relations(3, n, ring).entries == ()
         with pytest.raises(ValueError, match="truncation level must be >= 1"):
             truncation_relations(3, 0, ring)
 
@@ -345,7 +348,8 @@ def test_defining_homogeneous_integral_dedup():
     gs = defining_generators(4, RATIONALS, 5, 15)
     seen = set()
     for e in gs.entries:
-        assert e.poly.is_homogeneous()
+        # every term lies in the slice the entry declares
+        assert {(mono_degree(a), mono_weight(a)) for a in e.poly.terms} == {(e.degree, e.weight)}
         assert all(isinstance(c, int) for c in e.poly.terms.values())
         key = frozenset(e.poly.terms.items())
         neg = frozenset((a, -c) for a, c in e.poly.terms.items())

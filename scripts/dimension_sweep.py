@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Sweep the graded quotient dimensions over m and ground fields.
 
-Prints, per m: the total dimension in each characteristic, the wall time,
-and the graded table (degree rows, weight columns) in the first listed
-characteristic (the rationals by default).  Exits 1 unless the totals agree
-and equal 2^m and every slice of degree m+1 or m+2 vanishes; a negative
-max_m, or a `--chars` entry that is not 0 or a prime, is a usage error
-(exit 2).
+Prints, per m from 0 up: the total dimension in each characteristic, the
+wall time, and the graded table (degree rows, weight columns) in the first
+listed characteristic (the rationals by default).  Exits 1 unless the
+totals agree and equal 2^m and every slice of degree m+1 or m+2 vanishes;
+a negative max_m, or a `--chars` entry that is not 0 or a prime, is a
+usage error (exit 2).
 
 Usage: python3 scripts/dimension_sweep.py [max_m] [--chars 0,2,3,5]
 """
@@ -33,7 +33,7 @@ def main() -> int:
     ap.add_argument("--chars", type=rings, default="0,2,3,5")
     args = ap.parse_args()
 
-    for m in range(1, args.max_m + 1):
+    for m in range(args.max_m + 1):
         totals = {}
         tables = {}
         for ring in args.chars:

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Show the truncation chain for one m: basis sizes, oracle dimensions, and
-the nesting of index sets as the truncation level N grows.
+the nesting of index sets as the truncation level N grows from 1 to m (to
+1 at m = 0, where that level is the full basis).
 
 Exits 1 when a level fails verification or its index set does not contain
 the one before, and, with a `!!` line, when the full (revlex) basis or the
-N = m oracle total differs from 2^m; exits 0 otherwise.  A negative m is a
-usage error (exit 2).
+top level's oracle total differs from 2^m; exits 0 otherwise.  A negative m
+is a usage error (exit 2).
 
 Usage: python3 scripts/truncation_chain.py [m]
 """
@@ -30,7 +31,8 @@ def main() -> int:
     if len(full) != 2**m:
         print(f"  !! full basis size differs from 2^m = {2**m}")
         return 1
-    for n in range(1, m + 1):
+    # at m = 0 the one level N = 1 is the full basis
+    for n in range(1, max(m, 1) + 1):
         bs = truncated_basis(m, n)
         nested = prev <= bs.monomials
         rep = truncated_quotient(m, n, RATIONALS, m + 2)
@@ -41,8 +43,8 @@ def main() -> int:
         )
         if not rep.passed or not nested:
             return 1
-        if n == m and rep.total_quotient_dim != 2**m:
-            print(f"  !! N={m} oracle total differs from 2^m = {2**m}")
+        if n >= m and rep.total_quotient_dim != 2**m:
+            print(f"  !! N={n} oracle total differs from 2^m = {2**m}")
             return 1
         prev = bs.monomials
     return 0

@@ -161,8 +161,6 @@ def cv_basis(m: int) -> BasisSet:
     the revlex basis as a set."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m == 0:
-        return BasisSet(0, "cv", frozenset({()}))
     out = set()
 
     def ok(k, i_k, i_k1, suffix2):
@@ -196,18 +194,12 @@ def truncated_basis(m: int, n_trunc: int) -> BasisSet:
     if n_trunc < 1:
         raise ValueError("truncation level must be >= 1")
     full = revlex_basis(m)
-    if n_trunc >= m:
-        return BasisSet(m, f"truncated-{n_trunc}", full.monomials)
-    keep = frozenset(a for a in full.monomials if all(e == 0 for e in a[n_trunc:]))
+    keep = frozenset(a for a in full.monomials if not any(a[n_trunc:]))
     return BasisSet(m, f"truncated-{n_trunc}", keep)
 
 
 # ---------------------------------------------------------------------------
 # counting
-
-
-def _heaviside(n: int) -> int:
-    return 1 if n >= 0 else 0
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +223,7 @@ def count_g(t: int, ell: int, s: int, m: int) -> int:
     return sum(
         count_g(t + 1, ell - s, j, m)
         for j in range(ell - s + 1)
-        if _heaviside(m - 2 * ell - t * j - (t - 1) * s)
+        if m - 2 * ell - t * j - (t - 1) * s >= 0
     )
 
 

@@ -345,6 +345,10 @@ def cmd_selftest(args) -> int:
     """Run every acceptance criterion capped at m = args.max_m."""
     from .acceptance import run_all
 
+    # criteria 5 (1 <= N < m) and 9 (m from 4 up to max_m + 2) check
+    # nothing below 2
+    if args.max_m < 2:
+        raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
     failures = run_all(max_m=args.max_m)
     print(f"selftest: {'OK' if failures == 0 else f'{failures} criterion(s) failed'}")
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED

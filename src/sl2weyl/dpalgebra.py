@@ -82,12 +82,6 @@ class CoeffRing(Record):
             return c % self.char if self.char else c
         raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
 
-    def mul(self, a, b):
-        return (a * b) % self.char if self.char else self.convert(a * b)
-
-    def neg(self, a):
-        return (-a) % self.char if self.char else -a
-
     def inv(self, a):
         if self.char:
             return pow(a, -1, self.char)
@@ -267,8 +261,8 @@ class DPoly:
         return cls(ring, m, {tuple(mono): coeff})
 
     @classmethod
-    def variable(cls, ring, m, i, power=1):
-        mono = tuple(power if j == i else 0 for j in range(m))
+    def variable(cls, ring, m, i):
+        mono = tuple(1 if j == i else 0 for j in range(m))
         return cls(ring, m, {mono: 1})
 
     # -- basic queries -----------------------------------------------------
@@ -295,14 +289,14 @@ class DPoly:
         return DPoly(self.ring, self.m, t)
 
     def __neg__(self):
-        return DPoly(self.ring, self.m, {a: self.ring.neg(c) for a, c in self.terms.items()})
+        return DPoly(self.ring, self.m, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = self.ring.convert(c)
-        return DPoly(self.ring, self.m, {a: self.ring.mul(v, c) for a, v in self.terms.items()})
+        return DPoly(self.ring, self.m, {a: v * c for a, v in self.terms.items()})
 
     def integral(self):
         """A unit multiple with integer coefficients: self times the lcm of
@@ -427,8 +421,8 @@ _POLY_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)(?:\*([^+-]+))?|([^+-]+))")
 def parse_dpoly(text: str, m: int, ring: CoeffRing) -> DPoly:
     """Parse a signed sum of `[sign]coeff*monomial` terms (coefficient or
     monomial may be left out, the first sign is optional, spaces are
-    ignored).  Text that is not such a sum, such as a stray sign or an empty
-    factor, raises ValueError."""
+    ignored).  Text that is not such a sum, such as a stray sign, an empty
+    factor or a zero denominator, raises ValueError."""
     text = "".join(text.split())
     terms = {}
     pos = 0
@@ -439,7 +433,12 @@ def parse_dpoly(text: str, m: int, ring: CoeffRing) -> DPoly:
         sign, coeff, mono_text, bare = mm.groups()
         mono_text = mono_text or bare
         mono, scalar = parse_monomial(mono_text, m) if mono_text else ((0,) * m, 1)
-        c = Fraction(coeff or 1) * scalar
+        try:
+            c = Fraction(coeff or 1) * scalar
+        except ZeroDivisionError:
+            raise ValueError(
+                f"bad polynomial {text!r} at position {pos}: zero denominator"
+            ) from None
         terms[mono] = terms.get(mono, 0) + (-c if sign == "-" else c)
         pos = mm.end()
     return DPoly(ring, m, terms)
@@ -478,7 +477,7 @@ def normal_form(f: DPoly, gens, order: MonomialOrder, with_cofactors: bool = Fal
                     continue
                 quot, c = q
                 lc = gens[i].terms[lms[i]]
-                factor = ring.mul(work.terms[mono], ring.inv(ring.mul(c, lc)))
+                factor = work.terms[mono] * ring.inv(c * lc)
                 work = work - gens[i].mono_shift(quot).scale(factor)
                 if with_cofactors:
                     cofactors.append((i, quot, ring.convert(factor)))

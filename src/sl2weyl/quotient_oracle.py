@@ -54,16 +54,24 @@ slices it can show are full:
   reads the candidates as one bitmask of columns per slice, kept on the
   `BasisSet` from its first verification (`BasisSet.column_masks`, with the
   top degree that every session checks against its degree bound), and
-  echelonizes residues only in a slice where that mask meets the lead mask
+  computes residues only in a slice where that mask meets the lead mask
   (an overlay slice).  Its report keeps the per-slice results as plain
   tuples and builds the `SliceReport` records on the first read of
-  `slices`.  A verified basis is exactly the set
-  of non-lead columns outside its overlay slices, so there `reduce_element`
-  reads the coordinates off the normal form of the element and solves only
-  in the overlay slices.  The lex basis is exactly the set of non-lead
-  columns of the ideal (the Groebner-Shirshov statement of the source
-  paper), so verifying it computes no residue and reducing in it builds no
-  solver.
+  `slices`.  A verified basis is exactly the set of non-lead columns
+  outside its overlay slices, so there `reduce_element` reads the
+  coordinates off the normal form of the element.  The lex basis is
+  exactly the set of non-lead columns of the ideal (the Groebner-Shirshov
+  statement of the source paper), so verifying it computes no residue and
+  reducing in it builds no solver.
+
+* verification and reduction share one solver in an overlay slice of n
+  columns (`_overlay`): the candidate columns c_0, c_1, ... each give the
+  tagged row scale * (residue(e_c_t) + e_(n+t)), and these are
+  echelonized.  A row leads at a tag column (>= n) exactly when the
+  residues before it span its own, so `verify_basis` passes independence
+  when no pivot leads at a tag, and `reduce_element` reduces the residue
+  of the element against the solver and reads minus its coordinates, times
+  the scale, at the tags.  Reduction rebuilds the solver on every call.
 
 * what a slice needs besides echelons depends only on (m, characteristic,
   d, w) and is cached for the whole process, each piece built on first
@@ -308,6 +316,18 @@ class _Echelon:
             row = cancel(row, piv, lead, p)
 
 
+def _overlay(ech, cols, n, p):
+    """The overlay solver of a slice of n columns with echelon `ech` (see
+    the module docstring): the tagged rows scale * (residue(e_c) + e_(n+t))
+    of the columns c = cols[t], echelonized."""
+    solver = _Echelon(p)
+    for t, c in enumerate(cols):
+        row, scale = ech.residue({c: 1})
+        row[n + t] = scale
+        solver._insert(row)
+    return solver
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -472,11 +492,8 @@ class OracleSession:
     """Holds the echelonized ideal slices for one (m, ring, degree bound) and
     answers dimension, basis-verification, and reduction queries.
 
-    A covered slice (see the module docstring) is stored full at once;
-    other slices echelonize the shifted rows of their lower slices that are
-    not full, and generator rows enter only where those fall short
-    (`build_slice` remains the literal reference).  Unit pivots are a
-    column bitmask, and a full slice is the all-ones mask with no rows.
+    The module docstring describes how slices are built, verified and
+    reduced; `build_slice` remains the literal reference.
 
     What a slice needs besides its echelon is cached at three levels.  Per
     (m, ring, d, w), for the whole process: the slice monomials, their
@@ -638,9 +655,9 @@ class OracleSession:
         checked against this session's degree bound.  A slice whose mask
         avoids every pivot lead passes independence at once: distinct
         non-lead columns are their own normal forms.  Otherwise (an overlay
-        slice) the residues of the candidates are echelonized in an overlay,
-        which decides.  A basis that passes is stored in `verified` with its
-        overlay slices."""
+        slice) the candidates are independent when no pivot of their
+        `_overlay` solver leads at a tag.  A basis that passes is stored in
+        `verified` with its overlay slices."""
         t0 = time.monotonic()
         m = self.m
         if candidate.m != m:
@@ -656,15 +673,8 @@ class OracleSession:
             indep = True
             if cands & ech.leads:
                 overlays.append((d, w))
-                overlay = _Echelon(p)
-                left = cands
-                while left:
-                    low = left & -left
-                    res, _ = ech.residue({low.bit_length() - 1: 1})
-                    if not res or not overlay.add(res):
-                        indep = False
-                        break
-                    left ^= low
+                cols = [c for c in range(cands.bit_length()) if cands >> c & 1]
+                indep = not _overlay(ech, cols, size, p).leads >> size
             count = cands.bit_count()
             q = size - ech.rank
             rows.append((d, w, size, q, count, indep, q == count))
@@ -685,8 +695,8 @@ class OracleSession:
         the non-lead columns, where the normal form of f lives, so the
         coordinates are the entries of the residue (r, scale) of f divided
         by the scale; the lex basis has no overlay slice.  In an overlay
-        slice the residues of the basis monomials are echelonized with
-        tags, and the coordinates are solved for."""
+        slice the residue of f is solved against the `_overlay` solver of
+        the basis monomials there."""
         overlays = self.verified.get(candidate)
         if overlays is None:
             raise MustVerifyFirstError(
@@ -708,24 +718,13 @@ class OracleSession:
             ech = self.space(d, w)
             res_f, scale_f = ech.residue({index[a]: c for a, c in terms.items()})
             if (d, w) not in overlays:
-                if p:
-                    inv = pow(scale_f, -1, p)
-                    for c, v in res_f.items():
-                        coords[monos[c]] = v * inv % p
-                else:
-                    for c, v in res_f.items():
-                        coords[monos[c]] = Fraction(v, scale_f)
+                # over F_p the scale is 1: every pivot leads with 1
+                for c, v in res_f.items():
+                    coords[monos[c]] = v if p else Fraction(v, scale_f)
                 continue
             basis_monos = cand.get((d, w), [])
-            # solve res_f = sum coords_b * residue(b) by eliminating with
-            # augmented tags: row res_b + scale_b * e_t is scale_b times
-            # (residue(b) + e_t), so the tags come out as -coords
             n = len(monos)
-            solver = _Echelon(p)
-            for t, b in enumerate(basis_monos):
-                res_b, scale_b = ech.residue({index[b]: 1})
-                res_b[n + t] = scale_b
-                solver.add(res_b)
+            solver = _overlay(ech, [index[b] for b in basis_monos], n, p)
             rem, scale = solver.residue(res_f)
             if any(c < n for c in rem):
                 raise ValueError("element does not reduce into the candidate span")

@@ -210,8 +210,7 @@ class OPoly:
             if c:
                 if len(e) != r:
                     raise ValueError("exponent length mismatch")
-                self.terms[e] = self.terms.get(e, 0) + c
-        self.terms = {e: c for e, c in self.terms.items() if c}
+                self.terms[e] = c
 
     def is_zero(self) -> bool:
         return not self.terms

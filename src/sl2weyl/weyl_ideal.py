@@ -116,10 +116,10 @@ class GeneratorSet(Record):
         checks each entry once: a polynomial of another m or ring, or with
         a term outside the slice its entry declares, raises ValueError."""
         if self._index is None:
-            index, slices = {}, {}
+            index = {}
             for i, e in enumerate(self.entries):
                 f, key = e.poly, (e.degree, e.weight)
-                if f.m != self.m or f.ring is not self.ring or not _lies_in(f, key, slices):
+                if f.m != self.m or f.ring is not self.ring or not _lies_in(f, key):
                     raise ValueError(
                         f"generator entry {i} {e.provenance} is not a polynomial of "
                         f"slice {key} for m = {self.m} over {self.ring}"
@@ -132,30 +132,29 @@ class GeneratorSet(Record):
         """The polynomials of slice (d, w) from `by_slice` as column rows
         {column: coefficient} (`column_index`), in entry order.  A slice's
         rows are built the first time a session pulls from it and kept for
-        every session on this set, so read only; slices no session pulls
-        from never hold rows."""
+        every session on this set, so read only; slices without entries, and
+        those no session pulls from, never hold rows."""
         rows = self._rows.get((d, w))
         if rows is None:
+            polys = self.by_slice().get((d, w))
+            if not polys:
+                return ()
             index = column_index(self.m, d, w)
-            rows = self._rows[d, w] = tuple(
-                {index[a]: c for a, c in f.terms.items()} for f in self.by_slice().get((d, w), ())
-            )
+            rows = tuple({index[a]: c for a, c in f.terms.items()} for f in polys)
+            self._rows[d, w] = rows
         return rows
 
 
-def _lies_in(f: DPoly, key: tuple, slices: dict) -> bool:
-    """Whether every term of f has (degree, weight) = key.  `slices` keeps
-    the monomial set of each slice met so far, built only once a term of f
-    is seen to lie in it."""
+def _lies_in(f: DPoly, key: tuple) -> bool:
+    """Whether every term of f has (degree, weight) = key: one term is
+    tested, then every term is looked up in the slice's `column_index`,
+    built only once a term of f is seen to lie in the slice."""
     if not f.terms:
         return True
-    monos = slices.get(key)
-    if monos is None:
-        a = next(iter(f.terms))
-        if (mono_degree(a), mono_weight(a)) != key:
-            return False
-        monos = slices[key] = frozenset(slice_monomials(f.m, *key))
-    return f.terms.keys() <= monos
+    a = next(iter(f.terms))
+    if (mono_degree(a), mono_weight(a)) != key:
+        return False
+    return f.terms.keys() <= column_index(f.m, *key).keys()
 
 
 @lru_cache(maxsize=None)
@@ -231,15 +230,16 @@ def _series_power_coeff(k: int, uexp: tuple[int, ...], m: int):
     return tuple(pairs)
 
 
-def series_power_coefficient(k: int, uexp, m: int, ring: CoeffRing = RATIONALS) -> DPoly:
-    """Coefficient of u^uexp in the k-th divided power of the series, with
-    s = len(uexp) auxiliary variables and variable indices capped at m-1."""
+def series_power_coefficient(k: int, uexp, m: int) -> DPoly:
+    """Coefficient of u^uexp in the k-th divided power of the series, over
+    the rationals, with s = len(uexp) auxiliary variables and variable
+    indices capped at m-1."""
     uexp = tuple(uexp)
     if k < 0 or m < 1:
         raise ValueError("need k >= 0, m >= 1")
     if any(a < 0 for a in uexp):
         raise ValueError("u-exponents must be nonnegative")
-    return DPoly(ring, m, dict(_series_power_coeff(k, uexp, m)))
+    return DPoly(RATIONALS, m, dict(_series_power_coeff(k, uexp, m)))
 
 
 def _series_exponents(m: int, d: int, w: int):
@@ -357,8 +357,8 @@ def truncation_relations(m: int, n_trunc: int, ring: CoeffRing) -> GeneratorSet:
 # the two families built from symmetric-function data
 
 
-def schur_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> DPoly:
-    """Schur-type element: sum of K_{lam,mu} x^(mu) over the monomials of
+def schur_dpoly(lam: Partition, k: int, m: int) -> DPoly:
+    """Schur-type element over the rationals: sum of K_{lam,mu} x^(mu) over the monomials of
     slice (k, |lam|), each mu zero-padded to k parts; K_{lam,mu} vanishes
     unless lam dominates mu.  K_{lam,mu} is read from the Kostka row of mu
     capped at m-1, which holds lam since lam_1 <= m-1."""
@@ -368,11 +368,11 @@ def schur_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> 
         raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
     pairs = zip(slice_partitions(m, k, lam.size), slice_monomials(m, k, lam.size))
     shape = lam.parts
-    return DPoly(ring, m, {mono: kostka_row(mu, m - 1).get(shape, 0) for mu, mono in pairs})
+    return DPoly(RATIONALS, m, {mono: kostka_row(mu, m - 1).get(shape, 0) for mu, mono in pairs})
 
 
-def forgotten_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS) -> DPoly:
-    """Forgotten-type element: sum of the signed multiplicities times x^(mu)
+def forgotten_dpoly(lam: Partition, k: int, m: int) -> DPoly:
+    """Forgotten-type element over the rationals: sum of the signed multiplicities times x^(mu)
     over mu dominating lam with exactly k parts (zeros included) and parts
     <= m-1.  May be zero.  The multiplicity of mu is (-1)^|lam| c(mu, mult
     lam), nonzero only for mu merged from the parts of lam (so mu dominates
@@ -382,7 +382,7 @@ def forgotten_dpoly(lam: Partition, k: int, m: int, ring: CoeffRing = RATIONALS)
         raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
     sign = -1 if lam.size % 2 else 1
     pairs = _series_power_coeff(k, lam.multiplicities(m - 1), m)
-    return DPoly(ring, m, {mono: sign * c for mono, c in pairs})
+    return DPoly(RATIONALS, m, {mono: sign * c for mono, c in pairs})
 
 
 def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
@@ -444,14 +444,14 @@ def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
 def transition_identity_holds(lam: Partition, k: int, m: int) -> bool:
     """Schur element as the Kostka-weighted sum of forgotten elements of the
     conjugate's dominance-lower set, checked exactly over the rationals."""
-    lhs = schur_dpoly(lam, k, m, RATIONALS)
+    lhs = schur_dpoly(lam, k, m)
     rhs = DPoly.zero(RATIONALS, m)
     lamt = transpose(lam)
     for mu in enumerate_partitions(lam.size, lamt.largest, lam.size):
         if dominates(lamt, mu):
             kk = kostka(lamt, mu)
             if kk:
-                rhs = rhs + forgotten_dpoly(mu, k, m, RATIONALS).scale(kk)
+                rhs = rhs + forgotten_dpoly(mu, k, m).scale(kk)
     return lhs == rhs
 
 

@@ -192,6 +192,12 @@ def test_truncated_rejects_bad_level():
         truncated_basis(3, 0)
 
 
+@pytest.mark.parametrize("builder", [lex_basis, revlex_basis, cv_basis])
+def test_bases_reject_a_negative_m(builder):
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        builder(-1)
+
+
 # -- counting ---------------------------------------------------------------------
 
 

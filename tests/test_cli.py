@@ -178,6 +178,13 @@ def test_usage_errors(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "degree_bound must be >= m = 5" in err, argv
+    # below m = 2 criteria 5 and 9 would pass without checking a case
+    for max_m in ("0", "1"):
+        code, out, err = run(capsys, "selftest", "--max-m", max_m)
+        assert code == 2 and out == "" and "--max-m must be >= 2" in err, max_m
+    assert run(capsys, "reduce", "-m", "2", "--poly", "1/0") == (
+        2, "", "error: bad polynomial '1/0' at position 0: zero denominator\n"
+    )
     # the defining generators need the box m + 1
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "gens", "-m", "3", "--max-degree", "2", "--format", fmt)
@@ -322,3 +329,71 @@ def test_gens_json_memory_does_not_grow_with_the_output(monkeypatch):
         finally:
             tracemalloc.stop()
     assert code == 0 and peak < 6 << 20, peak
+
+
+# -- text output, byte for byte -------------------------------------------------
+
+
+def test_dim_text_output(capsys):
+    code, out, err = run(capsys, "dim", "-m", "2")
+    assert (code, out) == (0, (
+        "# m=2 char=0 max_degree=4\n"
+        "degree=0 weight=0 dim=1\n"
+        "degree=1 weight=0 dim=1\n"
+        "degree=1 weight=1 dim=1\n"
+        "degree=2 weight=0 dim=1\n"
+        "total=4\n"
+    ))
+    assert re.fullmatch(r"elapsed_seconds=\d+\.\d{3}\n", err)
+    code, out, _ = run(capsys, "dim", "-m", "3", "--char", "2", "--max-degree", "3")
+    assert (code, out) == (0, (
+        "# m=3 char=2 max_degree=3\n"
+        "degree=0 weight=0 dim=1\n"
+        "degree=1 weight=0 dim=1\ndegree=1 weight=1 dim=1\ndegree=1 weight=2 dim=1\n"
+        "degree=2 weight=0 dim=1\ndegree=2 weight=1 dim=1\ndegree=2 weight=2 dim=1\n"
+        "degree=3 weight=0 dim=1\n"
+        "total=8\n"
+    ))
+
+
+def test_reduce_text_output(capsys):
+    # x1^(2) is not a revlex monomial: x1^(2) = -x0*x2 in the quotient
+    argv = ["reduce", "-m", "3", "--order", "revlex", "--poly", "x0*x2 + 1/2*x1^(2) + x0^(3)"]
+    assert run(capsys, *argv) == (0, "1/2\tx0*x2\n1\tx0^(3)\n", "")
+    # an element of the ideal prints a bare 0
+    assert run(capsys, "reduce", "-m", "3", "--poly", "x0*x2 + x1^(2)") == (0, "0\n", "")
+    argv = ["reduce", "-m", "4", "--order", "cv", "--char", "3",
+            "--poly", "x0*x3 + 2*x1^(2)*x2 + x0^(3)"]
+    assert run(capsys, *argv) == (0, "1\tx0*x3\n1\tx0^(3)\n", "")
+
+
+def test_truncate_text_output(capsys):
+    assert run(capsys, "truncate", "-m", "4", "-N", "2") == (0, (
+        "m=4\nchar=0\ntruncation=2\ndims_total=9\nbasis_size=9\npassed=True\n"
+    ), "")
+
+
+def test_count_text_output_without_ell(capsys):
+    assert run(capsys, "count", "-m", "6") == (0, "ell=0 B=1\nell=1 B=5\nell=2 B=9\nell=3 B=5\n", "")
+
+
+def test_verify_text_output_names_the_failing_slices(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "-m", "2")
+    assert (code, out) == (0, (
+        "# m=2 char=0 order=lex max_degree=4\nslices_checked=15\n"
+        "total_quotient_dim=4\ntotal_candidates=4\nPASS\n"
+    ))
+    assert re.fullmatch(r"elapsed_seconds=\d+\.\d{3}\n", err)
+    # x1^(2) dropped (short in slice (2, 2)), x2^(3) of the ideal added
+    lex = basis_enum.lex_basis(3)
+    bad = basis_enum.BasisSet(3, "lex", lex.monomials - {(0, 2, 0)} | {(0, 0, 3)})
+    monkeypatch.setattr("sl2weyl.cli._basis_for", lambda m, order, trunc: bad)
+    code, out, err = run(capsys, "verify", "-m", "3")
+    assert (code, out) == (1, (
+        "# m=3 char=0 order=lex max_degree=5\nslices_checked=36\n"
+        "total_quotient_dim=8\ntotal_candidates=8\n"
+        "FAIL degree=2 weight=2 quotient_dim=1 candidates=0\n"
+        "FAIL degree=3 weight=6 quotient_dim=0 candidates=1\n"
+        "FAIL\n"
+    ))
+    assert re.fullmatch(r"elapsed_seconds=\d+\.\d{3}\n", err)

@@ -289,9 +289,11 @@ def test_poly_text_roundtrip(f, den, ring):
 
 
 def test_parse_dpoly_rejects_malformed_text():
-    for text in ["--x0", "2*-x0", "3--x0", "x0-", "-", "+", "x0**x1", "2*"]:
+    for text in ["--x0", "2*-x0", "3--x0", "x0-", "-", "+", "x0**x1", "2*", "1/0"]:
         with pytest.raises(ValueError):
             parse_dpoly(text, 3, RATIONALS)
+    with pytest.raises(ValueError, match="at position 2: zero denominator"):
+        parse_dpoly("x0 + 3/00*x1", 3, RATIONALS)
 
 
 def test_format_deterministic_dplex_descending():

@@ -413,6 +413,31 @@ def test_session_rejects_a_family_for_another_m_or_ring(
         OracleSession(m, ring, m + 1, gens=gens)
 
 
+def test_session_rejects_a_family_below_the_degree_box():
+    # the Schur family covers degrees up to m + 1 only; the defining family
+    # below is cut short in weight
+    with pytest.raises(ConfigurationError, match="do not cover the degree box"):
+        OracleSession(3, RATIONALS, 5, gens=schur_family(3, RATIONALS))
+    with pytest.raises(ConfigurationError, match="do not cover the degree box"):
+        OracleSession(3, RATIONALS, 5, gens=defining_generators(3, RATIONALS, 5, 9))
+    # a relation set only adjoins rows and need not cover the box
+    OracleSession(3, RATIONALS, 5, relations=truncation_relations(3, 1, RATIONALS))
+
+
+def test_relation_sets_keep_rows_only_for_slices_with_entries():
+    # the truncation relations x_2, ..., x_5 fill four slices; a session
+    # pulls from about two dozen
+    ring = RATIONALS
+    relations = truncation_relations(6, 2, ring)
+    OracleSession(6, ring, 8, relations=relations).dims()
+    assert set(relations._rows) == set(relations.by_slice()) == {(1, j) for j in range(2, 6)}
+    assert all(relations._rows.values())
+    assert relations.slice_rows(2, 3) == () and (2, 3) not in relations._rows
+    schur = schur_family(4, ring)
+    OracleSession(4, ring, 5, gens=schur).dims()
+    assert schur._rows and set(schur._rows) <= set(schur.by_slice())
+
+
 def test_covered_slices_skip_elimination(monkeypatch):
     # at m = 6 over Q (degree box 8) 126 of the 189 slices are covered and
     # 21 more are filled by elimination, which starts from unit columns at
@@ -1028,6 +1053,39 @@ def test_reduce_rejects_elements_outside_the_session():
             sess.reduce_element(f, bs)
     with pytest.raises(ValueError, match="degree bound"):
         sess.reduce_element(parse_dpoly("x0 + x1^(5)", 3, RATIONALS), bs)
+
+
+def test_residue_scale_is_one_over_prime_fields(monkeypatch):
+    # every pivot over F_p leads with 1, so the residues that verification
+    # and reduction read carry no scale there
+    scales = Counter()
+    residue = _Echelon.residue
+
+    def recording_residue(self, row):
+        out = residue(self, row)
+        scales[out[1]] += 1
+        return out
+
+    monkeypatch.setattr(_Echelon, "residue", recording_residue)
+    rng = random.Random(20261019)
+    for ring in RINGS[1:]:
+        for m in range(1, 6):
+            box = [a for d, w, _ in _box_slices(m, m + 1) for a in slice_monomials(m, d, w)]
+            for gens in (None, schur_family(m, ring)):
+                sess = OracleSession(m, ring, m + 1, gens=gens)
+                for basis in (lex_basis(m), revlex_basis(m), cv_basis(m)):
+                    assert sess.verify_basis(basis).passed
+                    for _ in range(10):
+                        picks = rng.sample(box, min(len(box), rng.randint(1, 6)))
+                        terms = {a: rng.randrange(1, ring.char) for a in picks}
+                        sess.reduce_element(DPoly(ring, m, terms), basis)
+    assert set(scales) == {1} and scales[1] > 1000, scales
+
+
+def test_one_shot_reduction_refuses_a_failing_candidate():
+    short = BasisSet(3, "lex", lex_basis(3).monomials - {(0, 1, 0)})
+    with pytest.raises(MustVerifyFirstError, match="failed verification"):
+        reduce_element(parse_dpoly("x0*x1", 3, RATIONALS), 3, RATIONALS, short)
 
 
 def test_reduce_requires_verification():

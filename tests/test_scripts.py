@@ -36,6 +36,20 @@ def test_sweep_passes_on_the_engine(monkeypatch, capsys):
     assert "char 5: 8" in capsys.readouterr().out
 
 
+def test_sweep_checks_m_0(monkeypatch, capsys):
+    assert _sweep(monkeypatch, "0").main() == 0
+    out = capsys.readouterr().out
+    assert out.startswith("m=0  (2^m = 1)  char 0: 1 ") and "char 5: 1 " in out
+    assert "!!" not in out
+
+
+def test_sweep_fails_on_a_wrong_total_at_m_0(monkeypatch, capsys):
+    module = _sweep(monkeypatch, "0", "--chars", "0,3")
+    monkeypatch.setattr(module, "quotient_dim", _altered(lambda m, dims: dims.update({(0, 0): 2})))
+    assert module.main() == 1
+    assert "differ from 2^m" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("chars", ["0,4", "0,x", "1"])
 def test_sweep_rejects_a_characteristic_that_is_not_prime(monkeypatch, capsys, chars):
     with pytest.raises(SystemExit) as exc:
@@ -110,3 +124,25 @@ def test_chain_fails_when_the_top_level_total_is_not_2_to_the_m(monkeypatch, cap
     assert module.main() == 1
     out = capsys.readouterr().out
     assert "verified=ok" in out and "!! N=3 oracle total differs from 2^m" in out
+
+
+def test_chain_checks_the_full_basis_at_m_0(monkeypatch, capsys):
+    assert _chain(monkeypatch, "0").main() == 0
+    out = capsys.readouterr().out
+    assert "  N=1: basis    1  oracle dims    1  nested=True  verified=ok" in out
+    assert "!!" not in out
+
+
+def test_chain_fails_when_the_total_at_m_0_is_not_1(monkeypatch, capsys):
+    module = _chain(monkeypatch, "0")
+
+    def fake(m, n, ring, degree_bound):
+        rep = truncated_quotient(m, n, ring, degree_bound)
+        extra = SliceReport(degree_bound + 1, 0, 1, 1, 1, True, True)
+        return VerificationReport(
+            m, ring.char, rep.provenance, degree_bound, rep.slices + (extra,), 0.0
+        )
+
+    monkeypatch.setattr(module, "truncated_quotient", fake)
+    assert module.main() == 1
+    assert "!! N=1 oracle total differs from 2^m = 1" in capsys.readouterr().out

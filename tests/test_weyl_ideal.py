@@ -402,6 +402,20 @@ def test_forgotten_dpoly_rejects_a_negative_length():
         forgotten_dpoly(EMPTY, -1, 3)
 
 
+def test_element_builders_reject_shapes_outside_their_slice():
+    with pytest.raises(ValueError, match="l\\(lam\\) <= k"):
+        schur_dpoly(make_partition([1, 1, 1]), 2, 4)
+    for builder in (schur_dpoly, forgotten_dpoly):
+        with pytest.raises(ValueError, match="lam_1 <= m-1"):
+            builder(make_partition([3]), 2, 3)
+
+
+def test_families_reject_m_0():
+    for family in (schur_family, forgotten_family):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            family(0)
+
+
 def test_forgotten_lead_unit_when_short():
     for m in (3, 4, 5):
         for lam in all_partitions(m + 1, max_part=m - 1):

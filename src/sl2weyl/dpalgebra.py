@@ -422,9 +422,12 @@ def parse_dpoly(text: str, m: int, ring: CoeffRing) -> DPoly:
     """Parse a signed sum of `[sign]coeff*monomial` terms (coefficient or
     monomial may be left out, the first sign is optional, spaces are
     ignored).  Text that is not such a sum, such as a stray sign, an empty
-    factor or a zero denominator, raises ValueError."""
+    factor or a zero denominator, raises ValueError, and so does a
+    coefficient whose denominator p divides over F_p, at the first term of
+    its monomial with such a denominator (terms may cancel it)."""
     text = "".join(text.split())
-    terms = {}
+    p = ring.char
+    terms, bad = {}, {}
     pos = 0
     while pos < len(text):
         mm = _POLY_TERM_RE.match(text, pos)
@@ -440,7 +443,15 @@ def parse_dpoly(text: str, m: int, ring: CoeffRing) -> DPoly:
                 f"bad polynomial {text!r} at position {pos}: zero denominator"
             ) from None
         terms[mono] = terms.get(mono, 0) + (-c if sign == "-" else c)
+        if p and c.denominator % p == 0:
+            bad.setdefault(mono, pos)
         pos = mm.end()
+    failing = [at for mono, at in bad.items() if terms[mono].denominator % p == 0]
+    if failing:
+        raise ValueError(
+            f"bad polynomial {text!r} at position {min(failing)}: "
+            f"denominator not invertible mod {p}"
+        )
     return DPoly(ring, m, terms)
 
 

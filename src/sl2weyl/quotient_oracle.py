@@ -11,9 +11,10 @@ slices it can show are full:
   eager generator family such as `defining_generators`.  This is the
   reference construction.
 
-* the engine builds slices bottom-up.  Writing any multiplier as
-  u = x_i^(j) * u'' with u''_i = 0 splits off the full x_i-power of u, and
-  the structure constant of that split is C(j, j) = 1 in every ring, so
+* the engine builds the slices of a degree box bottom-up, all at once.
+  Writing any multiplier as u = x_i^(j) * u'' with u''_i = 0 splits off
+  the full x_i-power of u, and the structure constant of that split is
+  C(j, j) = 1 in every ring, so
 
       rowspace(d, w) = span( generators in the slice
                              + x_i^(j) * rowspace(d - j, w - i*j) )
@@ -26,6 +27,9 @@ slices it can show are full:
   slice size, and series coefficients are built one at a time as needed
   (`weyl_ideal.slice_series`), so a slice the shifts fill builds none.  The
   two constructions span the same space; the tests cross-check their ranks.
+  The slices run in the order of the box's plan (`_plan`), every lower
+  slice first, in one loop with no recursion: a session's first `space`
+  call builds its whole box.
 
 * most slices of the degree box lie wholly in the ideal (they are *full*:
   every basis monomial has degree <= m), and many are known to be full
@@ -80,24 +84,31 @@ slices it can show are full:
   the candidate bases read too, the nonempty lower slices as plain tuples
   with the all-ones masks of their columns and, per shift, the bitmask of
   the columns it covers (`_lower_slices`, read where the lower slice is
-  full), the column map of a shift (`_shift`, built only where the lower
-  slice is not full), and the slices of a degree box with their sizes
-  (`_box_slices`).  A given family or relation set is grouped by slice
-  once per `GeneratorSet`, and keeps the column rows of each slice that a
-  session pulls generators from, filled lazily (`GeneratorSet.slice_rows`);
-  a session holds only the echelons of its slices, a full one being a
-  single mask.  So sessions after the first on the same (m, ring) go
-  straight to elimination.  Generator rows reach the echelon in one form,
-  column rows {column: integer}: those of the given sets, and the defining
-  series coefficients read straight off their (monomial, coefficient)
-  pairs.
+  full), and the column map of a shift (`_shift`, built only where the
+  lower slice is not full).  Per (m, characteristic, degree bound) the
+  process keeps the plan of the box (`_plan`): its slices in box order
+  with their sizes and all-ones masks, and each slice's `_lower_slices`
+  tuple (the same object) with the plan positions of those lower slices,
+  the bitmask of those positions, the union of their covered columns
+  (what a slice whose lower slices are all full reads, with no loop) and
+  the column maps of its shifts, kept once an elimination first reads
+  them.  A given family or relation set is grouped by slice once per
+  `GeneratorSet`, and keeps the column rows of each slice that a session
+  pulls generators from, filled lazily (`GeneratorSet.slice_rows`); a
+  session holds only the echelons of its slices, a full one being a single
+  mask.  So sessions after the first on the same (m, ring) go straight to
+  elimination.  Generator rows reach the echelon in one form, column rows
+  {column: integer}: those of the given sets, and the defining series
+  coefficients read straight off their (monomial, coefficient) pairs.
 
-Rank computations and normal forms are exact and fraction-free in both
-rings: one echelon takes integer rows, keeping its pivot rows primitive over
-the rationals and reduced mod p over prime fields, and returns a normal form
-as an integer row together with the scale it carries.  Its one ring-specific
-step is the cancellation of a row against a pivot, `_cancel_q` over the
-rationals and `_cancel_p` over F_p.  Floating point never appears.
+Rank computations and normal forms are exact and fraction-free in every
+ring, in one echelon class.  Over the rationals its rows are integer dicts
+and pivot rows are kept primitive; over an odd F_p they are dicts reduced
+mod p whose pivots lead with 1; over F_2 a row is an int, the bitmask of
+its columns, that leads at its lowest set bit and cancels by xor.  The
+echelon takes and returns column rows in every ring, converting at the
+boundary, and returns a normal form as an integer row together with the
+scale it carries.  Floating point never appears.
 """
 
 from __future__ import annotations
@@ -141,6 +152,38 @@ def _box_slices(m: int, degree_bound: int) -> tuple:
         for w in range(d * max(m - 1, 0) + 1)
         if (size := len(slice_monomials(m, d, w)))
     )
+
+
+@lru_cache(maxsize=None)
+def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
+    """The slices of the degree box in box order (`_box_slices`: by degree,
+    so every lower slice comes first), as tuples
+    (key, size, full, lower, positions, below, reach, shifts):
+
+    * `full`, the all-ones mask of its columns;
+    * `lower`, its `_lower_slices` tuple (the cached object itself, not a
+      copy), with `positions` the plan position of each lower slice, in the
+      same order, and `below` the bitmask of those positions;
+    * `reach`, the union of the masks of the lower slices: the covered
+      columns when every lower slice is full;
+    * `shifts`, per lower slice the `_shift` column map into this slice,
+      None until an elimination first reads it."""
+    box = _box_slices(m, degree_bound)
+    where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
+    out = []
+    for d, w, size in box:
+        lower = _lower_slices(m, ring, d, w)
+        positions = []
+        below = reach = 0
+        for key, _, _, _, mask in lower:
+            pos = where[key]
+            positions.append(pos)
+            below |= 1 << pos
+            reach |= mask
+        out.append(
+            ((d, w), size, (1 << size) - 1, lower, positions, below, reach, [None] * len(lower))
+        )
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -211,7 +254,32 @@ def _shift(m: int, ring: CoeffRing, d: int, w: int, i: int, j: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact echelon forms (sparse rows: dict column -> coefficient)
+# exact echelon forms (sparse rows: dict column -> coefficient, or over F_2
+# a bitmask of columns)
+
+
+def _pack(row):
+    """A row over F_2 as the bitmask of its odd entries."""
+    bits = 0
+    for c, v in row.items():
+        if v & 1:
+            bits |= 1 << c
+    return bits
+
+
+def _unpack(bits):
+    """A bitmask row over F_2 as a column row of ones."""
+    row = {}
+    while bits:
+        low = bits & -bits
+        row[low.bit_length() - 1] = 1
+        bits ^= low
+    return row
+
+
+def _lowest(bits):
+    """The lowest set bit of a bitmask row, the sort key of its lead."""
+    return bits & -bits
 
 
 def _cancel_q(row, piv, lead, p):
@@ -246,11 +314,13 @@ def _cancel_p(row, piv, lead, p):
 
 
 class _Echelon:
-    """Integer rows, fraction-free in both rings: over the rationals (p = 0)
-    pivot rows are kept primitive with a positive lead; over F_p entries are
-    reduced mod p and pivots lead with 1.  Only the cancel step (`_cancel_q`
-    or `_cancel_p`, picked per call) and the pivot normalization depend on
-    the ring.
+    """Exact rows, fraction-free in every ring.  Over the rationals (p = 0)
+    rows are integer dicts and pivot rows are kept primitive with a positive
+    lead; over an odd F_p they are dicts, pivot entries are reduced mod p
+    and pivots lead with 1; over F_2 a row is the int bitmask of its columns,
+    its lead is its lowest set bit and a cancel is `^=`.  `add` and
+    `residue` take and return column rows in every ring, converting at the
+    boundary; `_insert` takes a row already in the ring's form.
 
     The unit pivots e_c are the bitmask `units` (bit c for column c);
     `pivots` holds the other rows by lead, and their entries avoid the unit
@@ -264,23 +334,37 @@ class _Echelon:
     def __init__(self, p, units=0):
         self.p = p
         self.units = self.leads = units
-        self.pivots: dict[int, dict[int, int]] = {}
+        self.pivots: dict = {}
 
     @property
     def rank(self):
         return self.units.bit_count() + len(self.pivots)
 
     def add(self, row) -> bool:
-        """Echelonize an integer row (nonzero entries nonzero mod p) against
-        the pivots; True when it raises the rank.  Unit columns are dropped
-        on entry, which is the cancellation against their unit pivots."""
-        units = self.units
+        """Echelonize an integer column row (nonzero entries nonzero mod p)
+        against the pivots; True when it raises the rank.  Unit columns are
+        dropped on entry, which is the cancellation against their unit
+        pivots; over F_2 the row is packed."""
+        units, p = self.units, self.p
+        if p == 2:
+            return self._insert(_pack(row) & ~units)
         return self._insert({c: v for c, v in row.items() if not units >> c & 1})
 
     def _insert(self, row) -> bool:
-        """`add` for a row of its own that avoids the unit columns; the row
-        is consumed."""
+        """`add` for a row of its own in the ring's form (a bitmask over
+        F_2) that avoids the unit columns; the row is consumed."""
         pivots, p = self.pivots, self.p
+        if p == 2:
+            while row:
+                low = row & -row
+                lead = low.bit_length() - 1
+                piv = pivots.get(lead)
+                if piv is None:
+                    pivots[lead] = row
+                    self.leads |= low
+                    return True
+                row ^= piv
+            return False
         cancel = _cancel_p if p else _cancel_q
         while row:
             lead = min(row)
@@ -294,16 +378,21 @@ class _Echelon:
 
     def residue(self, row):
         """Normal form against the pivot rows, fraction-free: returns
-        (r, scale) with r = scale * normal form.  Every pivot-lead component
-        is eliminated, so the normal form is unique and the map is linear.
-        Rational entries are cleared of denominators on entry, and unit
-        columns are dropped."""
+        (r, scale) with r = scale * normal form, a column row.  Every
+        pivot-lead component is eliminated, so the normal form is unique and
+        the map is linear.  Rational entries are cleared of denominators on
+        entry, and unit columns are dropped."""
         scale = 1
         for v in row.values():
             scale = lcm(scale, v.denominator)
         units = self.units
         row = {c: int(v * scale) for c, v in row.items() if v and not units >> c & 1}
         pivots, p = self.pivots, self.p
+        if p == 2:
+            bits, heads = _pack(row), self.leads ^ units
+            while hits := bits & heads:
+                bits ^= pivots[(hits & -hits).bit_length() - 1]
+            return _unpack(bits), scale
         cancel = _cancel_p if p else _cancel_q
         while True:
             hits = [c for c in row if c in pivots]
@@ -324,7 +413,7 @@ def _overlay(ech, cols, n, p):
     for t, c in enumerate(cols):
         row, scale = ech.residue({c: 1})
         row[n + t] = scale
-        solver._insert(row)
+        solver.add(row)
     return solver
 
 
@@ -495,13 +584,17 @@ class OracleSession:
     The module docstring describes how slices are built, verified and
     reduced; `build_slice` remains the literal reference.
 
-    What a slice needs besides its echelon is cached at three levels.  Per
+    The first `space` call builds every slice of the degree box in one
+    ordered pass over its plan (`_build_box`); later calls read the stored
+    echelons, and a slice outside the box raises ValueError.  What a slice
+    needs besides its echelon is cached at three levels.  Per
     (m, ring, d, w), for the whole process: the slice monomials, their
     column index, the nonempty lower slices with the all-ones masks of
     their columns and the bitmask of columns each shift covers
     (`_lower_slices`), and the column map of each shift that `_eliminate`
-    reads (`_shift`), each built on first use; per (m, degree bound), the
-    box slices with their sizes.  Per input object, for every session that
+    reads (`_shift`), each built on first use; per (m, ring, degree bound),
+    the plan of the box (`_plan`), which also keeps the column maps its
+    eliminations have read.  Per input object, for every session that
     reads it: a given family's polynomials grouped by slice
     (`GeneratorSet.by_slice`) and the column rows of each slice a session
     pulls from (`GeneratorSet.slice_rows`, filled lazily), and a candidate
@@ -547,43 +640,68 @@ class OracleSession:
     # -- slice spaces ------------------------------------------------------
 
     def space(self, d, w):
-        ech = self._spaces.get((d, w))
+        """The echelon of slice (d, w) of the degree box; the first call
+        builds the whole box (`_build_box`)."""
+        ech = (self._spaces or self._build_box()).get((d, w))
         if ech is None:
-            ech = self._spaces[d, w] = self._build(d, w)
+            raise ValueError(
+                f"slice ({d},{w}) is not a slice of the degree box "
+                f"(m = {self.m}, degree bound {self.degree_bound})"
+            )
         return ech
 
-    def _build(self, d, w):
-        """A covered slice is stored full at once; any other is eliminated."""
-        ncols = len(slice_monomials(self.m, d, w))
-        covered, partial = 0, []
-        for key, lower_full, i, j, mask in _lower_slices(self.m, self.ring, d, w):
-            lower = self._spaces.get(key)
-            if lower is None:
-                lower = self.space(*key)
-            if lower.units == lower_full:
-                covered |= mask
-            else:
-                partial.append((i, j, lower))
-        full = (1 << ncols) - 1
-        if covered == full:
-            return _Echelon(self.ring.char, full)
-        return self._eliminate(d, w, full, partial, covered)
-
-    def _eliminate(self, d, w, full, partial, covered):
-        """Echelon of a slice that is not covered: unit columns at the
-        covered columns (all that the full lower slices shift up) and at the
-        images of the unit columns of the other lower slices, then the
-        shifted rows of those lower slices without the unit columns, then
-        generator rows while the rank stays below the slice size.  A slice
-        this fills is stored full."""
+    def _build_box(self):
+        """Every slice of the box in one pass over its `_plan`, lower slices
+        first: a covered slice is stored full at once, any other is
+        eliminated.  The full slices so far are the bitmask `done` of their
+        plan positions, so a slice whose lower slices are all full reads its
+        covered columns off the plan."""
         p = self.ring.char
-        shifts = []
-        for i, j, lower in partial:
-            shift = _shift(self.m, self.ring, d, w, i, j)
-            shifts.append((shift, lower.pivots))
+        echs, spaces, done = [], {}, 0
+        for pos, (key, _, full, lower, positions, below, reach, shifts) in enumerate(
+            _plan(self.m, self.ring, self.degree_bound)
+        ):
+            if done & below == below:
+                covered, partial = reach, ()
+            else:
+                covered, partial = 0, []
+                for k, low in enumerate(positions):
+                    ech = echs[low]
+                    _, lower_full, _, _, mask = lower[k]
+                    if ech.units == lower_full:
+                        covered |= mask
+                    else:
+                        partial.append((k, ech))
+            if covered == full:
+                ech = _Echelon(p, full)
+            else:
+                ech = self._eliminate(key, full, covered, partial, lower, shifts)
+            if ech.units == full:
+                done |= 1 << pos
+            echs.append(ech)
+            spaces[key] = ech
+        self._spaces = spaces
+        return spaces
+
+    def _eliminate(self, key, full, covered, partial, lower, shifts):
+        """Echelon of a slice that is not covered, from its lower slices
+        that are not full (`partial`, as (index into `lower`, echelon)):
+        unit columns at the covered columns (all that the full lower slices
+        shift up) and at the images of the unit columns of the other lower
+        slices, then the shifted rows of those lower slices without the unit
+        columns, then generator rows while the rank stays below the slice
+        size.  A slice this fills is stored full."""
+        p = self.ring.char
+        maps = []
+        for k, ech in partial:
+            shift = shifts[k]
+            if shift is None:
+                _, _, i, j, _ = lower[k]
+                shift = shifts[k] = _shift(self.m, self.ring, *key, i, j)
+            maps.append((shift, ech.pivots))
             # the shifted unit row e_a is C(a_i + j, j) e_b: a unit column
             # of this slice wherever the constant is nonzero
-            units = lower.units
+            units = ech.units
             while units:
                 low = units & -units
                 hit = shift[low.bit_length() - 1]
@@ -593,16 +711,26 @@ class OracleSession:
         if covered == full:
             return _Echelon(p, full)
         rows = []
-        for shift, pivots in shifts:
+        for shift, pivots in maps:
             for piv in pivots.values():
-                row = {}
-                for col, c in piv.items():
-                    hit = shift[col]
-                    if hit is not None and not covered >> hit[0] & 1:
-                        row[hit[0]] = c * hit[1]
+                if p == 2:
+                    # every nonzero constant is 1
+                    row = 0
+                    while piv:
+                        low = piv & -piv
+                        hit = shift[low.bit_length() - 1]
+                        if hit is not None and not covered >> hit[0] & 1:
+                            row |= 1 << hit[0]
+                        piv ^= low
+                else:
+                    row = {}
+                    for col, c in piv.items():
+                        hit = shift[col]
+                        if hit is not None and not covered >> hit[0] & 1:
+                            row[hit[0]] = c * hit[1]
                 if row:
                     rows.append(row)
-        rows.sort(key=min)
+        rows.sort(key=_lowest if p == 2 else min)
         ech = _Echelon(p, covered)
         pivots = ech.pivots
         target = (full ^ covered).bit_count()
@@ -611,7 +739,7 @@ class OracleSession:
                 break
             ech._insert(row)
         if len(pivots) < target:
-            for row in self._generator_rows(d, w):
+            for row in self._generator_rows(*key):
                 ech.add(row)
                 if len(pivots) == target:
                     break

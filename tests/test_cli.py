@@ -185,6 +185,11 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "reduce", "-m", "2", "--poly", "1/0") == (
         2, "", "error: bad polynomial '1/0' at position 0: zero denominator\n"
     )
+    for char in ("2", "3"):
+        assert run(capsys, "reduce", "-m", "2", "--char", char, "--poly", f"x1 + 1/{char}") == (
+            2, "", f"error: bad polynomial 'x1+1/{char}' at position 2: "
+            f"denominator not invertible mod {char}\n"
+        )
     # the defining generators need the box m + 1
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "gens", "-m", "3", "--max-degree", "2", "--format", fmt)
@@ -365,6 +370,10 @@ def test_reduce_text_output(capsys):
     argv = ["reduce", "-m", "4", "--order", "cv", "--char", "3",
             "--poly", "x0*x3 + 2*x1^(2)*x2 + x0^(3)"]
     assert run(capsys, *argv) == (0, "1\tx0*x3\n1\tx0^(3)\n", "")
+    # over F_2 the revlex monomial x0^(2)*x3 sits on a pivot lead of its
+    # slice, so its reduction runs the packed residue and the overlay solver
+    argv = ["reduce", "-m", "4", "--order", "revlex", "--char", "2", "--poly", "x0^(2)*x3"]
+    assert run(capsys, *argv) == (0, "1\tx0^(2)*x3\n", "")
 
 
 def test_truncate_text_output(capsys):

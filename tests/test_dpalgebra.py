@@ -296,6 +296,36 @@ def test_parse_dpoly_rejects_malformed_text():
         parse_dpoly("x0 + 3/00*x1", 3, RATIONALS)
 
 
+@pytest.mark.parametrize(
+    "ring, text, pos",
+    [
+        (F2, "1/2", 0),
+        (F2, "x1 + 3/4*x0", 2),
+        (F3, "1/3", 0),
+        (F3, "x0*x1 + 2/9*x2 - 1/3*x2", 5),
+        (F3, "x2 + x0 - 5/6*x0", 5),
+    ],
+)
+def test_parse_dpoly_names_a_denominator_p_divides(ring, text, pos):
+    # over F_p a coefficient p divides the denominator of has no value; the
+    # error names the text without spaces and the first such term
+    with pytest.raises(ValueError) as caught:
+        parse_dpoly(text, 3, ring)
+    assert str(caught.value) == (
+        f"bad polynomial {text.replace(' ', '')!r} at position {pos}: "
+        f"denominator not invertible mod {ring.char}"
+    )
+
+
+def test_parse_dpoly_keeps_denominators_that_cancel_or_are_units():
+    # terms may cancel a denominator p divides; other denominators are units
+    assert parse_dpoly("x0 + 1/3*x1 - 1/3*x1", 3, F3) == parse_dpoly("x0", 3, F3)
+    assert parse_dpoly("1/3*x0^3", 3, F3) == parse_dpoly("2*x0^(3)", 3, F3)
+    assert parse_dpoly("1/2*x0 + 1/4*x1", 3, F3) == parse_dpoly("2*x0 + x1", 3, F3)
+    assert parse_dpoly("1/3*x0 + 1/3*x0", 3, F2) == parse_dpoly("0", 3, F2)
+    assert parse_dpoly("1/3", 3, RATIONALS).terms == {(0, 0, 0): Fraction(1, 3)}
+
+
 def test_format_deterministic_dplex_descending():
     f = parse_dpoly("x1 + x0 + x2^(3)", 3, RATIONALS)
     assert format_dpoly(f) == "x0 + x1 + x2^(3)"

@@ -574,6 +574,165 @@ def test_column_maps_are_built_only_where_elimination_reads_them():
         assert quotient_oracle._shift.cache_info().currsize <= most, ring.char
 
 
+def test_plan_lists_every_lower_slice_first():
+    # the box is built in one pass over its plan, so every lower slice of a
+    # slice must sit at an earlier position, under the key it has there
+    for m in range(0, 8):
+        for bound in (m, m + 1):
+            box = _box_slices(m, bound)
+            for ring in RINGS:
+                plan = quotient_oracle._plan(m, ring, bound)
+                assert [(*key, size) for key, size, *_ in plan] == list(box), (m, bound)
+                for pos, (key, size, full, lower, positions, below, reach, shifts) in enumerate(
+                    plan
+                ):
+                    where = (m, ring.char, bound, key)
+                    assert lower is quotient_oracle._lower_slices(m, ring, *key), where
+                    assert full == (1 << size) - 1 and len(shifts) == len(lower), where
+                    assert len(positions) == len(lower), where
+                    mask_below = mask_reach = 0
+                    for low, (lower_key, lower_full, *_, mask) in zip(positions, lower):
+                        assert low < pos and plan[low][0] == lower_key, where
+                        assert plan[low][2] == lower_full, where
+                        mask_below |= 1 << low
+                        mask_reach |= mask
+                    assert (below, reach) == (mask_below, mask_reach), where
+
+
+def test_space_outside_the_degree_box_names_the_slice():
+    # a session answers only for the nonempty slices of its box, and builds
+    # nothing for a slice outside it
+    for ring in RINGS:
+        sess = OracleSession(3, ring, 4)
+        for d, w in ((5, 2), (-1, 0), (2, 5), (4, -1), (9, 9)):
+            with pytest.raises(ValueError, match=rf"slice \({d},{w}\) is not a slice of the"):
+                sess.space(d, w)
+        assert set(sess._spaces) == {(d, w) for d, w, _ in _box_slices(3, 4)}
+        assert sess.space(4, 8).rank == 1
+    with pytest.raises(ValueError, match=r"slice \(3,0\)"):
+        OracleSession(1, RATIONALS, 2).space(3, 0)
+
+
+def test_one_call_builds_the_box_that_shuffled_calls_read():
+    # the first `space` call builds the whole box: a session started from
+    # its top slice and one read slice by slice in a shuffled order hold
+    # equal echelons, and their lead masks are those of the literal rows
+    rng = random.Random(20261019)
+    for m in range(1, 5):
+        bound = m + 1
+        for ring in RINGS:
+            defining = defining_generators(m, ring, bound, bound * max(m - 1, 1))
+            kinds = [
+                ("default", {}, defining),
+                ("defining", {"gens": defining}, defining),
+                ("schur", {"gens": schur_family(m, ring)}, schur_family(m, ring)),
+            ]
+            if m > 1:
+                relations = truncation_relations(m, 1, ring)
+                literal = GeneratorSet(
+                    m, ring, "truncated", defining.entries + relations.entries,
+                    defining.degree_bound, defining.weight_bound,
+                )
+                kinds.append(("truncated", {"relations": relations}, literal))
+            for kind, given, literal in kinds:
+                top = OracleSession(m, ring, bound, **given)
+                top.space(*_box_slices(m, bound)[-1][:2])
+                order = list(_box_slices(m, bound))
+                rng.shuffle(order)
+                shuffled = OracleSession(m, ring, bound, **given)
+                for d, w, size in order:
+                    a, b = top.space(d, w), shuffled.space(d, w)
+                    where = (m, ring.char, kind, d, w)
+                    assert (a.units, a.leads, a.pivots) == (b.units, b.leads, b.pivots), where
+                    rows = build_slice(m, ring, d, w, literal).ideal_rows
+                    leads = 0
+                    for row in _dense_echelon(rows, size, ring.char or None):
+                        leads |= 1 << row.index(1)
+                    assert a.leads == leads, where
+
+
+def _dense_echelon(rows, n, p=2):
+    """Row echelon form of integer rows of n entries by plain Gaussian
+    elimination on lists, mod p (over the rationals, p = None, on
+    Fractions): the pivot rows, each scaled to lead with 1."""
+    pivots = []
+    for row in rows:
+        row = [Fraction(v) if p is None else v % p for v in row]
+        for piv in pivots:
+            lead = piv.index(1)
+            if row[lead]:
+                f = row[lead]
+                row = [a - f * b if p is None else (a - f * b) % p for a, b in zip(row, piv)]
+        nonzero = [c for c in range(n) if row[c]]
+        if nonzero:
+            f = row[nonzero[0]]
+            inv = 1 / f if p is None else pow(f, -1, p)
+            pivots.append([v * inv if p is None else v * inv % p for v in row])
+            if len(pivots) == n:
+                break
+    return pivots
+
+
+def _dense_residue(pivots, vec):
+    """The normal form of an F_2 row against dense pivot rows: every pivot
+    lead component eliminated."""
+    vec = [v % 2 for v in vec]
+    for piv in sorted(pivots, key=lambda r: r.index(1)):
+        if vec[piv.index(1)]:
+            vec = [(a + b) % 2 for a, b in zip(vec, piv)]
+    return {c: 1 for c, v in enumerate(vec) if v}
+
+
+def _assert_f2_echelon(ech, pivots, n, vecs, where):
+    """The packed echelon `ech` against dense pivot rows of an n-column
+    space: rank, lead mask and the residue of each of `vecs`."""
+    assert ech.rank == len(pivots), where
+    assert ech.leads == sum(1 << piv.index(1) for piv in pivots), where
+    for vec in vecs:
+        got = ech.residue({c: v for c, v in enumerate(vec) if v})
+        assert got == (_dense_residue(pivots, vec), 1), (*where, vec)
+
+
+def test_packed_f2_slices_equal_dense_elimination():
+    # `slice_rank` runs the same packed kernel as the sessions, so the F_2
+    # reference here is dense Gaussian elimination on the literal rows
+    ring = prime_field(2)
+    for m in range(1, 7):
+        bound = m + 1
+        defining = defining_generators(m, ring, bound, bound * max(m - 1, 1))
+        for kind, gens in (("default", None), ("schur", schur_family(m, ring))):
+            sess = OracleSession(m, ring, bound, gens=gens)
+            for d, w, n in _box_slices(m, bound):
+                sl = build_slice(m, ring, d, w, gens or defining)
+                pivots = _dense_echelon(sl.ideal_rows, n)
+                assert slice_rank(sl) == len(pivots), (m, kind, d, w)
+                units = [[int(c == e) for c in range(n)] for e in range(n)]
+                vecs = units + [[c % 3 for c in range(n)], [1] * n]
+                _assert_f2_echelon(sess.space(d, w), pivots, n, vecs, (m, kind, d, w))
+
+
+def test_packed_f2_echelon_equals_dense_elimination_on_random_rows():
+    # rows of any integers, even entries included, on top of random unit
+    # columns, against dense elimination of the same rows and unit rows
+    rng = random.Random(20261019)
+    for trial in range(500):
+        n = rng.randint(1, 40)
+        units = rng.getrandbits(n) if rng.random() < 0.3 else 0
+        density = rng.choice((0.1, 0.3, 0.6))
+        rows = [
+            [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(rng.randint(0, 2 * n))
+        ]
+        ech = _Echelon(2, units)
+        for row in rows:
+            before = ech.rank
+            assert ech.add({c: v for c, v in enumerate(row) if v}) == (ech.rank > before)
+        unit_rows = [[int(c == e) for c in range(n)] for e in range(n) if units >> e & 1]
+        pivots = _dense_echelon(unit_rows + rows, n)
+        vecs = rows[:5] + [[rng.randint(0, 5) for _ in range(n)] for _ in range(5)]
+        _assert_f2_echelon(ech, pivots, n, vecs, (trial, n, units))
+
+
 def test_echelons_are_freed_without_the_collector():
     # an echelon must die with its last reference: one that held its cancel
     # step as a bound method would be a reference cycle, alive until the

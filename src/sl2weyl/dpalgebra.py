@@ -379,7 +379,7 @@ def format_dpoly(f: DPoly) -> str:
     return " ".join(bits)
 
 
-_TERM_RE = re.compile(r"x(\d+)(?:\^(?:\((\d+)\)|(\d+)))?")
+_TERM_RE = re.compile(r"x(\d+)(?:\^(?:\((\d+)\)|(\d+)))?", re.ASCII)
 
 
 def parse_monomial(text: str, m: int):
@@ -415,7 +415,7 @@ def parse_monomial(text: str, m: int):
 
 # one polynomial term: optional sign, then `coeff`, `coeff*monomial` or
 # `monomial`, the monomial text checked by `parse_monomial`
-_POLY_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)(?:\*([^+-]+))?|([^+-]+))")
+_POLY_TERM_RE = re.compile(r"([+-]?)(?:(\d+(?:/\d+)?)(?:\*([^+-]+))?|([^+-]+))", re.ASCII)
 
 
 def parse_dpoly(text: str, m: int, ring: CoeffRing) -> DPoly:

@@ -77,26 +77,19 @@ slices it can show are full:
   of the element against the solver and reads minus its coordinates, times
   the scale, at the tags.  Reduction rebuilds the solver on every call.
 
-* what a slice needs besides echelons depends only on (m, characteristic,
-  d, w) and is cached for the whole process, each piece built on first
-  use: the slice monomials (`dpalgebra.slice_monomials`) and their column
-  index (`dpalgebra.column_index`), the tables the generator families and
-  the candidate bases read too, the nonempty lower slices as plain tuples
-  with the all-ones masks of their columns and, per shift, the bitmask of
-  the columns it covers (`_lower_slices`, read where the lower slice is
-  full), and the column map of a shift (`_shift`, built only where the
-  lower slice is not full).  Per (m, characteristic, degree bound) the
-  process keeps the plan of the box (`_plan`): its slices in box order
-  with their sizes and all-ones masks, and each slice's `_lower_slices`
-  tuple (the same object) with the plan positions of those lower slices,
-  the bitmask of those positions, the union of their covered columns
-  (what a slice whose lower slices are all full reads, with no loop) and
-  the column maps of its shifts, kept once an elimination first reads
-  them.  A given family or relation set is grouped by slice once per
-  `GeneratorSet`, and keeps the column rows of each slice that a session
-  pulls generators from, filled lazily (`GeneratorSet.slice_rows`); a
-  session holds only the echelons of its slices, a full one being a single
-  mask.  So sessions after the first on the same (m, ring) go straight to
+* one table serves every session of a box: its plan (`_plan`), cached per
+  (m, characteristic, degree bound).  It lists the slices in box order
+  with their sizes and all-ones masks, and per slice its lower slices, each
+  as its plan position, its shift and the bitmask of the columns the shift
+  covers, with the union of those masks (what a slice whose lower slices
+  are all full reads, with no loop) and the column maps of the shifts, kept
+  once an elimination first reads them.  Besides the plan a slice reads the
+  slice monomials and their column index (`dpalgebra.slice_monomials`,
+  `dpalgebra.column_index`), which the generator families and candidate
+  bases read too.  A given family or relation set keeps, per slice, the
+  column rows a session pulls (`GeneratorSet.slice_rows`, filled lazily),
+  and a session holds only the echelons of its slices, a full one being a
+  single mask.  So sessions after the first on the same box go straight to
   elimination.  Generator rows reach the echelon in one form, column rows
   {column: integer}: those of the given sets, and the defining series
   coefficients read straight off their (monomial, coefficient) pairs.
@@ -142,7 +135,6 @@ class MustVerifyFirstError(RuntimeError):
     """reduce_element called with a candidate basis that was not verified."""
 
 
-@lru_cache(maxsize=None)
 def _box_slices(m: int, degree_bound: int) -> tuple:
     """The nonempty slices of the degree box as (d, w, size), by degree,
     then weight."""
@@ -157,89 +149,66 @@ def _box_slices(m: int, degree_bound: int) -> tuple:
 @lru_cache(maxsize=None)
 def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
     """The slices of the degree box in box order (`_box_slices`: by degree,
-    so every lower slice comes first), as tuples
-    (key, size, full, lower, positions, below, reach, shifts):
+    so every lower slice comes first), as tuples (key, size, build), with
+    `build` = (full, lower, below, reach, shifts) what `_build_box` reads:
 
     * `full`, the all-ones mask of its columns;
-    * `lower`, its `_lower_slices` tuple (the cached object itself, not a
-      copy), with `positions` the plan position of each lower slice, in the
-      same order, and `below` the bitmask of those positions;
-    * `reach`, the union of the masks of the lower slices: the covered
-      columns when every lower slice is full;
+    * `lower`, its nonempty lower slices (d - j, w - i*j), by j, then i, as
+      (plan position, i, j, mask) for the shift x_i^(j) that carries the
+      lower slice up, j <= d a shift power (1 over the rationals; 1, p,
+      p^2, ... over F_p); `mask` has bit c set for the columns b with
+      C(b_i, j) nonzero in the ring (C(b_i, j) = 0 also when b_i < j): the
+      shifted unit row e_a is C(b_i, j) e_b with a = b - j e_i, so a full
+      lower slice puts e_b in the slice whatever the generators;
+    * `below`, the bitmask of the lower plan positions, and `reach`, the
+      union of their masks: the covered columns when every lower slice is
+      full;
     * `shifts`, per lower slice the `_shift` column map into this slice,
       None until an elimination first reads it."""
     box = _box_slices(m, degree_bound)
     where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
-    out = []
-    for d, w, size in box:
-        lower = _lower_slices(m, ring, d, w)
-        positions = []
-        below = reach = 0
-        for key, _, _, _, mask in lower:
-            pos = where[key]
-            positions.append(pos)
-            below |= 1 << pos
-            reach |= mask
-        out.append(
-            ((d, w), size, (1 << size) - 1, lower, positions, below, reach, [None] * len(lower))
-        )
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _nonzero_binoms(ring: CoeffRing, j: int, d: int) -> dict:
-    """Translation table chr(e) -> "1" if C(e, j) is nonzero in the ring,
-    else "0", for 0 <= e <= d."""
-    return {e: "1" if ring_binom(ring, e, j) else "0" for e in range(d + 1)}
-
-
-@lru_cache(maxsize=None)
-def _lower_slices(m: int, ring: CoeffRing, d: int, w: int) -> tuple:
-    """The nonempty lower slices of slice (d, w) as tuples
-    (key, full, i, j, mask): the lower slice key = (d - j, w - i*j), the
-    all-ones mask of its columns (its unit columns when it is full), and
-    the shift x_i^(j) that carries it up, for the shift powers
-    j <= d (j = 1 over the rationals; j = 1, p, p^2, ... over F_p), by j,
-    then i.
-
-    `mask` has bit c set for the columns b of slice (d, w) with C(b_i, j)
-    nonzero in the ring (C(b_i, j) = 0 also when b_i < j): the shifted unit
-    row e_a is C(b_i, j) e_b with a = b - j e_i, so a full lower slice puts
-    e_b in the slice whatever the generators.  Over F_p the lowest nonzero
-    base-p digit e of b_i gives C(b_i, p^e) != 0, so b is reached whenever
-    some x^(b - p^e e_i) lies in a full lower slice."""
-    monos = slice_monomials(m, d, w)
-    if not monos:
-        return ()
-    # per variable x_i, the characters chr(b_i) of the columns, last column
-    # first, so translating them to binary digits reads as the bitmask
-    exps = ["".join(map(chr, reversed(col))) for col in zip(*monos)]
-    out = []
-    j = 1
-    while j <= d:
-        digits = _nonzero_binoms(ring, j, d)
-        for i in range(m):
-            lw = w - i * j
-            if lw < 0:
-                break
-            size = len(slice_monomials(m, d - j, lw))
-            if size:
-                mask = int(exps[i].translate(digits), 2)
-                out.append(((d - j, lw), (1 << size) - 1, i, j, mask))
+    # per shift power j, the translation table chr(e) -> "1" if C(e, j) is
+    # nonzero in the ring, else "0", for every exponent e in the box
+    powers, j = [], 1
+    while j <= degree_bound:
+        digits = {e: "1" if ring_binom(ring, e, j) else "0" for e in range(degree_bound + 1)}
+        powers.append((j, digits))
         if not ring.char:
             break
         j *= ring.char
+    out = []
+    for d, w, size in box:
+        # per variable x_i, the characters chr(b_i) of the columns, last
+        # column first, so translating them to binary digits reads as the
+        # bitmask
+        exps = ["".join(map(chr, reversed(col))) for col in zip(*slice_monomials(m, d, w))]
+        lower = []
+        below = reach = 0
+        for j, digits in powers:
+            if j > d:
+                break
+            for i in range(m):
+                lw = w - i * j
+                if lw < 0:
+                    break
+                pos = where.get((d - j, lw))
+                if pos is not None:
+                    mask = int(exps[i].translate(digits), 2)
+                    lower.append((pos, i, j, mask))
+                    below |= 1 << pos
+                    reach |= mask
+        shifts = [None] * len(lower)
+        out.append(((d, w), size, ((1 << size) - 1, tuple(lower), below, reach, shifts)))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def _shift(m: int, ring: CoeffRing, d: int, w: int, i: int, j: int) -> tuple:
     """Column map of the shift x_i^(j) from the lower slice
     (d - j, w - i*j) into slice (d, w): per lower column a,
     (column of x_i^(j) * x^a, C(a_i + j, j)), or None where that constant
     vanishes in the ring.  Only the elimination of a slice that is not
-    covered reads it, for its lower slices that are not full, so it is
-    built on first use there."""
+    covered reads it, for its lower slices that are not full, and stores it
+    in the plan's `shifts`."""
     index = column_index(m, d, w)
     out = []
     for a in slice_monomials(m, d - j, w - i * j):
@@ -585,22 +554,12 @@ class OracleSession:
     reduced; `build_slice` remains the literal reference.
 
     The first `space` call builds every slice of the degree box in one
-    ordered pass over its plan (`_build_box`); later calls read the stored
-    echelons, and a slice outside the box raises ValueError.  What a slice
-    needs besides its echelon is cached at three levels.  Per
-    (m, ring, d, w), for the whole process: the slice monomials, their
-    column index, the nonempty lower slices with the all-ones masks of
-    their columns and the bitmask of columns each shift covers
-    (`_lower_slices`), and the column map of each shift that `_eliminate`
-    reads (`_shift`), each built on first use; per (m, ring, degree bound),
-    the plan of the box (`_plan`), which also keeps the column maps its
-    eliminations have read.  Per input object, for every session that
-    reads it: a given family's polynomials grouped by slice
-    (`GeneratorSet.by_slice`) and the column rows of each slice a session
-    pulls from (`GeneratorSet.slice_rows`, filled lazily), and a candidate
-    basis's column masks and top degree (`BasisSet.column_masks`, built on
-    its first verification).  Per session: the echelon of each slice, a
-    full one holding only its all-ones mask.
+    ordered pass over the box's plan (`_build_box`); later calls read the
+    stored echelons, and a slice outside the box raises ValueError.  The
+    plan is shared by every session of the same box; a given family keeps
+    its column rows by slice (`GeneratorSet.slice_rows`) and a candidate
+    basis its column masks (`BasisSet.column_masks`) for every session that
+    reads them; the session holds only the echelon of each slice.
 
     gens: a family covering the degree box, in place of the defining series
     coefficients.  relations: a set adjoined to the ideal whichever the base
@@ -658,20 +617,18 @@ class OracleSession:
         covered columns off the plan."""
         p = self.ring.char
         echs, spaces, done = [], {}, 0
-        for pos, (key, _, full, lower, positions, below, reach, shifts) in enumerate(
+        for pos, (key, _, (full, lower, below, reach, shifts)) in enumerate(
             _plan(self.m, self.ring, self.degree_bound)
         ):
             if done & below == below:
                 covered, partial = reach, ()
             else:
                 covered, partial = 0, []
-                for k, low in enumerate(positions):
-                    ech = echs[low]
-                    _, lower_full, _, _, mask = lower[k]
-                    if ech.units == lower_full:
+                for k, (low, _, _, mask) in enumerate(lower):
+                    if done >> low & 1:
                         covered |= mask
                     else:
-                        partial.append((k, ech))
+                        partial.append((k, echs[low]))
             if covered == full:
                 ech = _Echelon(p, full)
             else:
@@ -696,7 +653,7 @@ class OracleSession:
         for k, ech in partial:
             shift = shifts[k]
             if shift is None:
-                _, _, i, j, _ = lower[k]
+                _, i, j, _ = lower[k]
                 shift = shifts[k] = _shift(self.m, self.ring, *key, i, j)
             maps.append((shift, ech.pivots))
             # the shifted unit row e_a is C(a_i + j, j) e_b: a unit column
@@ -770,7 +727,7 @@ class OracleSession:
     def dims(self) -> DimReport:
         t0 = time.monotonic()
         dims = {}
-        for d, w, size in _box_slices(self.m, self.degree_bound):
+        for (d, w), size, _ in _plan(self.m, self.ring, self.degree_bound):
             dims[(d, w)] = size - self.space(d, w).rank
         return DimReport(
             self.m, self.ring.char, self.degree_bound, dims, sum(dims.values()),
@@ -795,7 +752,7 @@ class OracleSession:
             raise ValueError("candidate monomials exceed the degree bound")
         p = self.ring.char
         rows, overlays = [], []
-        for d, w, size in _box_slices(m, self.degree_bound):
+        for (d, w), size, _ in _plan(m, self.ring, self.degree_bound):
             ech = self.space(d, w)
             cands = masks.get((d, w), 0)
             indep = True

@@ -190,6 +190,11 @@ def test_usage_errors(capsys, tmp_path):
             2, "", f"error: bad polynomial 'x1+1/{char}' at position 2: "
             f"denominator not invertible mod {char}\n"
         )
+    # a polynomial takes ASCII digits only: x\u0662 read as x2, \uff12 as 2
+    for poly, factor in (("x\u0662", "x\u0662"), ("\uff12*x1", "\uff12")):
+        assert run(capsys, "reduce", "-m", "3", "--poly", poly) == (
+            2, "", f"error: bad monomial factor {factor!r}\n"
+        )
     # the defining generators need the box m + 1
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "gens", "-m", "3", "--max-degree", "2", "--format", fmt)

@@ -296,6 +296,16 @@ def test_parse_dpoly_rejects_malformed_text():
         parse_dpoly("x0 + 3/00*x1", 3, RATIONALS)
 
 
+def test_parse_dpoly_takes_ascii_digits_only():
+    # a regex \d matches every Unicode decimal digit; indices, exponents and
+    # coefficients are ASCII digits, as partition text is
+    for text in ("x\u0662", "\uff12*x1", "x1^(\uff12)", "x0^\u0663", "x0 + \uff13", "1/\u0663*x0"):
+        with pytest.raises(ValueError):
+            parse_dpoly(text, 3, RATIONALS)
+    with pytest.raises(ValueError, match="bad monomial factor 'x\u0662'"):
+        parse_monomial("x\u0662", 3)
+
+
 @pytest.mark.parametrize(
     "ring, text, pos",
     [

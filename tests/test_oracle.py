@@ -1,6 +1,7 @@
 import gc
 import importlib
 import itertools
+import math
 import pickle
 import pkgutil
 import random
@@ -564,39 +565,78 @@ def test_dims_do_not_depend_on_build_order():
 
 def test_column_maps_are_built_only_where_elimination_reads_them():
     # a shift's column map is read only when a slice that is not covered
-    # eliminates the rows of a lower slice that is not full; building one
-    # for every lower slice that is not full gives Q 252 and F_3 498 here
+    # eliminates the rows of a lower slice that is not full, and the plan
+    # keeps each map it builds; building one for every lower slice that is
+    # not full gives Q 252 and F_3 498 here
     for ring, most in zip(RINGS, (227, 516, 343, 257)):
-        for f in vars(quotient_oracle).values():
-            if hasattr(f, "cache_clear"):
-                f.cache_clear()
+        quotient_oracle._plan.cache_clear()
         assert OracleSession(6, ring, 8).dims().total == 64
-        assert quotient_oracle._shift.cache_info().currsize <= most, ring.char
+        plan = quotient_oracle._plan(6, ring, 8)
+        built = sum(shift is not None for _, _, (*_, shifts) in plan for shift in shifts)
+        assert 0 < built <= most, ring.char
+
+
+def _lower_slices(m, ring, d, w, where):
+    """The lower slices of slice (d, w) as the plan lists them, computed
+    from the definition: (position of (d - j, w - i*j) in `where`, i, j,
+    mask) for the shift powers j <= d, by j, then i, with bit c of the mask
+    set where column b has C(b_i, j) nonzero in the ring."""
+    p = ring.char
+    out = []
+    for j in [1] if not p else [p**e for e in range(d + 1)]:
+        if j > d:
+            break
+        for i in range(m):
+            low = where.get((d - j, w - i * j))
+            if low is None:
+                continue
+            mask = 0
+            for c, b in enumerate(slice_monomials(m, d, w)):
+                binom = math.comb(b[i], j)
+                if binom % p if p else binom:
+                    mask |= 1 << c
+            out.append((low, i, j, mask))
+    return out
 
 
 def test_plan_lists_every_lower_slice_first():
     # the box is built in one pass over its plan, so every lower slice of a
-    # slice must sit at an earlier position, under the key it has there
+    # slice must sit at an earlier position, under the key it has there,
+    # with the shift that carries it up and the columns that shift covers
     for m in range(0, 8):
         for bound in (m, m + 1):
             box = _box_slices(m, bound)
-            for ring in RINGS:
+            where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
+            for ring in (*RINGS, prime_field(7)):
                 plan = quotient_oracle._plan(m, ring, bound)
-                assert [(*key, size) for key, size, *_ in plan] == list(box), (m, bound)
-                for pos, (key, size, full, lower, positions, below, reach, shifts) in enumerate(
-                    plan
-                ):
-                    where = (m, ring.char, bound, key)
-                    assert lower is quotient_oracle._lower_slices(m, ring, *key), where
-                    assert full == (1 << size) - 1 and len(shifts) == len(lower), where
-                    assert len(positions) == len(lower), where
+                assert [(*key, size) for key, size, _ in plan] == list(box), (m, bound)
+                for pos, (key, size, (full, lower, below, reach, shifts)) in enumerate(plan):
+                    at = (m, ring.char, bound, key)
+                    assert list(lower) == _lower_slices(m, ring, *key, where), at
+                    assert full == (1 << size) - 1 and len(shifts) == len(lower), at
                     mask_below = mask_reach = 0
-                    for low, (lower_key, lower_full, *_, mask) in zip(positions, lower):
-                        assert low < pos and plan[low][0] == lower_key, where
-                        assert plan[low][2] == lower_full, where
+                    for low, i, j, mask in lower:
+                        assert low < pos and plan[low][0] == (key[0] - j, key[1] - i * j), at
                         mask_below |= 1 << low
                         mask_reach |= mask
-                    assert (below, reach) == (mask_below, mask_reach), where
+                    assert (below, reach) == (mask_below, mask_reach), at
+
+
+def test_the_plan_is_the_only_cache_of_the_engine():
+    # the slice structure of a box lives in its plan alone: after dims and
+    # a lex verification on every ring, no other function of the module
+    # keeps a process-wide table
+    m = 4
+    for ring in RINGS:
+        sess = OracleSession(m, ring, m + 1)
+        assert sess.dims().total == 2**m
+        assert sess.verify_basis(lex_basis(m)).passed
+    cached = {
+        name
+        for name, f in vars(quotient_oracle).items()
+        if hasattr(f, "cache_info") and f.__module__ == quotient_oracle.__name__
+    }
+    assert cached == {"_plan"}
 
 
 def test_space_outside_the_degree_box_names_the_slice():

@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from sl2weyl import CoeffRing, quotient_dim
+from sl2weyl import CoeffRing, OracleSession
 from sl2weyl.cli import _nonnegative_int
 
 
@@ -38,7 +38,7 @@ def main() -> int:
         tables = {}
         for ring in args.chars:
             t0 = time.monotonic()
-            rep = quotient_dim(m, ring, m + 2)
+            rep = OracleSession(m, ring, m + 2).dims()
             dt = time.monotonic() - t0
             totals[ring.char] = (rep.total, dt)
             tables[ring.char] = rep.dims

@@ -39,10 +39,8 @@ from .partitions import (
 from .quotient_oracle import (
     OracleSession,
     build_slice,
-    quotient_dim,
     reduce_element,
     truncated_quotient,
-    verify_basis,
 )
 from .symfunc import (
     OPoly,

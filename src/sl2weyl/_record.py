@@ -8,9 +8,9 @@ same class and their fields are equal, and a record hashes its fields, so
 one holding a dict is unhashable.  A record refuses assignment and
 deletion, so its constructor sets slots with `_set`.  Records pickle and
 copy through the constructor, called with the fields in order, so every
-class's `__init__` takes its fields positionally in slot order.  A class
-whose field is a property over private slots names its fields in its own
-`_fields`, and its `__init__` takes them in that order.
+class's `__init__` takes its fields positionally in slot order.  What a
+record derives from its fields is a property, outside equality, hash, repr
+and pickling.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "_fields" not in cls.__dict__:
-            cls._fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+        cls._fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
         if cls._fields:
             # the field tuple, read in C; a bare value for one field
             cls._key = attrgetter(*cls._fields)

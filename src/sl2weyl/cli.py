@@ -207,7 +207,7 @@ def _generator_record(family: str, e) -> dict:
 def cmd_dim(args) -> int:
     ring = CoeffRing(args.char)
     bound = _degree_bound(args)
-    report = quotient_oracle.quotient_dim(args.m, ring, bound)
+    report = quotient_oracle.OracleSession(args.m, ring, bound).dims()
     if args.format == "json":
         _emit_json(args, {
             "m": args.m, "char": ring.char, "max_degree": bound,
@@ -252,7 +252,8 @@ def cmd_verify(args) -> int:
     if args.truncate is not None:
         report = _truncated_quotient(args.m, args.truncate, ring, bound)
     else:
-        report = quotient_oracle.verify_basis(args.m, ring, _basis_for(args.m, order, None), bound)
+        basis = _basis_for(args.m, order, None)
+        report = quotient_oracle.OracleSession(args.m, ring, bound).verify_basis(basis)
     payload = _verification_payload(report)
     if args.truncate is not None:
         payload.update(

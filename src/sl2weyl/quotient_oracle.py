@@ -59,14 +59,14 @@ slices it can show are full:
   `BasisSet` from its first verification (`BasisSet.column_masks`, with the
   top degree that every session checks against its degree bound), and
   computes residues only in a slice where that mask meets the lead mask
-  (an overlay slice).  Its report keeps the per-slice results as plain
-  tuples and builds the `SliceReport` records on the first read of
-  `slices`.  A verified basis is exactly the set of non-lead columns
-  outside its overlay slices, so there `reduce_element` reads the
-  coordinates off the normal form of the element.  The lex basis is
-  exactly the set of non-lead columns of the ideal (the Groebner-Shirshov
-  statement of the source paper), so verifying it computes no residue and
-  reducing in it builds no solver.
+  (an overlay slice).  Its report keeps the per-slice results as tuples,
+  its `rows`, and builds `SliceReport` records only when `slices` is read.
+  A verified basis is exactly the set of non-lead columns outside its
+  overlay slices, so there `reduce_element` reads the coordinates off the
+  normal form of the element.  The lex basis is exactly the set of
+  non-lead columns of the ideal (the Groebner-Shirshov statement of the
+  source paper), so verifying it computes no residue and reducing in it
+  builds no solver.
 
 * verification and reduction share one solver in an overlay slice of n
   columns (`_overlay`): the candidate columns c_0, c_1, ... each give the
@@ -374,11 +374,12 @@ class _Echelon:
             row = cancel(row, piv, lead, p)
 
 
-def _overlay(ech, cols, n, p):
+def _overlay(ech, cols, n):
     """The overlay solver of a slice of n columns with echelon `ech` (see
-    the module docstring): the tagged rows scale * (residue(e_c) + e_(n+t))
-    of the columns c = cols[t], echelonized."""
-    solver = _Echelon(p)
+    the module docstring), in the ring of `ech`: the tagged rows
+    scale * (residue(e_c) + e_(n+t)) of the columns c = cols[t],
+    echelonized."""
+    solver = _Echelon(ech.p)
     for t, c in enumerate(cols):
         row, scale = ech.residue({c: 1})
         row[n + t] = scale
@@ -414,76 +415,55 @@ class SliceReport(Record):
 
 
 class DimReport(Record):
-    __slots__ = ("m", "char", "degree_bound", "dims", "total", "elapsed_seconds")
+    __slots__ = ("m", "char", "degree_bound", "dims", "elapsed_seconds")
 
     def __init__(
         self, m: int, char: int, degree_bound: int, dims: dict[tuple[int, int], int],
-        total: int, elapsed_seconds: float,
+        elapsed_seconds: float,
     ):
         _set(self, "m", m)
         _set(self, "char", char)
         _set(self, "degree_bound", degree_bound)
         _set(self, "dims", dims)
-        _set(self, "total", total)
         _set(self, "elapsed_seconds", elapsed_seconds)
+
+    @property
+    def total(self) -> int:
+        return sum(self.dims.values())
 
 
 class VerificationReport(Record):
-    """The per-slice results are kept as plain tuples in `SliceReport` field
-    order (`_rows`); `slices` builds their records on first read and keeps
-    them, and the verdict and totals read the tuples."""
+    """`rows` holds the per-slice results as tuples in `SliceReport` field
+    order; `slices` builds their records on each read."""
 
-    __slots__ = (
-        "m", "char", "provenance", "degree_bound", "elapsed_seconds", "_rows", "_slices",
-    )
-    _fields = ("m", "char", "provenance", "degree_bound", "slices", "elapsed_seconds")
+    __slots__ = ("m", "char", "provenance", "degree_bound", "rows", "elapsed_seconds")
 
     def __init__(
-        self, m: int, char: int, provenance: str, degree_bound: int,
-        slices, elapsed_seconds: float,
+        self, m: int, char: int, provenance: str, degree_bound: int, rows,
+        elapsed_seconds: float,
     ):
-        slices = tuple(slices)
-        self._fill(
-            m, char, provenance, degree_bound, tuple(map(SliceReport._key, slices)),
-            elapsed_seconds,
-        )
-        _set(self, "_slices", slices)
-
-    @classmethod
-    def _of_rows(cls, m, char, provenance, degree_bound, rows, elapsed_seconds):
-        """A report on per-slice tuples in `SliceReport` field order."""
-        report = cls.__new__(cls)
-        report._fill(m, char, provenance, degree_bound, rows, elapsed_seconds)
-        _set(report, "_slices", None)
-        return report
-
-    def _fill(self, m, char, provenance, degree_bound, rows, elapsed_seconds):
         _set(self, "m", m)
         _set(self, "char", char)
         _set(self, "provenance", provenance)
         _set(self, "degree_bound", degree_bound)
-        _set(self, "_rows", rows)
+        _set(self, "rows", tuple(rows))
         _set(self, "elapsed_seconds", elapsed_seconds)
 
     @property
     def slices(self) -> tuple:
-        slices = self._slices
-        if slices is None:
-            slices = tuple(starmap(SliceReport, self._rows))
-            _set(self, "_slices", slices)
-        return slices
+        return tuple(starmap(SliceReport, self.rows))
 
     @property
     def passed(self) -> bool:
-        return all(independent and spanning for *_, independent, spanning in self._rows)
+        return all(independent and spanning for *_, independent, spanning in self.rows)
 
     @property
     def total_quotient_dim(self) -> int:
-        return sum(r[3] for r in self._rows)  # quotient_dim
+        return sum(r[3] for r in self.rows)  # quotient_dim
 
     @property
     def total_candidates(self) -> int:
-        return sum(r[4] for r in self._rows)  # candidate_count
+        return sum(r[4] for r in self.rows)  # candidate_count
 
 
 class GradedSlice(Record):
@@ -729,10 +709,7 @@ class OracleSession:
         dims = {}
         for (d, w), size, _ in _plan(self.m, self.ring, self.degree_bound):
             dims[(d, w)] = size - self.space(d, w).rank
-        return DimReport(
-            self.m, self.ring.char, self.degree_bound, dims, sum(dims.values()),
-            time.monotonic() - t0,
-        )
+        return DimReport(self.m, self.ring.char, self.degree_bound, dims, time.monotonic() - t0)
 
     def verify_basis(self, candidate: BasisSet) -> VerificationReport:
         """The candidates of a slice are one bitmask of its columns, read
@@ -750,7 +727,6 @@ class OracleSession:
         top, masks = candidate.column_masks()
         if top > self.degree_bound:
             raise ValueError("candidate monomials exceed the degree bound")
-        p = self.ring.char
         rows, overlays = [], []
         for (d, w), size, _ in _plan(m, self.ring, self.degree_bound):
             ech = self.space(d, w)
@@ -759,12 +735,12 @@ class OracleSession:
             if cands & ech.leads:
                 overlays.append((d, w))
                 cols = [c for c in range(cands.bit_length()) if cands >> c & 1]
-                indep = not _overlay(ech, cols, size, p).leads >> size
+                indep = not _overlay(ech, cols, size).leads >> size
             count = cands.bit_count()
             q = size - ech.rank
             rows.append((d, w, size, q, count, indep, q == count))
-        report = VerificationReport._of_rows(
-            m, p, candidate.provenance, self.degree_bound, tuple(rows),
+        report = VerificationReport(
+            m, self.ring.char, candidate.provenance, self.degree_bound, rows,
             time.monotonic() - t0,
         )
         if report.passed:
@@ -809,7 +785,7 @@ class OracleSession:
                 continue
             basis_monos = cand.get((d, w), [])
             n = len(monos)
-            solver = _overlay(ech, [index[b] for b in basis_monos], n, p)
+            solver = _overlay(ech, [index[b] for b in basis_monos], n)
             rem, scale = solver.residue(res_f)
             if any(c < n for c in rem):
                 raise ValueError("element does not reduce into the candidate span")
@@ -823,16 +799,6 @@ class OracleSession:
 
 # ---------------------------------------------------------------------------
 # module-level one-shot wrappers
-
-
-def quotient_dim(m, ring, degree_bound, gens=None) -> DimReport:
-    """Per-slice quotient dimensions and their total for degrees up to the
-    bound."""
-    return OracleSession(m, ring, degree_bound, gens).dims()
-
-
-def verify_basis(m, ring, candidate: BasisSet, degree_bound) -> VerificationReport:
-    return OracleSession(m, ring, degree_bound).verify_basis(candidate)
 
 
 def truncated_quotient(m, n_trunc, ring, degree_bound) -> VerificationReport:

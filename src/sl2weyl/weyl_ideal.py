@@ -45,7 +45,6 @@ Relations that a session adjoins to its family are a `GeneratorSet` too:
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 from operator import add, sub
 
 from ._record import Record, _set
@@ -61,7 +60,7 @@ from .dpalgebra import (
     unit_normalize,
 )
 from .partitions import Partition, dominates, enumerate_partitions, iter_partitions, transpose
-from .symfunc import forgotten_coeff, kostka, kostka_row
+from .symfunc import _multiset_weight, forgotten_coeff, kostka, kostka_row
 
 
 class UnsupportedCharacteristicError(ValueError):
@@ -164,9 +163,7 @@ def _series_terms(s: int, v: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     u-exponents (m_1(eta), ..., m_s(eta)).  Summed, they are P_v(u)."""
     out = []
     for eta in enumerate_partitions(v, min(s, v), v):
-        c = factorial(eta.length)
-        for val in set(eta.parts):
-            c //= factorial(eta.parts.count(val))
+        c = _multiset_weight(eta.parts)
         out.append((-c if eta.length % 2 else c, eta.multiplicities(s)))
     return tuple(out)
 
@@ -380,9 +377,9 @@ def forgotten_dpoly(lam: Partition, k: int, m: int) -> DPoly:
     lam) in the k-th divided power."""
     if lam.largest > m - 1:
         raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
-    sign = -1 if lam.size % 2 else 1
-    pairs = _series_power_coeff(k, lam.multiplicities(m - 1), m)
-    return DPoly(RATIONALS, m, {mono: sign * c for mono, c in pairs})
+    return series_power_coefficient(k, lam.multiplicities(m - 1), m).scale(
+        -1 if lam.size % 2 else 1
+    )
 
 
 def schur_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:

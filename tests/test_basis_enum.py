@@ -290,10 +290,10 @@ def test_slice_counts_of_lex_and_revlex_mirror():
     # downstream: equal per-slice counts against the oracle dims (m <= 4 to
     # stay fast; acceptance covers more)
     from sl2weyl.dpalgebra import RATIONALS
-    from sl2weyl.quotient_oracle import quotient_dim
+    from sl2weyl.quotient_oracle import OracleSession
 
     for m in range(1, 5):
-        dims = quotient_dim(m, RATIONALS, m + 2).dims
+        dims = OracleSession(m, RATIONALS, m + 2).dims().dims
         for basis in (lex_basis(m), revlex_basis(m)):
             counts: dict = {}
             for a in basis.monomials:

@@ -24,12 +24,10 @@ from sl2weyl.quotient_oracle import (
     _box_slices,
     _Echelon,
     build_slice,
-    quotient_dim,
     reduce_element,
     slice_monomials,
     slice_rank,
     truncated_quotient,
-    verify_basis,
 )
 from sl2weyl.weyl_ideal import (
     GeneratorEntry,
@@ -249,7 +247,7 @@ def test_relations_are_checked_and_cleared_of_denominators():
         gens = GeneratorSet(
             3, Q, "defining+f", base.entries + (GeneratorEntry(f, ("f",), 2, 2),), 5, 10
         )
-        totals.append(quotient_dim(3, Q, 5, gens).total)
+        totals.append(OracleSession(3, Q, 5, gens).dims().total)
     assert totals == [7, 7, 7, 7]
 
 
@@ -271,12 +269,12 @@ def test_given_entries_are_checked_against_their_declared_slice():
             3, Q, "defining+f", base.entries + (GeneratorEntry(f, ("f",), degree, weight),), 5, 10
         )
         with pytest.raises(ValueError, match=r"entry \d+ \('f',\)"):
-            quotient_dim(3, Q, 5, gens)
+            OracleSession(3, Q, 5, gens).dims()
         assert gens._index is None
     gens = GeneratorSet(
         3, Q, "defining+f", base.entries + (GeneratorEntry(x2, ("f",), 1, 2),), 5, 10
     )
-    assert quotient_dim(3, Q, 5, gens).total == 6
+    assert OracleSession(3, Q, 5, gens).dims().total == 6
 
 
 def test_cached_slice_structure_is_shared_across_sessions():
@@ -804,17 +802,17 @@ def test_lazy_dims_equal_eager_dims():
 
 
 def test_quotient_dim_examples():
-    assert quotient_dim(0, RATIONALS, 2).total == 1
+    assert OracleSession(0, RATIONALS, 2).dims().total == 1
     for m in range(1, 5):
         for ring in RINGS:
-            rep = quotient_dim(m, ring, m + 2)
+            rep = OracleSession(m, ring, m + 2).dims()
             assert rep.total == 2**m
             assert all(q == 0 for (d, _), q in rep.dims.items() if d > m)
 
 
 def test_quotient_dim_requires_bound():
     with pytest.raises(ValueError):
-        quotient_dim(4, RATIONALS, 3)
+        OracleSession(4, RATIONALS, 3).dims()
 
 
 def test_three_presentations_agree_over_qq():
@@ -851,9 +849,9 @@ def test_schur_presentation_agrees_mod_p_within_its_degrees():
 def test_verify_lex_and_revlex_small():
     for m in range(1, 5):
         for ring in RINGS:
-            rep = verify_basis(m, ring, lex_basis(m), m + 2)
+            rep = OracleSession(m, ring, m + 2).verify_basis(lex_basis(m))
             assert rep.passed and rep.total_candidates == 2**m
-        rep = verify_basis(m, RATIONALS, revlex_basis(m), m + 2)
+        rep = OracleSession(m, RATIONALS, m + 2).verify_basis(revlex_basis(m))
         assert rep.passed
 
 
@@ -935,14 +933,14 @@ def test_verify_corrupted_candidate_fails_once():
     # dropping one monomial: spanning fails in exactly that monomial's slice
     victim = (0, 2, 0)
     bad = BasisSet(3, "corrupt", bs.monomials - {victim})
-    rep = verify_basis(3, RATIONALS, bad, 5)
+    rep = OracleSession(3, RATIONALS, 5).verify_basis(bad)
     failing = [s for s in rep.slices if not s.passed]
     assert len(failing) == 1
     assert (failing[0].degree, failing[0].weight) == (2, 2)
     assert not failing[0].spanning and failing[0].independent
     # adding a junk monomial: independence fails there instead
     worse = BasisSet(3, "corrupt2", bs.monomials | {(1, 0, 1)})
-    rep2 = verify_basis(3, RATIONALS, worse, 5)
+    rep2 = OracleSession(3, RATIONALS, 5).verify_basis(worse)
     failing2 = [s for s in rep2.slices if not s.passed]
     assert len(failing2) == 1 and not failing2[0].independent
 
@@ -1065,7 +1063,7 @@ def test_truncated_quotient_small():
 
 def test_truncated_quotient_full_when_n_at_least_m():
     for m in (2, 3, 4):
-        full = quotient_dim(m, RATIONALS, m + 2)
+        full = OracleSession(m, RATIONALS, m + 2).dims()
         trunc = truncated_quotient(m, m, RATIONALS, m + 2)
         assert {(s.degree, s.weight): s.quotient_dim for s in trunc.slices} == full.dims
         assert trunc.passed
@@ -1315,7 +1313,7 @@ def test_reduce_requires_verification_for_the_session_m():
 
 
 def test_verification_report_totals():
-    rep = verify_basis(3, RATIONALS, lex_basis(3), 5)
+    rep = OracleSession(3, RATIONALS, 5).verify_basis(lex_basis(3))
     assert rep.total_quotient_dim == 8 == rep.total_candidates
     assert rep.m == 3 and rep.char == 0 and rep.provenance == "lex"
     assert rep.elapsed_seconds >= 0.0
@@ -1323,8 +1321,8 @@ def test_verification_report_totals():
 
 def test_verification_reports_build_slice_records_on_first_read(monkeypatch):
     # verification keeps its per-slice results as tuples: no SliceReport is
-    # built until `slices` is read, and a report on the tuples equals,
-    # hashes, prints and pickles like one built from the records
+    # built until `slices` is read, each read builds one record per row, and
+    # the verdict and totals read off the tuples agree with the records
     built = [0]
     init = SliceReport.__init__
 
@@ -1347,28 +1345,18 @@ def test_verification_reports_build_slice_records_on_first_read(monkeypatch):
                 where = (m, ring.char, candidate.provenance)
                 built[0] = 0
                 rep = sess.verify_basis(candidate)
-                twin = VerificationReport._of_rows(
-                    rep.m, rep.char, rep.provenance, rep.degree_bound, rep._rows,
-                    rep.elapsed_seconds,
-                )
+                twin = VerificationReport(*(getattr(rep, name) for name in rep._fields))
                 verdict = (rep.passed, rep.total_quotient_dim, rep.total_candidates)
                 assert verdict[0] == (candidate.provenance in ("lex", "revlex", "cv")), where
                 assert built[0] == 0, where
                 slices = rep.slices
-                assert built[0] == len(slices) and rep.slices is slices, where
-                records = VerificationReport(
-                    rep.m, rep.char, rep.provenance, rep.degree_bound, list(slices),
-                    rep.elapsed_seconds,
-                )
+                assert built[0] == len(slices) == len(rep.rows), where
                 assert verdict == (
                     all(s.passed for s in slices),
                     sum(s.quotient_dim for s in slices),
                     sum(s.candidate_count for s in slices),
-                ) == (records.passed, records.total_quotient_dim, records.total_candidates)
-                assert records._rows == rep._rows, where
-                for report in (rep, twin):
-                    assert report == records and records == report, where
-                    assert hash(report) == hash(records), where
-                    assert repr(report) == repr(records), where
-                    assert pickle.loads(pickle.dumps(report)) == records, where
-                    assert report.slices == slices, where
+                ), where
+                assert tuple(map(SliceReport._key, slices)) == rep.rows, where
+                assert rep.slices == slices and built[0] == 2 * len(slices), where
+                assert twin == rep and hash(twin) == hash(rep) and repr(twin) == repr(rep), where
+                assert pickle.loads(pickle.dumps(rep)) == rep, where

@@ -35,7 +35,8 @@ F3 = CoeffRing(3)
 X1 = DPoly.variable(F3, 2, 1)
 ENTRY = GeneratorEntry(X1, ("schur", (1,), 1), 1, 1)
 SLICE = SliceReport(1, 1, 2, 1, 1, True, True)
-VERIFY = VerificationReport(1, 0, "lex", 3, [SLICE], 0.5)
+SLICE_ROW = (1, 1, 2, 1, 1, True, True)
+VERIFY = VerificationReport(1, 0, "lex", 3, [SLICE_ROW], 0.5)
 
 # (builder of a fresh record, a record of the same class differing in one
 # field, its field names in order, its repr)
@@ -81,26 +82,25 @@ RECORDS = [
         "degree=1, weight=1),), degree_bound=3, weight_bound=3)",
     ),
     (
-        lambda: DimReport(1, 0, 3, {(0, 0): 1, (1, 0): 1}, 2, 0.0),
-        DimReport(1, 0, 3, {(0, 0): 1, (1, 0): 1}, 2, 0.25),
-        ("m", "char", "degree_bound", "dims", "total", "elapsed_seconds"),
+        lambda: DimReport(1, 0, 3, {(0, 0): 1, (1, 0): 1}, 0.0),
+        DimReport(1, 0, 3, {(0, 0): 1, (1, 0): 1}, 0.25),
+        ("m", "char", "degree_bound", "dims", "elapsed_seconds"),
         "DimReport(m=1, char=0, degree_bound=3, dims={(0, 0): 1, (1, 0): 1}, "
-        "total=2, elapsed_seconds=0.0)",
+        "elapsed_seconds=0.0)",
     ),
     (
         lambda: VerificationReport(2, 3, "cv", 4, (), 0.0),
         VerificationReport(2, 3, "lex", 4, (), 0.0),
-        ("m", "char", "provenance", "degree_bound", "slices", "elapsed_seconds"),
+        ("m", "char", "provenance", "degree_bound", "rows", "elapsed_seconds"),
         "VerificationReport(m=2, char=3, provenance='cv', degree_bound=4, "
-        "slices=(), elapsed_seconds=0.0)",
+        "rows=(), elapsed_seconds=0.0)",
     ),
     (
-        lambda: VerificationReport(1, 0, "lex", 3, [SLICE], 0.5),
-        VerificationReport(1, 0, "lex", 3, [SLICE], 0.25),
-        ("m", "char", "provenance", "degree_bound", "slices", "elapsed_seconds"),
+        lambda: VerificationReport(1, 0, "lex", 3, [SLICE_ROW], 0.5),
+        VerificationReport(1, 0, "lex", 3, [SLICE_ROW], 0.25),
+        ("m", "char", "provenance", "degree_bound", "rows", "elapsed_seconds"),
         "VerificationReport(m=1, char=0, provenance='lex', degree_bound=3, "
-        "slices=(SliceReport(degree=1, weight=1, slice_dim=2, quotient_dim=1, "
-        "candidate_count=1, independent=True, spanning=True),), elapsed_seconds=0.5)",
+        "rows=((1, 1, 2, 1, 1, True, True),), elapsed_seconds=0.5)",
     ),
 ]
 ROW = "make, other, fields, text"
@@ -150,7 +150,7 @@ def test_sequence_fields_are_tuples_and_every_field_refuses_assignment():
     assert given.entries == (ENTRY,) and VERIFY.slices == (SLICE,)
     for record, seq in (
         (gens, gens.entries), (given, given.entries),
-        (report, report.slices), (VERIFY, VERIFY.slices),
+        (report, report.rows), (VERIFY, VERIFY.rows),
     ):
         assert type(seq) is tuple and seq
         for name in (*record._fields, "_index"):
@@ -158,6 +158,19 @@ def test_sequence_fields_are_tuples_and_every_field_refuses_assignment():
                 setattr(record, name, getattr(record, name, None))
             with pytest.raises(AttributeError):
                 delattr(record, name)
+
+
+def test_report_totals_and_verdicts_derive_from_their_fields():
+    # what a report derives is a property: it cannot disagree with the fields
+    dims = DimReport(1, 0, 3, {(0, 0): 1, (1, 0): 1, (2, 0): 0}, 0.0)
+    assert isinstance(DimReport.total, property) and dims.total == 2
+    failing = VerificationReport(1, 0, "lex", 3, [SLICE_ROW, (2, 0, 1, 1, 0, True, False)], 0.0)
+    assert (failing.passed, failing.total_quotient_dim, failing.total_candidates) == (False, 2, 1)
+    for name in ("total", "slices", "passed", "total_quotient_dim", "total_candidates"):
+        record = dims if name == "total" else failing
+        assert name not in record._fields
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_generator_set_index_stays_out_of_equality_and_repr():

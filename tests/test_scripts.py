@@ -6,9 +6,8 @@ import pytest
 from sl2weyl.basis_enum import BasisSet, revlex_basis
 from sl2weyl.quotient_oracle import (
     DimReport,
-    SliceReport,
+    OracleSession,
     VerificationReport,
-    quotient_dim,
     truncated_quotient,
 )
 
@@ -45,7 +44,7 @@ def test_sweep_checks_m_0(monkeypatch, capsys):
 
 def test_sweep_fails_on_a_wrong_total_at_m_0(monkeypatch, capsys):
     module = _sweep(monkeypatch, "0", "--chars", "0,3")
-    monkeypatch.setattr(module, "quotient_dim", _altered(lambda m, dims: dims.update({(0, 0): 2})))
+    monkeypatch.setattr(module, "OracleSession", _altered(lambda m, dims: dims.update({(0, 0): 2})))
     assert module.main() == 1
     assert "differ from 2^m" in capsys.readouterr().out
 
@@ -67,12 +66,12 @@ def test_scripts_reject_a_negative_m(monkeypatch, capsys, script, m):
 
 
 def _altered(change):
-    def fake(m, ring, degree_bound):
-        rep = quotient_dim(m, ring, degree_bound)
-        dims = dict(rep.dims)
-        change(m, dims)
-        return DimReport(m, ring.char, degree_bound, dims, sum(dims.values()), 0.0)
-    return fake
+    class Altered(OracleSession):
+        def dims(self):
+            dims = dict(super().dims().dims)
+            change(self.m, dims)
+            return DimReport(self.m, self.ring.char, self.degree_bound, dims, 0.0)
+    return Altered
 
 
 @pytest.mark.parametrize("change, message", [
@@ -83,7 +82,7 @@ def _altered(change):
 ], ids=["total", "high-slice"])
 def test_sweep_fails_on_a_wrong_total_or_a_high_slice(monkeypatch, capsys, change, message):
     module = _sweep(monkeypatch, "2", "--chars", "0,3")
-    monkeypatch.setattr(module, "quotient_dim", _altered(change))
+    monkeypatch.setattr(module, "OracleSession", _altered(change))
     assert module.main() == 1
     assert message in capsys.readouterr().out
 
@@ -115,9 +114,9 @@ def test_chain_fails_when_the_top_level_total_is_not_2_to_the_m(monkeypatch, cap
             return rep
         # one more passing slice, one more in both the total and the
         # candidates: the level still passes
-        extra = SliceReport(degree_bound + 1, 0, 1, 1, 1, True, True)
+        extra = (degree_bound + 1, 0, 1, 1, 1, True, True)
         return VerificationReport(
-            m, ring.char, rep.provenance, degree_bound, rep.slices + (extra,), 0.0
+            m, ring.char, rep.provenance, degree_bound, rep.rows + (extra,), 0.0
         )
 
     monkeypatch.setattr(module, "truncated_quotient", fake)
@@ -138,9 +137,9 @@ def test_chain_fails_when_the_total_at_m_0_is_not_1(monkeypatch, capsys):
 
     def fake(m, n, ring, degree_bound):
         rep = truncated_quotient(m, n, ring, degree_bound)
-        extra = SliceReport(degree_bound + 1, 0, 1, 1, 1, True, True)
+        extra = (degree_bound + 1, 0, 1, 1, 1, True, True)
         return VerificationReport(
-            m, ring.char, rep.provenance, degree_bound, rep.slices + (extra,), 0.0
+            m, ring.char, rep.provenance, degree_bound, rep.rows + (extra,), 0.0
         )
 
     monkeypatch.setattr(module, "truncated_quotient", fake)

@@ -107,9 +107,10 @@ def test_kostka_rows_match_literal_kostka():
     # <= m+1) against every lam |- |mu| within the cap, zeros included
     for m in range(1, 7):
         for size in range((m - 1) * (m + 1) + 1):
+            shapes = enumerate_partitions(size, m - 1, size)
             for mu in enumerate_partitions(size, m - 1, m + 1):
                 row = kostka_row(mu.parts, m - 1)
-                for lam in enumerate_partitions(size, m - 1, size):
+                for lam in shapes:
                     assert row.get(lam.parts, 0) == kostka(lam, mu), (m, lam, mu)
 
 

@@ -46,7 +46,10 @@ slices it can show are full:
   full lower slices reach (exactly their shifted rows) and those that the
   unit columns of its other lower slices shift to with a nonzero constant.
   It echelonizes only the other rows of those lower slices, stripped of the
-  unit columns, and, while still short, generators.  A row drops its unit
+  unit columns, and, while still short, generators.  The first shifted row
+  of each lead becomes a pivot with no cancel, and the others follow by
+  lead; the row space, and so the rank, the leads, the normal forms and
+  the generators pulled, do not depend on that order.  A row drops its unit
   columns on entry, so integer entries over the rationals do not grow from
   slice to slice.
 
@@ -78,18 +81,20 @@ slices it can show are full:
   the scale, at the tags.  Reduction rebuilds the solver on every call.
 
 * one table serves every session of a box: its plan (`_plan`), cached per
-  (m, characteristic, degree bound).  It lists the slices in box order
-  with their sizes and all-ones masks, and per slice its lower slices, each
-  as its plan position, its shift and the bitmask of the columns the shift
-  covers, with the union of those masks (what a slice whose lower slices
-  are all full reads, with no loop) and the column maps of the shifts, kept
-  once an elimination first reads them.  Besides the plan a slice reads the
-  slice monomials and their column index (`dpalgebra.slice_monomials`,
-  `dpalgebra.column_index`), which the generator families and candidate
-  bases read too.  A given family or relation set keeps, per slice, the
-  column rows a session pulls (`GeneratorSet.slice_rows`, filled lazily),
-  and a session holds only the echelons of its slices, a full one being a
-  single mask.  So sessions after the first on the same box go straight to
+  (m, characteristic, degree bound).  It lists the slices in box order with
+  their sizes, all-ones masks and full echelons, and per slice its lower
+  slices, each as its plan position, its shift and the bitmask of the
+  columns the shift covers, with the union of those masks (what a slice
+  whose lower slices are all full reads, with no loop) and the column maps
+  of the shifts, kept once an elimination first reads them.  Besides the
+  plan a slice reads the slice monomials and their column index
+  (`dpalgebra.slice_monomials`, `dpalgebra.column_index`), which the
+  generator families and candidate bases read too.  A given family or
+  relation set keeps, per slice, the column rows a session pulls
+  (`GeneratorSet.slice_rows`, filled lazily), and a session makes echelons
+  only for the slices it eliminates: every full slice of every session of
+  the box is the plan's one full echelon of that slice, which nothing
+  inserts into.  So sessions after the first on the same box go straight to
   elimination.  Generator rows reach the echelon in one form, column rows
   {column: integer}: those of the given sets, and the defining series
   coefficients read straight off their (monomial, coefficient) pairs.
@@ -150,7 +155,8 @@ def _box_slices(m: int, degree_bound: int) -> tuple:
 def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
     """The slices of the degree box in box order (`_box_slices`: by degree,
     so every lower slice comes first), as tuples (key, size, build), with
-    `build` = (full, lower, below, reach, shifts) what `_build_box` reads:
+    `build` = (full, lower, below, reach, filled, shifts) what `_build_box`
+    reads:
 
     * `full`, the all-ones mask of its columns;
     * `lower`, its nonempty lower slices (d - j, w - i*j), by j, then i, as
@@ -163,6 +169,9 @@ def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
     * `below`, the bitmask of the lower plan positions, and `reach`, the
       union of their masks: the covered columns when every lower slice is
       full;
+    * `filled`, the echelon of the slice when it is full (units = leads =
+      `full`, no pivots), the one that every session of the box stores
+      there; nothing inserts into it;
     * `shifts`, per lower slice the `_shift` column map into this slice,
       None until an elimination first reads it."""
     box = _box_slices(m, degree_bound)
@@ -197,8 +206,9 @@ def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
                     lower.append((pos, i, j, mask))
                     below |= 1 << pos
                     reach |= mask
-        shifts = [None] * len(lower)
-        out.append(((d, w), size, ((1 << size) - 1, tuple(lower), below, reach, shifts)))
+        full = (1 << size) - 1
+        filled = _Echelon(ring.char, full)
+        out.append(((d, w), size, (full, tuple(lower), below, reach, filled, [None] * len(lower))))
     return tuple(out)
 
 
@@ -294,20 +304,17 @@ class _Echelon:
     The unit pivots e_c are the bitmask `units` (bit c for column c);
     `pivots` holds the other rows by lead, and their entries avoid the unit
     columns.  `leads` is the bitmask of every pivot lead: the unit columns
-    and the leads of the rows.  A full slice of n columns is
-    units = leads = 2^n - 1 with no rows: every row reduces to 0 against
-    it."""
+    and the leads of the rows, and `rank` counts them.  A full slice of n
+    columns is units = leads = 2^n - 1 with no rows: every row reduces to 0
+    against it, and `add` changes nothing."""
 
-    __slots__ = ("p", "units", "leads", "pivots", "__weakref__")
+    __slots__ = ("p", "units", "leads", "rank", "pivots", "__weakref__")
 
     def __init__(self, p, units=0):
         self.p = p
         self.units = self.leads = units
+        self.rank = units.bit_count()
         self.pivots: dict = {}
-
-    @property
-    def rank(self):
-        return self.units.bit_count() + len(self.pivots)
 
     def add(self, row) -> bool:
         """Echelonize an integer column row (nonzero entries nonzero mod p)
@@ -331,6 +338,7 @@ class _Echelon:
                 if piv is None:
                     pivots[lead] = row
                     self.leads |= low
+                    self.rank += 1
                     return True
                 row ^= piv
             return False
@@ -341,6 +349,7 @@ class _Echelon:
             if piv is None:
                 pivots[lead] = unit_normalize(row, lead, p)
                 self.leads |= 1 << lead
+                self.rank += 1
                 return True
             row = cancel(row, piv, lead, p)
         return False
@@ -536,10 +545,12 @@ class OracleSession:
     The first `space` call builds every slice of the degree box in one
     ordered pass over the box's plan (`_build_box`); later calls read the
     stored echelons, and a slice outside the box raises ValueError.  The
-    plan is shared by every session of the same box; a given family keeps
-    its column rows by slice (`GeneratorSet.slice_rows`) and a candidate
-    basis its column masks (`BasisSet.column_masks`) for every session that
-    reads them; the session holds only the echelon of each slice.
+    plan is shared by every session of the same box, with the echelon of
+    each full slice; a given family keeps its column rows by slice
+    (`GeneratorSet.slice_rows`) and a candidate basis its column masks
+    (`BasisSet.column_masks`) for every session that reads them; the
+    session makes only the echelons of the slices it eliminates that do
+    not end full.
 
     gens: a family covering the degree box, in place of the defining series
     coefficients.  relations: a set adjoined to the ideal whichever the base
@@ -592,12 +603,12 @@ class OracleSession:
     def _build_box(self):
         """Every slice of the box in one pass over its `_plan`, lower slices
         first: a covered slice is stored full at once, any other is
-        eliminated.  The full slices so far are the bitmask `done` of their
-        plan positions, so a slice whose lower slices are all full reads its
-        covered columns off the plan."""
-        p = self.ring.char
+        eliminated.  A full slice is the plan's `filled` echelon, shared by
+        every session of the box.  The full slices so far are the bitmask
+        `done` of their plan positions, so a slice whose lower slices are
+        all full reads its covered columns off the plan."""
         echs, spaces, done = [], {}, 0
-        for pos, (key, _, (full, lower, below, reach, shifts)) in enumerate(
+        for pos, (key, _, (full, lower, below, reach, filled, shifts)) in enumerate(
             _plan(self.m, self.ring, self.degree_bound)
         ):
             if done & below == below:
@@ -609,11 +620,10 @@ class OracleSession:
                         covered |= mask
                     else:
                         partial.append((k, echs[low]))
-            if covered == full:
-                ech = _Echelon(p, full)
-            else:
-                ech = self._eliminate(key, full, covered, partial, lower, shifts)
-            if ech.units == full:
+            if covered == full or (
+                ech := self._eliminate(key, full, covered, partial, lower, shifts)
+            ) is None:
+                ech = filled
                 done |= 1 << pos
             echs.append(ech)
             spaces[key] = ech
@@ -622,12 +632,14 @@ class OracleSession:
 
     def _eliminate(self, key, full, covered, partial, lower, shifts):
         """Echelon of a slice that is not covered, from its lower slices
-        that are not full (`partial`, as (index into `lower`, echelon)):
-        unit columns at the covered columns (all that the full lower slices
-        shift up) and at the images of the unit columns of the other lower
-        slices, then the shifted rows of those lower slices without the unit
-        columns, then generator rows while the rank stays below the slice
-        size.  A slice this fills is stored full."""
+        that are not full (`partial`, as (index into `lower`, echelon)), or
+        None when the slice ends full: unit columns at the covered columns
+        (all that the full lower slices shift up) and at the images of the
+        unit columns of the other lower slices, then the shifted rows of
+        those lower slices without the unit columns, then generator rows
+        while the rank stays below the slice size.  The first shifted row
+        of each lead becomes a pivot with no cancel; the others follow by
+        lead."""
         p = self.ring.char
         maps = []
         for k, ech in partial:
@@ -646,8 +658,8 @@ class OracleSession:
                     covered |= 1 << hit[0]
                 units ^= low
         if covered == full:
-            return _Echelon(p, full)
-        rows = []
+            return None
+        heads, rest = {}, []
         for shift, pivots in maps:
             for piv in pivots.values():
                 if p == 2:
@@ -659,29 +671,38 @@ class OracleSession:
                         if hit is not None and not covered >> hit[0] & 1:
                             row |= 1 << hit[0]
                         piv ^= low
+                    if not row:
+                        continue
+                    lead = (row & -row).bit_length() - 1
                 else:
                     row = {}
                     for col, c in piv.items():
                         hit = shift[col]
                         if hit is not None and not covered >> hit[0] & 1:
                             row[hit[0]] = c * hit[1]
-                if row:
-                    rows.append(row)
-        rows.sort(key=_lowest if p == 2 else min)
-        ech = _Echelon(p, covered)
-        pivots = ech.pivots
+                    if not row:
+                        continue
+                    lead = min(row)
+                if lead in heads:
+                    rest.append(row)
+                else:
+                    heads[lead] = row
         target = (full ^ covered).bit_count()
-        for row in rows:
-            if len(pivots) == target:
-                break
+        if len(heads) == target:
+            return None
+        ech = _Echelon(p, covered)
+        for lead in sorted(heads):
+            ech._insert(heads[lead])
+        pivots = ech.pivots
+        rest.sort(key=_lowest if p == 2 else min)
+        for row in rest:
             ech._insert(row)
-        if len(pivots) < target:
-            for row in self._generator_rows(*key):
-                ech.add(row)
-                if len(pivots) == target:
-                    break
-        if len(pivots) == target:
-            return _Echelon(p, full)
+            if len(pivots) == target:
+                return None
+        for row in self._generator_rows(*key):
+            ech.add(row)
+            if len(pivots) == target:
+                return None
         return ech
 
     def _generator_rows(self, d, w):
@@ -706,9 +727,11 @@ class OracleSession:
 
     def dims(self) -> DimReport:
         t0 = time.monotonic()
-        dims = {}
-        for (d, w), size, _ in _plan(self.m, self.ring, self.degree_bound):
-            dims[(d, w)] = size - self.space(d, w).rank
+        space = self.space
+        dims = {
+            key: size - space(*key).rank
+            for key, size, _ in _plan(self.m, self.ring, self.degree_bound)
+        }
         return DimReport(self.m, self.ring.char, self.degree_bound, dims, time.monotonic() - t0)
 
     def verify_basis(self, candidate: BasisSet) -> VerificationReport:
@@ -727,18 +750,18 @@ class OracleSession:
         top, masks = candidate.column_masks()
         if top > self.degree_bound:
             raise ValueError("candidate monomials exceed the degree bound")
-        rows, overlays = [], []
-        for (d, w), size, _ in _plan(m, self.ring, self.degree_bound):
-            ech = self.space(d, w)
-            cands = masks.get((d, w), 0)
+        space, rows, overlays = self.space, [], []
+        for key, size, _ in _plan(m, self.ring, self.degree_bound):
+            ech = space(*key)
+            cands = masks.get(key, 0)
             indep = True
             if cands & ech.leads:
-                overlays.append((d, w))
+                overlays.append(key)
                 cols = [c for c in range(cands.bit_length()) if cands >> c & 1]
                 indep = not _overlay(ech, cols, size).leads >> size
             count = cands.bit_count()
             q = size - ech.rank
-            rows.append((d, w, size, q, count, indep, q == count))
+            rows.append((*key, size, q, count, indep, q == count))
         report = VerificationReport(
             m, self.ring.char, candidate.provenance, self.degree_bound, rows,
             time.monotonic() - t0,

@@ -68,8 +68,10 @@ def _horizontal_substrips(lam, size):
 
 
 def kostka(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard Young tableaux of shape lam and content mu."""
-    if lam.size != mu.size:
+    """Number of semistandard Young tableaux of shape lam and content mu:
+    0 unless lam dominates mu (partitions of one size), else the strip
+    recursion."""
+    if not dominates(lam, mu):
         return 0
     return _kostka(lam.parts, mu.parts)
 

@@ -441,9 +441,9 @@ def test_covered_slices_skip_elimination(monkeypatch):
     # at m = 6 over Q (degree box 8) 126 of the 189 slices are covered and
     # 21 more are filled by elimination, which starts from unit columns at
     # the columns the full lower slices reach and the images of the unit
-    # columns of the others; echelonizing every shifted row takes 9,777
-    # rows for 2,939 pivots.  Every row reaches the pivots through
-    # `_insert`, `add` included.
+    # columns of the others; echelonizing every shifted row would take
+    # 9,912 rows for 2,939 pivots, and this takes 275.  Every row reaches
+    # the pivots through `_insert`, `add` included.
     calls = [0]
     insert = _Echelon._insert
 
@@ -453,7 +453,7 @@ def test_covered_slices_skip_elimination(monkeypatch):
 
     monkeypatch.setattr(_Echelon, "_insert", counting_insert)
     assert OracleSession(6, RATIONALS, 8).dims().total == 64
-    assert 0 < calls[0] <= 292
+    assert 0 < calls[0] <= 275
 
 
 def test_full_slices_hold_unit_pivots():
@@ -482,6 +482,70 @@ def test_full_slices_hold_unit_pivots():
                 assert full, (m, ring.char)
 
 
+def test_full_slices_share_the_plan_echelon():
+    # every session of a box stores the plan's one full echelon in each of
+    # its full slices, and `add` and `residue` leave that echelon as it was
+    rng = random.Random(20261020)
+    for m in range(1, 6):
+        bound = m + 1
+        for ring in RINGS:
+            plan = quotient_oracle._plan(m, ring, bound)
+            sessions = [OracleSession(m, ring, bound) for _ in range(2)]
+            sessions.append(OracleSession(m, ring, bound, gens=schur_family(m, ring)))
+            sessions.append(
+                OracleSession(m, ring, bound, relations=truncation_relations(m, 1, ring))
+            )
+            for key, size, (full, *_, filled, _) in plan:
+                where = (m, ring.char, key)
+                spaces = [sess.space(*key) for sess in sessions]
+                for ech in spaces:
+                    assert (ech is filled) == (ech.rank == size), where
+                assert (spaces[0] is filled) == (spaces[1] is filled), where
+                if not any(ech is filled for ech in spaces):
+                    continue
+                for _ in range(3):
+                    cols = rng.sample(range(size), rng.randint(1, size))
+                    row = {c: rng.choice([v for v in range(-4, 5) if v % (ring.char or 7)])
+                           for c in cols}
+                    assert not filled.add(row), where
+                    fraction_row = {c: Fraction(v, rng.randint(1, 3)) for c, v in row.items()}
+                    assert filled.residue(fraction_row)[0] == {}, where
+                    state = (filled.units, filled.leads, filled.pivots, filled.rank)
+                    assert state == (full, full, {}, size), where
+
+
+def test_a_second_session_makes_no_echelon_for_a_full_slice(monkeypatch):
+    # once the plan of a box is built, a later session makes echelons only
+    # for the slices it eliminates: none of them is stored for a slice that
+    # ends full, which holds the plan's echelon
+    made = []
+    init = _Echelon.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(_Echelon, "__init__", recording_init)
+    m, bound = 6, 7
+    for ring in RINGS:
+        plan = quotient_oracle._plan(m, ring, bound)
+        for gens in (None, schur_family(m, ring)):
+            OracleSession(m, ring, bound, gens=gens).dims()
+            made.clear()
+            sess = OracleSession(m, ring, bound, gens=gens)
+            assert sess.dims().total == 2**m
+            ids = {id(ech) for ech in made}
+            full = 0
+            for key, size, (*_, filled, _) in plan:
+                ech = sess.space(*key)
+                if ech.rank == size:
+                    full += 1
+                    assert ech is filled and id(ech) not in ids, (ring.char, key)
+                else:
+                    assert id(ech) in ids, (ring.char, key)
+            assert full and len(made) < len(plan), ring.char
+
+
 def _box_poly(m, ring, bound):
     """The sum of every monomial of the degree box."""
     box = (a for d, w, _ in _box_slices(m, bound) for a in slice_monomials(m, d, w))
@@ -491,7 +555,9 @@ def _box_poly(m, ring, bound):
 def test_lead_mask_is_the_units_and_the_row_leads(monkeypatch):
     # every echelon keeps `leads` equal to its unit columns plus the leads of
     # its rows: the slices of a session and the overlays and solvers that
-    # verification and reduction build alike
+    # verification and reduction build alike.  A full slice is the plan's
+    # shared echelon, made before the session, so the slices are also read
+    # through `space`
     made = []
     init = _Echelon.__init__
 
@@ -499,8 +565,9 @@ def test_lead_mask_is_the_units_and_the_row_leads(monkeypatch):
         init(self, *args)
         made.append(self)
 
-    def check(where):
-        for ech in made:
+    def check(where, sess):
+        slices = [sess.space(d, w) for d, w, _ in _box_slices(sess.m, sess.degree_bound)]
+        for ech in made + slices:
             leads = ech.units
             for c in ech.pivots:
                 leads |= 1 << c
@@ -528,12 +595,12 @@ def test_lead_mask_is_the_units_and_the_row_leads(monkeypatch):
                 where = (m, ring.char, kind)
                 made.clear()
                 sess.dims()
-                check((*where, "dims"))
+                check((*where, "dims"), sess)
                 passed = sess.verify_basis(basis).passed
-                check((*where, "verify_basis"))
+                check((*where, "verify_basis"), sess)
                 if passed:
                     sess.reduce_element(f, basis)
-                    check((*where, "reduce_element"))
+                    check((*where, "reduce_element"), sess)
                 assert passed or kind.startswith("truncated") and ring.char, where
 
 
@@ -600,7 +667,8 @@ def _lower_slices(m, ring, d, w, where):
 def test_plan_lists_every_lower_slice_first():
     # the box is built in one pass over its plan, so every lower slice of a
     # slice must sit at an earlier position, under the key it has there,
-    # with the shift that carries it up and the columns that shift covers
+    # with the shift that carries it up and the columns that shift covers;
+    # the slice's full echelon is all unit columns with no rows
     for m in range(0, 8):
         for bound in (m, m + 1):
             box = _box_slices(m, bound)
@@ -608,10 +676,13 @@ def test_plan_lists_every_lower_slice_first():
             for ring in (*RINGS, prime_field(7)):
                 plan = quotient_oracle._plan(m, ring, bound)
                 assert [(*key, size) for key, size, _ in plan] == list(box), (m, bound)
-                for pos, (key, size, (full, lower, below, reach, shifts)) in enumerate(plan):
+                for pos, (key, size, build) in enumerate(plan):
+                    full, lower, below, reach, filled, shifts = build
                     at = (m, ring.char, bound, key)
                     assert list(lower) == _lower_slices(m, ring, *key, where), at
                     assert full == (1 << size) - 1 and len(shifts) == len(lower), at
+                    assert filled.p == ring.char and filled.units == filled.leads == full, at
+                    assert filled.pivots == {} and filled.rank == size, at
                     mask_below = mask_reach = 0
                     for low, i, j, mask in lower:
                         assert low < pos and plan[low][0] == (key[0] - j, key[1] - i * j), at
@@ -711,24 +782,29 @@ def _dense_echelon(rows, n, p=2):
     return pivots
 
 
-def _dense_residue(pivots, vec):
-    """The normal form of an F_2 row against dense pivot rows: every pivot
-    lead component eliminated."""
-    vec = [v % 2 for v in vec]
+def _dense_residue(pivots, vec, p=2):
+    """The normal form of a row against dense pivot rows from
+    `_dense_echelon` with the same p: every pivot lead component
+    eliminated."""
+    vec = [Fraction(v) if p is None else v % p for v in vec]
     for piv in sorted(pivots, key=lambda r: r.index(1)):
-        if vec[piv.index(1)]:
-            vec = [(a + b) % 2 for a, b in zip(vec, piv)]
-    return {c: 1 for c, v in enumerate(vec) if v}
+        f = vec[piv.index(1)]
+        if f:
+            vec = [a - f * b if p is None else (a - f * b) % p for a, b in zip(vec, piv)]
+    return {c: v for c, v in enumerate(vec) if v}
 
 
-def _assert_f2_echelon(ech, pivots, n, vecs, where):
-    """The packed echelon `ech` against dense pivot rows of an n-column
-    space: rank, lead mask and the residue of each of `vecs`."""
+def _assert_dense_echelon(ech, pivots, n, vecs, where, p=2):
+    """The echelon `ech` against dense pivot rows of an n-column space
+    (`_dense_echelon` with the same p): rank, lead mask and the residue of
+    each of `vecs`, divided by its scale (1 over F_p)."""
     assert ech.rank == len(pivots), where
     assert ech.leads == sum(1 << piv.index(1) for piv in pivots), where
     for vec in vecs:
-        got = ech.residue({c: v for c, v in enumerate(vec) if v})
-        assert got == (_dense_residue(pivots, vec), 1), (*where, vec)
+        row, scale = ech.residue({c: v for c, v in enumerate(vec) if v})
+        assert p is None or scale == 1, (*where, vec)
+        got = {c: Fraction(v, scale) if p is None else v for c, v in row.items()}
+        assert got == _dense_residue(pivots, vec, p), (*where, vec)
 
 
 def test_packed_f2_slices_equal_dense_elimination():
@@ -746,7 +822,35 @@ def test_packed_f2_slices_equal_dense_elimination():
                 assert slice_rank(sl) == len(pivots), (m, kind, d, w)
                 units = [[int(c == e) for c in range(n)] for e in range(n)]
                 vecs = units + [[c % 3 for c in range(n)], [1] * n]
-                _assert_f2_echelon(sess.space(d, w), pivots, n, vecs, (m, kind, d, w))
+                _assert_dense_echelon(sess.space(d, w), pivots, n, vecs, (m, kind, d, w))
+
+
+def test_dict_row_slices_equal_dense_elimination():
+    # over Q and odd F_p the first shifted row of each lead becomes a pivot
+    # before the others are reduced; rank, lead mask and every column's
+    # normal form must still be those of dense Gaussian elimination on the
+    # literal rows, in default, Schur and truncated sessions
+    for ring in (RATIONALS, prime_field(3), prime_field(5)):
+        p = ring.char or None
+        for m in range(1, 6):
+            bound = m + 1
+            defining = defining_generators(m, ring, bound, bound * max(m - 1, 1))
+            kinds = [("default", {}, defining), ("schur", {"gens": schur_family(m, ring)}, None)]
+            for n in range(1, m):
+                relations = truncation_relations(m, n, ring)
+                literal = GeneratorSet(
+                    m, ring, "truncated", defining.entries + relations.entries,
+                    defining.degree_bound, defining.weight_bound,
+                )
+                kinds.append((f"truncated-{n}", {"relations": relations}, literal))
+            for kind, given, literal in kinds:
+                sess = OracleSession(m, ring, bound, **given)
+                for d, w, size in _box_slices(m, bound):
+                    where = (ring.char, m, kind, d, w)
+                    rows = build_slice(m, ring, d, w, literal or given["gens"]).ideal_rows
+                    pivots = _dense_echelon(rows, size, p)
+                    units = [[int(c == e) for c in range(size)] for e in range(size)]
+                    _assert_dense_echelon(sess.space(d, w), pivots, size, units, where, p)
 
 
 def test_packed_f2_echelon_equals_dense_elimination_on_random_rows():
@@ -768,7 +872,7 @@ def test_packed_f2_echelon_equals_dense_elimination_on_random_rows():
         unit_rows = [[int(c == e) for c in range(n)] for e in range(n) if units >> e & 1]
         pivots = _dense_echelon(unit_rows + rows, n)
         vecs = rows[:5] + [[rng.randint(0, 5) for _ in range(n)] for _ in range(5)]
-        _assert_f2_echelon(ech, pivots, n, vecs, (trial, n, units))
+        _assert_dense_echelon(ech, pivots, n, vecs, (trial, n, units))
 
 
 def test_echelons_are_freed_without_the_collector():

@@ -16,6 +16,7 @@ from sl2weyl.symfunc import (
     OPoly,
     _added_horizontal_strips,
     _horizontal_substrips,
+    _kostka,
     coinvariant_reduce,
     complete_h,
     forgotten_coeff,
@@ -87,6 +88,15 @@ def test_kostka_positivity_iff_dominance():
         for lam in all_partitions_of(n):
             for mu in all_partitions_of(n):
                 assert (kostka(lam, mu) > 0) == dominates(lam, mu)
+
+
+def test_kostka_dominance_shortcut_equals_the_strip_recursion():
+    # `kostka` answers 0 for a shape that does not dominate the content
+    # without running the strip recursion; that recursion must agree
+    for n in range(9):
+        for lam in all_partitions_of(n):
+            for mu in all_partitions_of(n):
+                assert kostka(lam, mu) == _kostka(lam.parts, mu.parts), (lam, mu)
 
 
 def test_kostka_ignores_content_padding():

@@ -11,11 +11,17 @@ the items of their JSON list, a small batch at a time; the JSON is still
 the bytes of `json.dumps(payload, separators=(",", ":"))`.  Every command
 computes and validates its whole result before the first byte, so a usage
 error or an unopenable `--output` path leaves no output; an OSError in the
-middle of writing leaves what was written before it."""
+middle of writing leaves what was written before it.
+
+Exit codes: 0 success, 1 a verification that fails, 2 a usage error or an
+OSError (a write to `--output` included), and 141 (128 + SIGPIPE) when the
+reader of stdout closes it early, as `sl2weyl basis -m 12 | head -1` does,
+with no error message."""
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import nullcontext
 from itertools import islice
@@ -27,6 +33,7 @@ from .partitions import parse_partition
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 # text lines per write, and JSON list items per encoder call and write, of
 # a streamed output: a chunk per line or item would cost a Python-level
 # call per line, and a system call where stdout is unbuffered
@@ -70,11 +77,13 @@ def _degree_bound(args) -> int:
 def _write(args, chunks) -> None:
     """Write the text chunks and a final newline to --output, or else to
     stdout, each as the iterable yields it.  The file is opened before the
-    first chunk is formatted."""
+    first chunk is formatted.  Stdout is flushed, so a closed pipe is seen
+    here and not at exit."""
     path = getattr(args, "output", None)
     with open(path, "w") if path else nullcontext(sys.stdout) as fh:
         fh.writelines(chunks)
         fh.write("\n")
+        fh.flush()
 
 
 def _emit(args, text: str) -> None:
@@ -450,6 +459,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and not getattr(args, "output", None):
+            # the reader of stdout is gone: point stdout at the null device
+            # so the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

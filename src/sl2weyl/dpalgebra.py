@@ -208,8 +208,9 @@ def slice_monomials(m: int, d: int, w: int) -> tuple:
     mu |- w with parts <= m-1 and length <= d, zero-padded to d parts."""
     if m == 0:
         return ((),) if d == 0 and w == 0 else ()
+    # DPLEX compares the exponent tuples themselves
     return tuple(sorted((_padded_mono(mu, d, m) for mu in iter_partitions(w, m - 1, d)),
-                        key=MonomialOrder.DPLEX.key, reverse=True))
+                        reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +362,7 @@ def format_dpoly(f: DPoly) -> str:
     if not f.terms:
         return "0"
     bits = []
-    for mono in sorted(f.terms, key=MonomialOrder.DPLEX.key, reverse=True):
+    for mono in sorted(f.terms, reverse=True):  # descending DPLEX
         c = f.terms[mono]
         mtxt = format_monomial(mono)
         if c == 1 and mtxt != "1":

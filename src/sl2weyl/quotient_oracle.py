@@ -37,13 +37,22 @@ slices it can show are full:
   x_i^(j) * x^(b - j e_i) with the lower slice (d - j, w - i*j) full, j one
   of the shift powers and C(b_i, j) nonzero in the ring.  A covered slice
   skips shifted rows, elimination and generators alike; extra generators
-  only add rank, so the rule holds for any generator family.
+  only add rank, so the rule holds for any generator family.  Coverage is
+  decided without the slice's monomials.  A slice of degree >= 1 whose
+  lower slices are all full is covered: for b in it take b_i >= 1 and a
+  nonzero base-p digit of b_i at position k (k = 0 over the rationals);
+  then C(b_i, p^k) is that digit mod p (Lucas), and the lower slice of the
+  shift x_i^(p^k) holds b - p^k e_i.  A slice with some lower slices full
+  is covered exactly when no monomial of it has every exponent b_i among
+  those that all the full shifts x_i^(j) miss (C(b_i, j) = 0): a knapsack
+  over (degree, weight) on those exponents, per variable (`_covered`).
 
 * unit pivots e_c are one bitmask of columns per echelon, not rows.  A full
   slice, covered or filled by elimination, is the all-ones mask with no
   rows: its normal forms are 0, and the rows shifted up from it are single
   entries.  A slice that is not covered starts from the unit columns its
-  full lower slices reach (exactly their shifted rows) and those that the
+  full lower slices reach (exactly their shifted rows, the columns with
+  C(b_i, j) nonzero, one bitmask per lower slice) and those that the
   unit columns of its other lower slices shift to with a nonzero constant.
   It echelonizes only the other rows of those lower slices, stripped of the
   unit columns, and, while still short, generators.  The first shifted row
@@ -82,12 +91,15 @@ slices it can show are full:
 
 * one table serves every session of a box: its plan (`_plan`), cached per
   (m, characteristic, degree bound).  It lists the slices in box order with
-  their sizes, all-ones masks and full echelons, and per slice its lower
-  slices, each as its plan position, its shift and the bitmask of the
-  columns the shift covers, with the union of those masks (what a slice
-  whose lower slices are all full reads, with no loop) and the column maps
-  of the shifts, kept once an elimination first reads them.  Besides the
-  plan a slice reads the slice monomials and their column index
+  their sizes, counted and not enumerated (`_box_slices`), all-ones masks
+  and full echelons, and per slice its lower slices, each as its plan
+  position and its shift, with the coverage verdicts found so far, by the
+  set of full lower slices, so a later session with the same full lower
+  slices decides coverage with one lookup.  The plan enumerates a slice's
+  monomials only when a session eliminates the slice.  It then keeps the
+  masks of the columns the shifts cover and the shift column maps, each
+  built the first time an elimination reads it.  Besides the plan an
+  eliminated slice reads the slice monomials and their column index
   (`dpalgebra.slice_monomials`, `dpalgebra.column_index`), which the
   generator families and candidate bases read too.  A given family or
   relation set keeps, per slice, the column rows a session pulls
@@ -142,12 +154,25 @@ class MustVerifyFirstError(RuntimeError):
 
 def _box_slices(m: int, degree_bound: int) -> tuple:
     """The nonempty slices of the degree box as (d, w, size), by degree,
-    then weight."""
+    then weight.  The sizes are counted, not enumerated: slice (d, w) has
+    one monomial per exponent vector b with sum b = d and sum i*b_i = w,
+    [q^w] of the Gaussian binomial [m-1+d choose d]_q.  One unbounded
+    knapsack over the variables counts them all, in a table with entry
+    d * stride + w; x_i moves an entry by one degree and i weights."""
+    top = max(m - 1, 0)
+    stride = degree_bound * top + 1
+    counts = [1] + [0] * ((degree_bound + 1) * stride - 1)
+    for i in range(m):
+        # an entry read across a row end, at a weight w < i, is a weight
+        # above the top of its degree, which stays 0
+        step = stride + i
+        for k in range(step, len(counts)):
+            counts[k] += counts[k - step]
     return tuple(
         (d, w, size)
         for d in range(degree_bound + 1)
-        for w in range(d * max(m - 1, 0) + 1)
-        if (size := len(slice_monomials(m, d, w)))
+        for w in range(d * top + 1)
+        if (size := counts[d * stride + w])
     )
 
 
@@ -155,45 +180,41 @@ def _box_slices(m: int, degree_bound: int) -> tuple:
 def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
     """The slices of the degree box in box order (`_box_slices`: by degree,
     so every lower slice comes first), as tuples (key, size, build), with
-    `build` = (full, lower, below, reach, filled, shifts) what `_build_box`
-    reads:
+    `build` = (full, lower, below, filled, verdicts, masks, shifts) what
+    `_build_box` reads.  Nothing in it enumerates the monomials of a slice
+    until a session eliminates that slice:
 
     * `full`, the all-ones mask of its columns;
     * `lower`, its nonempty lower slices (d - j, w - i*j), by j, then i, as
-      (plan position, i, j, mask) for the shift x_i^(j) that carries the
+      (plan position, i, j, hits) for the shift x_i^(j) that carries the
       lower slice up, j <= d a shift power (1 over the rationals; 1, p,
-      p^2, ... over F_p); `mask` has bit c set for the columns b with
-      C(b_i, j) nonzero in the ring (C(b_i, j) = 0 also when b_i < j): the
-      shifted unit row e_a is C(b_i, j) e_b with a = b - j e_i, so a full
-      lower slice puts e_b in the slice whatever the generators;
-    * `below`, the bitmask of the lower plan positions, and `reach`, the
-      union of their masks: the covered columns when every lower slice is
-      full;
+      p^2, ... over F_p), and `hits` the bitmask of the exponents e of the
+      box with C(e, j) nonzero in the ring;
+    * `below`, the bitmask of the lower plan positions;
     * `filled`, the echelon of the slice when it is full (units = leads =
       `full`, no pivots), the one that every session of the box stores
       there; nothing inserts into it;
-    * `shifts`, per lower slice the `_shift` column map into this slice,
-      None until an elimination first reads it."""
+    * `verdicts`, whether the slice is covered, by the bitmask of its full
+      lower positions: filled in as sessions ask (`_covered`), from the
+      two known at once, none full (not covered) and all full (covered at
+      degree >= 1, the module docstring);
+    * `masks`, per lower slice the `_masks` mask of the columns its shift
+      covers, and `shifts`, per lower slice the `_shift` column map into
+      this slice, None until an elimination first reads them."""
     box = _box_slices(m, degree_bound)
     where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
-    # per shift power j, the translation table chr(e) -> "1" if C(e, j) is
-    # nonzero in the ring, else "0", for every exponent e in the box
     powers, j = [], 1
     while j <= degree_bound:
-        digits = {e: "1" if ring_binom(ring, e, j) else "0" for e in range(degree_bound + 1)}
-        powers.append((j, digits))
+        hits = sum(1 << e for e in range(degree_bound + 1) if ring_binom(ring, e, j))
+        powers.append((j, hits))
         if not ring.char:
             break
         j *= ring.char
     out = []
     for d, w, size in box:
-        # per variable x_i, the characters chr(b_i) of the columns, last
-        # column first, so translating them to binary digits reads as the
-        # bitmask
-        exps = ["".join(map(chr, reversed(col))) for col in zip(*slice_monomials(m, d, w))]
         lower = []
-        below = reach = 0
-        for j, digits in powers:
+        below = 0
+        for j, hits in powers:
             if j > d:
                 break
             for i in range(m):
@@ -202,14 +223,58 @@ def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
                     break
                 pos = where.get((d - j, lw))
                 if pos is not None:
-                    mask = int(exps[i].translate(digits), 2)
-                    lower.append((pos, i, j, mask))
+                    lower.append((pos, i, j, hits))
                     below |= 1 << pos
-                    reach |= mask
         full = (1 << size) - 1
-        filled = _Echelon(ring.char, full)
-        out.append(((d, w), size, (full, tuple(lower), below, reach, filled, [None] * len(lower))))
+        # at degree 0 below = 0 and the slice is not covered
+        verdicts = {below: d > 0, 0: False}
+        out.append((
+            (d, w), size,
+            (full, tuple(lower), below, _Echelon(ring.char, full), verdicts,
+             [None] * len(lower), [None] * len(lower)),
+        ))
     return tuple(out)
+
+
+def _covered(m: int, d: int, w: int, lower: tuple, part: int) -> bool:
+    """Whether slice (d, w), with lower slices `lower`, is covered when the
+    lower slices at the plan positions of bitmask `part` are full, without
+    its monomials: whether no monomial b of the slice has every exponent
+    b_i among those that every full shift x_i^(j) misses (C(b_i, j) = 0).
+    Those exponents are folded variable by variable into one bitset over
+    (degree, weight), bit deg * stride + wt, as a knapsack: the slice is
+    covered when bit (d, w) stays clear."""
+    misses = [(1 << (d + 1)) - 1] * m
+    for pos, i, _, hits in lower:
+        if part >> pos & 1:
+            misses[i] &= ~hits
+    stride = d * max(m - 1, 0) + 1
+    limit = (1 << ((d + 1) * stride)) - 1
+    reach = 1
+    for i, allowed in enumerate(misses):
+        step, acc = stride + i, 0
+        while allowed:
+            low = allowed & -allowed
+            acc |= reach << ((low.bit_length() - 1) * step)
+            allowed ^= low
+        reach = acc & limit
+    return not reach >> (d * stride + w) & 1
+
+
+def _masks(m: int, d: int, w: int, lower: tuple) -> list:
+    """Per lower slice of slice (d, w), the bitmask of the columns b with
+    C(b_i, j) nonzero in the ring for its shift x_i^(j) (C(b_i, j) = 0 also
+    when b_i < j): the shifted unit row e_a is C(b_i, j) e_b with
+    a = b - j e_i, so a full lower slice puts e_b in the slice whatever the
+    generators."""
+    # per variable x_i, the characters chr(b_i) of the columns, last column
+    # first, so translating them to the binary digits of `hits` reads as
+    # the bitmask
+    exps = ["".join(map(chr, reversed(col))) for col in zip(*slice_monomials(m, d, w))]
+    return [
+        int(exps[i].translate({e: "01"[hits >> e & 1] for e in range(d + 1)}), 2)
+        for _, i, _, hits in lower
+    ]
 
 
 def _shift(m: int, ring: CoeffRing, d: int, w: int, i: int, j: int) -> tuple:
@@ -605,24 +670,18 @@ class OracleSession:
         first: a covered slice is stored full at once, any other is
         eliminated.  A full slice is the plan's `filled` echelon, shared by
         every session of the box.  The full slices so far are the bitmask
-        `done` of their plan positions, so a slice whose lower slices are
-        all full reads its covered columns off the plan."""
+        `done` of their plan positions, so whether a slice is covered is
+        one lookup in the plan's `verdicts`, by its full lower positions,
+        and a `_covered` knapsack the first time a pattern comes up."""
+        m = self.m
         echs, spaces, done = [], {}, 0
-        for pos, (key, _, (full, lower, below, reach, filled, shifts)) in enumerate(
-            _plan(self.m, self.ring, self.degree_bound)
-        ):
-            if done & below == below:
-                covered, partial = reach, ()
-            else:
-                covered, partial = 0, []
-                for k, (low, _, _, mask) in enumerate(lower):
-                    if done >> low & 1:
-                        covered |= mask
-                    else:
-                        partial.append((k, echs[low]))
-            if covered == full or (
-                ech := self._eliminate(key, full, covered, partial, lower, shifts)
-            ) is None:
+        for pos, (key, _, build) in enumerate(_plan(m, self.ring, self.degree_bound)):
+            _, lower, below, filled, verdicts, _, _ = build
+            part = done & below
+            covered = verdicts.get(part)
+            if covered is None:
+                covered = verdicts[part] = _covered(m, *key, lower, part)
+            if covered or (ech := self._eliminate(key, part, build, echs)) is None:
                 ech = filled
                 done |= 1 << pos
             echs.append(ech)
@@ -630,22 +689,28 @@ class OracleSession:
         self._spaces = spaces
         return spaces
 
-    def _eliminate(self, key, full, covered, partial, lower, shifts):
-        """Echelon of a slice that is not covered, from its lower slices
-        that are not full (`partial`, as (index into `lower`, echelon)), or
-        None when the slice ends full: unit columns at the covered columns
-        (all that the full lower slices shift up) and at the images of the
-        unit columns of the other lower slices, then the shifted rows of
-        those lower slices without the unit columns, then generator rows
-        while the rank stays below the slice size.  The first shifted row
-        of each lead becomes a pivot with no cancel; the others follow by
-        lead."""
+    def _eliminate(self, key, part, build, echs):
+        """Echelon of a slice that is not covered, from the echelons `echs`
+        of the plan positions before it, or None when the slice ends full.
+        The lower slices at the positions of bitmask `part` are full:
+        unit columns go at the columns they cover (their plan `masks`) and
+        at the images of the unit columns of the other lower slices, then
+        come the shifted rows of those other slices without the unit
+        columns, then generator rows while the rank stays below the slice
+        size.  The first shifted row of each lead becomes a pivot with no
+        cancel; the others follow by lead."""
         p = self.ring.char
-        maps = []
-        for k, ech in partial:
+        full, lower, _, _, _, masks, shifts = build
+        if part and masks[0] is None:
+            masks[:] = _masks(self.m, *key, lower)
+        covered, maps = 0, []
+        for k, (pos, i, j, _) in enumerate(lower):
+            if part >> pos & 1:
+                covered |= masks[k]
+                continue
+            ech = echs[pos]
             shift = shifts[k]
             if shift is None:
-                _, i, j, _ = lower[k]
                 shift = shifts[k] = _shift(self.m, self.ring, *key, i, j)
             maps.append((shift, ech.pivots))
             # the shifted unit row e_a is C(a_i + j, j) e_b: a unit column

@@ -1,10 +1,13 @@
 import json
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
-from sl2weyl import basis_enum, weyl_ideal
+import sl2weyl
+from sl2weyl import basis_enum, cli, weyl_ideal
 from sl2weyl.cli import main
 from sl2weyl.dpalgebra import CoeffRing, format_dpoly, format_monomial
 
@@ -199,6 +202,40 @@ def test_usage_errors(capsys, tmp_path):
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "gens", "-m", "3", "--max-degree", "2", "--format", fmt)
         assert code == 2 and out == "" and "degree_bound must be >= m+1 = 4" in err, fmt
+
+
+def test_a_closed_stdout_exits_141_without_an_error(monkeypatch, capsys):
+    # a reader that closes stdout early (`sl2weyl basis -m 14 | head -1`)
+    # is not a usage error: no message, and exit 128 + SIGPIPE; the output
+    # is several pipe buffers long, so the writer is still writing
+    src = str(Path(sl2weyl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for fmt in ("text", "json"):
+        argv = ["basis", "-m", "14", "--order", "cv", "--format", fmt]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sl2weyl.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b""), fmt
+
+    # a broken pipe on --output is an OSError like any other
+    class Broken:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def writelines(self, chunks):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "open", lambda *args: Broken(), raising=False)
+    assert run(capsys, "basis", "-m", "3", "--output", "pipe") == (
+        2, "", "error: [Errno 32] Broken pipe\n"
+    )
 
 
 def test_output_file(tmp_path, capsys):

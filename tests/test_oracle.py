@@ -495,7 +495,7 @@ def test_full_slices_share_the_plan_echelon():
             sessions.append(
                 OracleSession(m, ring, bound, relations=truncation_relations(m, 1, ring))
             )
-            for key, size, (full, *_, filled, _) in plan:
+            for key, size, (full, _, _, filled, *_) in plan:
                 where = (m, ring.char, key)
                 spaces = [sess.space(*key) for sess in sessions]
                 for ech in spaces:
@@ -536,7 +536,7 @@ def test_a_second_session_makes_no_echelon_for_a_full_slice(monkeypatch):
             assert sess.dims().total == 2**m
             ids = {id(ech) for ech in made}
             full = 0
-            for key, size, (*_, filled, _) in plan:
+            for key, size, (_, _, _, filled, *_) in plan:
                 ech = sess.space(*key)
                 if ech.rank == size:
                     full += 1
@@ -632,20 +632,27 @@ def test_column_maps_are_built_only_where_elimination_reads_them():
     # a shift's column map is read only when a slice that is not covered
     # eliminates the rows of a lower slice that is not full, and the plan
     # keeps each map it builds; building one for every lower slice that is
-    # not full gives Q 252 and F_3 498 here
-    for ring, most in zip(RINGS, (227, 516, 343, 257)):
+    # not full gives Q 252 and F_3 498 here.  A slice builds its
+    # covered-column masks, all at once, only when it is eliminated with a
+    # full lower slice: of the 189 slices of the box, which all built them
+    # before the plan was lazy, Q builds them in 10, F_2 in 37, F_3 in 24
+    # and F_5 in 17
+    for ring, most, masked in zip(RINGS, (227, 516, 343, 257), (10, 37, 24, 17)):
         quotient_oracle._plan.cache_clear()
         assert OracleSession(6, ring, 8).dims().total == 64
         plan = quotient_oracle._plan(6, ring, 8)
         built = sum(shift is not None for _, _, (*_, shifts) in plan for shift in shifts)
         assert 0 < built <= most, ring.char
+        lazy = [masks for _, _, (*_, masks, _) in plan if masks]
+        assert all(None not in masks or set(masks) == {None} for masks in lazy), ring.char
+        assert 0 < sum(None not in masks for masks in lazy) <= masked, ring.char
 
 
 def _lower_slices(m, ring, d, w, where):
-    """The lower slices of slice (d, w) as the plan lists them, computed
-    from the definition: (position of (d - j, w - i*j) in `where`, i, j,
-    mask) for the shift powers j <= d, by j, then i, with bit c of the mask
-    set where column b has C(b_i, j) nonzero in the ring."""
+    """The lower slices of slice (d, w) in plan order, computed from the
+    definition: (position of (d - j, w - i*j) in `where`, i, j, mask) for
+    the shift powers j <= d, by j, then i, with bit c of the mask set where
+    column b has C(b_i, j) nonzero in the ring."""
     p = ring.char
     out = []
     for j in [1] if not p else [p**e for e in range(d + 1)]:
@@ -667,28 +674,133 @@ def _lower_slices(m, ring, d, w, where):
 def test_plan_lists_every_lower_slice_first():
     # the box is built in one pass over its plan, so every lower slice of a
     # slice must sit at an earlier position, under the key it has there,
-    # with the shift that carries it up and the columns that shift covers;
-    # the slice's full echelon is all unit columns with no rows
+    # with the shift that carries it up and its nonzero binomials, and the
+    # masks of the columns the shifts cover, once built, and every coverage
+    # verdict agree with the definition; the slice's full echelon is all
+    # unit columns with no rows
     for m in range(0, 8):
         for bound in (m, m + 1):
             box = _box_slices(m, bound)
             where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
             for ring in (*RINGS, prime_field(7)):
+                OracleSession(m, ring, bound).dims()
                 plan = quotient_oracle._plan(m, ring, bound)
                 assert [(*key, size) for key, size, _ in plan] == list(box), (m, bound)
                 for pos, (key, size, build) in enumerate(plan):
-                    full, lower, below, reach, filled, shifts = build
+                    full, lower, below, filled, verdicts, masks, shifts = build
                     at = (m, ring.char, bound, key)
-                    assert list(lower) == _lower_slices(m, ring, *key, where), at
-                    assert full == (1 << size) - 1 and len(shifts) == len(lower), at
+                    want = _lower_slices(m, ring, *key, where)
+                    assert [entry[:3] for entry in lower] == [entry[:3] for entry in want], at
+                    assert full == (1 << size) - 1, at
+                    assert len(masks) == len(shifts) == len(lower), at
                     assert filled.p == ring.char and filled.units == filled.leads == full, at
                     assert filled.pivots == {} and filled.rank == size, at
-                    mask_below = mask_reach = 0
-                    for low, i, j, mask in lower:
+                    mask_below = 0
+                    for low, i, j, hits in lower:
                         assert low < pos and plan[low][0] == (key[0] - j, key[1] - i * j), at
                         mask_below |= 1 << low
-                        mask_reach |= mask
-                    assert (below, reach) == (mask_below, mask_reach), at
+                        for e in range(bound + 1):
+                            nonzero = quotient_oracle.ring_binom(ring, e, j) != 0
+                            assert hits >> e & 1 == nonzero, at
+                    assert below == mask_below, at
+                    want_masks = [mask for *_, mask in want]
+                    assert quotient_oracle._masks(m, *key, lower) == want_masks, at
+                    assert None in masks or masks == want_masks, at
+                    assert verdicts[below] == (key[0] > 0) and verdicts[0] is False, at
+                    for part, covered in verdicts.items():
+                        union = 0
+                        for low, *_, mask in want:
+                            if part >> low & 1:
+                                union |= mask
+                        assert covered == (union == full), (*at, part)
+
+
+def test_counted_slice_sizes_equal_the_enumeration():
+    # the box's slice sizes are counted by a knapsack, not enumerated
+    enumerate_slice = slice_monomials.__wrapped__
+    for m in range(0, 9):
+        for bound in range(m, m + 4):
+            box = [
+                (d, w, len(enumerate_slice(m, d, w)))
+                for d in range(bound + 1)
+                for w in range(d * max(m - 1, 0) + 1)
+            ]
+            assert _box_slices(m, bound) == tuple(s for s in box if s[2]), (m, bound)
+
+
+def test_knapsack_verdict_equals_the_union_of_the_masks():
+    # a slice is covered when the masks of its full lower slices cover
+    # every column; `_covered` decides it without the slice's monomials,
+    # for random patterns of full lower slices
+    rng = random.Random(20261021)
+    for m in range(1, 7):
+        bound = m + 1
+        box = _box_slices(m, bound)
+        where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
+        for ring in (*RINGS, prime_field(7)):
+            plan = quotient_oracle._plan(m, ring, bound)
+            for key, size, (full, lower, below, *_) in plan:
+                want = _lower_slices(m, ring, *key, where)
+                positions = [low for low, *_ in want]
+                for _ in range(8):
+                    part = 0
+                    for low in rng.sample(positions, rng.randint(0, len(positions))):
+                        part |= 1 << low
+                    union = 0
+                    for low, *_, mask in want:
+                        if part >> low & 1:
+                            union |= mask
+                    covered = quotient_oracle._covered(m, *key, lower, part)
+                    assert covered == (union == full), (m, ring.char, key, part)
+
+
+def test_a_slice_whose_lower_slices_are_all_full_is_covered():
+    # for b in a slice of degree >= 1 take b_i >= 1 and a nonzero base-p
+    # digit of b_i at position k (any k = 0 over Q): C(b_i, p^k) is that
+    # digit mod p (Lucas), so the shift x_i^(p^k) covers b
+    for m in range(1, 8):
+        bound = m + 1
+        box = _box_slices(m, bound)
+        where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
+        for ring in (*RINGS, prime_field(7)):
+            for d, w, size in box:
+                if not d:
+                    continue
+                union = 0
+                for *_, mask in _lower_slices(m, ring, d, w, where):
+                    union |= mask
+                assert union == (1 << size) - 1, (m, ring.char, d, w)
+
+
+def test_dims_enumerates_only_the_slices_it_eliminates(monkeypatch):
+    # the plan counts slice sizes and decides coverage without monomials,
+    # so a session enumerates the monomials of the slices it eliminates and
+    # of their lower slices that are not full, and of no other slice
+    eliminate = OracleSession._eliminate
+    eliminated = set()
+
+    def recording_eliminate(self, key, *args):
+        eliminated.add(key)
+        return eliminate(self, key, *args)
+
+    monkeypatch.setattr(OracleSession, "_eliminate", recording_eliminate)
+    for ring in (RATIONALS, prime_field(2)):
+        eliminated.clear()
+        quotient_oracle._plan.cache_clear()
+        for table in (slice_monomials, slice_partitions, quotient_oracle.column_index):
+            table.cache_clear()
+        sess = OracleSession(8, ring, 10)
+        assert sess.dims().total == 2**8
+        plan = quotient_oracle._plan(8, ring, 10)
+        read = set(eliminated)
+        for key, _, (_, lower, *_) in plan:
+            if key in eliminated:
+                for low, *_ in lower:
+                    low_key, low_size, _ = plan[low]
+                    if sess.space(*low_key).rank < low_size:
+                        read.add(low_key)
+        enumerated = slice_monomials.cache_info().currsize
+        assert 0 < enumerated <= len(read) < len(plan) // 2, ring.char
 
 
 def test_the_plan_is_the_only_cache_of_the_engine():

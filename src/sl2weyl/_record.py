@@ -6,18 +6,19 @@ with an underscore, in order; underscored slots hold private state that
 equality, hash and repr ignore.  Two records are equal when they are of the
 same class and their fields are equal, and a record hashes its fields, so
 one holding a dict is unhashable.  A record refuses assignment and
-deletion, so its constructor sets slots with `_set`.  Records pickle and
-copy through the constructor, called with the fields in order, so every
-class's `__init__` takes its fields positionally in slot order.  What a
-record derives from its fields is a property, outside equality, hash, repr
-and pickling.
+deletion.  `Record.__init__` takes the fields positionally in slot order
+and sets them through the slot descriptors, private slots to None; a wrong
+count raises TypeError naming the class.  Records pickle and copy through
+it, and a class that checks or normalises its fields passes them all to
+it.  What a record derives from its fields is a property, outside
+equality, hash, repr and pickling.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-_set = object.__setattr__
+_set = object.__setattr__  # sets a slot outside `Record.__init__`
 
 
 class Record:
@@ -26,10 +27,21 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = tuple(n for n in slots if n[0] != "_")
+        private = tuple(n for n in slots if n[0] == "_")
+        # the slot descriptors' setters, fields first, and a None per private slot
+        cls._setters = tuple(cls.__dict__[n].__set__ for n in (*cls._fields, *private))
+        cls._blank = (None,) * len(private)
         if cls._fields:
             # the field tuple, read in C; a bare value for one field
             cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *fields):
+        if len(fields) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {self._fields}")
+        for put, value in zip(self._setters, fields + self._blank):
+            put(self, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

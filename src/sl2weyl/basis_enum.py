@@ -30,13 +30,8 @@ class BasisSet(Record):
     """A candidate basis: the monomials of one construction for one m, as a
     frozen value, equal and hashed by its fields, not by its column masks."""
 
+    # provenance: "lex" | "revlex" | "cv" | "truncated-N"
     __slots__ = ("m", "provenance", "monomials", "_masks")
-
-    def __init__(self, m: int, provenance: str, monomials: frozenset):
-        _set(self, "m", m)
-        _set(self, "provenance", provenance)  # "lex" | "revlex" | "cv" | "truncated-N"
-        _set(self, "monomials", monomials)
-        _set(self, "_masks", None)
 
     def __len__(self):
         return len(self.monomials)

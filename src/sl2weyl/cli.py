@@ -458,7 +458,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, KeyError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError) and not getattr(args, "output", None):
             # the reader of stdout is gone: point stdout at the null device
             # so the flush at exit cannot raise again

@@ -53,6 +53,8 @@ class CoeffRing(Record):
     __slots__ = ("char",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    # `__new__` returns the interned object, already set
+    __init__ = object.__init__
     _interned: dict = {}
 
     def __new__(cls, char: int = 0):

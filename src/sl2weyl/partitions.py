@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from itertools import zip_longest
 
-from ._record import Record, _set
+from ._record import Record
 
 
 class Partition(Record):
@@ -37,7 +37,7 @@ class Partition(Record):
             raise ValueError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
-        _set(self, "parts", parts)
+        Record.__init__(self, parts)
 
     @property
     def size(self) -> int:

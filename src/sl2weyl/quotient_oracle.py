@@ -90,14 +90,14 @@ slices it can show are full:
   the scale, at the tags.  Reduction rebuilds the solver on every call.
 
 * one table serves every session of a box: its plan (`_plan`), cached per
-  (m, characteristic, degree bound).  It lists the slices in box order with
-  their sizes, counted and not enumerated (`_box_slices`), all-ones masks
-  and full echelons, and per slice its lower slices, each as its plan
-  position and its shift, with the coverage verdicts found so far, by the
-  set of full lower slices, so a later session with the same full lower
-  slices decides coverage with one lookup.  The plan enumerates a slice's
-  monomials only when a session eliminates the slice.  It then keeps the
-  masks of the columns the shifts cover and the shift column maps, each
+  (m, characteristic, degree bound).  It lists the slices in box order as
+  records (`_PlanSlice`) with their sizes, counted and not enumerated
+  (`_box_slices`), full echelons, and per slice its lower slices, each as
+  its plan position and its shift, with the coverage verdicts found so far,
+  by the set of full lower slices, so a later session with the same full
+  lower slices decides coverage with one lookup.  The plan enumerates a
+  slice's monomials only when a session eliminates the slice.  It then keeps
+  the masks of the columns the shifts cover and the shift column maps, each
   built the first time an elimination reads it.  Besides the plan an
   eliminated slice reads the slice monomials and their column index
   (`dpalgebra.slice_monomials`, `dpalgebra.column_index`), which the
@@ -129,7 +129,7 @@ from functools import lru_cache
 from itertools import starmap
 from math import gcd, lcm
 
-from ._record import Record, _set
+from ._record import Record
 from .basis_enum import BasisSet, truncated_basis
 from .dpalgebra import (
     CoeffRing,
@@ -176,15 +176,19 @@ def _box_slices(m: int, degree_bound: int) -> tuple:
     )
 
 
+class _PlanSlice(Record):
+    """One slice of a box's `_plan`, its fields described there."""
+
+    __slots__ = ("key", "size", "lower", "below", "filled", "verdicts", "masks", "shifts")
+
+
 @lru_cache(maxsize=None)
 def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
     """The slices of the degree box in box order (`_box_slices`: by degree,
-    so every lower slice comes first), as tuples (key, size, build), with
-    `build` = (full, lower, below, filled, verdicts, masks, shifts) what
-    `_build_box` reads.  Nothing in it enumerates the monomials of a slice
-    until a session eliminates that slice:
+    so every lower slice comes first), as `_PlanSlice` records: `key`
+    (d, w), `size` and what `_build_box` reads.  Nothing in it enumerates
+    the monomials of a slice until a session eliminates that slice:
 
-    * `full`, the all-ones mask of its columns;
     * `lower`, its nonempty lower slices (d - j, w - i*j), by j, then i, as
       (plan position, i, j, hits) for the shift x_i^(j) that carries the
       lower slice up, j <= d a shift power (1 over the rationals; 1, p,
@@ -192,8 +196,8 @@ def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
       box with C(e, j) nonzero in the ring;
     * `below`, the bitmask of the lower plan positions;
     * `filled`, the echelon of the slice when it is full (units = leads =
-      `full`, no pivots), the one that every session of the box stores
-      there; nothing inserts into it;
+      all its columns, no pivots), the one that every session of the box
+      stores there; nothing inserts into it;
     * `verdicts`, whether the slice is covered, by the bitmask of its full
       lower positions: filled in as sessions ask (`_covered`), from the
       two known at once, none full (not covered) and all full (covered at
@@ -225,13 +229,11 @@ def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
                 if pos is not None:
                     lower.append((pos, i, j, hits))
                     below |= 1 << pos
-        full = (1 << size) - 1
         # at degree 0 below = 0 and the slice is not covered
         verdicts = {below: d > 0, 0: False}
-        out.append((
-            (d, w), size,
-            (full, tuple(lower), below, _Echelon(ring.char, full), verdicts,
-             [None] * len(lower), [None] * len(lower)),
+        out.append(_PlanSlice(
+            (d, w), size, tuple(lower), below, _Echelon(ring.char, (1 << size) - 1), verdicts,
+            [None] * len(lower), [None] * len(lower),
         ))
     return tuple(out)
 
@@ -471,18 +473,6 @@ class SliceReport(Record):
         "independent", "spanning",
     )
 
-    def __init__(
-        self, degree: int, weight: int, slice_dim: int, quotient_dim: int,
-        candidate_count: int, independent: bool, spanning: bool,
-    ):
-        _set(self, "degree", degree)
-        _set(self, "weight", weight)
-        _set(self, "slice_dim", slice_dim)
-        _set(self, "quotient_dim", quotient_dim)
-        _set(self, "candidate_count", candidate_count)
-        _set(self, "independent", independent)
-        _set(self, "spanning", spanning)
-
     @property
     def passed(self) -> bool:
         return self.independent and self.spanning
@@ -490,16 +480,6 @@ class SliceReport(Record):
 
 class DimReport(Record):
     __slots__ = ("m", "char", "degree_bound", "dims", "elapsed_seconds")
-
-    def __init__(
-        self, m: int, char: int, degree_bound: int, dims: dict[tuple[int, int], int],
-        elapsed_seconds: float,
-    ):
-        _set(self, "m", m)
-        _set(self, "char", char)
-        _set(self, "degree_bound", degree_bound)
-        _set(self, "dims", dims)
-        _set(self, "elapsed_seconds", elapsed_seconds)
 
     @property
     def total(self) -> int:
@@ -512,16 +492,8 @@ class VerificationReport(Record):
 
     __slots__ = ("m", "char", "provenance", "degree_bound", "rows", "elapsed_seconds")
 
-    def __init__(
-        self, m: int, char: int, provenance: str, degree_bound: int, rows,
-        elapsed_seconds: float,
-    ):
-        _set(self, "m", m)
-        _set(self, "char", char)
-        _set(self, "provenance", provenance)
-        _set(self, "degree_bound", degree_bound)
-        _set(self, "rows", tuple(rows))
-        _set(self, "elapsed_seconds", elapsed_seconds)
+    def __init__(self, m, char, provenance, degree_bound, rows, elapsed_seconds):
+        Record.__init__(self, m, char, provenance, degree_bound, tuple(rows), elapsed_seconds)
 
     @property
     def slices(self) -> tuple:
@@ -544,19 +516,8 @@ class GradedSlice(Record):
     """The literal rows of one slice; `ring` is the one `CoeffRing` object
     of its characteristic."""
 
+    # ideal_rows: rows as coefficient tuples in the monomial coordinates
     __slots__ = ("m", "ring", "degree", "weight", "monomials", "ideal_rows")
-
-    def __init__(
-        self, m: int, ring: CoeffRing, degree: int, weight: int, monomials: tuple,
-        ideal_rows: tuple,
-    ):
-        _set(self, "m", m)
-        _set(self, "ring", ring)
-        _set(self, "degree", degree)
-        _set(self, "weight", weight)
-        _set(self, "monomials", monomials)
-        # rows as coefficient tuples in the monomial coordinates
-        _set(self, "ideal_rows", ideal_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -675,32 +636,31 @@ class OracleSession:
         and a `_covered` knapsack the first time a pattern comes up."""
         m = self.m
         echs, spaces, done = [], {}, 0
-        for pos, (key, _, build) in enumerate(_plan(m, self.ring, self.degree_bound)):
-            _, lower, below, filled, verdicts, _, _ = build
-            part = done & below
-            covered = verdicts.get(part)
+        for pos, sl in enumerate(_plan(m, self.ring, self.degree_bound)):
+            part = done & sl.below
+            covered = sl.verdicts.get(part)
             if covered is None:
-                covered = verdicts[part] = _covered(m, *key, lower, part)
-            if covered or (ech := self._eliminate(key, part, build, echs)) is None:
-                ech = filled
+                covered = sl.verdicts[part] = _covered(m, *sl.key, sl.lower, part)
+            if covered or (ech := self._eliminate(sl, part, echs)) is None:
+                ech = sl.filled
                 done |= 1 << pos
             echs.append(ech)
-            spaces[key] = ech
+            spaces[sl.key] = ech
         self._spaces = spaces
         return spaces
 
-    def _eliminate(self, key, part, build, echs):
-        """Echelon of a slice that is not covered, from the echelons `echs`
-        of the plan positions before it, or None when the slice ends full.
-        The lower slices at the positions of bitmask `part` are full:
-        unit columns go at the columns they cover (their plan `masks`) and
-        at the images of the unit columns of the other lower slices, then
-        come the shifted rows of those other slices without the unit
-        columns, then generator rows while the rank stays below the slice
-        size.  The first shifted row of each lead becomes a pivot with no
-        cancel; the others follow by lead."""
+    def _eliminate(self, sl, part, echs):
+        """Echelon of the plan slice `sl`, which is not covered, from the
+        echelons `echs` of the plan positions before it, or None when the
+        slice ends full.  The lower slices at the positions of bitmask
+        `part` are full: unit columns go at the columns they cover (its
+        plan `masks`) and at the images of the unit columns of the other
+        lower slices, then come the shifted rows of those other slices
+        without the unit columns, then generator rows while the rank stays
+        below the slice size.  The first shifted row of each lead becomes a
+        pivot with no cancel; the others follow by lead."""
         p = self.ring.char
-        full, lower, _, _, _, masks, shifts = build
+        key, lower, masks, shifts = sl.key, sl.lower, sl.masks, sl.shifts
         if part and masks[0] is None:
             masks[:] = _masks(self.m, *key, lower)
         covered, maps = 0, []
@@ -722,7 +682,8 @@ class OracleSession:
                 if hit is not None:
                     covered |= 1 << hit[0]
                 units ^= low
-        if covered == full:
+        target = sl.size - covered.bit_count()
+        if not target:
             return None
         heads, rest = {}, []
         for shift, pivots in maps:
@@ -752,7 +713,6 @@ class OracleSession:
                     rest.append(row)
                 else:
                     heads[lead] = row
-        target = (full ^ covered).bit_count()
         if len(heads) == target:
             return None
         ech = _Echelon(p, covered)
@@ -794,8 +754,8 @@ class OracleSession:
         t0 = time.monotonic()
         space = self.space
         dims = {
-            key: size - space(*key).rank
-            for key, size, _ in _plan(self.m, self.ring, self.degree_bound)
+            sl.key: sl.size - space(*sl.key).rank
+            for sl in _plan(self.m, self.ring, self.degree_bound)
         }
         return DimReport(self.m, self.ring.char, self.degree_bound, dims, time.monotonic() - t0)
 
@@ -816,17 +776,17 @@ class OracleSession:
         if top > self.degree_bound:
             raise ValueError("candidate monomials exceed the degree bound")
         space, rows, overlays = self.space, [], []
-        for key, size, _ in _plan(m, self.ring, self.degree_bound):
-            ech = space(*key)
-            cands = masks.get(key, 0)
+        for sl in _plan(m, self.ring, self.degree_bound):
+            ech = space(*sl.key)
+            cands = masks.get(sl.key, 0)
             indep = True
             if cands & ech.leads:
-                overlays.append(key)
+                overlays.append(sl.key)
                 cols = [c for c in range(cands.bit_length()) if cands >> c & 1]
-                indep = not _overlay(ech, cols, size).leads >> size
+                indep = not _overlay(ech, cols, sl.size).leads >> sl.size
             count = cands.bit_count()
-            q = size - ech.rank
-            rows.append((*key, size, q, count, indep, q == count))
+            q = sl.size - ech.rank
+            rows.append((*sl.key, sl.size, q, count, indep, q == count))
         report = VerificationReport(
             m, self.ring.char, candidate.provenance, self.degree_bound, rows,
             time.monotonic() - t0,

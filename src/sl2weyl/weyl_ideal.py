@@ -72,15 +72,9 @@ class GeneratorEntry(Record):
     (power or k, and the weight or |lam|) and stores once, so sessions read
     it without scanning the polynomial."""
 
+    # provenance: ("series", uexp, power, k) | ("schur"|"forgotten", lam, k)
+    # | ("truncation", j)
     __slots__ = ("poly", "provenance", "degree", "weight")
-
-    def __init__(self, poly: DPoly, provenance: tuple, degree: int, weight: int):
-        _set(self, "poly", poly)
-        # ("series", uexp, power, k) | ("schur"|"forgotten", lam, k)
-        # | ("truncation", j)
-        _set(self, "provenance", provenance)
-        _set(self, "degree", degree)
-        _set(self, "weight", weight)
 
 
 class GeneratorSet(Record):
@@ -89,22 +83,12 @@ class GeneratorSet(Record):
     degree and weight bounds it covers; equal by its fields, not by its
     slice index or column rows."""
 
-    __slots__ = (
-        "m", "ring", "family", "entries", "degree_bound", "weight_bound", "_index",
-        "_rows",
-    )
+    # family: "defining" | "schur" | "forgotten" | "truncation"
+    __slots__ = ("m", "ring", "family", "entries", "degree_bound", "weight_bound",
+                 "_index", "_rows")
 
-    def __init__(
-        self, m: int, ring: CoeffRing, family: str, entries, degree_bound: int,
-        weight_bound: int,
-    ):
-        _set(self, "m", m)
-        _set(self, "ring", ring)
-        _set(self, "family", family)  # "defining" | "schur" | "forgotten" | "truncation"
-        _set(self, "entries", tuple(entries))
-        _set(self, "degree_bound", degree_bound)
-        _set(self, "weight_bound", weight_bound)
-        _set(self, "_index", None)
+    def __init__(self, m, ring, family, entries, degree_bound, weight_bound):
+        Record.__init__(self, m, ring, family, tuple(entries), degree_bound, weight_bound)
         _set(self, "_rows", {})
 
     def by_slice(self) -> dict:
@@ -193,22 +177,39 @@ def _product_coeff(mu: tuple[int, ...], t: tuple[int, ...]) -> int:
     few eta, so this branches least.  The value is 0 when l(mu) > sum(t)
     (every block takes a part), when t has a part larger than mu_1 or when
     its smallest part exceeds mu_l.  Other values are kept in
-    `_product_table`."""
+    `_product_table`.  The peeling runs on a stack, not by recursion: frames
+    [mu, t, series terms left, sum so far, coefficient in the frame below]."""
     if not mu:
         return 0 if any(t) else 1
     if len(mu) > sum(t) or any(t[mu[0]:]) or not any(t[: mu[-1]]):
         return 0
-    key = (mu, t)
-    hit = _product_table.get(key)
-    if hit is None:
-        hit = 0
+    hit = _product_table.get((mu, t))
+    if hit is not None:
+        return hit
+    stack = [[mu, t, iter(_series_terms(len(t), mu[-1])), 0, 0]]
+    while True:
+        frame = stack[-1]
+        mu, t, terms = frame[0], frame[1], frame[2]
         rest = mu[:-1]
-        for c, ue in _series_terms(len(t), mu[-1]):
+        for c, ue in terms:
             left = tuple(map(sub, t, ue))
-            if min(left) >= 0:
-                hit += c * _product_coeff(rest, left)
-        _product_table[key] = hit
-    return hit
+            if min(left) < 0:
+                continue
+            # the tests above, for (rest, left)
+            if not rest:
+                hit = 0 if any(left) else 1
+            elif len(rest) > sum(left) or any(left[rest[0]:]) or not any(left[: rest[-1]]):
+                continue
+            elif (hit := _product_table.get((rest, left))) is None:
+                stack.append([rest, left, iter(_series_terms(len(left), rest[-1])), 0, c])
+                break
+            frame[3] += c * hit
+        else:
+            hit = _product_table[mu, t] = frame[3]
+            stack.pop()
+            if not stack:
+                return hit
+            stack[-1][3] += frame[4] * hit
 
 
 def _series_power_coeff(k: int, uexp: tuple[int, ...], m: int):

@@ -6,6 +6,8 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import sl2weyl
 from sl2weyl import basis_enum, cli, weyl_ideal
 from sl2weyl.cli import main
@@ -202,6 +204,20 @@ def test_usage_errors(capsys, tmp_path):
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "gens", "-m", "3", "--max-degree", "2", "--format", fmt)
         assert code == 2 and out == "" and "degree_bound must be >= m+1 = 4" in err, fmt
+
+
+def test_an_engine_fault_is_not_a_usage_error(monkeypatch, capsys):
+    # only ValueError and OSError are the user's: a KeyError or a
+    # ZeroDivisionError from inside the engine is a bug and must surface as
+    # one, not as exit 2
+    for exc in (KeyError((3, 1)), ZeroDivisionError("division by zero")):
+        def fault(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(basis_enum, "lex_basis", fault)
+        with pytest.raises(type(exc)):
+            main(["verify", "-m", "3"])
+        assert capsys.readouterr().err == ""
 
 
 def test_a_closed_stdout_exits_141_without_an_error(monkeypatch, capsys):

@@ -495,7 +495,9 @@ def test_full_slices_share_the_plan_echelon():
             sessions.append(
                 OracleSession(m, ring, bound, relations=truncation_relations(m, 1, ring))
             )
-            for key, size, (full, _, _, filled, *_) in plan:
+            for sl in plan:
+                key, size, filled = sl.key, sl.size, sl.filled
+                full = (1 << size) - 1
                 where = (m, ring.char, key)
                 spaces = [sess.space(*key) for sess in sessions]
                 for ech in spaces:
@@ -536,13 +538,13 @@ def test_a_second_session_makes_no_echelon_for_a_full_slice(monkeypatch):
             assert sess.dims().total == 2**m
             ids = {id(ech) for ech in made}
             full = 0
-            for key, size, (_, _, _, filled, *_) in plan:
-                ech = sess.space(*key)
-                if ech.rank == size:
+            for sl in plan:
+                ech = sess.space(*sl.key)
+                if ech.rank == sl.size:
                     full += 1
-                    assert ech is filled and id(ech) not in ids, (ring.char, key)
+                    assert ech is sl.filled and id(ech) not in ids, (ring.char, sl.key)
                 else:
-                    assert id(ech) in ids, (ring.char, key)
+                    assert id(ech) in ids, (ring.char, sl.key)
             assert full and len(made) < len(plan), ring.char
 
 
@@ -641,9 +643,9 @@ def test_column_maps_are_built_only_where_elimination_reads_them():
         quotient_oracle._plan.cache_clear()
         assert OracleSession(6, ring, 8).dims().total == 64
         plan = quotient_oracle._plan(6, ring, 8)
-        built = sum(shift is not None for _, _, (*_, shifts) in plan for shift in shifts)
+        built = sum(shift is not None for sl in plan for shift in sl.shifts)
         assert 0 < built <= most, ring.char
-        lazy = [masks for _, _, (*_, masks, _) in plan if masks]
+        lazy = [sl.masks for sl in plan if sl.masks]
         assert all(None not in masks or set(masks) == {None} for masks in lazy), ring.char
         assert 0 < sum(None not in masks for masks in lazy) <= masked, ring.char
 
@@ -685,28 +687,30 @@ def test_plan_lists_every_lower_slice_first():
             for ring in (*RINGS, prime_field(7)):
                 OracleSession(m, ring, bound).dims()
                 plan = quotient_oracle._plan(m, ring, bound)
-                assert [(*key, size) for key, size, _ in plan] == list(box), (m, bound)
-                for pos, (key, size, build) in enumerate(plan):
-                    full, lower, below, filled, verdicts, masks, shifts = build
+                assert [(*sl.key, sl.size) for sl in plan] == list(box), (m, bound)
+                for pos, sl in enumerate(plan):
+                    key, lower, filled, verdicts, masks = (
+                        sl.key, sl.lower, sl.filled, sl.verdicts, sl.masks
+                    )
+                    full = (1 << sl.size) - 1
                     at = (m, ring.char, bound, key)
                     want = _lower_slices(m, ring, *key, where)
                     assert [entry[:3] for entry in lower] == [entry[:3] for entry in want], at
-                    assert full == (1 << size) - 1, at
-                    assert len(masks) == len(shifts) == len(lower), at
+                    assert len(masks) == len(sl.shifts) == len(lower), at
                     assert filled.p == ring.char and filled.units == filled.leads == full, at
-                    assert filled.pivots == {} and filled.rank == size, at
+                    assert filled.pivots == {} and filled.rank == sl.size, at
                     mask_below = 0
                     for low, i, j, hits in lower:
-                        assert low < pos and plan[low][0] == (key[0] - j, key[1] - i * j), at
+                        assert low < pos and plan[low].key == (key[0] - j, key[1] - i * j), at
                         mask_below |= 1 << low
                         for e in range(bound + 1):
                             nonzero = quotient_oracle.ring_binom(ring, e, j) != 0
                             assert hits >> e & 1 == nonzero, at
-                    assert below == mask_below, at
+                    assert sl.below == mask_below, at
                     want_masks = [mask for *_, mask in want]
                     assert quotient_oracle._masks(m, *key, lower) == want_masks, at
                     assert None in masks or masks == want_masks, at
-                    assert verdicts[below] == (key[0] > 0) and verdicts[0] is False, at
+                    assert verdicts[sl.below] == (key[0] > 0) and verdicts[0] is False, at
                     for part, covered in verdicts.items():
                         union = 0
                         for low, *_, mask in want:
@@ -739,7 +743,8 @@ def test_knapsack_verdict_equals_the_union_of_the_masks():
         where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
         for ring in (*RINGS, prime_field(7)):
             plan = quotient_oracle._plan(m, ring, bound)
-            for key, size, (full, lower, below, *_) in plan:
+            for sl in plan:
+                key, full = sl.key, (1 << sl.size) - 1
                 want = _lower_slices(m, ring, *key, where)
                 positions = [low for low, *_ in want]
                 for _ in range(8):
@@ -750,7 +755,7 @@ def test_knapsack_verdict_equals_the_union_of_the_masks():
                     for low, *_, mask in want:
                         if part >> low & 1:
                             union |= mask
-                    covered = quotient_oracle._covered(m, *key, lower, part)
+                    covered = quotient_oracle._covered(m, *key, sl.lower, part)
                     assert covered == (union == full), (m, ring.char, key, part)
 
 
@@ -779,9 +784,9 @@ def test_dims_enumerates_only_the_slices_it_eliminates(monkeypatch):
     eliminate = OracleSession._eliminate
     eliminated = set()
 
-    def recording_eliminate(self, key, *args):
-        eliminated.add(key)
-        return eliminate(self, key, *args)
+    def recording_eliminate(self, sl, *args):
+        eliminated.add(sl.key)
+        return eliminate(self, sl, *args)
 
     monkeypatch.setattr(OracleSession, "_eliminate", recording_eliminate)
     for ring in (RATIONALS, prime_field(2)):
@@ -793,12 +798,11 @@ def test_dims_enumerates_only_the_slices_it_eliminates(monkeypatch):
         assert sess.dims().total == 2**8
         plan = quotient_oracle._plan(8, ring, 10)
         read = set(eliminated)
-        for key, _, (_, lower, *_) in plan:
-            if key in eliminated:
-                for low, *_ in lower:
-                    low_key, low_size, _ = plan[low]
-                    if sess.space(*low_key).rank < low_size:
-                        read.add(low_key)
+        for sl in plan:
+            if sl.key in eliminated:
+                for low, *_ in sl.lower:
+                    if sess.space(*plan[low].key).rank < plan[low].size:
+                        read.add(plan[low].key)
         enumerated = slice_monomials.cache_info().currsize
         assert 0 < enumerated <= len(read) < len(plan) // 2, ring.char
 

@@ -9,8 +9,10 @@ long loaded what they look for.
 """
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 import weakref
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import sl2weyl
+from sl2weyl._record import Record
 from sl2weyl.basis_enum import BasisSet, lex_basis
 from sl2weyl.dpalgebra import RATIONALS, CoeffRing, DPoly
 from sl2weyl.partitions import Partition
@@ -106,6 +109,15 @@ RECORDS = [
 ROW = "make, other, fields, text"
 # the records with a dict among their fields (DimReport.dims)
 UNHASHABLE = (DimReport,)
+# the record classes outside RECORDS, each with the reason the matrix
+# cannot hold it
+EXEMPT = {
+    "CoeffRing": "one interned object per characteristic, equal and hashed by "
+    "identity; test_coeff_ring_is_one_object_per_characteristic checks it",
+    "_PlanSlice": "the engine's per-box plan entry, whose verdicts, masks and "
+    "shifts fill in as sessions run; never compared, hashed or pickled, and "
+    "test_oracle.py checks its fields against their definitions",
+}
 
 
 @pytest.mark.parametrize(ROW, RECORDS)
@@ -138,6 +150,36 @@ def test_frozen_records_hash_refuse_assignment_and_are_weakly_referenced(
             delattr(record, name)
     assert record == make()
     assert weakref.ref(record)() is record
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _record_classes(sub)
+
+
+def test_every_record_class_is_in_the_matrix_or_exempt_with_a_reason():
+    # a new record cannot skip the equality, hash, repr, pickle and
+    # assignment checks above
+    for info in pkgutil.iter_modules(sl2weyl.__path__):
+        importlib.import_module(f"sl2weyl.{info.name}")
+    checked = {type(make()) for make, *_ in RECORDS}
+    for cls in _record_classes():
+        if cls not in checked:
+            assert EXEMPT.get(cls.__qualname__), f"{cls.__module__}.{cls.__qualname__}"
+    assert {cls.__qualname__ for cls in _record_classes()} >= EXEMPT.keys()
+
+
+@pytest.mark.parametrize(ROW, RECORDS)
+def test_a_wrong_field_count_raises_type_error_naming_the_class(make, other, fields, text):
+    record = make()
+    cls = type(record)
+    values = [getattr(record, n) for n in fields]
+    with pytest.raises(TypeError, match=cls.__qualname__):
+        cls(*values, None)
+    if cls is not Partition:  # its parts default to ()
+        with pytest.raises(TypeError, match=cls.__qualname__):
+            cls(*values[:-1])
 
 
 def test_sequence_fields_are_tuples_and_every_field_refuses_assignment():

@@ -269,6 +269,14 @@ def test_slice_series_yields_its_first_generator_without_enumerating_the_slice()
     assert peak < 1 << 20, peak
 
 
+def test_the_kernel_peels_a_long_mu_without_recursion():
+    # the only monomial of these slices is the top variable to the power d,
+    # so mu has d parts, each peeled in turn; both values were computed
+    # with a raised recursion limit
+    assert next(slice_series(3, 2048, 4096)) == ((4096, 0), (((0, 0, 2048), 1),))
+    assert next(slice_series(4, 2187, 6561)) == ((6561, 0, 0), (((0, 0, 0, 2187), -1),))
+
+
 # -- the defining family ----------------------------------------------------------
 
 

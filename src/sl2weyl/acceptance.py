@@ -28,6 +28,8 @@ from .partitions import (
 from .quotient_oracle import OracleSession, slice_monomials, truncated_quotient
 
 DEFAULT_CHARS = (0, 2, 3, 5)
+DIMENSION_SECONDS = 60.0  # wall-clock target per (m, ring)
+CV_SECONDS = 5.0  # wall-clock target of the whole cv criterion
 
 
 @lru_cache(maxsize=None)
@@ -43,7 +45,7 @@ def _all_partitions(max_size, max_part=None, max_len=None):
         )
 
 
-def criterion_dimension(max_m=6, chars=DEFAULT_CHARS, time_limit=60.0):
+def criterion_dimension(max_m=6, chars=DEFAULT_CHARS):
     """Quotient dimension 2^m with vanishing slices in degrees m+1, m+2."""
     details = []
     ok = True
@@ -55,7 +57,7 @@ def criterion_dimension(max_m=6, chars=DEFAULT_CHARS, time_limit=60.0):
             good = (
                 rep.total == 2**m
                 and all(q == 0 for (d, _), q in rep.dims.items() if d > m)
-                and dt < time_limit
+                and dt < DIMENSION_SECONDS
             )
             ok = ok and good
             details.append(f"m={m} char={char} total={rep.total}")
@@ -77,14 +79,14 @@ def criterion_revlex_basis(max_m=6):
     return ok, f"revlex basis independent+spanning over QQ, m<={max_m}"
 
 
-def criterion_cv_equality(max_m=12, time_limit=5.0):
+def criterion_cv_equality(max_m=12):
     t0 = time.monotonic()
     ok = True
     for m in range(max_m + 1):
         cv = cv_basis(m)
         ok = ok and cv.monomials == revlex_basis(m).monomials and len(cv) == 2**m
     dt = time.monotonic() - t0
-    return ok and dt < time_limit, f"cv == revlex and |cv| = 2^m, m<={max_m}"
+    return ok and dt < CV_SECONDS, f"cv == revlex and |cv| = 2^m, m<={max_m}"
 
 
 def criterion_truncation(max_m=5):

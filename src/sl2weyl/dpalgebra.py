@@ -96,10 +96,6 @@ class CoeffRing(Record):
 RATIONALS = CoeffRing(0)
 
 
-def prime_field(p: int) -> CoeffRing:
-    return CoeffRing(p)
-
-
 def binom_mod_p(n: int, k: int, p: int) -> int:
     """C(n, k) mod p by base-p digits (Lucas)."""
     if k < 0 or k > n:
@@ -186,13 +182,6 @@ class MonomialOrder(enum.Enum):
         if self is MonomialOrder.DPLEX:
             return a
         return (sum(a), tuple(-e for e in reversed(a)))
-
-
-def compare(order: MonomialOrder, a: Mono, b: Mono) -> int:
-    if len(a) != len(b):
-        raise ValueError("variable count mismatch")
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
 
 
 def _padded_mono(mu: tuple[int, ...], k: int, m: int) -> Mono:

@@ -860,10 +860,21 @@ def truncated_quotient(m, n_trunc, ring, degree_bound) -> VerificationReport:
 def reduce_element(f: DPoly, m, ring, candidate: BasisSet):
     """One-shot reduction over the degree box of f (at least m); verifies the
     candidate first (and raises if that fails), then returns the coordinate
-    dict."""
+    dict.
+
+    Over the rationals the box stops at degree m + 1, and every slice there
+    must be full, or a RuntimeError is raised.  Then so is every slice above
+    it: a monomial x^(a) there is x_i * x^(a - e_i) / a_i for any a_i > 0,
+    with x^(a - e_i) in the ideal by induction on the degree.  So the terms
+    of f above degree m + 1 are dropped, and the rest is reduced."""
     degree_bound = max([m] + [mono_degree(a) for a in f.terms])
+    if not ring.char and degree_bound > m + 1:
+        degree_bound = m + 1
+        f = DPoly(ring, m, {a: c for a, c in f.terms.items() if mono_degree(a) <= m + 1})
     session = OracleSession(m, ring, degree_bound)
     report = session.verify_basis(candidate)
+    if not ring.char and any(q for d, _, _, q, *_ in report.rows if d > m):
+        raise RuntimeError(f"a slice of degree m + 1 = {m + 1} is not full")
     if not report.passed:
         raise MustVerifyFirstError("candidate basis failed verification")
     return session.reduce_element(f, candidate)

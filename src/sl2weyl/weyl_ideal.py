@@ -152,15 +152,6 @@ def _series_terms(s: int, v: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def lowering_series(s: int, m: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Terms (coefficient, variable index, u-exponents) of the series in s
-    auxiliary variables: the terms of `_series_terms(s, n)` with variable
-    x_n, n = 0, ..., m-1."""
-    if s < 0 or m < 1:
-        raise ValueError("need s >= 0, m >= 1")
-    return [(c, n, ue) for n in range(m) for c, ue in _series_terms(s, n)]
-
-
 # c(mu, t) by (mu, t) for the whole process, filled only past the cheap zero
 # tests of `_product_coeff`: caching the whole function would also store the
 # zeros, which outnumber the values

@@ -19,7 +19,7 @@ def _run(key, **kwargs):
 def test_criterion_1_dimension_2_to_m():
     # m <= 7 over QQ, F2, F3, F5; slices of degree m+1, m+2 vanish; < 60 s
     # per (m, ring)
-    _run("1", max_m=7, chars=(0, 2, 3, 5), time_limit=60.0)
+    _run("1", max_m=7, chars=(0, 2, 3, 5))
 
 
 def test_criterion_2_lex_basis_all_rings():
@@ -33,7 +33,7 @@ def test_criterion_3_revlex_basis_over_qq():
 def test_criteria_1_2_3_at_m_8_over_qq():
     # the dimension, lex and revlex criteria one m further over QQ, with the
     # same 60 s bound per (m, ring)
-    _run("1", max_m=8, chars=(0,), time_limit=60.0)
+    _run("1", max_m=8, chars=(0,))
     _run("2", max_m=8, chars=(0,))
     _run("3", max_m=8)
 
@@ -41,13 +41,13 @@ def test_criteria_1_2_3_at_m_8_over_qq():
 def test_criteria_1_2_at_m_8_over_finite_fields():
     # the dimension and lex criteria at m = 8 over F2, F3, F5 as well, with
     # the same 60 s bound per (m, ring)
-    _run("1", max_m=8, chars=(2, 3, 5), time_limit=60.0)
+    _run("1", max_m=8, chars=(2, 3, 5))
     _run("2", max_m=8, chars=(2, 3, 5))
 
 
 def test_criterion_4_cv_equals_revlex():
     # pure enumeration, m <= 12, under 5 s
-    _run("4", max_m=12, time_limit=5.0)
+    _run("4", max_m=12)
 
 
 def test_criterion_5_truncations():

@@ -14,7 +14,7 @@ import pytest
 import sl2weyl
 from sl2weyl import quotient_oracle, symfunc, weyl_ideal
 from sl2weyl.basis_enum import BasisSet, cv_basis, lex_basis, revlex_basis, truncated_basis
-from sl2weyl.dpalgebra import RATIONALS, DPoly, parse_dpoly, prime_field, slice_partitions
+from sl2weyl.dpalgebra import RATIONALS, CoeffRing, DPoly, parse_dpoly, slice_partitions
 from sl2weyl.quotient_oracle import (
     ConfigurationError,
     MustVerifyFirstError,
@@ -38,7 +38,7 @@ from sl2weyl.weyl_ideal import (
     truncation_relations,
 )
 
-RINGS = (RATIONALS, prime_field(2), prime_field(3), prime_field(5))
+RINGS = (RATIONALS, CoeffRing(2), CoeffRing(3), CoeffRing(5))
 
 
 # -- slices --------------------------------------------------------------------
@@ -214,7 +214,7 @@ def _relation_set(m, ring, *filed):
 
 
 def test_relations_are_checked_and_cleared_of_denominators():
-    Q, F3 = RATIONALS, prime_field(3)
+    Q, F3 = RATIONALS, CoeffRing(3)
     x2 = parse_dpoly("x2", 3, Q)
     for filed in (
         (parse_dpoly("x2", 4, Q), 1, 2),  # another m
@@ -262,7 +262,7 @@ def test_given_entries_are_checked_against_their_declared_slice():
         (x2, 1, 1),
         (x2, 4, 2),
         (parse_dpoly("x2", 4, Q), 1, 2),
-        (parse_dpoly("x2", 3, prime_field(3)), 1, 2),
+        (parse_dpoly("x2", 3, CoeffRing(3)), 1, 2),
         (parse_dpoly("x0*x2 + x1", 3, Q), 2, 2),
     ):
         gens = GeneratorSet(
@@ -304,7 +304,7 @@ def test_dims_equal_after_clearing_the_caches():
         sess = OracleSession(m, ring, m + 2)
         sess.space(m + 2, (m + 2) * (m - 1) // 2)
         warm[ring.char] = sess.dims().dims
-    warm_schur = schur_family(m, prime_field(3))
+    warm_schur = schur_family(m, CoeffRing(3))
     warm_schur_q = schur_family(m, RATIONALS)
     for info in pkgutil.iter_modules(sl2weyl.__path__):
         module = importlib.import_module(f"sl2weyl.{info.name}")
@@ -314,7 +314,7 @@ def test_dims_equal_after_clearing_the_caches():
     weyl_ideal._product_table.clear()
     assert symfunc.kostka_row.cache_info().currsize == 0
     assert symfunc._added_horizontal_strips.cache_info().currsize == 0
-    assert schur_family(m, prime_field(3)) == warm_schur
+    assert schur_family(m, CoeffRing(3)) == warm_schur
     assert schur_family(m, RATIONALS) == warm_schur_q
     for ring in RINGS:
         assert OracleSession(m, ring, m + 2).dims().dims == warm[ring.char], ring.char
@@ -398,9 +398,9 @@ def test_a_shared_family_cannot_go_stale():
 @pytest.mark.parametrize(
     "m, ring, family, family_m, family_ring",
     [
-        (4, prime_field(2), forgotten_family, 4, RATIONALS),
+        (4, CoeffRing(2), forgotten_family, 4, RATIONALS),
         (3, RATIONALS, schur_family, 4, RATIONALS),
-        (3, prime_field(2), schur_family, 3, RATIONALS),
+        (3, CoeffRing(2), schur_family, 3, RATIONALS),
     ],
     ids=["forgotten-QQ-in-F2", "schur-m4-in-m3", "schur-QQ-in-F2"],
 )
@@ -684,7 +684,7 @@ def test_plan_lists_every_lower_slice_first():
         for bound in (m, m + 1):
             box = _box_slices(m, bound)
             where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
-            for ring in (*RINGS, prime_field(7)):
+            for ring in (*RINGS, CoeffRing(7)):
                 OracleSession(m, ring, bound).dims()
                 plan = quotient_oracle._plan(m, ring, bound)
                 assert [(*sl.key, sl.size) for sl in plan] == list(box), (m, bound)
@@ -741,7 +741,7 @@ def test_knapsack_verdict_equals_the_union_of_the_masks():
         bound = m + 1
         box = _box_slices(m, bound)
         where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
-        for ring in (*RINGS, prime_field(7)):
+        for ring in (*RINGS, CoeffRing(7)):
             plan = quotient_oracle._plan(m, ring, bound)
             for sl in plan:
                 key, full = sl.key, (1 << sl.size) - 1
@@ -767,7 +767,7 @@ def test_a_slice_whose_lower_slices_are_all_full_is_covered():
         bound = m + 1
         box = _box_slices(m, bound)
         where = {(d, w): pos for pos, (d, w, _) in enumerate(box)}
-        for ring in (*RINGS, prime_field(7)):
+        for ring in (*RINGS, CoeffRing(7)):
             for d, w, size in box:
                 if not d:
                     continue
@@ -789,7 +789,7 @@ def test_dims_enumerates_only_the_slices_it_eliminates(monkeypatch):
         return eliminate(self, sl, *args)
 
     monkeypatch.setattr(OracleSession, "_eliminate", recording_eliminate)
-    for ring in (RATIONALS, prime_field(2)):
+    for ring in (RATIONALS, CoeffRing(2)):
         eliminated.clear()
         quotient_oracle._plan.cache_clear()
         for table in (slice_monomials, slice_partitions, quotient_oracle.column_index):
@@ -926,7 +926,7 @@ def _assert_dense_echelon(ech, pivots, n, vecs, where, p=2):
 def test_packed_f2_slices_equal_dense_elimination():
     # `slice_rank` runs the same packed kernel as the sessions, so the F_2
     # reference here is dense Gaussian elimination on the literal rows
-    ring = prime_field(2)
+    ring = CoeffRing(2)
     for m in range(1, 7):
         bound = m + 1
         defining = defining_generators(m, ring, bound, bound * max(m - 1, 1))
@@ -946,7 +946,7 @@ def test_dict_row_slices_equal_dense_elimination():
     # before the others are reduced; rank, lead mask and every column's
     # normal form must still be those of dense Gaussian elimination on the
     # literal rows, in default, Schur and truncated sessions
-    for ring in (RATIONALS, prime_field(3), prime_field(5)):
+    for ring in (RATIONALS, CoeffRing(3), CoeffRing(5)):
         p = ring.char or None
         for m in range(1, 6):
             bound = m + 1
@@ -1056,7 +1056,7 @@ def test_schur_presentation_agrees_mod_p_within_its_degrees():
     # x0 * x0^(3) = C(4,3) x0^(4) = 0), so compare there exactly
     for m in (1, 2, 3):
         for p in (2, 3):
-            ring = prime_field(p)
+            ring = CoeffRing(p)
             base = OracleSession(m, ring, m + 1).dims()
             gens = schur_family(m, ring)
             alt = OracleSession(m, ring, m + 1, gens=gens).dims()
@@ -1107,7 +1107,7 @@ def test_reused_column_masks_still_check():
     # each session still checks its own degree bound, a malformed basis
     # keeps nothing and is refused on every call, and repeated
     # verifications report the same as a fresh copy of the basis
-    Q, F3 = RATIONALS, prime_field(3)
+    Q, F3 = RATIONALS, CoeffRing(3)
     empty = GeneratorSet(2, Q, "empty", (), 4, 4)
     box = BasisSet(
         2, "box", frozenset(a for d, w, _ in _box_slices(2, 4) for a in slice_monomials(2, d, w))
@@ -1293,7 +1293,7 @@ def test_truncation_by_plain_variables_is_a_char_zero_statement():
     # over F_2 the ideal (x_1) misses x_1^(2) (x_1 * x_1 = 2 x_1^(2) = 0), so
     # the plain-variable truncation genuinely exceeds the basis size there;
     # the truncation theorem lives in characteristic zero
-    rep = truncated_quotient(4, 1, prime_field(2), 6)
+    rep = truncated_quotient(4, 1, CoeffRing(2), 6)
     assert rep.total_quotient_dim == 6 > 5 == rep.total_candidates == len(truncated_basis(4, 1))
     assert not rep.passed
 
@@ -1369,7 +1369,7 @@ def test_reduce_element_gm_members_vanish():
 
 
 def test_reduce_element_mod_p():
-    ring = prime_field(2)
+    ring = CoeffRing(2)
     sess = OracleSession(3, ring, 5)
     bs = lex_basis(3)
     assert sess.verify_basis(bs).passed
@@ -1463,7 +1463,7 @@ def test_reduce_rejects_elements_outside_the_session():
     bs = lex_basis(3)
     assert sess.verify_basis(bs).passed
     for f in (
-        parse_dpoly("x0*x2", 3, prime_field(3)),  # another ring
+        parse_dpoly("x0*x2", 3, CoeffRing(3)),  # another ring
         parse_dpoly("x0*x2", 4, RATIONALS),  # another m
     ):
         with pytest.raises(ValueError, match="does not match"):
@@ -1503,6 +1503,64 @@ def test_one_shot_reduction_refuses_a_failing_candidate():
     short = BasisSet(3, "lex", lex_basis(3).monomials - {(0, 1, 0)})
     with pytest.raises(MustVerifyFirstError, match="failed verification"):
         reduce_element(parse_dpoly("x0*x1", 3, RATIONALS), 3, RATIONALS, short)
+
+
+def test_one_shot_reduction_over_q_equals_the_deep_box():
+    # the one-shot stops its box at degree m + 1 over the rationals and drops
+    # the terms above it; verifying and reducing in a box as deep as the
+    # element must give the same coordinates
+    rng = random.Random(20261020)
+    for m in range(1, 5):
+        top = 3 * m + 3
+        box = [a for d, w, _ in _box_slices(m, top) for a in slice_monomials(m, d, w)]
+        low = [a for a in box if sum(a) <= m + 1]
+        deep = OracleSession(m, RATIONALS, top)
+        for basis in (lex_basis(m), revlex_basis(m), cv_basis(m)):
+            assert deep.verify_basis(basis).passed
+            for _ in range(8):
+                picks = rng.sample(box, rng.randint(1, 6)) + rng.sample(low, rng.randint(0, 3))
+                picks.append(rng.choice([a for a in box if sum(a) == top]))
+                f = DPoly(RATIONALS, m, {
+                    a: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+                    for a in picks
+                })
+                where = (m, basis.provenance, str(f))
+                want = deep.reduce_element(f, basis)
+                assert _typed(reduce_element(f, m, RATIONALS, basis)) == _typed(want), where
+
+
+def test_one_shot_box_is_m_plus_1_over_q_and_as_deep_as_the_element_over_fp(monkeypatch):
+    bounds = []
+    init = OracleSession.__init__
+
+    def recording(self, m, ring, degree_bound, **kwargs):
+        bounds.append(degree_bound)
+        init(self, m, ring, degree_bound, **kwargs)
+
+    monkeypatch.setattr(OracleSession, "__init__", recording)
+    f = parse_dpoly("x0^(10000)", 3, RATIONALS)
+    assert reduce_element(f, 3, RATIONALS, lex_basis(3)) == {}
+    F2 = CoeffRing(2)
+    f = parse_dpoly("x0^(6) + x1", 2, F2)
+    assert reduce_element(f, 2, F2, lex_basis(2)) == {(0, 1): 1}
+    assert bounds == [4, 6]
+
+
+def test_one_shot_refuses_a_slice_of_degree_m_plus_1_that_is_not_full(monkeypatch):
+    # over the rationals every slice of degree m + 1 is full; a report that
+    # says otherwise is a contradiction, never a result
+    verify = OracleSession.verify_basis
+
+    def claims_a_quotient(self, basis):
+        rep = verify(self, basis)
+        rows = [(d, w, n, 1 if d == self.m + 1 else q, *rest) for d, w, n, q, *rest in rep.rows]
+        return VerificationReport(
+            rep.m, rep.char, rep.provenance, rep.degree_bound, rows, rep.elapsed_seconds
+        )
+
+    monkeypatch.setattr(OracleSession, "verify_basis", claims_a_quotient)
+    with pytest.raises(RuntimeError, match="not full"):
+        reduce_element(parse_dpoly("x0^(9)", 3, RATIONALS), 3, RATIONALS, lex_basis(3))
 
 
 def test_reduce_requires_verification():

@@ -3,8 +3,9 @@
 Everything here is inequality bookkeeping on exponent vectors; no algebra is
 performed.  The three full bases all have cardinality 2^m:
 
-* lex basis: monomials whose top nonzero index s satisfies
-  a_0 + ... + a_s <= m - s (plus the empty monomial).
+* lex basis: monomials whose top nonzero index s satisfies s <= m - deg
+  (the empty monomial counts as s = 0), so the degree-d part is every
+  monomial of degree d in x_0, ..., x_{m-d}.
 * revlex basis: the low half R1 (degree <= m/2 with the staircase
   inequalities) together with R2, the image of the degree-< m/2 part of R1
   under the x_0-shift f_0 -> f_0 + m - 2*deg.
@@ -18,7 +19,7 @@ performed.  The three full bases all have cardinality 2^m:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import comb
 from operator import mul
 
@@ -73,39 +74,25 @@ class BasisSet(Record):
 
 
 def is_reduced_lex(a, m: int) -> bool:
-    """Whether the monomial avoids every reducible pattern: for each s with
-    a_s != 0 the prefix total a_0 + ... + a_s stays within m - s."""
-    total = 0
-    for s, e in enumerate(a):
-        total += e
-        if e and total > m - s:
-            return False
-    return True
-
-
-def _bounded_tuples(slots: int, cap: int):
-    """All nonnegative integer tuples of the given length with sum <= cap."""
-    if slots == 0:
-        yield ()
-        return
-    for e in range(cap + 1):
-        for rest in _bounded_tuples(slots - 1, cap - e):
-            yield (e,) + rest
+    """Whether the monomial is in the lex basis: its top nonzero index (0
+    for the empty monomial) is at most m - deg a.  This is the prefix rule
+    a_0 + ... + a_s <= m - s for every s with a_s != 0, whose top s binds."""
+    top = max((s for s, e in enumerate(a) if e), default=0)
+    return top <= m - sum(a)
 
 
 @lru_cache(maxsize=None)
 def lex_basis(m: int) -> BasisSet:
-    """Monomials with top index s and prefix total <= m - s; 2^m of them.
-    Kept per m, so its column masks are built once."""
+    """For each d <= m the degree-d monomials in x_0, ..., x_{m-d}, as
+    multisets of their indices; sum_d C(m, d) = 2^m of them.  Kept per m,
+    so its column masks are built once."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out = {(0,) * m}
-    for s in range(m):
-        tail = (0,) * (m - s - 1)
-        for prefix in _bounded_tuples(s, m - s):
-            for e in range(1, m - s - sum(prefix) + 1):
-                out.add(prefix + (e,) + tail)
-    return BasisSet(m, "lex", frozenset(out))
+    return BasisSet(m, "lex", frozenset(
+        tuple(map(idx.count, range(m)))
+        for d in range(m + 1)
+        for idx in combinations_with_replacement(range(m - d + 1), d)
+    ))
 
 
 @lru_cache(maxsize=None)

@@ -94,8 +94,9 @@ slices it can show are full:
   records (`_PlanSlice`) with their sizes, counted and not enumerated
   (`_box_slices`), full echelons, and per slice its lower slices, each as
   its plan position and its shift, with the coverage verdicts found so far,
-  by the set of full lower slices, so a later session with the same full
-  lower slices decides coverage with one lookup.  The plan enumerates a
+  keyed by which of those lower slices are full (bit k for the k-th), so a
+  later session with the same full lower slices decides coverage with one
+  lookup, and no key grows with the box.  The plan enumerates a
   slice's monomials only when a session eliminates the slice.  It then keeps
   the masks of the columns the shifts cover and the shift column maps, each
   built the first time an elimination reads it.  Besides the plan an
@@ -179,7 +180,7 @@ def _box_slices(m: int, degree_bound: int) -> tuple:
 class _PlanSlice(Record):
     """One slice of a box's `_plan`, its fields described there."""
 
-    __slots__ = ("key", "size", "lower", "below", "filled", "verdicts", "masks", "shifts")
+    __slots__ = ("key", "size", "lower", "filled", "verdicts", "masks", "shifts")
 
 
 @lru_cache(maxsize=None)
@@ -194,12 +195,12 @@ def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
       lower slice up, j <= d a shift power (1 over the rationals; 1, p,
       p^2, ... over F_p), and `hits` the bitmask of the exponents e of the
       box with C(e, j) nonzero in the ring;
-    * `below`, the bitmask of the lower plan positions;
     * `filled`, the echelon of the slice when it is full (units = leads =
       all its columns, no pivots), the one that every session of the box
       stores there; nothing inserts into it;
     * `verdicts`, whether the slice is covered, by the bitmask of its full
-      lower positions: filled in as sessions ask (`_covered`), from the
+      lower slices, bit k set when `lower[k]` is full, so every key is
+      below 2^len(lower): filled in as sessions ask (`_covered`), from the
       two known at once, none full (not covered) and all full (covered at
       degree >= 1, the module docstring);
     * `masks`, per lower slice the `_masks` mask of the columns its shift
@@ -217,7 +218,6 @@ def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
     out = []
     for d, w, size in box:
         lower = []
-        below = 0
         for j, hits in powers:
             if j > d:
                 break
@@ -228,27 +228,26 @@ def _plan(m: int, ring: CoeffRing, degree_bound: int) -> tuple:
                 pos = where.get((d - j, lw))
                 if pos is not None:
                     lower.append((pos, i, j, hits))
-                    below |= 1 << pos
-        # at degree 0 below = 0 and the slice is not covered
-        verdicts = {below: d > 0, 0: False}
+        # at degree 0 there is no lower slice and the slice is not covered
+        verdicts = {(1 << len(lower)) - 1: d > 0, 0: False}
         out.append(_PlanSlice(
-            (d, w), size, tuple(lower), below, _Echelon(ring.char, (1 << size) - 1), verdicts,
+            (d, w), size, tuple(lower), _Echelon(ring.char, (1 << size) - 1), verdicts,
             [None] * len(lower), [None] * len(lower),
         ))
     return tuple(out)
 
 
 def _covered(m: int, d: int, w: int, lower: tuple, part: int) -> bool:
-    """Whether slice (d, w), with lower slices `lower`, is covered when the
-    lower slices at the plan positions of bitmask `part` are full, without
-    its monomials: whether no monomial b of the slice has every exponent
-    b_i among those that every full shift x_i^(j) misses (C(b_i, j) = 0).
-    Those exponents are folded variable by variable into one bitset over
-    (degree, weight), bit deg * stride + wt, as a knapsack: the slice is
-    covered when bit (d, w) stays clear."""
+    """Whether slice (d, w), with lower slices `lower`, is covered when
+    `lower[k]` is full for each bit k set in `part`, without its monomials:
+    whether no monomial b of the slice has every exponent b_i among those
+    that every full shift x_i^(j) misses (C(b_i, j) = 0).  Those exponents
+    are folded variable by variable into one bitset over (degree, weight),
+    bit deg * stride + wt, as a knapsack: the slice is covered when bit
+    (d, w) stays clear."""
     misses = [(1 << (d + 1)) - 1] * m
-    for pos, i, _, hits in lower:
-        if part >> pos & 1:
+    for k, (_, i, _, hits) in enumerate(lower):
+        if part >> k & 1:
             misses[i] &= ~hits
     stride = d * max(m - 1, 0) + 1
     limit = (1 << ((d + 1) * stride)) - 1
@@ -630,42 +629,46 @@ class OracleSession:
         """Every slice of the box in one pass over its `_plan`, lower slices
         first: a covered slice is stored full at once, any other is
         eliminated.  A full slice is the plan's `filled` echelon, shared by
-        every session of the box.  The full slices so far are the bitmask
-        `done` of their plan positions, so whether a slice is covered is
-        one lookup in the plan's `verdicts`, by its full lower positions,
-        and a `_covered` knapsack the first time a pattern comes up."""
+        every session of the box.  `echs` holds, per plan position so far,
+        the eliminated echelon or None for a full slice, so the full lower
+        slices of a slice are read off its `lower` entries as a bitmask,
+        bit k for `lower[k]`, and whether the slice is covered is one
+        lookup in the plan's `verdicts` by that bitmask, and a `_covered`
+        knapsack the first time a pattern comes up."""
         m = self.m
-        echs, spaces, done = [], {}, 0
-        for pos, sl in enumerate(_plan(m, self.ring, self.degree_bound)):
-            part = done & sl.below
+        echs, spaces = [], {}
+        for sl in _plan(m, self.ring, self.degree_bound):
+            part, bit = 0, 1
+            for low in sl.lower:
+                if echs[low[0]] is None:
+                    part |= bit
+                bit <<= 1
             covered = sl.verdicts.get(part)
             if covered is None:
                 covered = sl.verdicts[part] = _covered(m, *sl.key, sl.lower, part)
-            if covered or (ech := self._eliminate(sl, part, echs)) is None:
-                ech = sl.filled
-                done |= 1 << pos
+            ech = None if covered else self._eliminate(sl, part, echs)
             echs.append(ech)
-            spaces[sl.key] = ech
+            spaces[sl.key] = sl.filled if ech is None else ech
         self._spaces = spaces
         return spaces
 
     def _eliminate(self, sl, part, echs):
         """Echelon of the plan slice `sl`, which is not covered, from the
         echelons `echs` of the plan positions before it, or None when the
-        slice ends full.  The lower slices at the positions of bitmask
-        `part` are full: unit columns go at the columns they cover (its
-        plan `masks`) and at the images of the unit columns of the other
-        lower slices, then come the shifted rows of those other slices
-        without the unit columns, then generator rows while the rank stays
-        below the slice size.  The first shifted row of each lead becomes a
-        pivot with no cancel; the others follow by lead."""
+        slice ends full.  `lower[k]` is full for each bit k set in `part`,
+        and only the others are read in `echs`: unit columns go at the
+        columns the full ones cover (its plan `masks`) and at the images of
+        the unit columns of the others, then come the shifted rows of the
+        others without the unit columns, then generator rows while the rank
+        stays below the slice size.  The first shifted row of each lead
+        becomes a pivot with no cancel; the others follow by lead."""
         p = self.ring.char
         key, lower, masks, shifts = sl.key, sl.lower, sl.masks, sl.shifts
         if part and masks[0] is None:
             masks[:] = _masks(self.m, *key, lower)
         covered, maps = 0, []
         for k, (pos, i, j, _) in enumerate(lower):
-            if part >> pos & 1:
+            if part >> k & 1:
                 covered |= masks[k]
                 continue
             ech = echs[pos]

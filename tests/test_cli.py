@@ -434,6 +434,31 @@ def test_reduce_text_output(capsys):
     assert run(capsys, *argv) == (0, "1\tx0^(2)*x3\n", "")
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_a_deep_one_shot_reduce_over_f2_stays_linear_in_its_box():
+    # over F_p the one-shot box is as deep as the element: 66,049 slices
+    # for x0^(256) at m = 3 over F_2.  Each slice describes its lower
+    # slices once, by its own entries, so the box stays linear in its size
+    # (498 MiB of peak RSS when every slice also kept a bitmask over the
+    # whole plan).  The child reads its own peak: RUSAGE_CHILDREN reports
+    # the parent's RSS from before the exec
+    code = (
+        "import sys\n"
+        "from sl2weyl.cli import main\n"
+        "code = main(['reduce', '-m', '3', '--char', '2', '--poly', 'x0^(256)'])\n"
+        "status = open('/proc/self/status').read()\n"
+        "sys.stderr.write(status.split('VmHWM:')[1].split()[0])\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(sl2weyl.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+    assert int(proc.stderr) <= 300 * 1024  # kB
+
+
 def test_truncate_text_output(capsys):
     assert run(capsys, "truncate", "-m", "4", "-N", "2") == (0, (
         "m=4\nchar=0\ntruncation=2\ndims_total=9\nbasis_size=9\npassed=True\n"

@@ -699,24 +699,41 @@ def test_plan_lists_every_lower_slice_first():
                     assert len(masks) == len(sl.shifts) == len(lower), at
                     assert filled.p == ring.char and filled.units == filled.leads == full, at
                     assert filled.pivots == {} and filled.rank == sl.size, at
-                    mask_below = 0
                     for low, i, j, hits in lower:
                         assert low < pos and plan[low].key == (key[0] - j, key[1] - i * j), at
-                        mask_below |= 1 << low
                         for e in range(bound + 1):
                             nonzero = quotient_oracle.ring_binom(ring, e, j) != 0
                             assert hits >> e & 1 == nonzero, at
-                    assert sl.below == mask_below, at
                     want_masks = [mask for *_, mask in want]
                     assert quotient_oracle._masks(m, *key, lower) == want_masks, at
                     assert None in masks or masks == want_masks, at
-                    assert verdicts[sl.below] == (key[0] > 0) and verdicts[0] is False, at
+                    # a verdict's key has bit k set when lower[k] is full
+                    every = (1 << len(lower)) - 1
+                    assert verdicts[every] == (key[0] > 0) and verdicts[0] is False, at
                     for part, covered in verdicts.items():
                         union = 0
-                        for low, *_, mask in want:
-                            if part >> low & 1:
+                        for k, (*_, mask) in enumerate(want):
+                            if part >> k & 1:
                                 union |= mask
                         assert covered == (union == full), (*at, part)
+
+
+def test_verdict_keys_are_local_to_the_lower_slices():
+    # a slice keys its coverage verdicts by its own lower slices, bit k for
+    # lower[k], not by plan positions, so a deep box keeps no key as long
+    # as the box: after default, Schur and truncation sessions every key
+    # stays below 1 << len(lower)
+    for m in range(1, 6):
+        bound = m + 1
+        for ring in RINGS:
+            OracleSession(m, ring, bound).dims()
+            OracleSession(m, ring, bound, gens=schur_family(m, ring)).dims()
+            for n in range(1, m):
+                relations = truncation_relations(m, n, ring)
+                OracleSession(m, ring, bound, relations=relations).dims()
+            for sl in quotient_oracle._plan(m, ring, bound):
+                limit = 1 << len(sl.lower)
+                assert all(0 <= part < limit for part in sl.verdicts), (m, ring.char, sl.key)
 
 
 def test_counted_slice_sizes_equal_the_enumeration():
@@ -735,7 +752,7 @@ def test_counted_slice_sizes_equal_the_enumeration():
 def test_knapsack_verdict_equals_the_union_of_the_masks():
     # a slice is covered when the masks of its full lower slices cover
     # every column; `_covered` decides it without the slice's monomials,
-    # for random patterns of full lower slices
+    # for random patterns of full lower slices, bit k for lower[k]
     rng = random.Random(20261021)
     for m in range(1, 7):
         bound = m + 1
@@ -746,14 +763,13 @@ def test_knapsack_verdict_equals_the_union_of_the_masks():
             for sl in plan:
                 key, full = sl.key, (1 << sl.size) - 1
                 want = _lower_slices(m, ring, *key, where)
-                positions = [low for low, *_ in want]
                 for _ in range(8):
                     part = 0
-                    for low in rng.sample(positions, rng.randint(0, len(positions))):
-                        part |= 1 << low
+                    for k in rng.sample(range(len(want)), rng.randint(0, len(want))):
+                        part |= 1 << k
                     union = 0
-                    for low, *_, mask in want:
-                        if part >> low & 1:
+                    for k, (*_, mask) in enumerate(want):
+                        if part >> k & 1:
                             union |= mask
                     covered = quotient_oracle._covered(m, *key, sl.lower, part)
                     assert covered == (union == full), (m, ring.char, key, part)

@@ -103,14 +103,17 @@ slices it can show are full:
   eliminated slice reads the slice monomials and their column index
   (`dpalgebra.slice_monomials`, `dpalgebra.column_index`), which the
   generator families and candidate bases read too.  A given family or
-  relation set keeps, per slice, the column rows a session pulls
-  (`GeneratorSet.slice_rows`, filled lazily), and a session makes echelons
-  only for the slices it eliminates: every full slice of every session of
-  the box is the plan's one full echelon of that slice, which nothing
-  inserts into.  So sessions after the first on the same box go straight to
-  elimination.  Generator rows reach the echelon in one form, column rows
-  {column: integer}: those of the given sets, and the defining series
-  coefficients read straight off their (monomial, coefficient) pairs.
+  relation set keeps, per slice a session pulls, one echelon basis of its
+  own rows of that slice in the ring's row form (`GeneratorSet.slice_basis`,
+  built by `_basis` and filled lazily): it depends on nothing but those
+  rows, so later sessions insert rank-many rows with no conversion, copied,
+  or filtered against the unit columns when the slice has some.  A session
+  makes echelons only for the slices it eliminates: every full slice of
+  every session of the box is the plan's one full echelon of that slice,
+  which nothing inserts into.  So sessions after the first on the same box
+  go straight to elimination.  The defining series coefficients reach the
+  echelon as column rows {column: integer}, read straight off their
+  (monomial, coefficient) pairs.
 
 Rank computations and normal forms are exact and fraction-free in every
 ring, in one echelon class.  Over the rationals its rows are integer dicts
@@ -118,8 +121,9 @@ and pivot rows are kept primitive; over an odd F_p they are dicts reduced
 mod p whose pivots lead with 1; over F_2 a row is an int, the bitmask of
 its columns, that leads at its lowest set bit and cancels by xor.  The
 echelon takes and returns column rows in every ring, converting at the
-boundary, and returns a normal form as an integer row together with the
-scale it carries.  Floating point never appears.
+boundary (only the shifted rows and the kept slice bases of given sets
+enter in the ring's form), and returns a normal form as an integer row
+together with the scale it carries.  Floating point never appears.
 """
 
 from __future__ import annotations
@@ -449,6 +453,16 @@ class _Echelon:
             row = cancel(row, piv, lead, p)
 
 
+def _basis(rows, p):
+    """One echelon basis of integer column rows, in the ring's row form:
+    the pivot rows that `_Echelon.add` leaves, in the order they became
+    pivots (`GeneratorSet.slice_basis`)."""
+    ech = _Echelon(p)
+    for row in rows:
+        ech.add(row)
+    return tuple(ech.pivots.values())
+
+
 def _overlay(ech, cols, n):
     """The overlay solver of a slice of n columns with echelon `ech` (see
     the module docstring), in the ring of `ech`: the tagged rows
@@ -571,8 +585,8 @@ class OracleSession:
     ordered pass over the box's plan (`_build_box`); later calls read the
     stored echelons, and a slice outside the box raises ValueError.  The
     plan is shared by every session of the same box, with the echelon of
-    each full slice; a given family keeps its column rows by slice
-    (`GeneratorSet.slice_rows`) and a candidate basis its column masks
+    each full slice; a given family keeps one echelon basis per slice
+    (`GeneratorSet.slice_basis`) and a candidate basis its column masks
     (`BasisSet.column_masks`) for every session that reads them; the
     session makes only the echelons of the slices it eliminates that do
     not end full.
@@ -608,6 +622,8 @@ class OracleSession:
                 raise ConfigurationError("generator bounds do not cover the degree box")
             given.by_slice()  # checks every entry once per set
         self._spaces: dict[tuple[int, int], _Echelon] = {}
+        # the keys of the full slices, found by the first `reduce_element`
+        self._full: frozenset | None = None
         # each verified basis -> its overlay slices, where a candidate sits
         # on a pivot lead
         self.verified: dict[BasisSet, frozenset] = {}
@@ -660,8 +676,9 @@ class OracleSession:
         columns the full ones cover (its plan `masks`) and at the images of
         the unit columns of the others, then come the shifted rows of the
         others without the unit columns, then generator rows while the rank
-        stays below the slice size.  The first shifted row of each lead
-        becomes a pivot with no cancel; the others follow by lead."""
+        stays below the slice size.  The first shifted row of each lead is
+        made a pivot as it stands (normalized, one rank update); the others
+        follow by lead."""
         p = self.ring.char
         key, lower, masks, shifts = sl.key, sl.lower, sl.masks, sl.shifts
         if part and masks[0] is None:
@@ -688,7 +705,7 @@ class OracleSession:
         target = sl.size - covered.bit_count()
         if not target:
             return None
-        heads, rest = {}, []
+        heads, bits, rest = {}, 0, []
         for shift, pivots in maps:
             for piv in pivots.values():
                 if p == 2:
@@ -716,40 +733,63 @@ class OracleSession:
                     rest.append(row)
                 else:
                     heads[lead] = row
+                    bits |= 1 << lead
         if len(heads) == target:
             return None
+        # the heads lead at distinct columns: each is a pivot as it stands
         ech = _Echelon(p, covered)
-        for lead in sorted(heads):
-            ech._insert(heads[lead])
-        pivots = ech.pivots
+        if p == 2:
+            ech.pivots = pivots = heads
+        else:
+            ech.pivots = pivots = {
+                lead: unit_normalize(row, lead, p) for lead, row in heads.items()
+            }
+        ech.leads |= bits
+        ech.rank += len(heads)
         rest.sort(key=_lowest if p == 2 else min)
         for row in rest:
             ech._insert(row)
             if len(pivots) == target:
                 return None
-        for row in self._generator_rows(*key):
-            ech.add(row)
+        for row in self._given_rows(*key, covered):
+            ech._insert(row)
             if len(pivots) == target:
                 return None
+        if self.gens is None:
+            for row in self._series_rows(*key):
+                ech.add(row)
+                if len(pivots) == target:
+                    return None
         return ech
 
-    def _generator_rows(self, d, w):
-        """Generator rows of slice (d, w), one at a time, as column rows
-        with integer entries (nonzero mod p): those of the given family,
-        then of the relations (`GeneratorSet.slice_rows`), then, when no
-        family was given, the defining series coefficients, read straight
-        off their (monomial, coefficient) pairs."""
+    def _given_rows(self, d, w, units):
+        """The `slice_basis` rows of slice (d, w) of the given family, then
+        of the relations, one at a time, without the unit columns `units`
+        and in the ring's row form, each the caller's to consume: a kept
+        dict row is copied, or filtered when the slice has unit columns."""
+        p = self.ring.char
         for given in (self.gens, self.relations):
-            if given is not None:
-                yield from given.slice_rows(d, w)
-        if self.gens is None:
-            index = column_index(self.m, d, w)
-            p = self.ring.char
-            for _, pairs in slice_series(self.m, d, w):
-                if p:
-                    yield {index[a]: v for a, c in pairs if (v := c % p)}
+            if given is None:
+                continue
+            for row in given.slice_basis(d, w, _basis):
+                if p == 2:
+                    yield row & ~units
+                elif units:
+                    yield {c: v for c, v in row.items() if not units >> c & 1}
                 else:
-                    yield {index[a]: c for a, c in pairs}
+                    yield dict(row)
+
+    def _series_rows(self, d, w):
+        """The defining series coefficients of slice (d, w), one at a time,
+        as column rows with integer entries (nonzero mod p), read straight
+        off their (monomial, coefficient) pairs."""
+        index = column_index(self.m, d, w)
+        p = self.ring.char
+        for _, pairs in slice_series(self.m, d, w):
+            if p:
+                yield {index[a]: v for a, c in pairs if (v := c % p)}
+            else:
+                yield {index[a]: c for a, c in pairs}
 
     # -- queries -----------------------------------------------------------
 
@@ -803,12 +843,14 @@ class OracleSession:
         Only that very basis counts as verified, not others sharing its
         provenance label.
 
-        Outside the overlay slices of the basis its monomials are exactly
-        the non-lead columns, where the normal form of f lives, so the
-        coordinates are the entries of the residue (r, scale) of f divided
-        by the scale; the lex basis has no overlay slice.  In an overlay
-        slice the residue of f is solved against the `_overlay` solver of
-        the basis monomials there."""
+        The terms of a full slice (the plan's `filled` echelon) reduce to
+        0 and are dropped before the slice is enumerated.  Outside the
+        overlay slices of the basis its monomials are exactly the non-lead
+        columns, where the normal form of f lives, so the coordinates are
+        the entries of the residue (r, scale) of f divided by the scale;
+        the lex basis has no overlay slice.  In an overlay slice the residue
+        of f is solved against the `_overlay` solver of the basis monomials
+        there."""
         overlays = self.verified.get(candidate)
         if overlays is None:
             raise MustVerifyFirstError(
@@ -816,6 +858,13 @@ class OracleSession:
             )
         if f.m != self.m or f.ring != self.ring:
             raise ValueError("element does not match the session")
+        full = self._full
+        if full is None:
+            space = self.space
+            full = self._full = frozenset(
+                sl.key for sl in _plan(self.m, self.ring, self.degree_bound)
+                if space(*sl.key) is sl.filled
+            )
         cand = candidate.by_slice() if overlays else None
         p = self.ring.char
         coords: dict[tuple, object] = {}
@@ -825,6 +874,8 @@ class OracleSession:
         for (d, w), terms in sorted(by_slice.items()):
             if d > self.degree_bound:
                 raise ValueError("element exceeds the session degree bound")
+            if (d, w) in full:
+                continue
             monos = slice_monomials(self.m, d, w)
             index = column_index(self.m, d, w)
             ech = self.space(d, w)

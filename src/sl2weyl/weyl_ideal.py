@@ -81,7 +81,7 @@ class GeneratorSet(Record):
     """A generator family, or a session's relations, for one m and ring
     (`ring` is the one `CoeffRing` object of its characteristic), with the
     degree and weight bounds it covers; equal by its fields, not by its
-    slice index or column rows."""
+    slice index or slice bases."""
 
     # family: "defining" | "schur" | "forgotten" | "truncation"
     __slots__ = ("m", "ring", "family", "entries", "degree_bound", "weight_bound",
@@ -94,7 +94,7 @@ class GeneratorSet(Record):
     def by_slice(self) -> dict:
         """The entries' polynomials grouped by (degree, weight), in entry
         order, each with integer coefficients (`DPoly.integral`, a unit
-        multiple: the rows sessions echelonize); built on the first call
+        multiple: `slice_basis` echelonizes them); built on the first call
         and kept for the sessions on this set, so read only.  Building it
         checks each entry once: a polynomial of another m or ring, or with
         a term outside the slice its entry declares, raises ValueError."""
@@ -113,18 +113,28 @@ class GeneratorSet(Record):
 
     def slice_rows(self, d: int, w: int) -> tuple:
         """The polynomials of slice (d, w) from `by_slice` as column rows
-        {column: coefficient} (`column_index`), in entry order.  A slice's
-        rows are built the first time a session pulls from it and kept for
-        every session on this set, so read only; slices without entries, and
-        those no session pulls from, never hold rows."""
+        {column: coefficient} (`column_index`), in entry order, built on
+        each call."""
+        polys = self.by_slice().get((d, w))
+        if not polys:
+            return ()
+        index = column_index(self.m, d, w)
+        return tuple({index[a]: c for a, c in f.terms.items()} for f in polys)
+
+    def slice_basis(self, d: int, w: int, echelonize) -> tuple:
+        """One echelon basis of the rows of slice (d, w), in the ring's row
+        form: `echelonize(slice_rows(d, w), p)`, which a session passes in
+        (this module does not know the echelon).  It depends only on this
+        set's rows of the slice, so it is built the first time a session
+        pulls from the slice and kept for every session on this set, so
+        read only; slices without entries, and those no session pulls from,
+        never hold one."""
         rows = self._rows.get((d, w))
         if rows is None:
-            polys = self.by_slice().get((d, w))
-            if not polys:
+            rows = self.slice_rows(d, w)
+            if not rows:
                 return ()
-            index = column_index(self.m, d, w)
-            rows = tuple({index[a]: c for a, c in f.terms.items()} for f in polys)
-            self._rows[d, w] = rows
+            rows = self._rows[d, w] = echelonize(rows, self.ring.char)
         return rows
 
 

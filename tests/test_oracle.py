@@ -437,13 +437,134 @@ def test_relation_sets_keep_rows_only_for_slices_with_entries():
     assert schur._rows and set(schur._rows) <= set(schur.by_slice())
 
 
+def test_a_given_set_keeps_one_echelon_basis_per_slice():
+    # the forgotten rows overlap slice by slice: at m = 6 its 2,872 entries
+    # have per-slice ranks summing to 1,652, and those are the rows the set
+    # keeps.  The Schur rows of a slice lead at distinct x^(lam) with
+    # coefficient 1 (test_weyl_ideal), so a Schur set keeps all of them, in
+    # every ring.  Kept rows are in the ring's row form: an int over F_2, a
+    # dict leading with 1 over odd p, a primitive dict with a positive lead
+    # over Q, at distinct leads
+    sets = [forgotten_family(6, RATIONALS)]
+    sets += [schur_family(m, ring) for m in range(1, 7) for ring in RINGS]
+    for given in sets:
+        p = given.ring.char
+        for key in given.by_slice():
+            basis, leads = given.slice_basis(*key, quotient_oracle._basis), set()
+            for row in basis:
+                if p == 2:
+                    assert type(row) is int and row
+                    leads.add((row & -row).bit_length())
+                    continue
+                lead = min(row)
+                leads.add(lead)
+                if p:
+                    assert row[lead] == 1 and all(0 < v < p for v in row.values())
+                else:
+                    assert row[lead] > 0 and math.gcd(*row.values()) == 1
+            assert len(leads) == len(basis)
+        kept = sum(map(len, given._rows.values()))
+        if given.family == "forgotten":
+            assert (len(given.entries), kept) == (2872, 1652)
+        else:
+            assert kept == len(given.entries), (given.m, p)
+
+
+def test_kept_rows_drop_the_unit_columns_of_their_slice():
+    # at m = 5 with the relation x4, slice (2, 4) has the unit column x0*x4
+    # (x4 is full below it) and the pivot x1*x3 + x2^(2).  The relation
+    # x0*x4 + x1*x3 + x2^(2) lies in the ideal but leads at that unit
+    # column: a kept row must drop the slice's unit columns on entry, or it
+    # would count as one more pivot and fill the slice
+    for ring in RINGS:
+        x4 = parse_dpoly("x4", 5, ring)
+        f = parse_dpoly("x0*x4 + x1*x3 + x2^(2)", 5, ring)
+        want = OracleSession(5, ring, 6, relations=_relation_set(5, ring, (x4, 1, 4))).dims()
+        with_f = _relation_set(5, ring, (x4, 1, 4), (f, 2, 4))
+        for _ in range(2):
+            got = OracleSession(5, ring, 6, relations=with_f).dims()
+            assert got.dims == want.dims and got.dims[2, 4] == 1, ring.char
+
+
+def test_sessions_on_kept_slice_bases_equal_the_literal_rows_and_a_fresh_set():
+    # Schur, forgotten (Q only), defining and truncation-relation sets, and
+    # Schur with truncation relations: a session reading the slice bases
+    # that an earlier session kept must give the dims and lead masks of the
+    # literal rows (`build_slice`), and the dims, lead masks, verification
+    # rows and reductions of a session on a fresh copy of the set, which
+    # keeps nothing yet
+    rng = random.Random(20261021)
+    for m in range(1, 6):
+        bound = m + 1
+        weights = bound * max(m - 1, 1)
+        box = [a for d, w, _ in _box_slices(m, bound) for a in slice_monomials(m, d, w)]
+        n = max(1, m // 2)
+        for ring in RINGS:
+            defining = defining_generators(m, ring, bound, weights)
+            variables = GeneratorSet(
+                m, ring, "variables", _variables(m, ring, range(n, m)), bound, weights
+            )
+            cases = [
+                ("schur", schur_family(m, ring), None, (schur_family(m, ring),)),
+                ("defining", defining, None, (defining,)),
+                ("truncation", None, truncation_relations(m, n, ring), (defining, variables)),
+                # relation rows fill degree-one slices, so generator rows meet
+                # unit columns above them
+                (
+                    "schur+truncation", schur_family(m, ring), truncation_relations(m, n, ring),
+                    (schur_family(m, ring), variables),
+                ),
+            ]
+            if not ring.char:
+                forgotten = forgotten_family(m, ring)
+                cases.append(("forgotten", forgotten, None, (forgotten,)))
+            for kind, gens, relations, literal in cases:
+                copies = [
+                    None if given is None
+                    else GeneratorSet(*(getattr(given, name) for name in GeneratorSet._fields))
+                    for given in (gens, relations)
+                ]
+                OracleSession(m, ring, bound, gens=gens, relations=relations).dims()
+                kept = OracleSession(m, ring, bound, gens=gens, relations=relations)
+                fresh = OracleSession(m, ring, bound, *copies)
+                assert kept.dims().dims == fresh.dims().dims
+                for d, w, size in _box_slices(m, bound):
+                    where = (m, ring.char, kind, d, w)
+                    ech = _Echelon(ring.char)
+                    for given in literal:
+                        for vec in build_slice(m, ring, d, w, given).ideal_rows:
+                            ech.add({i: c for i, c in enumerate(vec) if c})
+                    assert kept.dims().dims[d, w] == size - ech.rank, where
+                    assert kept.space(d, w).leads == fresh.space(d, w).leads == ech.leads, where
+                bases = [truncated_basis(m, n)] if relations else [
+                    lex_basis(m), revlex_basis(m), cv_basis(m)
+                ]
+                for basis in bases:
+                    report = kept.verify_basis(basis)
+                    assert report.passed and report.rows == fresh.verify_basis(basis).rows
+                    for _ in range(10):
+                        picks = rng.sample(box, min(len(box), rng.randint(1, 8)))
+                        terms = {a: rng.randrange(1, ring.char or 7) for a in picks}
+                        f = DPoly(ring, m, terms)
+                        coords = kept.reduce_element(f, basis)
+                        assert coords.keys() <= basis.monomials, (m, ring.char, kind)
+                        assert _typed(coords) == _typed(fresh.reduce_element(f, basis))
+                # the sessions consumed copies: each kept basis is still the
+                # one its slice's own rows give
+                for given in (gens, relations):
+                    for key, rows in (given._rows if given else {}).items():
+                        want = quotient_oracle._basis(given.slice_rows(*key), ring.char)
+                        assert rows == want, (m, ring.char, kind, key)
+
+
 def test_covered_slices_skip_elimination(monkeypatch):
     # at m = 6 over Q (degree box 8) 126 of the 189 slices are covered and
     # 21 more are filled by elimination, which starts from unit columns at
     # the columns the full lower slices reach and the images of the unit
     # columns of the others; echelonizing every shifted row would take
-    # 9,912 rows for 2,939 pivots, and this takes 275.  Every row reaches
-    # the pivots through `_insert`, `add` included.
+    # 9,912 rows for 2,939 pivots, and this takes 275.  The first shifted
+    # row of each lead is made a pivot as it stands; the other 183 rows
+    # reach the pivots through `_insert`, `add` included.
     calls = [0]
     insert = _Echelon._insert
 
@@ -453,7 +574,7 @@ def test_covered_slices_skip_elimination(monkeypatch):
 
     monkeypatch.setattr(_Echelon, "_insert", counting_insert)
     assert OracleSession(6, RATIONALS, 8).dims().total == 64
-    assert 0 < calls[0] <= 275
+    assert 0 < calls[0] <= 183
 
 
 def test_full_slices_hold_unit_pivots():
@@ -1472,6 +1593,40 @@ def test_lex_reduction_builds_no_solver(monkeypatch):
             assert sess.reduce_element(f, revlex) == {b: 1}
             assert regroups[0] == 1 and echelons[0] > 0, ring.char
         regroups[0] = echelons[0] = 0
+
+
+def _a_monomial(m, d, w):
+    """One monomial of slice (d, w), without enumerating the slice: each of
+    the d factors takes the largest index the weight left allows."""
+    b = [0] * m
+    for _ in range(d):
+        i = min(m - 1, w)
+        b[i] += 1
+        w -= i
+    return tuple(b)
+
+
+def test_reducing_terms_of_full_slices_enumerates_nothing():
+    # a full slice reduces to 0, so its terms are dropped before its
+    # monomials or column index are read: at m = 5, box 7, a term in each of
+    # the 94 full slices misses neither table and changes no coordinate
+    m, bound = 5, 7
+    for ring in RINGS:
+        slice_monomials.cache_clear()
+        quotient_oracle.column_index.cache_clear()
+        sess = OracleSession(m, ring, bound)
+        revlex = revlex_basis(m)
+        assert sess.verify_basis(revlex).passed
+        full = [(d, w) for d, w, size in _box_slices(m, bound) if sess.space(d, w).rank == size]
+        assert len(full) >= 90, (ring.char, len(full))
+        g = parse_dpoly("x0*x3 + x1^(2)*x2 + x0*x1*x4 + x2*x3", m, ring)
+        want = _typed(sess.reduce_element(g, revlex))
+        tables = (slice_monomials, quotient_oracle.column_index)
+        misses = [table.cache_info().misses for table in tables]
+        f = DPoly(ring, m, {_a_monomial(m, d, w): 1 for d, w in full}) + g
+        assert len(f.terms) == len(full) + len(g.terms)
+        assert _typed(sess.reduce_element(f, revlex)) == want
+        assert [table.cache_info().misses for table in tables] == misses, ring.char
 
 
 def test_reduce_rejects_elements_outside_the_session():

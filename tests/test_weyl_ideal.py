@@ -495,6 +495,29 @@ def test_forgotten_lead_of_stretched_partition_is_the_original_monomial():
                 assert lead.parts == mu.parts, (mu, eta, m)
 
 
+def test_schur_rows_lead_at_distinct_partitions_with_coefficient_one():
+    # over Q, m <= 7, in each slice of degree <= m + 1 the rows of the Schur
+    # family lead in DPLEX at x^(lam), lam padded to k parts, with
+    # coefficient 1, and no two rows of a slice share a lead: so they are
+    # independent in every ring, and the echelon basis a set keeps of a
+    # slice (`GeneratorSet.slice_basis`) holds every Schur row, while the
+    # forgotten rows of a slice overlap
+    for m in range(1, 8):
+        leads = set()
+        for e in schur_family(m, RATIONALS).entries:
+            _, lam, k = e.provenance
+            exps = [0] * m
+            exps[0] = k - len(lam)
+            for part in lam:
+                exps[part] += 1
+            lead = tuple(exps)
+            assert e.poly.leading_monomial(MonomialOrder.DPLEX) == lead, (m, lam, k)
+            assert e.poly.terms[lead] == 1, (m, lam, k)
+            assert lead not in leads, (m, lam, k)
+            leads.add(lead)
+        assert max(map(sum, leads)) == m + 1
+
+
 def test_schur_family_membership_condition():
     gs = schur_family(2, RATIONALS)
     assert any(e.provenance[1] == (1,) and e.provenance[2] == 2 for e in gs.entries)

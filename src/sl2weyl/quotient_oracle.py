@@ -23,13 +23,14 @@ slices it can show are full:
   slice.  Over the rationals j = 1 suffices (the constant C(e+1, 1) = e+1
   never vanishes); over F_p the shifts x_i^(p^e) are used, because every
   divided power factors through p-th-power divided powers up to units there.
-  Generator rows enter only while the shifted rows leave the rank below the
-  slice size, and series coefficients are built one at a time as needed
-  (`weyl_ideal.slice_series`), so a slice the shifts fill builds none.  The
-  two constructions span the same space; the tests cross-check their ranks.
+  The defining series rows enter only while the other rows leave the rank
+  below the slice size, and series coefficients are built one at a time as
+  needed (`weyl_ideal.slice_series`), so a slice the shifts fill builds
+  none.  The two constructions span the same space; the tests cross-check
+  their ranks.
   The slices run in the order of the box's plan (`_plan`), every lower
-  slice first, in one loop with no recursion: a session's first `space`
-  call builds its whole box.
+  slice first, in one loop with no recursion: a session's first query
+  builds its whole box.
 
 * most slices of the degree box lie wholly in the ideal (they are *full*:
   every basis monomial has degree <= m), and many are known to be full
@@ -54,13 +55,17 @@ slices it can show are full:
   full lower slices reach (exactly their shifted rows, the columns with
   C(b_i, j) nonzero, one bitmask per lower slice) and those that the
   unit columns of its other lower slices shift to with a nonzero constant.
-  It echelonizes only the other rows of those lower slices, stripped of the
-  unit columns, and, while still short, generators.  The first shifted row
-  of each lead becomes a pivot with no cancel, and the others follow by
-  lead; the row space, and so the rank, the leads, the normal forms and
-  the generators pulled, do not depend on that order.  A row drops its unit
-  columns on entry, so integer entries over the rationals do not grow from
-  slice to slice.
+  It is then filled from the rows that cost least first, and stops as soon
+  as it is full: the kept rows of a given family and then of the relations
+  (below), which are pivots as they stand where the slice has no unit
+  columns; then the other rows of its lower slices, stripped of the unit
+  columns and built one lower slice at a time, each whose lead is free a
+  pivot at once with no cancel and the others after them by lead; then,
+  with no family given, the defining series rows.  So a slice that its unit
+  columns and kept rows fill builds no shifted row.  The row space, and so
+  the rank, the leads, the normal forms and the series rows pulled, do not
+  depend on that order.  A row drops its unit columns on entry, so integer
+  entries over the rationals do not grow from slice to slice.
 
 * the pivot leads, unit columns and row leads alike, are the DPLEX leading
   monomials of the ideal slice (rows lead at their least column, and the
@@ -103,11 +108,15 @@ slices it can show are full:
   eliminated slice reads the slice monomials and their column index
   (`dpalgebra.slice_monomials`, `dpalgebra.column_index`), which the
   generator families and candidate bases read too.  A given family or
-  relation set keeps, per slice a session pulls, one echelon basis of its
-  own rows of that slice in the ring's row form (`GeneratorSet.slice_basis`,
-  built by `_basis` and filled lazily): it depends on nothing but those
-  rows, so later sessions insert rank-many rows with no conversion, copied,
-  or filtered against the unit columns when the slice has some.  A session
+  relation set keeps, per slice a session eliminates, one echelon basis of
+  its own rows of that slice in the ring's row form
+  (`GeneratorSet.slice_basis`, built by `_basis` and filled lazily): it
+  depends on nothing but those rows, so later sessions take rank-many rows
+  with no conversion.  In a slice with no unit columns a kept row whose
+  lead is free is a pivot as it stands, shared read-only between the set
+  and every session that takes it (no pivot is ever changed: rows cancel
+  against pivots, not the other way); the others are copied, or filtered
+  against the unit columns when the slice has some, and inserted.  A session
   makes echelons only for the slices it eliminates: every full slice of
   every session of the box is the plan's one full echelon of that slice,
   which nothing inserts into.  So sessions after the first on the same box
@@ -456,7 +465,8 @@ class _Echelon:
 def _basis(rows, p):
     """One echelon basis of integer column rows, in the ring's row form:
     the pivot rows that `_Echelon.add` leaves, in the order they became
-    pivots (`GeneratorSet.slice_basis`)."""
+    pivots (`GeneratorSet.slice_basis`).  Sessions make its rows pivots as
+    they stand, shared read-only, so nothing may change them."""
     ech = _Echelon(p)
     for row in rows:
         ech.add(row)
@@ -581,9 +591,10 @@ class OracleSession:
     The module docstring describes how slices are built, verified and
     reduced; `build_slice` remains the literal reference.
 
-    The first `space` call builds every slice of the degree box in one
-    ordered pass over the box's plan (`_build_box`); later calls read the
-    stored echelons, and a slice outside the box raises ValueError.  The
+    The first query builds every slice of the degree box in one ordered
+    pass over the box's plan (`_build_box`); later ones read the stored
+    echelons (`dims` and `verify_basis` straight from that dict, `space` one
+    slice at a time), and a slice outside the box raises ValueError.  The
     plan is shared by every session of the same box, with the echelon of
     each full slice; a given family keeps one echelon basis per slice
     (`GeneratorSet.slice_basis`) and a candidate basis its column masks
@@ -672,13 +683,27 @@ class OracleSession:
         """Echelon of the plan slice `sl`, which is not covered, from the
         echelons `echs` of the plan positions before it, or None when the
         slice ends full.  `lower[k]` is full for each bit k set in `part`,
-        and only the others are read in `echs`: unit columns go at the
-        columns the full ones cover (its plan `masks`) and at the images of
-        the unit columns of the others, then come the shifted rows of the
-        others without the unit columns, then generator rows while the rank
-        stays below the slice size.  The first shifted row of each lead is
-        made a pivot as it stands (normalized, one rank update); the others
-        follow by lead."""
+        and only the others are read in `echs`.  The slice is filled from
+        the rows that cost least first, and stops as soon as it is full:
+
+        * unit columns at the columns the full lower slices cover (its plan
+          `masks`) and at the images of the unit columns of the others;
+        * the kept `slice_basis` rows of the given family, then of the
+          relations (`_given_rows`), which cost nothing to build: with no
+          unit columns a kept row whose lead is free is a pivot as it
+          stands, normalized already and shared read-only with its set;
+          the others are copied, or stripped of the unit columns, and go
+          through `_insert`;
+        * the shifted rows of the lower slices that are not full, without
+          the unit columns, built one lower slice at a time and only until
+          the slice is full: a row whose lead is free is made a pivot at
+          once (normalized, one rank update), and the others wait and
+          follow by lead;
+        * the defining series rows, when no family is given.
+
+        So a slice that its unit columns and kept rows fill builds no
+        shifted row, and a default session pulls the same series rows as
+        in any other order."""
         p = self.ring.char
         key, lower, masks, shifts = sl.key, sl.lower, sl.masks, sl.shifts
         if part and masks[0] is None:
@@ -705,9 +730,28 @@ class OracleSession:
         target = sl.size - covered.bit_count()
         if not target:
             return None
-        heads, bits, rest = {}, 0, []
-        for shift, pivots in maps:
-            for piv in pivots.values():
+        ech = _Echelon(p, covered)
+        pivots = ech.pivots
+        for row in self._given_rows(*key):
+            if not covered:
+                lead = (row & -row).bit_length() - 1 if p == 2 else min(row)
+                if lead not in pivots:
+                    # a kept row as it stands, shared read-only with its set
+                    pivots[lead] = row
+                    ech.leads |= 1 << lead
+                    ech.rank += 1
+                    if len(pivots) == target:
+                        return None
+                    continue
+            if p == 2:
+                ech._insert(row & ~covered)
+            else:
+                ech._insert({c: v for c, v in row.items() if not covered >> c & 1})
+            if len(pivots) == target:
+                return None
+        rest = []
+        for shift, lows in maps:
+            for piv in lows.values():
                 if p == 2:
                     # every nonzero constant is 1
                     row = 0
@@ -729,29 +773,16 @@ class OracleSession:
                     if not row:
                         continue
                     lead = min(row)
-                if lead in heads:
+                if lead in pivots:
                     rest.append(row)
-                else:
-                    heads[lead] = row
-                    bits |= 1 << lead
-        if len(heads) == target:
-            return None
-        # the heads lead at distinct columns: each is a pivot as it stands
-        ech = _Echelon(p, covered)
-        if p == 2:
-            ech.pivots = pivots = heads
-        else:
-            ech.pivots = pivots = {
-                lead: unit_normalize(row, lead, p) for lead, row in heads.items()
-            }
-        ech.leads |= bits
-        ech.rank += len(heads)
+                    continue
+                pivots[lead] = row if p == 2 else unit_normalize(row, lead, p)
+                ech.leads |= 1 << lead
+                ech.rank += 1
+                if len(pivots) == target:
+                    return None
         rest.sort(key=_lowest if p == 2 else min)
         for row in rest:
-            ech._insert(row)
-            if len(pivots) == target:
-                return None
-        for row in self._given_rows(*key, covered):
             ech._insert(row)
             if len(pivots) == target:
                 return None
@@ -762,22 +793,14 @@ class OracleSession:
                     return None
         return ech
 
-    def _given_rows(self, d, w, units):
-        """The `slice_basis` rows of slice (d, w) of the given family, then
-        of the relations, one at a time, without the unit columns `units`
-        and in the ring's row form, each the caller's to consume: a kept
-        dict row is copied, or filtered when the slice has unit columns."""
-        p = self.ring.char
+    def _given_rows(self, d, w):
+        """The kept `slice_basis` rows of slice (d, w) of the given family,
+        then of the relations, one at a time, in the ring's row form.  The
+        rows are the sets' own: `_eliminate` makes one a pivot as it stands,
+        shared read-only, or inserts a copy of it."""
         for given in (self.gens, self.relations):
-            if given is None:
-                continue
-            for row in given.slice_basis(d, w, _basis):
-                if p == 2:
-                    yield row & ~units
-                elif units:
-                    yield {c: v for c, v in row.items() if not units >> c & 1}
-                else:
-                    yield dict(row)
+            if given is not None:
+                yield from given.slice_basis(d, w, _basis)
 
     def _series_rows(self, d, w):
         """The defining series coefficients of slice (d, w), one at a time,
@@ -795,9 +818,9 @@ class OracleSession:
 
     def dims(self) -> DimReport:
         t0 = time.monotonic()
-        space = self.space
+        spaces = self._spaces or self._build_box()
         dims = {
-            sl.key: sl.size - space(*sl.key).rank
+            sl.key: sl.size - spaces[sl.key].rank
             for sl in _plan(self.m, self.ring, self.degree_bound)
         }
         return DimReport(self.m, self.ring.char, self.degree_bound, dims, time.monotonic() - t0)
@@ -818,9 +841,9 @@ class OracleSession:
         top, masks = candidate.column_masks()
         if top > self.degree_bound:
             raise ValueError("candidate monomials exceed the degree bound")
-        space, rows, overlays = self.space, [], []
+        spaces, rows, overlays = self._spaces or self._build_box(), [], []
         for sl in _plan(m, self.ring, self.degree_bound):
-            ech = space(*sl.key)
+            ech = spaces[sl.key]
             cands = masks.get(sl.key, 0)
             indep = True
             if cands & ech.leads:

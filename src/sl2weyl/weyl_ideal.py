@@ -126,9 +126,11 @@ class GeneratorSet(Record):
         form: `echelonize(slice_rows(d, w), p)`, which a session passes in
         (this module does not know the echelon).  It depends only on this
         set's rows of the slice, so it is built the first time a session
-        pulls from the slice and kept for every session on this set, so
-        read only; slices without entries, and those no session pulls from,
-        never hold one."""
+        eliminates the slice and kept for every session on this set.  A
+        session takes these rows before any shifted row, and makes a row
+        whose lead is still free a pivot as it stands, shared read-only; so
+        its rows may never be changed.  Slices without entries, and those
+        no session eliminates, never hold one."""
         rows = self._rows.get((d, w))
         if rows is None:
             rows = self.slice_rows(d, w)

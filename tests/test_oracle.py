@@ -577,6 +577,103 @@ def test_covered_slices_skip_elimination(monkeypatch):
     assert 0 < calls[0] <= 183
 
 
+def _normal_form(ech, row):
+    """The normal form of a column row against `ech`: its residue divided
+    by the scale, as Fractions over Q and residues mod p over F_p."""
+    res, scale = ech.residue(row)
+    if not ech.p:
+        return {c: Fraction(v, scale) for c, v in res.items()}
+    inv = pow(scale, -1, ech.p)
+    return {c: v * inv % ech.p for c, v in res.items()}
+
+
+def test_row_order_changes_no_slice():
+    # a default session offers shifted rows before series rows, and a session
+    # on a given family offers the family's kept rows before shifted rows;
+    # the row space of a slice does not depend on that order, so every slice
+    # has the same rank and lead mask, and every column the same normal form.
+    # The Schur family covers the degree box m + 1 only
+    for m in range(1, 6):
+        for ring in RINGS:
+            for bound in (m + 1, m + 2):
+                weights = bound * max(m - 1, 1)
+                sessions = [
+                    OracleSession(m, ring, bound),
+                    OracleSession(m, ring, bound, gens=defining_generators(m, ring, bound, weights)),
+                ]
+                schur = schur_family(m, ring)
+                if schur.degree_bound >= bound:
+                    sessions.append(OracleSession(m, ring, bound, gens=schur))
+                for d, w, size in _box_slices(m, bound):
+                    where = (m, ring.char, bound, len(sessions), d, w)
+                    echs = [sess.space(d, w) for sess in sessions]
+                    assert len({(ech.rank, ech.leads) for ech in echs}) == 1, where
+                    for c in range(size):
+                        forms = [_normal_form(ech, {c: 1}) for ech in echs]
+                        assert all(form == forms[0] for form in forms), (*where, c)
+
+
+def test_kept_rows_fill_a_slice_before_any_shifted_row(monkeypatch):
+    # the second Schur session at m = 6 over Q (degree box 7) eliminates 63
+    # slices and offers each the kept Schur rows first, which are pivots as
+    # they stand where the slice has no unit columns.  111 rows reach
+    # `_insert`: the kept rows of slices with unit columns and the shifted
+    # rows whose lead is taken; offering the shifted rows first would take
+    # 140.  Only the 38 rows that become pivots in `_insert` are normalized,
+    # where the shifted-first order would normalize 147.  A slice that its unit columns
+    # and kept rows fill reads no lower pivot row, so builds no shifted row:
+    # here that is 21 slices, every eliminated slice that ends full
+    m, ring, bound = 6, RATIONALS, 7
+    schur = schur_family(m, ring)
+    OracleSession(m, ring, bound, gens=schur).dims()
+    calls, norms, starts, reads, now = [0], [0], {}, Counter(), [None]
+
+    class Pivots(dict):
+        def values(self):
+            reads[now[0]] += 1
+            return dict.values(self)
+
+    init, insert, normalize = _Echelon.__init__, _Echelon._insert, quotient_oracle.unit_normalize
+    eliminate = OracleSession._eliminate
+
+    def recording_init(self, p, units=0):
+        init(self, p, units)
+        self.pivots = Pivots()
+        starts[now[0]] = units
+
+    def counting_insert(self, row):
+        calls[0] += 1
+        return insert(self, row)
+
+    def counting_normalize(*args):
+        norms[0] += 1
+        return normalize(*args)
+
+    def tracking_eliminate(self, sl, part, echs):
+        now[0] = sl.key
+        return eliminate(self, sl, part, echs)
+
+    monkeypatch.setattr(_Echelon, "__init__", recording_init)
+    monkeypatch.setattr(_Echelon, "_insert", counting_insert)
+    monkeypatch.setattr(quotient_oracle, "unit_normalize", counting_normalize)
+    monkeypatch.setattr(OracleSession, "_eliminate", tracking_eliminate)
+    sess = OracleSession(m, ring, bound, gens=schur)
+    assert sess.dims().total == 2**m
+    assert 0 < calls[0] <= 111 and 0 < norms[0] <= 38
+    monkeypatch.undo()
+    filled_by_kept = 0
+    for sl in quotient_oracle._plan(m, ring, bound):
+        if sl.key not in starts:
+            continue
+        ech = _Echelon(ring.char, starts[sl.key])
+        for row in schur.slice_basis(*sl.key, quotient_oracle._basis):
+            ech.add(row)
+        if ech.rank == sl.size:
+            filled_by_kept += 1
+            assert sess.space(*sl.key) is sl.filled and not reads[sl.key], sl.key
+    assert filled_by_kept
+
+
 def test_full_slices_hold_unit_pivots():
     # a full slice is the all-ones mask of unit columns with no rows: every
     # row reduces to 0 against it, and adding one changes nothing

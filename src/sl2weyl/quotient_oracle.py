@@ -48,24 +48,12 @@ slices it can show are full:
   those that all the full shifts x_i^(j) miss (C(b_i, j) = 0): a knapsack
   over (degree, weight) on those exponents, per variable (`_covered`).
 
-* unit pivots e_c are one bitmask of columns per echelon, not rows.  A full
-  slice, covered or filled by elimination, is the all-ones mask with no
-  rows: its normal forms are 0, and the rows shifted up from it are single
-  entries.  A slice that is not covered starts from the unit columns its
-  full lower slices reach (exactly their shifted rows, the columns with
-  C(b_i, j) nonzero, one bitmask per lower slice) and those that the
-  unit columns of its other lower slices shift to with a nonzero constant.
-  It is then filled from the rows that cost least first, and stops as soon
-  as it is full: the kept rows of a given family and then of the relations
-  (below), which are pivots as they stand where the slice has no unit
-  columns; then the other rows of its lower slices, stripped of the unit
-  columns and built one lower slice at a time, each whose lead is free a
-  pivot at once with no cancel and the others after them by lead; then,
-  with no family given, the defining series rows.  So a slice that its unit
-  columns and kept rows fill builds no shifted row.  The row space, and so
-  the rank, the leads, the normal forms and the series rows pulled, do not
-  depend on that order.  A row drops its unit columns on entry, so integer
-  entries over the rationals do not grow from slice to slice.
+* unit pivots e_c are one bitmask of columns per echelon, not rows
+  (`_Echelon`).  A full slice, covered or filled by elimination, is the
+  all-ones mask with no rows: its normal forms are 0, and the rows shifted
+  up from it are single entries.  A slice that is not covered starts from
+  the unit columns its lower slices reach and is filled from the rows that
+  cost least first, until it is full (`OracleSession._eliminate`).
 
 * the pivot leads, unit columns and row leads alike, are the DPLEX leading
   monomials of the ideal slice (rows lead at their least column, and the
@@ -109,30 +97,21 @@ slices it can show are full:
   (`dpalgebra.slice_monomials`, `dpalgebra.column_index`), which the
   generator families and candidate bases read too.  A given family or
   relation set keeps, per slice a session eliminates, one echelon basis of
-  its own rows of that slice in the ring's row form
+  its own rows of that slice in the echelon's row form
   (`GeneratorSet.slice_basis`, built by `_basis` and filled lazily): it
   depends on nothing but those rows, so later sessions take rank-many rows
-  with no conversion.  In a slice with no unit columns a kept row whose
-  lead is free is a pivot as it stands, shared read-only between the set
-  and every session that takes it (no pivot is ever changed: rows cancel
-  against pivots, not the other way); the others are copied, or filtered
-  against the unit columns when the slice has some, and inserted.  A session
+  with no conversion, and a kept row may be a pivot as it stands, shared
+  read-only between the set and every session that takes it (no pivot is
+  ever changed: rows cancel against pivots, not the other way).  A session
   makes echelons only for the slices it eliminates: every full slice of
   every session of the box is the plan's one full echelon of that slice,
   which nothing inserts into.  So sessions after the first on the same box
-  go straight to elimination.  The defining series coefficients reach the
-  echelon as column rows {column: integer}, read straight off their
-  (monomial, coefficient) pairs.
+  go straight to elimination.
 
 Rank computations and normal forms are exact and fraction-free in every
-ring, in one echelon class.  Over the rationals its rows are integer dicts
-and pivot rows are kept primitive; over an odd F_p they are dicts reduced
-mod p whose pivots lead with 1; over F_2 a row is an int, the bitmask of
-its columns, that leads at its lowest set bit and cancels by xor.  The
-echelon takes and returns column rows in every ring, converting at the
-boundary (only the shifted rows and the kept slice bases of given sets
-enter in the ring's form), and returns a normal form as an integer row
-together with the scale it carries.  Floating point never appears.
+ring, in one echelon with one row form per ring (`_Echelon`, and `_Bits`
+over F_2), which returns a normal form as an integer row together with the
+scale it carries.  Floating point never appears.
 """
 
 from __future__ import annotations
@@ -312,32 +291,7 @@ def _shift(m: int, ring: CoeffRing, d: int, w: int, i: int, j: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# exact echelon forms (sparse rows: dict column -> coefficient, or over F_2
-# a bitmask of columns)
-
-
-def _pack(row):
-    """A row over F_2 as the bitmask of its odd entries."""
-    bits = 0
-    for c, v in row.items():
-        if v & 1:
-            bits |= 1 << c
-    return bits
-
-
-def _unpack(bits):
-    """A bitmask row over F_2 as a column row of ones."""
-    row = {}
-    while bits:
-        low = bits & -bits
-        row[low.bit_length() - 1] = 1
-        bits ^= low
-    return row
-
-
-def _lowest(bits):
-    """The lowest set bit of a bitmask row, the sort key of its lead."""
-    return bits & -bits
+# exact echelon forms, one class per row form
 
 
 def _cancel_q(row, piv, lead, p):
@@ -372,22 +326,30 @@ def _cancel_p(row, piv, lead, p):
 
 
 class _Echelon:
-    """Exact rows, fraction-free in every ring.  Over the rationals (p = 0)
-    rows are integer dicts and pivot rows are kept primitive with a positive
-    lead; over an odd F_p they are dicts, pivot entries are reduced mod p
-    and pivots lead with 1; over F_2 a row is the int bitmask of its columns,
-    its lead is its lowest set bit and a cancel is `^=`.  `add` and
-    `residue` take and return column rows in every ring, converting at the
-    boundary; `_insert` takes a row already in the ring's form.
+    """Exact rows, fraction-free in every ring.  `_Echelon(p, units)` makes
+    the row form of the ring, once: this class over the rationals (p = 0)
+    and odd F_p, `_Bits` over F_2.  A form owns every operation on its rows
+    (`lead`, `strip`, `image`, `take` and the loops of `add`, `_insert` and
+    `residue`), so the elimination is written once for every ring.  Here a
+    row is an integer dict {column: entry} that leads at its least column;
+    over the rationals pivot rows are kept primitive with a positive lead,
+    over an odd F_p their entries are reduced mod p and they lead with 1.
+    `add` and `residue` take and return column rows in every form,
+    converting at the boundary; `_insert` takes a row already in the form
+    (a shifted row, or a kept row of a given set).
 
     The unit pivots e_c are the bitmask `units` (bit c for column c);
     `pivots` holds the other rows by lead, and their entries avoid the unit
-    columns.  `leads` is the bitmask of every pivot lead: the unit columns
-    and the leads of the rows, and `rank` counts them.  A full slice of n
-    columns is units = leads = 2^n - 1 with no rows: every row reduces to 0
-    against it, and `add` changes nothing."""
+    columns: a row drops them on entry, so integer entries over the
+    rationals do not grow from slice to slice.  `leads` is the bitmask of
+    every pivot lead, unit columns and row leads alike, and `rank` counts
+    them.  A full slice of n columns is units = leads = 2^n - 1 with no
+    rows: every row reduces to 0 against it, and `add` changes nothing."""
 
     __slots__ = ("p", "units", "leads", "rank", "pivots", "__weakref__")
+
+    def __new__(cls, p, units=0):
+        return object.__new__(_Bits if p == 2 else cls)
 
     def __init__(self, p, units=0):
         self.p = p
@@ -395,40 +357,52 @@ class _Echelon:
         self.rank = units.bit_count()
         self.pivots: dict = {}
 
+    lead = staticmethod(min)
+
+    @staticmethod
+    def strip(row, mask):
+        """A new row: `row` without the columns in `mask`."""
+        return {c: v for c, v in row.items() if not mask >> c & 1}
+
+    @staticmethod
+    def image(row, shift, mask):
+        """A lower slice's row carried up by the `_shift` column map
+        `shift`, without the columns in `mask`."""
+        out = {}
+        for col, c in row.items():
+            hit = shift[col]
+            if hit is not None and not mask >> hit[0] & 1:
+                out[hit[0]] = c * hit[1]
+        return out
+
+    def share(self, row, lead):
+        """Make `row`, normalized already and leading at the free column
+        `lead`, a pivot as it stands."""
+        self.pivots[lead] = row
+        self.leads |= 1 << lead
+        self.rank += 1
+
+    def take(self, row, lead):
+        """`share` for a row of its own, normalized first."""
+        self.share(unit_normalize(row, lead, self.p), lead)
+
     def add(self, row) -> bool:
         """Echelonize an integer column row (nonzero entries nonzero mod p)
         against the pivots; True when it raises the rank.  Unit columns are
         dropped on entry, which is the cancellation against their unit
-        pivots; over F_2 the row is packed."""
-        units, p = self.units, self.p
-        if p == 2:
-            return self._insert(_pack(row) & ~units)
-        return self._insert({c: v for c, v in row.items() if not units >> c & 1})
+        pivots."""
+        return self._insert(self.strip(row, self.units))
 
     def _insert(self, row) -> bool:
-        """`add` for a row of its own in the ring's form (a bitmask over
-        F_2) that avoids the unit columns; the row is consumed."""
+        """`add` for a row of its own in the form that avoids the unit
+        columns; the row is consumed."""
         pivots, p = self.pivots, self.p
-        if p == 2:
-            while row:
-                low = row & -row
-                lead = low.bit_length() - 1
-                piv = pivots.get(lead)
-                if piv is None:
-                    pivots[lead] = row
-                    self.leads |= low
-                    self.rank += 1
-                    return True
-                row ^= piv
-            return False
         cancel = _cancel_p if p else _cancel_q
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = unit_normalize(row, lead, p)
-                self.leads |= 1 << lead
-                self.rank += 1
+                self.take(row, lead)
                 return True
             row = cancel(row, piv, lead, p)
         return False
@@ -438,18 +412,16 @@ class _Echelon:
         (r, scale) with r = scale * normal form, a column row.  Every
         pivot-lead component is eliminated, so the normal form is unique and
         the map is linear.  Rational entries are cleared of denominators on
-        entry, and unit columns are dropped."""
+        entry, and unit columns are dropped (the form's loop is `_reduce`)."""
         scale = 1
         for v in row.values():
             scale = lcm(scale, v.denominator)
         units = self.units
         row = {c: int(v * scale) for c, v in row.items() if v and not units >> c & 1}
+        return self._reduce(row, scale)
+
+    def _reduce(self, row, scale):
         pivots, p = self.pivots, self.p
-        if p == 2:
-            bits, heads = _pack(row), self.leads ^ units
-            while hits := bits & heads:
-                bits ^= pivots[(hits & -hits).bit_length() - 1]
-            return _unpack(bits), scale
         cancel = _cancel_p if p else _cancel_q
         while True:
             hits = [c for c in row if c in pivots]
@@ -462,8 +434,65 @@ class _Echelon:
             row = cancel(row, piv, lead, p)
 
 
+class _Bits(_Echelon):
+    """The row form over F_2: a row is the int bitmask of its columns, its
+    lead is its lowest set bit and a cancel is `^=`, so every pivot leads
+    with 1 as it stands.  Column rows are packed on entry (`pack`, the
+    bitmask of their odd entries) and residues unpacked to rows of ones."""
+
+    __slots__ = ()
+
+    take = _Echelon.share
+    lead = staticmethod(lambda row: (row & -row).bit_length() - 1)
+    strip = staticmethod(lambda row, mask: row & ~mask)
+
+    @staticmethod
+    def image(row, shift, mask):
+        out = 0
+        while row:
+            low = row & -row
+            hit = shift[low.bit_length() - 1]
+            if hit is not None and not mask >> hit[0] & 1:
+                out |= 1 << hit[0]  # every nonzero constant is 1
+            row ^= low
+        return out
+
+    @staticmethod
+    def pack(row):
+        bits = 0
+        for c, v in row.items():
+            if v & 1:
+                bits |= 1 << c
+        return bits
+
+    def add(self, row) -> bool:
+        return self._insert(self.pack(row) & ~self.units)
+
+    def _insert(self, row) -> bool:
+        pivots = self.pivots
+        while row:
+            lead = (row & -row).bit_length() - 1
+            piv = pivots.get(lead)
+            if piv is None:
+                self.share(row, lead)
+                return True
+            row ^= piv
+        return False
+
+    def _reduce(self, row, scale):
+        bits, heads, pivots = self.pack(row), self.leads ^ self.units, self.pivots
+        while hits := bits & heads:
+            bits ^= pivots[(hits & -hits).bit_length() - 1]
+        row = {}
+        while bits:
+            low = bits & -bits
+            row[low.bit_length() - 1] = 1
+            bits ^= low
+        return row, scale
+
+
 def _basis(rows, p):
-    """One echelon basis of integer column rows, in the ring's row form:
+    """One echelon basis of integer column rows, in the echelon's row form:
     the pivot rows that `_Echelon.add` leaves, in the order they became
     pivots (`GeneratorSet.slice_basis`).  Sessions make its rows pivots as
     they stand, shared read-only, so nothing may change them."""
@@ -594,13 +623,7 @@ class OracleSession:
     The first query builds every slice of the degree box in one ordered
     pass over the box's plan (`_build_box`); later ones read the stored
     echelons (`dims` and `verify_basis` straight from that dict, `space` one
-    slice at a time), and a slice outside the box raises ValueError.  The
-    plan is shared by every session of the same box, with the echelon of
-    each full slice; a given family keeps one echelon basis per slice
-    (`GeneratorSet.slice_basis`) and a candidate basis its column masks
-    (`BasisSet.column_masks`) for every session that reads them; the
-    session makes only the echelons of the slices it eliminates that do
-    not end full.
+    slice at a time), and a slice outside the box raises ValueError.
 
     gens: a family covering the degree box, in place of the defining series
     coefficients.  relations: a set adjoined to the ideal whichever the base
@@ -683,11 +706,14 @@ class OracleSession:
         """Echelon of the plan slice `sl`, which is not covered, from the
         echelons `echs` of the plan positions before it, or None when the
         slice ends full.  `lower[k]` is full for each bit k set in `part`,
-        and only the others are read in `echs`.  The slice is filled from
-        the rows that cost least first, and stops as soon as it is full:
+        and only the others are read in `echs`.  The echelon's row form
+        does every row operation.  The slice is filled from the rows that
+        cost least first, and stops as soon as it is full:
 
         * unit columns at the columns the full lower slices cover (its plan
-          `masks`) and at the images of the unit columns of the others;
+          `masks`: exactly their shifted rows, the columns with C(b_i, j)
+          nonzero) and at the images of the unit columns of the others
+          with a nonzero constant;
         * the kept `slice_basis` rows of the given family, then of the
           relations (`_given_rows`), which cost nothing to build: with no
           unit columns a kept row whose lead is free is a pivot as it
@@ -702,9 +728,8 @@ class OracleSession:
         * the defining series rows, when no family is given.
 
         So a slice that its unit columns and kept rows fill builds no
-        shifted row, and a default session pulls the same series rows as
-        in any other order."""
-        p = self.ring.char
+        shifted row.  The row space, and so the rank, the leads, the normal
+        forms and the series rows pulled, do not depend on that order."""
         key, lower, masks, shifts = sl.key, sl.lower, sl.masks, sl.shifts
         if part and masks[0] is None:
             masks[:] = _masks(self.m, *key, lower)
@@ -730,58 +755,26 @@ class OracleSession:
         target = sl.size - covered.bit_count()
         if not target:
             return None
-        ech = _Echelon(p, covered)
-        pivots = ech.pivots
+        ech = _Echelon(self.ring.char, covered)
+        pivots, lead_of = ech.pivots, ech.lead
         for row in self._given_rows(*key):
-            if not covered:
-                lead = (row & -row).bit_length() - 1 if p == 2 else min(row)
-                if lead not in pivots:
-                    # a kept row as it stands, shared read-only with its set
-                    pivots[lead] = row
-                    ech.leads |= 1 << lead
-                    ech.rank += 1
-                    if len(pivots) == target:
-                        return None
-                    continue
-            if p == 2:
-                ech._insert(row & ~covered)
+            if not covered and (lead := lead_of(row)) not in pivots:
+                ech.share(row, lead)
             else:
-                ech._insert({c: v for c, v in row.items() if not covered >> c & 1})
+                ech._insert(ech.strip(row, covered))
             if len(pivots) == target:
                 return None
         rest = []
         for shift, lows in maps:
             for piv in lows.values():
-                if p == 2:
-                    # every nonzero constant is 1
-                    row = 0
-                    while piv:
-                        low = piv & -piv
-                        hit = shift[low.bit_length() - 1]
-                        if hit is not None and not covered >> hit[0] & 1:
-                            row |= 1 << hit[0]
-                        piv ^= low
-                    if not row:
-                        continue
-                    lead = (row & -row).bit_length() - 1
-                else:
-                    row = {}
-                    for col, c in piv.items():
-                        hit = shift[col]
-                        if hit is not None and not covered >> hit[0] & 1:
-                            row[hit[0]] = c * hit[1]
-                    if not row:
-                        continue
-                    lead = min(row)
-                if lead in pivots:
+                row = ech.image(piv, shift, covered)
+                if row and (lead := lead_of(row)) not in pivots:
+                    ech.take(row, lead)
+                    if len(pivots) == target:
+                        return None
+                elif row:
                     rest.append(row)
-                    continue
-                pivots[lead] = row if p == 2 else unit_normalize(row, lead, p)
-                ech.leads |= 1 << lead
-                ech.rank += 1
-                if len(pivots) == target:
-                    return None
-        rest.sort(key=_lowest if p == 2 else min)
+        rest.sort(key=lead_of)
         for row in rest:
             ech._insert(row)
             if len(pivots) == target:
@@ -795,7 +788,7 @@ class OracleSession:
 
     def _given_rows(self, d, w):
         """The kept `slice_basis` rows of slice (d, w) of the given family,
-        then of the relations, one at a time, in the ring's row form.  The
+        then of the relations, one at a time, in the echelon's row form.  The
         rows are the sets' own: `_eliminate` makes one a pivot as it stands,
         shared read-only, or inserts a copy of it."""
         for given in (self.gens, self.relations):

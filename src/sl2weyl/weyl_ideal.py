@@ -122,15 +122,15 @@ class GeneratorSet(Record):
         return tuple({index[a]: c for a, c in f.terms.items()} for f in polys)
 
     def slice_basis(self, d: int, w: int, echelonize) -> tuple:
-        """One echelon basis of the rows of slice (d, w), in the ring's row
-        form: `echelonize(slice_rows(d, w), p)`, which a session passes in
-        (this module does not know the echelon).  It depends only on this
-        set's rows of the slice, so it is built the first time a session
-        eliminates the slice and kept for every session on this set.  A
-        session takes these rows before any shifted row, and makes a row
-        whose lead is still free a pivot as it stands, shared read-only; so
-        its rows may never be changed.  Slices without entries, and those
-        no session eliminates, never hold one."""
+        """One echelon basis of the rows of slice (d, w), in the echelon's
+        row form: `echelonize(slice_rows(d, w), p)`, which a session passes
+        in (this module does not know the echelon).  It depends only on
+        this set's rows of the slice, so it is built the first time a
+        session eliminates the slice and kept for every session on this
+        set.  A session takes these rows before any shifted row, and makes
+        a row whose lead is still free a pivot as it stands, shared
+        read-only; so its rows may never be changed.  Slices without
+        entries, and those no session eliminates, never hold one."""
         rows = self._rows.get((d, w))
         if rows is None:
             rows = self.slice_rows(d, w)

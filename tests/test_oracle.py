@@ -557,6 +557,24 @@ def test_sessions_on_kept_slice_bases_equal_the_literal_rows_and_a_fresh_set():
                         assert rows == want, (m, ring.char, kind, key)
 
 
+def _patch_every_form(monkeypatch, name, wrap):
+    """Replace the method `name` of every echelon row form that defines it
+    by `wrap(method)`, so a count sees the calls of every ring."""
+    for form in (_Echelon, *_Echelon.__subclasses__()):
+        if name in vars(form):
+            monkeypatch.setattr(form, name, wrap(vars(form)[name]))
+
+
+def _counting(calls):
+    """A `_patch_every_form` wrap that adds one to calls[0] per call."""
+    def wrap(method):
+        def counting(*args):
+            calls[0] += 1
+            return method(*args)
+        return counting
+    return wrap
+
+
 def test_covered_slices_skip_elimination(monkeypatch):
     # at m = 6 over Q (degree box 8) 126 of the 189 slices are covered and
     # 21 more are filled by elimination, which starts from unit columns at
@@ -566,13 +584,7 @@ def test_covered_slices_skip_elimination(monkeypatch):
     # row of each lead is made a pivot as it stands; the other 183 rows
     # reach the pivots through `_insert`, `add` included.
     calls = [0]
-    insert = _Echelon._insert
-
-    def counting_insert(self, row):
-        calls[0] += 1
-        return insert(self, row)
-
-    monkeypatch.setattr(_Echelon, "_insert", counting_insert)
+    _patch_every_form(monkeypatch, "_insert", _counting(calls))
     assert OracleSession(6, RATIONALS, 8).dims().total == 64
     assert 0 < calls[0] <= 183
 
@@ -633,29 +645,22 @@ def test_kept_rows_fill_a_slice_before_any_shifted_row(monkeypatch):
             reads[now[0]] += 1
             return dict.values(self)
 
-    init, insert, normalize = _Echelon.__init__, _Echelon._insert, quotient_oracle.unit_normalize
-    eliminate = OracleSession._eliminate
+    init, eliminate = _Echelon.__init__, OracleSession._eliminate
 
     def recording_init(self, p, units=0):
         init(self, p, units)
         self.pivots = Pivots()
         starts[now[0]] = units
 
-    def counting_insert(self, row):
-        calls[0] += 1
-        return insert(self, row)
-
-    def counting_normalize(*args):
-        norms[0] += 1
-        return normalize(*args)
-
     def tracking_eliminate(self, sl, part, echs):
         now[0] = sl.key
         return eliminate(self, sl, part, echs)
 
     monkeypatch.setattr(_Echelon, "__init__", recording_init)
-    monkeypatch.setattr(_Echelon, "_insert", counting_insert)
-    monkeypatch.setattr(quotient_oracle, "unit_normalize", counting_normalize)
+    _patch_every_form(monkeypatch, "_insert", _counting(calls))
+    monkeypatch.setattr(
+        quotient_oracle, "unit_normalize", _counting(norms)(quotient_oracle.unit_normalize)
+    )
     monkeypatch.setattr(OracleSession, "_eliminate", tracking_eliminate)
     sess = OracleSession(m, ring, bound, gens=schur)
     assert sess.dims().total == 2**m
@@ -1204,25 +1209,33 @@ def test_dict_row_slices_equal_dense_elimination():
 
 
 def test_packed_f2_echelon_equals_dense_elimination_on_random_rows():
-    # rows of any integers, even entries included, on top of random unit
-    # columns, against dense elimination of the same rows and unit rows
-    rng = random.Random(20261019)
-    for trial in range(500):
-        n = rng.randint(1, 40)
-        units = rng.getrandbits(n) if rng.random() < 0.3 else 0
-        density = rng.choice((0.1, 0.3, 0.6))
-        rows = [
-            [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
-            for _ in range(rng.randint(0, 2 * n))
-        ]
-        ech = _Echelon(2, units)
-        for row in rows:
-            before = ech.rank
-            assert ech.add({c: v for c, v in enumerate(row) if v}) == (ech.rank > before)
-        unit_rows = [[int(c == e) for c in range(n)] for e in range(n) if units >> e & 1]
-        pivots = _dense_echelon(unit_rows + rows, n)
-        vecs = rows[:5] + [[rng.randint(0, 5) for _ in range(n)] for _ in range(5)]
-        _assert_dense_echelon(ech, pivots, n, vecs, (trial, n, units))
+    # rows of any integers on top of random unit columns, against dense
+    # elimination of the same rows and unit rows, in every row form: the
+    # packed rows over F_2 with even entries included, then the dict rows
+    # over Q as they are and over F_3 and F_5 reduced mod p without their
+    # zeros, which is what `add` takes.  The dense reference over Q runs on
+    # Fractions, so Q takes the first 100 cases
+    for p in (2, 0, 3, 5):
+        rng = random.Random(20261019)
+        for trial in range(500 if p else 100):
+            n = rng.randint(1, 40)
+            units = rng.getrandbits(n) if rng.random() < 0.3 else 0
+            density = rng.choice((0.1, 0.3, 0.6))
+            rows = [
+                [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(rng.randint(0, 2 * n))
+            ]
+            vecs = rows[:5] + [[rng.randint(0, 5) for _ in range(n)] for _ in range(5)]
+            if p > 2:
+                rows, vecs = ([[v % p for v in row] for row in part] for part in (rows, vecs))
+            ech = _Echelon(p, units)
+            assert isinstance(ech, quotient_oracle._Bits) == (p == 2)
+            for row in rows:
+                before = ech.rank
+                assert ech.add({c: v for c, v in enumerate(row) if v}) == (ech.rank > before)
+            unit_rows = [[int(c == e) for c in range(n)] for e in range(n) if units >> e & 1]
+            pivots = _dense_echelon(unit_rows + rows, n, p or None)
+            _assert_dense_echelon(ech, pivots, n, vecs, (p, trial, n, units), p or None)
 
 
 def test_echelons_are_freed_without_the_collector():
@@ -1464,21 +1477,22 @@ def test_verification_fast_path_equals_the_overlay():
 
 def test_lex_verification_makes_no_residue_calls(monkeypatch):
     # the lex basis is the set of non-lead columns in every slice, so each
-    # slice passes on the fast path
-    calls = [0]
+    # slice passes on the fast path.  Revlex has overlay slices in every
+    # ring, so its residues show that the count reaches each row form
+    calls = Counter()
     residue = _Echelon.residue
 
     def counting_residue(self, row):
-        calls[0] += 1
+        calls[self.p] += 1
         return residue(self, row)
 
     monkeypatch.setattr(_Echelon, "residue", counting_residue)
     for ring in RINGS:
         sess = OracleSession(6, ring, 7, gens=schur_family(6, ring))
         assert sess.verify_basis(lex_basis(6)).passed, ring.char
-    assert calls[0] == 0
-    sess.verify_basis(revlex_basis(6))
-    assert calls[0] > 0
+        assert calls[ring.char] == 0, ring.char
+        sess.verify_basis(revlex_basis(6))
+        assert calls[ring.char] > 0, ring.char
 
 
 def test_greedy_pivot_complement_is_the_lex_basis():
@@ -1742,13 +1756,14 @@ def test_reduce_rejects_elements_outside_the_session():
 
 def test_residue_scale_is_one_over_prime_fields(monkeypatch):
     # every pivot over F_p leads with 1, so the residues that verification
-    # and reduction read carry no scale there
+    # and reduction read carry no scale there; each prime must show some,
+    # so the count reaches each row form
     scales = Counter()
     residue = _Echelon.residue
 
     def recording_residue(self, row):
         out = residue(self, row)
-        scales[out[1]] += 1
+        scales[self.p, out[1]] += 1
         return out
 
     monkeypatch.setattr(_Echelon, "residue", recording_residue)
@@ -1764,7 +1779,8 @@ def test_residue_scale_is_one_over_prime_fields(monkeypatch):
                         picks = rng.sample(box, min(len(box), rng.randint(1, 6)))
                         terms = {a: rng.randrange(1, ring.char) for a in picks}
                         sess.reduce_element(DPoly(ring, m, terms), basis)
-    assert set(scales) == {1} and scales[1] > 1000, scales
+    assert set(scales) == {(ring.char, 1) for ring in RINGS[1:]}, scales
+    assert sum(scales.values()) > 1000, scales
 
 
 def test_one_shot_reduction_refuses_a_failing_candidate():

@@ -53,7 +53,12 @@ slices it can show are full:
   all-ones mask with no rows: its normal forms are 0, and the rows shifted
   up from it are single entries.  A slice that is not covered starts from
   the unit columns its lower slices reach and is filled from the rows that
-  cost least first, until it is full (`OracleSession._eliminate`).
+  cost least first, until it is full (`OracleSession._eliminate`): the kept
+  rows of a given family, those of the relations and the shifted rows are
+  each one batch, which the echelon's row form fills in one call
+  (`_Echelon.fill`).  A fill makes every row whose lead is free a pivot at
+  once and the rest follow by lead, so it stops before it cancels a row
+  when the free leads fill the slice.
 
 * the pivot leads, unit columns and row leads alike, are the DPLEX leading
   monomials of the ideal slice (rows lead at their least column, and the
@@ -100,9 +105,10 @@ slices it can show are full:
   its own rows of that slice in the echelon's row form
   (`GeneratorSet.slice_basis`, built by `_basis` and filled lazily): it
   depends on nothing but those rows, so later sessions take rank-many rows
-  with no conversion, and a kept row may be a pivot as it stands, shared
-  read-only between the set and every session that takes it (no pivot is
-  ever changed: rows cancel against pivots, not the other way).  A session
+  with no conversion, and a kept row that meets no unit column may be a
+  pivot as it stands, shared read-only between the set and every session
+  that takes it (no pivot is ever changed: rows cancel against pivots, not
+  the other way).  A session
   makes echelons only for the slices it eliminates: every full slice of
   every session of the box is the plan's one full echelon of that slice,
   which nothing inserts into.  So sessions after the first on the same box
@@ -328,15 +334,15 @@ def _cancel_p(row, piv, lead, p):
 class _Echelon:
     """Exact rows, fraction-free in every ring.  `_Echelon(p, units)` makes
     the row form of the ring, once: this class over the rationals (p = 0)
-    and odd F_p, `_Bits` over F_2.  A form owns every operation on its rows
-    (`lead`, `strip`, `image`, `take` and the loops of `add`, `_insert` and
-    `residue`), so the elimination is written once for every ring.  Here a
-    row is an integer dict {column: entry} that leads at its least column;
-    over the rationals pivot rows are kept primitive with a positive lead,
-    over an odd F_p their entries are reduced mod p and they lead with 1.
-    `add` and `residue` take and return column rows in every form,
-    converting at the boundary; `_insert` takes a row already in the form
-    (a shifted row, or a kept row of a given set).
+    and odd F_p, `_Bits` over F_2.  A form owns every operation on its rows,
+    each one loop: `fill` (a batch of rows of the form), `add` with
+    `_insert` (one column row), and `residue` with `_reduce`, so the
+    elimination is written once for every ring.  Here a row is an integer
+    dict {column: entry} that leads at its least column; over the rationals
+    pivot rows are kept primitive with a positive lead, over an odd F_p
+    their entries are reduced mod p and they lead with 1.  `add` and
+    `residue` take and return column rows in every form, converting at the
+    boundary.
 
     The unit pivots e_c are the bitmask `units` (bit c for column c);
     `pivots` holds the other rows by lead, and their entries avoid the unit
@@ -357,52 +363,72 @@ class _Echelon:
         self.rank = units.bit_count()
         self.pivots: dict = {}
 
-    lead = staticmethod(min)
-
-    @staticmethod
-    def strip(row, mask):
-        """A new row: `row` without the columns in `mask`."""
-        return {c: v for c, v in row.items() if not mask >> c & 1}
-
-    @staticmethod
-    def image(row, shift, mask):
-        """A lower slice's row carried up by the `_shift` column map
-        `shift`, without the columns in `mask`."""
-        out = {}
-        for col, c in row.items():
-            hit = shift[col]
-            if hit is not None and not mask >> hit[0] & 1:
-                out[hit[0]] = c * hit[1]
-        return out
-
-    def share(self, row, lead):
-        """Make `row`, normalized already and leading at the free column
-        `lead`, a pivot as it stands."""
-        self.pivots[lead] = row
-        self.leads |= 1 << lead
-        self.rank += 1
-
-    def take(self, row, lead):
-        """`share` for a row of its own, normalized first."""
-        self.share(unit_normalize(row, lead, self.p), lead)
+    def fill(self, sources, target) -> bool:
+        """Offer the rows of `sources` in two passes, and stop as soon as
+        `target` rows are pivots: True when they are.  A source is a pair
+        (shift, rows).  With shift None its rows are the kept rows of a
+        given set in this form, stripped of the unit columns; otherwise they
+        are the pivot rows of a lower slice, carried up by the `_shift`
+        column map `shift` without the unit columns.  A row whose lead is
+        free is a pivot at once: a kept row with nothing to strip as it
+        stands, shared read-only (it is normalized already), any other row
+        normalized first.  Then the rows whose lead was taken follow by
+        lead, through `_insert`; a kept row is copied first."""
+        pivots, units, p = self.pivots, self.units, self.p
+        leads, start, rest = self.leads, len(pivots), []
+        for shift, rows in sources:
+            for row in rows:
+                shared = shift is None
+                if not shared:
+                    own = {}
+                    for col, c in row.items():
+                        hit = shift[col]
+                        if hit is not None and not units >> hit[0] & 1:
+                            own[hit[0]] = c * hit[1]
+                    row = own
+                elif units:
+                    own = {c: v for c, v in row.items() if not units >> c & 1}
+                    if len(own) < len(row):
+                        row, shared = own, False
+                if not row:
+                    continue
+                lead = min(row)
+                if lead in pivots:
+                    rest.append(dict(row) if shared else row)
+                    continue
+                pivots[lead] = row if shared else unit_normalize(row, lead, p)
+                leads |= 1 << lead
+                if len(pivots) == target:
+                    self.leads, self.rank = leads, self.rank + len(pivots) - start
+                    return True
+        self.leads, self.rank = leads, self.rank + len(pivots) - start
+        rest.sort(key=min)
+        for row in rest:
+            if self._insert(row) and len(pivots) == target:
+                return True
+        return False
 
     def add(self, row) -> bool:
         """Echelonize an integer column row (nonzero entries nonzero mod p)
         against the pivots; True when it raises the rank.  Unit columns are
         dropped on entry, which is the cancellation against their unit
         pivots."""
-        return self._insert(self.strip(row, self.units))
+        units = self.units
+        return self._insert({c: v for c, v in row.items() if not units >> c & 1})
 
     def _insert(self, row) -> bool:
         """`add` for a row of its own in the form that avoids the unit
-        columns; the row is consumed."""
+        columns; the row is consumed, and normalized if it becomes a
+        pivot."""
         pivots, p = self.pivots, self.p
         cancel = _cancel_p if p else _cancel_q
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                self.take(row, lead)
+                pivots[lead] = unit_normalize(row, lead, p)
+                self.leads |= 1 << lead
+                self.rank += 1
                 return True
             row = cancel(row, piv, lead, p)
         return False
@@ -436,26 +462,45 @@ class _Echelon:
 
 class _Bits(_Echelon):
     """The row form over F_2: a row is the int bitmask of its columns, its
-    lead is its lowest set bit and a cancel is `^=`, so every pivot leads
-    with 1 as it stands.  Column rows are packed on entry (`pack`, the
-    bitmask of their odd entries) and residues unpacked to rows of ones."""
+    lead is its lowest set bit and a cancel is `^=`, so every row is
+    normalized as it stands, and a kept row is shared whether or not it
+    was stripped.  Column rows are packed on entry (`pack`, the bitmask of
+    their odd entries) and residues unpacked to rows of ones."""
 
     __slots__ = ()
 
-    take = _Echelon.share
-    lead = staticmethod(lambda row: (row & -row).bit_length() - 1)
-    strip = staticmethod(lambda row, mask: row & ~mask)
-
-    @staticmethod
-    def image(row, shift, mask):
-        out = 0
-        while row:
-            low = row & -row
-            hit = shift[low.bit_length() - 1]
-            if hit is not None and not mask >> hit[0] & 1:
-                out |= 1 << hit[0]  # every nonzero constant is 1
-            row ^= low
-        return out
+    def fill(self, sources, target) -> bool:
+        pivots, keep = self.pivots, ~self.units
+        leads, start, rest = self.leads, len(pivots), []
+        for shift, rows in sources:
+            for row in rows:
+                if shift is not None:
+                    bits, row = row, 0
+                    while bits:
+                        low = bits & -bits
+                        hit = shift[low.bit_length() - 1]
+                        if hit is not None:
+                            row |= 1 << hit[0]  # every nonzero constant is 1
+                        bits ^= low
+                row &= keep
+                if not row:
+                    continue
+                low = row & -row
+                lead = low.bit_length() - 1
+                if lead in pivots:
+                    rest.append(row)
+                    continue
+                pivots[lead] = row
+                leads |= low
+                if len(pivots) == target:
+                    self.leads, self.rank = leads, self.rank + len(pivots) - start
+                    return True
+        self.leads, self.rank = leads, self.rank + len(pivots) - start
+        rest.sort(key=lambda row: row & -row)
+        for row in rest:
+            if self._insert(row) and len(pivots) == target:
+                return True
+        return False
 
     @staticmethod
     def pack(row):
@@ -471,10 +516,13 @@ class _Bits(_Echelon):
     def _insert(self, row) -> bool:
         pivots = self.pivots
         while row:
-            lead = (row & -row).bit_length() - 1
+            low = row & -row
+            lead = low.bit_length() - 1
             piv = pivots.get(lead)
             if piv is None:
-                self.share(row, lead)
+                pivots[lead] = row
+                self.leads |= low
+                self.rank += 1
                 return True
             row ^= piv
         return False
@@ -707,33 +755,32 @@ class OracleSession:
         echelons `echs` of the plan positions before it, or None when the
         slice ends full.  `lower[k]` is full for each bit k set in `part`,
         and only the others are read in `echs`.  The echelon's row form
-        does every row operation.  The slice is filled from the rows that
-        cost least first, and stops as soon as it is full:
+        does every row operation, in one `fill` per batch of kept or
+        shifted rows.  The slice is filled from the rows that cost least
+        first, and stops as soon as it is full:
 
         * unit columns at the columns the full lower slices cover (its plan
           `masks`: exactly their shifted rows, the columns with C(b_i, j)
           nonzero) and at the images of the unit columns of the others
           with a nonzero constant;
-        * the kept `slice_basis` rows of the given family, then of the
-          relations (`_given_rows`), which cost nothing to build: with no
-          unit columns a kept row whose lead is free is a pivot as it
-          stands, normalized already and shared read-only with its set;
-          the others are copied, or stripped of the unit columns, and go
-          through `_insert`;
-        * the shifted rows of the lower slices that are not full, without
-          the unit columns, built one lower slice at a time and only until
-          the slice is full: a row whose lead is free is made a pivot at
-          once (normalized, one rank update), and the others wait and
-          follow by lead;
-        * the defining series rows, when no family is given.
+        * the kept `slice_basis` rows of the given family, then those of
+          the relations, which cost nothing to build; a kept row that meets
+          no unit column is a pivot as it stands, shared read-only with its
+          set;
+        * the shifted rows of the lower slices that are not full, in one
+          batch, each built only when the fill reaches it;
+        * the defining series rows, when no family is given
+          (`_fill_series`).
 
-        So a slice that its unit columns and kept rows fill builds no
-        shifted row.  The row space, and so the rank, the leads, the normal
-        forms and the series rows pulled, do not depend on that order."""
+        Each fill makes the rows whose lead is free pivots first, and the
+        rest follow by lead, so a slice that its unit columns and kept rows
+        fill builds no shifted row.  The row space, and so the rank, the
+        leads, the normal forms and the series rows pulled, do not depend
+        on that order."""
         key, lower, masks, shifts = sl.key, sl.lower, sl.masks, sl.shifts
         if part and masks[0] is None:
             masks[:] = _masks(self.m, *key, lower)
-        covered, maps = 0, []
+        covered, lows = 0, []
         for k, (pos, i, j, _) in enumerate(lower):
             if part >> k & 1:
                 covered |= masks[k]
@@ -742,7 +789,7 @@ class OracleSession:
             shift = shifts[k]
             if shift is None:
                 shift = shifts[k] = _shift(self.m, self.ring, *key, i, j)
-            maps.append((shift, ech.pivots))
+            lows.append((shift, ech))
             # the shifted unit row e_a is C(a_i + j, j) e_b: a unit column
             # of this slice wherever the constant is nonzero
             units = ech.units
@@ -756,56 +803,32 @@ class OracleSession:
         if not target:
             return None
         ech = _Echelon(self.ring.char, covered)
-        pivots, lead_of = ech.pivots, ech.lead
-        for row in self._given_rows(*key):
-            if not covered and (lead := lead_of(row)) not in pivots:
-                ech.share(row, lead)
-            else:
-                ech._insert(ech.strip(row, covered))
-            if len(pivots) == target:
+        for given in (self.gens, self.relations):
+            if given is not None and ech.fill(((None, given.slice_basis(*key, _basis)),), target):
                 return None
-        rest = []
-        for shift, lows in maps:
-            for piv in lows.values():
-                row = ech.image(piv, shift, covered)
-                if row and (lead := lead_of(row)) not in pivots:
-                    ech.take(row, lead)
-                    if len(pivots) == target:
-                        return None
-                elif row:
-                    rest.append(row)
-        rest.sort(key=lead_of)
-        for row in rest:
-            ech._insert(row)
-            if len(pivots) == target:
-                return None
-        if self.gens is None:
-            for row in self._series_rows(*key):
-                ech.add(row)
-                if len(pivots) == target:
-                    return None
+        # the lower pivot rows are read only if the kept rows leave room
+        if ech.fill(((shift, low.pivots.values()) for shift, low in lows), target):
+            return None
+        if self.gens is None and self._fill_series(ech, *key, target):
+            return None
         return ech
 
-    def _given_rows(self, d, w):
-        """The kept `slice_basis` rows of slice (d, w) of the given family,
-        then of the relations, one at a time, in the echelon's row form.  The
-        rows are the sets' own: `_eliminate` makes one a pivot as it stands,
-        shared read-only, or inserts a copy of it."""
-        for given in (self.gens, self.relations):
-            if given is not None:
-                yield from given.slice_basis(d, w, _basis)
-
-    def _series_rows(self, d, w):
-        """The defining series coefficients of slice (d, w), one at a time,
-        as column rows with integer entries (nonzero mod p), read straight
-        off their (monomial, coefficient) pairs."""
+    def _fill_series(self, ech, d, w, target):
+        """Add the defining series coefficients of slice (d, w) to `ech`, one
+        at a time, as column rows with integer entries (nonzero mod p) read
+        straight off their (monomial, coefficient) pairs, until `target`
+        rows are pivots: True when they are.  Each is built only when the
+        one before leaves the slice short."""
         index = column_index(self.m, d, w)
-        p = self.ring.char
+        p, pivots = self.ring.char, ech.pivots
         for _, pairs in slice_series(self.m, d, w):
             if p:
-                yield {index[a]: v for a, c in pairs if (v := c % p)}
+                ech.add({index[a]: v for a, c in pairs if (v := c % p)})
             else:
-                yield {index[a]: c for a, c in pairs}
+                ech.add({index[a]: c for a, c in pairs})
+            if len(pivots) == target:
+                return True
+        return False
 
     # -- queries -----------------------------------------------------------
 

@@ -128,8 +128,9 @@ class GeneratorSet(Record):
         this set's rows of the slice, so it is built the first time a
         session eliminates the slice and kept for every session on this
         set.  A session takes these rows before any shifted row, and makes
-        a row whose lead is still free a pivot as it stands, shared
-        read-only; so its rows may never be changed.  Slices without
+        a row that meets no unit column and whose lead is still free a
+        pivot as it stands, shared read-only; so its rows may never be
+        changed.  Slices without
         entries, and those no session eliminates, never hold one."""
         rows = self._rows.get((d, w))
         if rows is None:

@@ -581,12 +581,15 @@ def test_covered_slices_skip_elimination(monkeypatch):
     # the columns the full lower slices reach and the images of the unit
     # columns of the others; echelonizing every shifted row would take
     # 9,912 rows for 2,939 pivots, and this takes 275.  The first shifted
-    # row of each lead is made a pivot as it stands; the other 183 rows
-    # reach the pivots through `_insert`, `add` included.
-    calls = [0]
+    # row of each lead is made a pivot at once; the other 183 rows reach
+    # the pivots through `_insert`, `add` included, with 562 cancels, and
+    # 156 rows are normalized
+    calls, cancels, norms = [0], [0], [0]
     _patch_every_form(monkeypatch, "_insert", _counting(calls))
+    for name, count in (("_cancel_q", cancels), ("unit_normalize", norms)):
+        monkeypatch.setattr(quotient_oracle, name, _counting(count)(getattr(quotient_oracle, name)))
     assert OracleSession(6, RATIONALS, 8).dims().total == 64
-    assert 0 < calls[0] <= 183
+    assert 0 < calls[0] <= 183 and 0 < cancels[0] <= 562 and 0 < norms[0] <= 156
 
 
 def _normal_form(ech, row):
@@ -599,84 +602,179 @@ def _normal_form(ech, row):
     return {c: v * inv % ech.p for c, v in res.items()}
 
 
+def _assert_normalized(ech, where):
+    """Every pivot row of `ech` avoids the unit columns and leads at its
+    key, and in the dict form is normalized: primitive with a positive lead
+    over Q, entries reduced mod p with lead 1 over an odd F_p."""
+    for lead, piv in ech.pivots.items():
+        if ech.p == 2:
+            assert piv & -piv == 1 << lead and not piv & ech.units, (*where, lead)
+            continue
+        assert min(piv) == lead and not any(ech.units >> c & 1 for c in piv), (*where, lead)
+        if ech.p:
+            assert piv[lead] == 1 and all(0 < v < ech.p for v in piv.values()), (*where, lead)
+        else:
+            assert piv[lead] > 0 and math.gcd(*piv.values()) == 1, (*where, lead)
+
+
+def test_a_fill_shares_only_kept_rows_it_need_not_strip():
+    # one fill of kept rows against the unit column 0: a row that meets no
+    # unit column at a free lead is a pivot as it stands, the same object;
+    # a row that meets one is stripped and normalized first; a row whose
+    # lead is taken waits and follows by lead, on a copy, so no kept row
+    # changes.  A fill that the free leads fill reads no row more
+    def unread():
+        raise AssertionError("a full fill read a row more")
+        yield
+
+    for p in (0, 2, 3, 5):
+        dense = [{1: 1, 3: 2}, {0: 1, 2: 2, 3: 4 if p == 0 else 1}, {1: 1, 4: 1}]
+        rows = [sum(1 << c for c in row) if p == 2 else dict(row) for row in dense]
+        before = [row if p == 2 else dict(row) for row in rows]
+        ech = _Echelon(p, 0b1)
+        assert ech.fill(((None, rows),), 3), p
+        assert rows == before, p
+        assert ech.pivots.keys() == {1, 2, 3} and ech.rank == 4 and ech.leads == 0b1111, p
+        assert ech.pivots[1] is rows[0], p
+        _assert_normalized(ech, (p,))
+        if p != 2:
+            stripped = {c: v for c, v in dense[1].items() if c}
+            assert ech.pivots[2] == quotient_oracle.unit_normalize(stripped, 2, p), p
+        assert _Echelon(p, 0b1).fill(((None, rows[:2]), (None, unread())), 2), p
+
+
 def test_row_order_changes_no_slice():
     # a default session offers shifted rows before series rows, and a session
-    # on a given family offers the family's kept rows before shifted rows;
-    # the row space of a slice does not depend on that order, so every slice
-    # has the same rank and lead mask, and every column the same normal form.
-    # The Schur family covers the degree box m + 1 only
+    # on a given family offers the family's kept rows, then the relations',
+    # before shifted rows; the row space of a slice does not depend on that
+    # order, so every slice has the same rank and lead mask, and every
+    # column the same normal form.  The sessions with the truncation
+    # relations of each level 1 <= n < m form one more group per level
+    # (`where` names the level, 0 for none).  The Schur family covers the
+    # degree box m + 1 only
     for m in range(1, 6):
         for ring in RINGS:
+            levels = [truncation_relations(m, n, ring) for n in range(1, m)]
             for bound in (m + 1, m + 2):
                 weights = bound * max(m - 1, 1)
-                sessions = [
-                    OracleSession(m, ring, bound),
-                    OracleSession(m, ring, bound, gens=defining_generators(m, ring, bound, weights)),
-                ]
+                defining = defining_generators(m, ring, bound, weights)
                 schur = schur_family(m, ring)
-                if schur.degree_bound >= bound:
-                    sessions.append(OracleSession(m, ring, bound, gens=schur))
-                for d, w, size in _box_slices(m, bound):
-                    where = (m, ring.char, bound, len(sessions), d, w)
-                    echs = [sess.space(d, w) for sess in sessions]
-                    assert len({(ech.rank, ech.leads) for ech in echs}) == 1, where
-                    for c in range(size):
-                        forms = [_normal_form(ech, {c: 1}) for ech in echs]
-                        assert all(form == forms[0] for form in forms), (*where, c)
+                for n, rel in enumerate((None, *levels)):
+                    sessions = [
+                        OracleSession(m, ring, bound, relations=rel),
+                        OracleSession(m, ring, bound, gens=defining, relations=rel),
+                    ]
+                    if schur.degree_bound >= bound:
+                        sessions.append(OracleSession(m, ring, bound, gens=schur, relations=rel))
+                    for d, w, size in _box_slices(m, bound):
+                        where = (m, ring.char, bound, n, len(sessions), d, w)
+                        echs = [sess.space(d, w) for sess in sessions]
+                        assert len({(ech.rank, ech.leads) for ech in echs}) == 1, where
+                        for ech in echs:
+                            _assert_normalized(ech, where)
+                        for c in range(size):
+                            forms = [_normal_form(ech, {c: 1}) for ech in echs]
+                            assert all(form == forms[0] for form in forms), (*where, c)
 
 
 def test_kept_rows_fill_a_slice_before_any_shifted_row(monkeypatch):
-    # the second Schur session at m = 6 over Q (degree box 7) eliminates 63
-    # slices and offers each the kept Schur rows first, which are pivots as
-    # they stand where the slice has no unit columns.  111 rows reach
-    # `_insert`: the kept rows of slices with unit columns and the shifted
-    # rows whose lead is taken; offering the shifted rows first would take
-    # 140.  Only the 38 rows that become pivots in `_insert` are normalized,
-    # where the shifted-first order would normalize 147.  A slice that its unit columns
-    # and kept rows fill reads no lower pivot row, so builds no shifted row:
-    # here that is 21 slices, every eliminated slice that ends full
-    m, ring, bound = 6, RATIONALS, 7
-    schur = schur_family(m, ring)
-    OracleSession(m, ring, bound, gens=schur).dims()
-    calls, norms, starts, reads, now = [0], [0], {}, Counter(), [None]
+    # the second Schur session at m = 6 (degree box 7) offers each slice it
+    # eliminates the kept Schur rows first, in one fill: a row whose lead is
+    # free is a pivot at once, as it stands where it meets no unit column,
+    # and the rest follow by lead only while the slice is not full.  Over Q
+    # 61 rows reach `_insert`, with 199 cancels, and no row is normalized;
+    # inserting the kept rows one at a time took 111 rows, 233 cancels and
+    # 38 normalizations, and offering the shifted rows first 140 rows and
+    # 147 normalizations.  Over F_3: 62 rows, 192 cancels, 14
+    # normalizations (187, 243 and 58 one at a time).  A slice that its
+    # unit columns and kept rows fill reads no lower pivot row, so builds
+    # no shifted row: over Q that is 21 slices, every eliminated slice that
+    # ends full
+    m, bound = 6, 7
+    for ring, inserts, cancels, norms in ((RATIONALS, 61, 199, 0), (CoeffRing(3), 62, 192, 14)):
+        schur = schur_family(m, ring)
+        OracleSession(m, ring, bound, gens=schur).dims()
+        calls, cancel_calls, norm_calls = [0], [0], [0]
+        starts, reads, now = {}, Counter(), [None]
 
-    class Pivots(dict):
-        def values(self):
-            reads[now[0]] += 1
-            return dict.values(self)
+        class Pivots(dict):
+            def values(self):
+                reads[now[0]] += 1
+                return dict.values(self)
 
+        init, eliminate = _Echelon.__init__, OracleSession._eliminate
+
+        def recording_init(self, p, units=0):
+            init(self, p, units)
+            self.pivots = Pivots()
+            starts[now[0]] = units
+
+        def tracking_eliminate(self, sl, part, echs):
+            now[0] = sl.key
+            return eliminate(self, sl, part, echs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Echelon, "__init__", recording_init)
+            _patch_every_form(patch, "_insert", _counting(calls))
+            for name, count in (
+                ("_cancel_q", cancel_calls), ("_cancel_p", cancel_calls),
+                ("unit_normalize", norm_calls),
+            ):
+                patch.setattr(quotient_oracle, name, _counting(count)(getattr(quotient_oracle, name)))
+            patch.setattr(OracleSession, "_eliminate", tracking_eliminate)
+            sess = OracleSession(m, ring, bound, gens=schur)
+            assert sess.dims().total == 2**m
+        assert 0 < calls[0] <= inserts and 0 < cancel_calls[0] <= cancels, ring.char
+        # the F_3 count shows the normalization patch is live
+        assert norm_calls[0] <= norms and (norm_calls[0] > 0) == (norms > 0), ring.char
+        filled_by_kept = 0
+        for sl in quotient_oracle._plan(m, ring, bound):
+            if sl.key not in starts:
+                continue
+            ech = _Echelon(ring.char, starts[sl.key])
+            for row in schur.slice_basis(*sl.key, quotient_oracle._basis):
+                ech.add(row)
+            if ech.rank == sl.size:
+                filled_by_kept += 1
+                assert sess.space(*sl.key) is sl.filled and not reads[sl.key], sl.key
+        assert filled_by_kept, ring.char
+
+
+def test_schur_rows_span_every_slice_a_session_eliminates(monkeypatch):
+    # the Schur rows of a slice span the ideal slice, so in a session on
+    # `schur_family(m, ring)` at box m + 1 no shifted row raises the rank
+    # of any slice.  Every slice the session eliminates has
+    # the rank of the unit columns it starts from plus the literal Schur
+    # rows of the slice (`slice_rows`), m <= 6 on four rings.  The first
+    # session builds the kept bases, so the second records only the
+    # echelons that elimination starts
+    starts, now = {}, [None]
     init, eliminate = _Echelon.__init__, OracleSession._eliminate
 
     def recording_init(self, p, units=0):
         init(self, p, units)
-        self.pivots = Pivots()
-        starts[now[0]] = units
+        starts.setdefault(now[0], units)
 
     def tracking_eliminate(self, sl, part, echs):
         now[0] = sl.key
         return eliminate(self, sl, part, echs)
 
-    monkeypatch.setattr(_Echelon, "__init__", recording_init)
-    _patch_every_form(monkeypatch, "_insert", _counting(calls))
-    monkeypatch.setattr(
-        quotient_oracle, "unit_normalize", _counting(norms)(quotient_oracle.unit_normalize)
-    )
-    monkeypatch.setattr(OracleSession, "_eliminate", tracking_eliminate)
-    sess = OracleSession(m, ring, bound, gens=schur)
-    assert sess.dims().total == 2**m
-    assert 0 < calls[0] <= 111 and 0 < norms[0] <= 38
-    monkeypatch.undo()
-    filled_by_kept = 0
-    for sl in quotient_oracle._plan(m, ring, bound):
-        if sl.key not in starts:
-            continue
-        ech = _Echelon(ring.char, starts[sl.key])
-        for row in schur.slice_basis(*sl.key, quotient_oracle._basis):
-            ech.add(row)
-        if ech.rank == sl.size:
-            filled_by_kept += 1
-            assert sess.space(*sl.key) is sl.filled and not reads[sl.key], sl.key
-    assert filled_by_kept
+    for m in range(1, 7):
+        for ring in RINGS:
+            schur = schur_family(m, ring)
+            OracleSession(m, ring, m + 1, gens=schur).dims()
+            starts.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(_Echelon, "__init__", recording_init)
+                patch.setattr(OracleSession, "_eliminate", tracking_eliminate)
+                sess = OracleSession(m, ring, m + 1, gens=schur)
+                assert sess.dims().total == 2**m
+            assert starts or m == 1, (m, ring.char)
+            for key, units in starts.items():
+                ech = _Echelon(ring.char, units)
+                for row in schur.slice_rows(*key):
+                    ech.add(row)
+                assert ech.rank == sess.space(*key).rank, (m, ring.char, key)
 
 
 def test_full_slices_hold_unit_pivots():

@@ -32,14 +32,32 @@ from ._record import Record, _set
 from .partitions import iter_partitions
 
 
+# Miller-Rabin on the primes 2 ... 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime, exactly for p below `_PRIME_BOUND`."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -48,7 +66,8 @@ class CoeffRing(Record):
 
     One object per characteristic: `CoeffRing(p)` returns the same instance
     on every call (and through pickle and deepcopy), so equality and hashing
-    are by identity."""
+    are by identity.  A characteristic at or above `_PRIME_BOUND`, where
+    `_is_prime` is no longer exact, raises ValueError."""
 
     __slots__ = ("char",)
     __eq__ = object.__eq__
@@ -60,6 +79,8 @@ class CoeffRing(Record):
     def __new__(cls, char: int = 0):
         ring = cls._interned.get(char)
         if ring is None:
+            if char >= _PRIME_BOUND:
+                raise ValueError(f"characteristic must be below {_PRIME_BOUND}, got {char}")
             if char and not _is_prime(char):
                 raise ValueError(f"characteristic must be 0 or prime, got {char}")
             ring = object.__new__(cls)

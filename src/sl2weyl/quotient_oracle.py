@@ -102,17 +102,17 @@ slices it can show are full:
   (`dpalgebra.slice_monomials`, `dpalgebra.column_index`), which the
   generator families and candidate bases read too.  A given family or
   relation set keeps, per slice a session eliminates, one echelon basis of
-  its own rows of that slice in the echelon's row form
-  (`GeneratorSet.slice_basis`, built by `_basis` and filled lazily): it
-  depends on nothing but those rows, so later sessions take rank-many rows
-  with no conversion, and a kept row that meets no unit column may be a
-  pivot as it stands, shared read-only between the set and every session
-  that takes it (no pivot is ever changed: rows cancel against pivots, not
-  the other way).  A session
+  its own rows of that slice in the echelon's row form, which the engine
+  builds the first time (`_kept`): it depends on nothing but those rows,
+  so later sessions take rank-many rows with no conversion, and a kept row
+  that meets no unit column may be a pivot as it stands, shared read-only
+  between the set and every session that takes it (no pivot is ever
+  changed: rows cancel against pivots, not the other way).  A session
   makes echelons only for the slices it eliminates: every full slice of
   every session of the box is the plan's one full echelon of that slice,
-  which nothing inserts into.  So sessions after the first on the same box
-  go straight to elimination.
+  which nothing inserts into, and the session records which slices those
+  are (`_full`).  So sessions after the first on the same box go straight
+  to elimination.
 
 Rank computations and normal forms are exact and fraction-free in every
 ring, in one echelon with one row form per ring (`_Echelon`, and `_Bits`
@@ -348,11 +348,12 @@ class _Echelon:
     `pivots` holds the other rows by lead, and their entries avoid the unit
     columns: a row drops them on entry, so integer entries over the
     rationals do not grow from slice to slice.  `leads` is the bitmask of
-    every pivot lead, unit columns and row leads alike, and `rank` counts
-    them.  A full slice of n columns is units = leads = 2^n - 1 with no
-    rows: every row reduces to 0 against it, and `add` changes nothing."""
+    every pivot lead, unit columns and row leads alike, and `rank` is
+    their count, read off the mask: no form keeps a rank of its own.  A
+    full slice of n columns is units = leads = 2^n - 1 with no rows: every
+    row reduces to 0 against it, and `add` changes nothing."""
 
-    __slots__ = ("p", "units", "leads", "rank", "pivots", "__weakref__")
+    __slots__ = ("p", "units", "leads", "pivots", "__weakref__")
 
     def __new__(cls, p, units=0):
         return object.__new__(_Bits if p == 2 else cls)
@@ -360,8 +361,11 @@ class _Echelon:
     def __init__(self, p, units=0):
         self.p = p
         self.units = self.leads = units
-        self.rank = units.bit_count()
         self.pivots: dict = {}
+
+    @property
+    def rank(self) -> int:
+        return self.leads.bit_count()
 
     def fill(self, sources, target) -> bool:
         """Offer the rows of `sources` in two passes, and stop as soon as
@@ -375,7 +379,7 @@ class _Echelon:
         normalized first.  Then the rows whose lead was taken follow by
         lead, through `_insert`; a kept row is copied first."""
         pivots, units, p = self.pivots, self.units, self.p
-        leads, start, rest = self.leads, len(pivots), []
+        leads, rest = self.leads, []
         for shift, rows in sources:
             for row in rows:
                 shared = shift is None
@@ -399,9 +403,9 @@ class _Echelon:
                 pivots[lead] = row if shared else unit_normalize(row, lead, p)
                 leads |= 1 << lead
                 if len(pivots) == target:
-                    self.leads, self.rank = leads, self.rank + len(pivots) - start
+                    self.leads = leads
                     return True
-        self.leads, self.rank = leads, self.rank + len(pivots) - start
+        self.leads = leads
         rest.sort(key=min)
         for row in rest:
             if self._insert(row) and len(pivots) == target:
@@ -428,7 +432,6 @@ class _Echelon:
             if piv is None:
                 pivots[lead] = unit_normalize(row, lead, p)
                 self.leads |= 1 << lead
-                self.rank += 1
                 return True
             row = cancel(row, piv, lead, p)
         return False
@@ -471,7 +474,7 @@ class _Bits(_Echelon):
 
     def fill(self, sources, target) -> bool:
         pivots, keep = self.pivots, ~self.units
-        leads, start, rest = self.leads, len(pivots), []
+        leads, rest = self.leads, []
         for shift, rows in sources:
             for row in rows:
                 if shift is not None:
@@ -493,9 +496,9 @@ class _Bits(_Echelon):
                 pivots[lead] = row
                 leads |= low
                 if len(pivots) == target:
-                    self.leads, self.rank = leads, self.rank + len(pivots) - start
+                    self.leads = leads
                     return True
-        self.leads, self.rank = leads, self.rank + len(pivots) - start
+        self.leads = leads
         rest.sort(key=lambda row: row & -row)
         for row in rest:
             if self._insert(row) and len(pivots) == target:
@@ -522,7 +525,6 @@ class _Bits(_Echelon):
             if piv is None:
                 pivots[lead] = row
                 self.leads |= low
-                self.rank += 1
                 return True
             row ^= piv
         return False
@@ -539,15 +541,23 @@ class _Bits(_Echelon):
         return row, scale
 
 
-def _basis(rows, p):
-    """One echelon basis of integer column rows, in the echelon's row form:
-    the pivot rows that `_Echelon.add` leaves, in the order they became
-    pivots (`GeneratorSet.slice_basis`).  Sessions make its rows pivots as
+def _kept(given, d, w) -> tuple:
+    """The kept rows of slice (d, w) of the `GeneratorSet` `given`: the
+    pivot rows, in the order they became pivots, of its polynomials there
+    cleared of denominators (`DPoly.integral`) as column rows in entry
+    order.  Built when a session first eliminates the slice and kept in the
+    set's `_rows` for every session on the set, which makes them pivots as
     they stand, shared read-only, so nothing may change them."""
-    ech = _Echelon(p)
-    for row in rows:
-        ech.add(row)
-    return tuple(ech.pivots.values())
+    rows = given._rows.get((d, w))
+    if rows is None:
+        polys = given.by_slice().get((d, w))
+        if not polys:
+            return ()
+        index, ech = column_index(given.m, d, w), _Echelon(given.ring.char)
+        for f in polys:
+            ech.add({index[a]: c for a, c in f.integral().terms.items()})
+        rows = given._rows[d, w] = tuple(ech.pivots.values())
+    return rows
 
 
 def _overlay(ech, cols, n):
@@ -671,7 +681,9 @@ class OracleSession:
     The first query builds every slice of the degree box in one ordered
     pass over the box's plan (`_build_box`); later ones read the stored
     echelons (`dims` and `verify_basis` straight from that dict, `space` one
-    slice at a time), and a slice outside the box raises ValueError.
+    slice at a time), and a slice outside the box raises ValueError.  The
+    rank of a slice is the lead count of its echelon.  A negative m raises
+    ValueError when the session is built.
 
     gens: a family covering the degree box, in place of the defining series
     coefficients.  relations: a set adjoined to the ideal whichever the base
@@ -681,6 +693,8 @@ class OracleSession:
     """
 
     def __init__(self, m, ring, degree_bound, gens=None, relations=None):
+        if m < 0:
+            raise ValueError(f"m must be >= 0, got m = {m}")
         if degree_bound < m:
             raise ValueError(f"degree_bound must be >= m = {m}")
         self.m = m
@@ -704,8 +718,8 @@ class OracleSession:
                 raise ConfigurationError("generator bounds do not cover the degree box")
             given.by_slice()  # checks every entry once per set
         self._spaces: dict[tuple[int, int], _Echelon] = {}
-        # the keys of the full slices, found by the first `reduce_element`
-        self._full: frozenset | None = None
+        # the keys of the slices `_build_box` stores full
+        self._full: frozenset = frozenset()
         # each verified basis -> its overlay slices, where a candidate sits
         # on a pivot lead
         self.verified: dict[BasisSet, frozenset] = {}
@@ -732,9 +746,10 @@ class OracleSession:
         slices of a slice are read off its `lower` entries as a bitmask,
         bit k for `lower[k]`, and whether the slice is covered is one
         lookup in the plan's `verdicts` by that bitmask, and a `_covered`
-        knapsack the first time a pattern comes up."""
+        knapsack the first time a pattern comes up.  The keys of the full
+        slices are kept in `_full`, which `reduce_element` reads."""
         m = self.m
-        echs, spaces = [], {}
+        echs, spaces, full = [], {}, []
         for sl in _plan(m, self.ring, self.degree_bound):
             part, bit = 0, 1
             for low in sl.lower:
@@ -746,8 +761,11 @@ class OracleSession:
                 covered = sl.verdicts[part] = _covered(m, *sl.key, sl.lower, part)
             ech = None if covered else self._eliminate(sl, part, echs)
             echs.append(ech)
-            spaces[sl.key] = sl.filled if ech is None else ech
-        self._spaces = spaces
+            if ech is None:
+                full.append(sl.key)
+                ech = sl.filled
+            spaces[sl.key] = ech
+        self._spaces, self._full = spaces, frozenset(full)
         return spaces
 
     def _eliminate(self, sl, part, echs):
@@ -763,8 +781,8 @@ class OracleSession:
           `masks`: exactly their shifted rows, the columns with C(b_i, j)
           nonzero) and at the images of the unit columns of the others
           with a nonzero constant;
-        * the kept `slice_basis` rows of the given family, then those of
-          the relations, which cost nothing to build; a kept row that meets
+        * the kept rows of the given family, then those of the relations
+          (`_kept`, built once per set and slice); a kept row that meets
           no unit column is a pivot as it stands, shared read-only with its
           set;
         * the shifted rows of the lower slices that are not full, in one
@@ -804,7 +822,7 @@ class OracleSession:
             return None
         ech = _Echelon(self.ring.char, covered)
         for given in (self.gens, self.relations):
-            if given is not None and ech.fill(((None, given.slice_basis(*key, _basis)),), target):
+            if given is not None and ech.fill(((None, _kept(given, *key)),), target):
                 return None
         # the lower pivot rows are read only if the kept rows leave room
         if ech.fill(((shift, low.pivots.values()) for shift, low in lows), target):
@@ -833,10 +851,12 @@ class OracleSession:
     # -- queries -----------------------------------------------------------
 
     def dims(self) -> DimReport:
+        """The quotient dimension of each slice: its count of non-lead
+        columns, read off the lead mask (as in `verify_basis`)."""
         t0 = time.monotonic()
         spaces = self._spaces or self._build_box()
         dims = {
-            sl.key: sl.size - spaces[sl.key].rank
+            sl.key: sl.size - spaces[sl.key].leads.bit_count()
             for sl in _plan(self.m, self.ring, self.degree_bound)
         }
         return DimReport(self.m, self.ring.char, self.degree_bound, dims, time.monotonic() - t0)
@@ -867,7 +887,7 @@ class OracleSession:
                 cols = [c for c in range(cands.bit_length()) if cands >> c & 1]
                 indep = not _overlay(ech, cols, sl.size).leads >> sl.size
             count = cands.bit_count()
-            q = sl.size - ech.rank
+            q = sl.size - ech.leads.bit_count()
             rows.append((*sl.key, sl.size, q, count, indep, q == count))
         report = VerificationReport(
             m, self.ring.char, candidate.provenance, self.degree_bound, rows,
@@ -897,13 +917,7 @@ class OracleSession:
             )
         if f.m != self.m or f.ring != self.ring:
             raise ValueError("element does not match the session")
-        full = self._full
-        if full is None:
-            space = self.space
-            full = self._full = frozenset(
-                sl.key for sl in _plan(self.m, self.ring, self.degree_bound)
-                if space(*sl.key) is sl.filled
-            )
+        full = self._full  # the verification built the box
         cand = candidate.by_slice() if overlays else None
         p = self.ring.char
         coords: dict[tuple, object] = {}

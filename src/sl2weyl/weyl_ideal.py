@@ -81,7 +81,8 @@ class GeneratorSet(Record):
     """A generator family, or a session's relations, for one m and ring
     (`ring` is the one `CoeffRing` object of its characteristic), with the
     degree and weight bounds it covers; equal by its fields, not by its
-    slice index or slice bases."""
+    slice index or by `_rows`, a dict by slice that the sessions on the set
+    fill (`quotient_oracle._kept`)."""
 
     # family: "defining" | "schur" | "forgotten" | "truncation"
     __slots__ = ("m", "ring", "family", "entries", "degree_bound", "weight_bound",
@@ -93,11 +94,10 @@ class GeneratorSet(Record):
 
     def by_slice(self) -> dict:
         """The entries' polynomials grouped by (degree, weight), in entry
-        order, each with integer coefficients (`DPoly.integral`, a unit
-        multiple: `slice_basis` echelonizes them); built on the first call
-        and kept for the sessions on this set, so read only.  Building it
-        checks each entry once: a polynomial of another m or ring, or with
-        a term outside the slice its entry declares, raises ValueError."""
+        order; built on the first call and kept for the sessions on this
+        set, so read only.  Building it checks each entry once: a
+        polynomial of another m or ring, or with a term outside the slice
+        its entry declares, raises ValueError."""
         if self._index is None:
             index = {}
             for i, e in enumerate(self.entries):
@@ -107,38 +107,9 @@ class GeneratorSet(Record):
                         f"generator entry {i} {e.provenance} is not a polynomial of "
                         f"slice {key} for m = {self.m} over {self.ring}"
                     )
-                index.setdefault(key, []).append(f.integral())
+                index.setdefault(key, []).append(f)
             _set(self, "_index", index)
         return self._index
-
-    def slice_rows(self, d: int, w: int) -> tuple:
-        """The polynomials of slice (d, w) from `by_slice` as column rows
-        {column: coefficient} (`column_index`), in entry order, built on
-        each call."""
-        polys = self.by_slice().get((d, w))
-        if not polys:
-            return ()
-        index = column_index(self.m, d, w)
-        return tuple({index[a]: c for a, c in f.terms.items()} for f in polys)
-
-    def slice_basis(self, d: int, w: int, echelonize) -> tuple:
-        """One echelon basis of the rows of slice (d, w), in the echelon's
-        row form: `echelonize(slice_rows(d, w), p)`, which a session passes
-        in (this module does not know the echelon).  It depends only on
-        this set's rows of the slice, so it is built the first time a
-        session eliminates the slice and kept for every session on this
-        set.  A session takes these rows before any shifted row, and makes
-        a row that meets no unit column and whose lead is still free a
-        pivot as it stands, shared read-only; so its rows may never be
-        changed.  Slices without
-        entries, and those no session eliminates, never hold one."""
-        rows = self._rows.get((d, w))
-        if rows is None:
-            rows = self.slice_rows(d, w)
-            if not rows:
-                return ()
-            rows = self._rows[d, w] = echelonize(rows, self.ring.char)
-        return rows
 
 
 def _lies_in(f: DPoly, key: tuple) -> bool:

@@ -1,12 +1,14 @@
 import itertools
+import time
 from decimal import Decimal
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sl2weyl import dpalgebra
 from sl2weyl.dpalgebra import (
     CoeffRing,
     DPoly,
@@ -30,6 +32,31 @@ def test_ring_validation():
     with pytest.raises(ValueError):
         CoeffRing(4)
     assert CoeffRing(7).char == 7
+
+
+def test_primality_is_exact_below_the_bound_and_fast():
+    # Miller-Rabin on the bases 2 ... 41 agrees with trial division below
+    # 10^5, and decides an 18-digit prime and a product of two 8-digit
+    # primes at once
+    for n in range(10**5):
+        trial = n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert dpalgebra._is_prime(n) == trial, n
+    for char, prime in ((2**61 - 1, True), (99999989 * 99999971, False)):
+        t0 = time.perf_counter()
+        if prime:
+            assert CoeffRing(char).char == char
+        else:
+            with pytest.raises(ValueError, match="must be 0 or prime"):
+                CoeffRing(char)
+        assert time.perf_counter() - t0 < 0.1, char
+
+
+def test_a_characteristic_at_the_primality_bound_is_refused():
+    bound = dpalgebra._PRIME_BOUND
+    assert bound == 3317044064679887385961981
+    for char in (bound, bound + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match=f"must be below {bound}"):
+            CoeffRing(char)
 
 
 def test_ring_convert():

@@ -14,7 +14,14 @@ import pytest
 import sl2weyl
 from sl2weyl import quotient_oracle, symfunc, weyl_ideal
 from sl2weyl.basis_enum import BasisSet, cv_basis, lex_basis, revlex_basis, truncated_basis
-from sl2weyl.dpalgebra import RATIONALS, CoeffRing, DPoly, parse_dpoly, slice_partitions
+from sl2weyl.dpalgebra import (
+    RATIONALS,
+    CoeffRing,
+    DPoly,
+    column_index,
+    parse_dpoly,
+    slice_partitions,
+)
 from sl2weyl.quotient_oracle import (
     ConfigurationError,
     MustVerifyFirstError,
@@ -39,6 +46,16 @@ from sl2weyl.weyl_ideal import (
 )
 
 RINGS = (RATIONALS, CoeffRing(2), CoeffRing(3), CoeffRing(5))
+
+
+def _literal_rows(given, d, w):
+    """The polynomials of slice (d, w) of a given set as integer column
+    rows, in entry order."""
+    index = column_index(given.m, d, w)
+    return [
+        {index[a]: c for a, c in f.integral().terms.items()}
+        for f in given.by_slice().get((d, w), ())
+    ]
 
 
 # -- slices --------------------------------------------------------------------
@@ -431,7 +448,7 @@ def test_relation_sets_keep_rows_only_for_slices_with_entries():
     OracleSession(6, ring, 8, relations=relations).dims()
     assert set(relations._rows) == set(relations.by_slice()) == {(1, j) for j in range(2, 6)}
     assert all(relations._rows.values())
-    assert relations.slice_rows(2, 3) == () and (2, 3) not in relations._rows
+    assert quotient_oracle._kept(relations, 2, 3) == () and (2, 3) not in relations._rows
     schur = schur_family(4, ring)
     OracleSession(4, ring, 5, gens=schur).dims()
     assert schur._rows and set(schur._rows) <= set(schur.by_slice())
@@ -450,7 +467,7 @@ def test_a_given_set_keeps_one_echelon_basis_per_slice():
     for given in sets:
         p = given.ring.char
         for key in given.by_slice():
-            basis, leads = given.slice_basis(*key, quotient_oracle._basis), set()
+            basis, leads = quotient_oracle._kept(given, *key), set()
             for row in basis:
                 if p == 2:
                     assert type(row) is int and row
@@ -553,8 +570,10 @@ def test_sessions_on_kept_slice_bases_equal_the_literal_rows_and_a_fresh_set():
                 # one its slice's own rows give
                 for given in (gens, relations):
                     for key, rows in (given._rows if given else {}).items():
-                        want = quotient_oracle._basis(given.slice_rows(*key), ring.char)
-                        assert rows == want, (m, ring.char, kind, key)
+                        ech = _Echelon(ring.char)
+                        for row in _literal_rows(given, *key):
+                            ech.add(row)
+                        assert rows == tuple(ech.pivots.values()), (m, ring.char, kind, key)
 
 
 def _patch_every_form(monkeypatch, name, wrap):
@@ -732,7 +751,7 @@ def test_kept_rows_fill_a_slice_before_any_shifted_row(monkeypatch):
             if sl.key not in starts:
                 continue
             ech = _Echelon(ring.char, starts[sl.key])
-            for row in schur.slice_basis(*sl.key, quotient_oracle._basis):
+            for row in quotient_oracle._kept(schur, *sl.key):
                 ech.add(row)
             if ech.rank == sl.size:
                 filled_by_kept += 1
@@ -745,7 +764,7 @@ def test_schur_rows_span_every_slice_a_session_eliminates(monkeypatch):
     # `schur_family(m, ring)` at box m + 1 no shifted row raises the rank
     # of any slice.  Every slice the session eliminates has
     # the rank of the unit columns it starts from plus the literal Schur
-    # rows of the slice (`slice_rows`), m <= 6 on four rings.  The first
+    # rows of the slice (`_literal_rows`), m <= 6 on four rings.  The first
     # session builds the kept bases, so the second records only the
     # echelons that elimination starts
     starts, now = {}, [None]
@@ -772,7 +791,7 @@ def test_schur_rows_span_every_slice_a_session_eliminates(monkeypatch):
             assert starts or m == 1, (m, ring.char)
             for key, units in starts.items():
                 ech = _Echelon(ring.char, units)
-                for row in schur.slice_rows(*key):
+                for row in _literal_rows(schur, *key):
                     ech.add(row)
                 assert ech.rank == sess.space(*key).rank, (m, ring.char, key)
 
@@ -1378,6 +1397,47 @@ def test_quotient_dim_examples():
 def test_quotient_dim_requires_bound():
     with pytest.raises(ValueError):
         OracleSession(4, RATIONALS, 3).dims()
+
+
+def test_session_refuses_a_negative_m():
+    # refused when the session is built, before any query reaches the
+    # partition enumeration
+    for ring in RINGS:
+        for m, bound in ((-1, 0), (-3, 2)):
+            with pytest.raises(ValueError, match=f"m = {m}"):
+                OracleSession(m, ring, bound)
+
+
+def test_a_slice_below_full_pulls_every_series_generator(monkeypatch):
+    # verification does not rest on the theorem: a default session stops
+    # pulling the defining series rows of a slice only once the slice is
+    # full, so after a verification every slice that ends below full has
+    # pulled every one of them.  m <= 6 at box m + 2 on four rings; at
+    # m = 5 and 6 each ring has 26 and 42 such slices, and the pulls
+    # are pinned
+    pulls, series = Counter(), quotient_oracle.slice_series
+
+    def counting(m, d, w):
+        for item in series(m, d, w):
+            pulls[d, w] += 1
+            yield item
+
+    monkeypatch.setattr(quotient_oracle, "slice_series", counting)
+    totals, short = {}, Counter()
+    for m in range(1, 7):
+        for ring in RINGS:
+            pulls.clear()
+            sess = OracleSession(m, ring, m + 2)
+            assert sess.verify_basis(lex_basis(m)).passed
+            for d, w, size in _box_slices(m, m + 2):
+                if sess.space(d, w).rank < size:
+                    short[m, ring.char] += 1
+                    want = sum(1 for _ in series(m, d, w))
+                    assert pulls[d, w] == want, (m, ring.char, d, w)
+            totals[m, ring.char] = sum(pulls.values())
+    assert [short[m, ring.char] for m in (5, 6) for ring in RINGS] == [26] * 4 + [42] * 4
+    assert [totals[5, ring.char] for ring in RINGS] == [33, 40, 35, 46]
+    assert [totals[6, ring.char] for ring in RINGS] == [116, 127, 122, 124]
 
 
 def test_three_presentations_agree_over_qq():

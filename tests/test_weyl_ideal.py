@@ -499,9 +499,9 @@ def test_schur_rows_lead_at_distinct_partitions_with_coefficient_one():
     # over Q, m <= 7, in each slice of degree <= m + 1 the rows of the Schur
     # family lead in DPLEX at x^(lam), lam padded to k parts, with
     # coefficient 1, and no two rows of a slice share a lead: so they are
-    # independent in every ring, and the echelon basis a set keeps of a
-    # slice (`GeneratorSet.slice_basis`) holds every Schur row, while the
-    # forgotten rows of a slice overlap
+    # independent in every ring, and the echelon basis a session keeps of a
+    # slice of the set (`quotient_oracle._kept`) holds every Schur row,
+    # while the forgotten rows of a slice overlap
     for m in range(1, 8):
         leads = set()
         for e in schur_family(m, RATIONALS).entries:

@@ -76,7 +76,8 @@ slices it can show are full:
   normal form of the element.  The lex basis is exactly the set of
   non-lead columns of the ideal (the Groebner-Shirshov statement of the
   source paper), so verifying it computes no residue and reducing in it
-  builds no solver.
+  builds no solver; at m = 5, 16 of the 26 nonempty slices of revlex and
+  cv avoid the leads too.
 
 * verification and reduction share one solver in an overlay slice of n
   columns (`_overlay`): the candidate columns c_0, c_1, ... each give the
@@ -94,17 +95,21 @@ slices it can show are full:
   its plan position and its shift, with the coverage verdicts found so far,
   keyed by which of those lower slices are full (bit k for the k-th), so a
   later session with the same full lower slices decides coverage with one
-  lookup, and no key grows with the box.  The plan enumerates a
-  slice's monomials only when a session eliminates the slice.  It then keeps
-  the masks of the columns the shifts cover and the shift column maps, each
-  built the first time an elimination reads it.  Besides the plan an
+  lookup, and no key grows with the box.  The plan enumerates a slice's
+  monomials only when a session eliminates the slice (at m = 9, box 11,
+  over Q, 162,440 of the box's 167,960 monomials lie in slices that are
+  never eliminated).  It then keeps the masks of the columns the shifts
+  cover and the shift column maps, each built the first time an
+  elimination reads it.  Besides the plan an
   eliminated slice reads the slice monomials and their column index
   (`dpalgebra.slice_monomials`, `dpalgebra.column_index`), which the
   generator families and candidate bases read too.  A given family or
   relation set keeps, per slice a session eliminates, one echelon basis of
   its own rows of that slice in the echelon's row form, which the engine
   builds the first time (`_kept`): it depends on nothing but those rows,
-  so later sessions take rank-many rows with no conversion, and a kept row
+  so later sessions take rank-many rows with no conversion (at m = 6 the
+  forgotten family's 2,872 rows keep 1,652; the Schur rows of a slice lead
+  at distinct x^(lam) with coefficient 1 and are kept whole), and a kept row
   that meets no unit column may be a pivot as it stands, shared read-only
   between the set and every session that takes it (no pivot is ever
   changed: rows cancel against pivots, not the other way).  A session

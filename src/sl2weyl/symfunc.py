@@ -3,11 +3,13 @@ multiplicities relating the forgotten and monomial bases, and normal forms in
 the coinvariant algebra.
 
 Kostka numbers come two ways: one pair at a time from the literal strip
-recursion (`kostka`), the reference, and one content at a time as a row of
+loop (`kostka`), the reference, which peels a horizontal strip per content
+part from every shape reached so far, and one content at a time as a row of
 all shapes by the Pieri rule (`kostka_row`), which the Schur family reads.
-The rows read one process-wide table of Pieri strips
-(`_added_horizontal_strips`, keyed by shape, strip size and cap), so each
-strip set is enumerated once and every row keys on the table's shape tuples.
+Each reads one process-wide strip table, of removed strips
+(`_horizontal_substrips`) or of added ones (`_added_horizontal_strips`),
+so each strip set is enumerated once and every row keys on the table's
+shape tuples.
 
 The coinvariant computations use the complete homogeneous polynomials
 h_{m-r+1}(t_1, ..., t_r), 1 <= r <= m, which form a Groebner basis of the
@@ -20,6 +22,7 @@ leaves the integers.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 from operator import sub
@@ -31,46 +34,47 @@ from .partitions import Partition, dominates, enumerate_partitions
 # transition numbers
 
 
-@lru_cache(maxsize=None)
 def _kostka(lam: tuple[int, ...], content: tuple[int, ...]) -> int:
-    if not content:
-        return 1 if not lam else 0
-    c = content[-1]
-    if c == 0:
-        return _kostka(lam, content[:-1])
-    # peel a horizontal strip of size c carrying the largest entry
-    total = 0
-    for nu in _horizontal_substrips(lam, c):
-        total += _kostka(nu, content[:-1])
-    return total
+    """Semistandard tableaux of shape lam and content `content`: one loop over
+    the content from its last entry, in which every shape reached so far peels
+    each horizontal strip of that entry's size; the empty shape's count."""
+    counts = {lam: 1}
+    for c in reversed(content):
+        if c == 0:
+            continue
+        peeled = {}
+        for shape, k in counts.items():
+            for nu in _horizontal_substrips(shape, c):
+                peeled[nu] = peeled.get(nu, 0) + k
+        counts = peeled
+    return counts.get((), 0)
 
 
-def _horizontal_substrips(lam, size):
-    """Shapes nu <= lam with lam/nu a horizontal strip of `size` cells."""
-    k = len(lam)
-
-    def rec(i, remaining, acc):
-        if i == k:
-            if remaining == 0:
-                yield tuple(x for x in acc if x > 0)
-            return
-        below = lam[i + 1] if i + 1 < k else 0
-        lo = max(below, lam[i] - remaining)
-        # strip condition: nu_i >= lam_{i+1}
-        for nu_i in range(lam[i], lo - 1, -1):
-            if acc and nu_i > acc[-1]:
-                continue
-            acc.append(nu_i)
-            yield from rec(i + 1, remaining - (lam[i] - nu_i), acc)
-            acc.pop()
-
-    yield from rec(0, size, [])
+@lru_cache(maxsize=None)
+def _horizontal_substrips(lam: tuple[int, ...], size: int) -> tuple:
+    """Shapes nu <= lam with lam/nu a horizontal strip of `size` cells, in
+    decreasing lexicographic order, built row by row with lam_{i+1} <= nu_i <=
+    lam_i: only the last row of a run of equal parts can shrink, and a partial
+    strip that owes more than the lam_{i+1} cells below row i is dropped.
+    Cached for the whole process by (lam, size), as `_kostka` peels the same
+    strips again and again; read only."""
+    partial, start = [((), size)], 0  # [(nu_0, ..., nu_i; cells still owed)]
+    for i, (top, below) in enumerate(zip(lam, lam[1:] + (0,))):
+        if top > below:
+            run, start = lam[start:i], i + 1
+            partial = [
+                (nu + run + (nu_i,), left - top + nu_i)
+                for nu, left in partial
+                for nu_i in range(top, max(below, top - left) - 1, -1)
+                if left - top + nu_i <= below
+            ]
+    return tuple(tuple(x for x in nu if x) for nu, left in partial if not left)
 
 
 def kostka(lam: Partition, mu: Partition) -> int:
     """Number of semistandard Young tableaux of shape lam and content mu:
-    0 unless lam dominates mu (partitions of one size), else the strip
-    recursion."""
+    0 unless lam dominates mu (partitions of one size), else the strip loop
+    `_kostka`."""
     if not dominates(lam, mu):
         return 0
     return _kostka(lam.parts, mu.parts)
@@ -172,28 +176,19 @@ def forgotten_coeff(lam: Partition, mu: Partition) -> int:
     """
     if lam.size != mu.size:
         return 0
-    parts = mu.parts
-    counts0 = {v: lam.parts.count(v) for v in set(lam.parts)}
-
-    def rec(i, counts):
-        if i == len(parts):
-            return 1 if not counts else 0
-        total = 0
-        for chosen in _sub_partitions(counts, parts[i]):
-            eta = tuple(
-                itertools.chain.from_iterable([v] * c for v, c in chosen.items())
-            )
-            rest = dict(counts)
-            for v, c in chosen.items():
-                rest[v] -= c
-                if rest[v] == 0:
-                    del rest[v]
-            total += _multiset_weight(eta) * rec(i + 1, rest)
-        return total
-
-    s = rec(0, counts0)
+    # {lam's parts still to place, as (value, count) pairs: weighted count}
+    states = {tuple(Counter(lam.parts).items()): 1}
+    for part in mu.parts:
+        placed = {}
+        for left, total in states.items():
+            for chosen in _sub_partitions(dict(left), part):
+                eta = tuple(v for v, c in chosen.items() for _ in range(c))
+                rest = tuple((v, c - chosen.get(v, 0)) for v, c in left
+                             if c > chosen.get(v, 0))
+                placed[rest] = placed.get(rest, 0) + _multiset_weight(eta) * total
+        states = placed
     sign = -1 if (mu.size - lam.length) % 2 else 1
-    return sign * s
+    return sign * states.get((), 0)
 
 
 # ---------------------------------------------------------------------------

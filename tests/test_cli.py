@@ -56,6 +56,17 @@ def test_kostka_and_dcoeff(capsys):
     # zero entries are dropped, on either side
     assert run(capsys, "kostka", "2,1,0", "1,1,1") == (0, "2\n", "")
     assert run(capsys, "dcoeff", "2,1,1,0", "2,2") == (0, "-2\n", "")
+    # thousands of parts answer, where a recursion per part would overflow
+    def ones(n):
+        return ",".join(["1"] * n)
+
+    assert run(capsys, "kostka", "2000", ones(2000)) == (0, "1\n", "")
+    assert run(capsys, "kostka", "1999,1", ones(2000)) == (0, "1999\n", "")
+    assert run(capsys, "kostka", ones(1000), ones(1000)) == (0, "1\n", "")
+    assert run(capsys, "dcoeff", ones(1200), ones(1200)) == (0, "1\n", "")
+    hook = "2," + ones(1198)
+    assert run(capsys, "dcoeff", hook, hook) == (0, "-1\n", "")
+    assert run(capsys, "dcoeff", hook, "1200") == (0, "-1199\n", "")
 
 
 def test_partition_parts_are_ascii_digits(capsys):

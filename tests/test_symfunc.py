@@ -74,6 +74,12 @@ def test_kostka_examples():
     assert kostka(make_partition([2, 1]), make_partition([1, 1, 1])) == 2
     assert kostka(make_partition([1, 1]), make_partition([2])) == 0
     assert kostka(make_partition([2]), make_partition([1, 1, 1])) == 0  # size mismatch
+    # one loop step per content part, so thousands of parts stay in reach
+    ones = make_partition([1] * 2000)
+    assert kostka(make_partition([2000]), ones) == 1
+    # standard tableaux of the hook (n - 1, 1): the entry in row 2 is 2..n
+    assert kostka(make_partition([1999, 1]), ones) == 1999
+    assert kostka(make_partition([1] * 1000), make_partition([1] * 1000)) == 1
 
 
 def test_kostka_matches_bruteforce():
@@ -185,6 +191,13 @@ def test_forgotten_diagonal_unit():
 def test_forgotten_examples():
     assert forgotten_coeff(make_partition([1, 1]), make_partition([2, 0])) == 1
     assert forgotten_coeff(make_partition([2, 1, 1]), make_partition([2, 2])) == -2
+    # one loop step per part of mu, so thousands of parts stay in reach
+    ones = make_partition([1] * 1200)
+    hook = make_partition([2] + [1] * 1198)
+    assert forgotten_coeff(ones, ones) == 1
+    assert forgotten_coeff(hook, hook) == -1
+    # one block: l(lam)! / (m_1! m_2!) = 1199, sign (-1)^(|mu| - l(lam)) = -1
+    assert forgotten_coeff(hook, make_partition([1200])) == -1199
 
 
 def test_forgotten_matches_bruteforce():

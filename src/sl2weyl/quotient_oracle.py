@@ -117,7 +117,12 @@ slices it can show are full:
   every session of the box is the plan's one full echelon of that slice,
   which nothing inserts into, and the session records which slices those
   are (`_full`).  So sessions after the first on the same box go straight
-  to elimination.
+  to elimination, whose first step reads the kept rows: a slice that a
+  given family's or relation set's own kept rows fill is full with no row
+  operation.  Kept rows are independent, so when they number the slice's
+  size they span it.  That is a fact of the set, not of the box, so it is
+  written to no plan field: a later session of the box on another set, or
+  on none, sees the plan as it was.
 
 Rank computations and normal forms are exact and fraction-free in every
 ring, in one echelon with one row form per ring (`_Echelon`, and `_Bits`
@@ -552,7 +557,10 @@ def _kept(given, d, w) -> tuple:
     cleared of denominators (`DPoly.integral`) as column rows in entry
     order.  Built when a session first eliminates the slice and kept in the
     set's `_rows` for every session on the set, which makes them pivots as
-    they stand, shared read-only, so nothing may change them."""
+    they stand, shared read-only, so nothing may change them.  They are
+    independent in the set's ring, so their count is a lower bound on the
+    rank of the slice: a slice that a given family's or relation set's own
+    kept rows fill, as many as its size, is full with no row operation."""
     rows = given._rows.get((d, w))
     if rows is None:
         polys = given.by_slice().get((d, w))
@@ -777,10 +785,19 @@ class OracleSession:
         """Echelon of the plan slice `sl`, which is not covered, from the
         echelons `echs` of the plan positions before it, or None when the
         slice ends full.  `lower[k]` is full for each bit k set in `part`,
-        and only the others are read in `echs`.  The echelon's row form
-        does every row operation, in one `fill` per batch of kept or
-        shifted rows.  The slice is filled from the rows that cost least
-        first, and stops as soon as it is full:
+        and only the others are read in `echs`.
+
+        The first step is a rank test: a slice that a given family's or
+        relation set's own kept rows fill is full with no row operation.
+        The kept rows of a set are independent in the session's ring
+        (`_kept`), so when they number the slice's size the slice is full,
+        and None is returned before any mask, column map, unit image or
+        echelon is built.  That is a fact of the set, so nothing of it is
+        written to the plan.
+
+        Otherwise the echelon's row form does every row operation, in one
+        `fill` per batch of kept or shifted rows.  The slice is filled from
+        the rows that cost least first, and stops as soon as it is full:
 
         * unit columns at the columns the full lower slices cover (its plan
           `masks`: exactly their shifted rows, the columns with C(b_i, j)
@@ -801,6 +818,9 @@ class OracleSession:
         leads, the normal forms and the series rows pulled, do not depend
         on that order."""
         key, lower, masks, shifts = sl.key, sl.lower, sl.masks, sl.shifts
+        kept = [_kept(given, *key) for given in (self.gens, self.relations) if given is not None]
+        if any(len(rows) == sl.size for rows in kept):
+            return None
         if part and masks[0] is None:
             masks[:] = _masks(self.m, *key, lower)
         covered, lows = 0, []
@@ -826,8 +846,8 @@ class OracleSession:
         if not target:
             return None
         ech = _Echelon(self.ring.char, covered)
-        for given in (self.gens, self.relations):
-            if given is not None and ech.fill(((None, _kept(given, *key)),), target):
+        for rows in kept:
+            if ech.fill(((None, rows),), target):
                 return None
         # the lower pivot rows are read only if the kept rows leave room
         if ech.fill(((shift, low.pivots.values()) for shift, low in lows), target):

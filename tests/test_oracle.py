@@ -697,24 +697,32 @@ def test_row_order_changes_no_slice():
 
 
 def test_kept_rows_fill_a_slice_before_any_shifted_row(monkeypatch):
-    # the second Schur session at m = 6 (degree box 7) offers each slice it
-    # eliminates the kept Schur rows first, in one fill: a row whose lead is
-    # free is a pivot at once, as it stands where it meets no unit column,
-    # and the rest follow by lead only while the slice is not full.  Over Q
-    # 61 rows reach `_insert`, with 199 cancels, and no row is normalized;
-    # inserting the kept rows one at a time took 111 rows, 233 cancels and
-    # 38 normalizations, and offering the shifted rows first 140 rows and
-    # 147 normalizations.  Over F_3: 62 rows, 192 cancels, 14
-    # normalizations (187, 243 and 58 one at a time).  A slice that its
-    # unit columns and kept rows fill reads no lower pivot row, so builds
-    # no shifted row: over Q that is 21 slices, every eliminated slice that
-    # ends full
+    # a slice whose kept rows number its size is full at once: those rows
+    # are independent, so they fill it, and the session makes no echelon
+    # for it and reads no lower pivot row.  The second
+    # Schur session at m = 6 (degree box 7) eliminates 63 slices over Q and
+    # 77 over F_3; the kept rows fill 21 and 35 of them, so it makes 42
+    # echelons, one per slice they leave short.  Those slices are offered the
+    # kept Schur rows first, in one fill: a row whose lead is free is a
+    # pivot at once, as it stands where it meets no unit column, and the
+    # rest follow by lead only while the slice is not full.  Over Q 61 rows
+    # reach `_insert`, with 199 cancels; over F_3 62 rows and 192 cancels;
+    # no row is normalized.  The first session, on a fresh set, normalizes
+    # the kept rows it builds through `add`, which shows the normalization
+    # patch is live
     m, bound = 6, 7
-    for ring, inserts, cancels, norms in ((RATIONALS, 61, 199, 0), (CoeffRing(3), 62, 192, 14)):
+    for ring, inserts, cancels, full in ((RATIONALS, 61, 199, 21), (CoeffRing(3), 62, 192, 35)):
         schur = schur_family(m, ring)
-        OracleSession(m, ring, bound, gens=schur).dims()
+        first_norms = [0]
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                quotient_oracle, "unit_normalize",
+                _counting(first_norms)(quotient_oracle.unit_normalize),
+            )
+            OracleSession(m, ring, bound, gens=schur).dims()
+        assert first_norms[0] > 0, ring.char
         calls, cancel_calls, norm_calls = [0], [0], [0]
-        starts, reads, now = {}, Counter(), [None]
+        made, reads, now, visited = Counter(), Counter(), [None], set()
 
         class Pivots(dict):
             def values(self):
@@ -726,10 +734,11 @@ def test_kept_rows_fill_a_slice_before_any_shifted_row(monkeypatch):
         def recording_init(self, p, units=0):
             init(self, p, units)
             self.pivots = Pivots()
-            starts[now[0]] = units
+            made[now[0]] += 1
 
         def tracking_eliminate(self, sl, part, echs):
             now[0] = sl.key
+            visited.add(sl.key)
             return eliminate(self, sl, part, echs)
 
         with monkeypatch.context() as patch:
@@ -744,19 +753,91 @@ def test_kept_rows_fill_a_slice_before_any_shifted_row(monkeypatch):
             sess = OracleSession(m, ring, bound, gens=schur)
             assert sess.dims().total == 2**m
         assert 0 < calls[0] <= inserts and 0 < cancel_calls[0] <= cancels, ring.char
-        # the F_3 count shows the normalization patch is live
-        assert norm_calls[0] <= norms and (norm_calls[0] > 0) == (norms > 0), ring.char
+        assert norm_calls[0] == 0, ring.char
+        assert sum(made.values()) == 42, ring.char
         filled_by_kept = 0
         for sl in quotient_oracle._plan(m, ring, bound):
-            if sl.key not in starts:
+            if sl.key not in visited or len(quotient_oracle._kept(schur, *sl.key)) < sl.size:
                 continue
-            ech = _Echelon(ring.char, starts[sl.key])
-            for row in quotient_oracle._kept(schur, *sl.key):
-                ech.add(row)
-            if ech.rank == sl.size:
-                filled_by_kept += 1
-                assert sess.space(*sl.key) is sl.filled and not reads[sl.key], sl.key
-        assert filled_by_kept, ring.char
+            filled_by_kept += 1
+            where = (ring.char, sl.key)
+            assert sess.space(*sl.key) is sl.filled, where
+            assert not made[sl.key] and not reads[sl.key], where
+        assert filled_by_kept == len(visited) - 42 == full, ring.char
+
+
+def _literal_slices(m, ring, bound, literal):
+    """Per slice of the box, the rank of the literal rows of the set
+    `literal` (`slice_rank`) and the lead mask of one echelon fed all of
+    them."""
+    out = {}
+    for d, w, _ in _box_slices(m, bound):
+        rows = build_slice(m, ring, d, w, literal)
+        ech = _Echelon(ring.char)
+        for vec in rows.ideal_rows:
+            ech.add({i: c for i, c in enumerate(vec) if c})
+        out[d, w] = slice_rank(rows), ech.leads
+    return out
+
+
+def test_slices_that_kept_rows_fill_equal_the_literal_rows(monkeypatch):
+    # a slice whose kept rows number its size is full before any row
+    # operation.  The sets here fill some slices and not others: the
+    # defining set plus every monomial of some slices (their kept rows
+    # fill them) and every monomial but one of others (a row short), as a
+    # family or as relations, and the truncation relations, whose x_j fill
+    # the slices (1, j) for j >= N, alone and with that family.  Two
+    # sessions on each, the second on the rows that the first kept, must
+    # give every slice the rank of its literal rows (`slice_rank`) and the
+    # lead mask of one echelon fed every literal row, m <= 5 on four rings
+    rng = random.Random(3801)
+    shortcuts = [0]
+    eliminate = OracleSession._eliminate
+
+    def counting_eliminate(self, sl, part, echs):
+        given = (g for g in (self.gens, self.relations) if g is not None)
+        if any(len(quotient_oracle._kept(g, *sl.key)) == sl.size for g in given):
+            shortcuts[0] += 1
+        return eliminate(self, sl, part, echs)
+
+    monkeypatch.setattr(OracleSession, "_eliminate", counting_eliminate)
+    for m in range(1, 6):
+        bound = m + 1
+        weights = bound * max(m - 1, 1)
+        for ring in RINGS:
+            entries = []
+            for d, w, _ in _box_slices(m, bound):
+                if d and (pick := rng.randrange(3)) < 2:
+                    monos = slice_monomials(m, d, w)
+                    if pick:
+                        skip = rng.choice(monos)
+                        monos = [a for a in monos if a != skip]
+                    entries += [
+                        GeneratorEntry(DPoly.monomial(ring, m, a), ("monomial", a), d, w)
+                        for a in monos
+                    ]
+            defining = defining_generators(m, ring, bound, weights)
+            monomials = GeneratorSet(m, ring, "monomials", entries, bound, weights)
+            filled = GeneratorSet(
+                m, ring, "defining+monomials", defining.entries + tuple(entries), bound, weights
+            )
+            want = _literal_slices(m, ring, bound, filled)
+            cases = [("family", filled, None, want), ("relations", None, monomials, want)]
+            if m > 1:
+                n = rng.randrange(1, m)
+                variables = _variables(m, ring, range(n, m))
+                relations = truncation_relations(m, n, ring)
+                for kind, gens, base in (("truncation", None, defining), ("both", filled, filled)):
+                    literal = GeneratorSet(m, ring, kind, base.entries + variables, bound, weights)
+                    want = _literal_slices(m, ring, bound, literal)
+                    cases.append((f"{kind} {n}", gens, relations, want))
+            for kind, gens, relations, want in cases:
+                for _ in range(2):
+                    sess = OracleSession(m, ring, bound, gens, relations)
+                    for key, (rank, leads) in want.items():
+                        ech = sess.space(*key)
+                        assert (ech.rank, ech.leads) == (rank, leads), (m, ring.char, kind, key)
+    assert shortcuts[0], shortcuts
 
 
 def test_schur_rows_span_every_slice_a_session_eliminates(monkeypatch):
@@ -1178,6 +1259,42 @@ def test_the_plan_is_the_only_cache_of_the_engine():
         if hasattr(f, "cache_info") and f.__module__ == quotient_oracle.__name__
     }
     assert cached == {"_plan"}
+
+
+def test_a_family_session_leaves_the_plan_free_of_the_family():
+    # what a family's kept rows decide belongs to the family, not to the
+    # box: after Schur and forgotten sessions, whose kept rows fill slices
+    # that the plan does not show full, every verdict a default session
+    # wrote is unchanged, every verdict is the `_covered` knapsack, and a
+    # default session on that plan gives the dims and lead masks that it
+    # gives on a fresh one
+    for m in (4, 5):
+        bound = m + 1
+        for ring in RINGS:
+            quotient_oracle._plan.cache_clear()
+            OracleSession(m, ring, bound).dims()
+            plan = quotient_oracle._plan(m, ring, bound)
+            before = [dict(sl.verdicts) for sl in plan]
+            families = [schur_family(m, ring)]
+            if not ring.char:
+                families.append(forgotten_family(m, ring))
+            for gens in families:
+                for _ in range(2):
+                    assert OracleSession(m, ring, bound, gens=gens).dims().total == 2**m
+            assert quotient_oracle._plan(m, ring, bound) is plan
+            for sl, verdicts in zip(plan, before):
+                where = (m, ring.char, sl.key)
+                assert sl.verdicts.items() >= verdicts.items(), where
+                for part, covered in sl.verdicts.items():
+                    knapsack = quotient_oracle._covered(m, *sl.key, sl.lower, part)
+                    assert covered == knapsack, (*where, part)
+            used = OracleSession(m, ring, bound)
+            dims = used.dims().dims
+            quotient_oracle._plan.cache_clear()
+            fresh = OracleSession(m, ring, bound)
+            assert dims == fresh.dims().dims, (m, ring.char)
+            for d, w, _ in _box_slices(m, bound):
+                assert used.space(d, w).leads == fresh.space(d, w).leads, (m, ring.char, d, w)
 
 
 def test_space_outside_the_degree_box_names_the_slice():

@@ -14,6 +14,10 @@ performed.  The three full bases all have cardinality 2^m:
   m-k+j+1 in the source contradicts its own j = k+1 specialization (which
   forces <= m), so the consistent value m-k+j-1 is used and the equality with
   the revlex basis is the arbiter.
+
+The R1 and cv sets are built one variable at a time, from x_{m-1} down,
+each variable's range read off the inequalities that bound it given the
+variables above it; no enumerator recurses.
 """
 
 from __future__ import annotations
@@ -100,29 +104,21 @@ def _r1_vectors(m: int) -> frozenset:
     """The low half of the revlex basis: degree <= m/2 and, for
     1 <= i <= m-1 (with f_m := 0),
         (i-1) f_i + i f_{i+1} + 2 (f_i + ... + f_{m-1}) <= m.
-    Enumerated from the top variable down so the suffix-sum constraints
-    prune."""
+    Built one variable at a time from x_{m-1} down, each range read off its
+    two bounds: with s = f_{i+1} + ... + f_{m-1}, f_i runs over
+    0 .. min(m/2 - s, (m - i f_{i+1} - 2s) / (i+1)), and f_0 over
+    0 .. m/2 - s."""
     if m == 0:
         return frozenset({()})
-    out = set()
     half = m // 2  # degree bound: 2*deg <= m
-
-    def rec(i, suffix, f_next, acc):
-        # acc = [f_{m-1}, ..., f_{i+1}]; suffix = sum(acc); f_next = f_{i+1}
-        if i == 0:
-            for e in range(half - suffix + 1):
-                out.add((e,) + tuple(reversed(acc)))
-            return
-        e = 0
-        # both constraints are monotone in e, so the first violation stops
-        while suffix + e <= half and (i - 1) * e + i * f_next + 2 * (suffix + e) <= m:
-            acc.append(e)
-            rec(i - 1, suffix + e, e, acc)
-            acc.pop()
-            e += 1
-
-    rec(m - 1, 0, 0, [])
-    return frozenset(out)
+    partial = [((0,), 0)]  # [((f_{i+1}, ..., f_{m-1}, f_m := 0), their sum)]
+    for i in range(m - 1, 0, -1):
+        partial = [
+            ((e,) + f, s + e)
+            for f, s in partial
+            for e in range(min(half - s, (m - i * f[0] - 2 * s) // (i + 1)) + 1)
+        ]
+    return frozenset((e,) + f[:-1] for f, s in partial for e in range(half - s + 1))
 
 
 def revlex_basis(m: int) -> BasisSet:
@@ -140,34 +136,21 @@ def revlex_basis(m: int) -> BasisSet:
 
 def cv_basis(m: int) -> BasisSet:
     """Tuples satisfying the degree-weighted staircase system; coincides with
-    the revlex basis as a set."""
+    the revlex basis as a set.  Built one variable at a time from x_{m-1}
+    down: with s = i_{k+2} + ... + i_{m-1}, i_k runs over 0 up to the least
+    (m - k + j - 1 - (j+1) i_{k+1} - 2s) / j over 1 <= j <= k+1, floored; a
+    negative bound leaves no value."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out = set()
-
-    def ok(k, i_k, i_k1, suffix2):
-        # all constraints indexed by this k: 1 <= j <= k+1
-        for j in range(1, k + 2):
-            if j * i_k + (j + 1) * i_k1 + 2 * suffix2 > m - k + j - 1:
-                return False
-        return True
-
-    def rec(k, i_next, suffix2, acc):
-        # acc holds i_{k+1}..i_{m-1} reversed; suffix2 = i_{k+2}+...+i_{m-1}
-        if k < 0:
-            out.add(tuple(acc[::-1]))
-            return
-        e = 0
-        while True:
-            if not ok(k, e, i_next, suffix2):
-                break
-            acc.append(e)
-            rec(k - 1, e, suffix2 + i_next, acc)
-            acc.pop()
-            e += 1
-
-    rec(m - 1, 0, 0, [])
-    return BasisSet(m, "cv", frozenset(out))
+    partial = [((0,), 0)]  # [((i_{k+1}, ..., i_{m-1}, i_m := 0), i_{k+2} + ... + i_{m-1})]
+    for k in range(m - 1, -1, -1):
+        partial = [
+            ((e,) + v, s + v[0])
+            for v, s in partial
+            for e in range(1 + min((m - k + j - 1 - (j + 1) * v[0] - 2 * s) // j
+                                   for j in range(1, k + 2)))
+        ]
+    return BasisSet(m, "cv", frozenset(v[:-1] for v, s in partial))
 
 
 def truncated_basis(m: int, n_trunc: int) -> BasisSet:

@@ -9,7 +9,10 @@ all shapes by the Pieri rule (`kostka_row`), which the Schur family reads.
 Each reads one process-wide strip table, of removed strips
 (`_horizontal_substrips`) or of added ones (`_added_horizontal_strips`),
 so each strip set is enumerated once and every row keys on the table's
-shape tuples.
+shape tuples.  Both tables build their shapes row by row, and the
+sub-multisets behind the forgotten numbers (`_sub_partitions`) are built one
+part value at a time, each position's range read off the constraints that
+bound it; no enumerator recurses.
 
 The coinvariant computations use the complete homogeneous polynomials
 h_{m-r+1}(t_1, ..., t_r), 1 <= r <= m, which form a Groebner basis of the
@@ -25,7 +28,6 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import factorial
-from operator import sub
 
 from .partitions import Partition, dominates, enumerate_partitions
 
@@ -104,31 +106,24 @@ def kostka_row(content: tuple[int, ...], cap: int) -> dict:
 @lru_cache(maxsize=None)
 def _added_horizontal_strips(nu: tuple[int, ...], size: int, cap: int) -> tuple:
     """Shapes lam >= nu with lam/nu a horizontal strip of `size` cells and
-    lam_1 <= cap, in increasing lexicographic order: row i gains at most
-    nu_{i-1} - nu_i cells (row 0 at most cap - nu_0), and one new row at
-    most nu_last cells.  Cached for the whole process by (nu, size, cap):
-    the Kostka rows of every content repeat most strip sets, and share the
-    returned shape tuples; read only."""
-    base = nu + (0,)
-    room = (cap - nu[0] if nu else cap,) + tuple(map(sub, nu, base[1:]))
-    free = list(itertools.accumulate(reversed(room)))[::-1] + [0]  # cells rows i.. can take
-    last = len(nu)
-    lam = list(base)
-    out = []
-
-    def fill(i, left):
-        # rows 0..i-1 are set; rows i.. take the `left` cells still to place
-        if i == last:
-            lam[i] = left
-            out.append(tuple(lam) if left else tuple(lam[:-1]))
-            return
-        for a in range(max(0, left - free[i + 1]), min(room[i], left) + 1):
-            lam[i] = base[i] + a
-            fill(i + 1, left - a)
-
-    if size <= free[0]:
-        fill(0, size)
-    return tuple(out)
+    lam_1 <= cap, in increasing lexicographic order, built row by row with
+    nu_i <= lam_i <= nu_{i-1} (lam_0 <= cap) and one new row of at most
+    nu_last cells: only the first row of a run of equal parts can grow, so
+    each run is appended whole, and a partial strip that owes more cells
+    than the rows below can take (nu_i, below a run of parts nu_i) is
+    dropped.  Cached for the whole process by
+    (nu, size, cap): the Kostka rows of every content repeat most strip sets,
+    and share the returned shape tuples; read only."""
+    partial, above = [((), size)], cap  # [(lam_0, ..., lam_i; cells still owed)]
+    for part, run in itertools.groupby(nu + (0,)):
+        rest = tuple(run)[1:]  # the run's rows after its first, which cannot grow
+        partial = [
+            (lam + (part + a,) + rest, left - a)
+            for lam, left in partial
+            for a in range(max(0, left - part), min(above - part, left) + 1)
+        ]
+        above = part
+    return tuple(lam if lam[-1] else lam[:-1] for lam, left in partial)
 
 
 def _multiset_weight(eta: tuple[int, ...]) -> int:
@@ -139,26 +134,18 @@ def _multiset_weight(eta: tuple[int, ...]) -> int:
     return w
 
 
-def _sub_partitions(counts: dict[int, int], target: int):
+def _sub_partitions(counts: dict[int, int], target: int) -> list[dict[int, int]]:
     """Distinct sub-multisets of the given part multiset summing to target,
-    yielded as dicts value -> chosen count."""
-    values = sorted(counts, reverse=True)
-
-    def rec(idx, remaining, acc):
-        if remaining == 0:
-            yield dict(acc)
-            return
-        if idx == len(values):
-            return
-        v = values[idx]
-        top = min(counts[v], remaining // v)
-        for c in range(top, -1, -1):
-            if c:
-                acc[v] = c
-            yield from rec(idx + 1, remaining - c * v, acc)
-            acc.pop(v, None)
-
-    yield from rec(0, target, {})
+    as dicts value -> chosen count, built one part value at a time from the
+    largest down, each taking from the most copies that fit down to none."""
+    partial = [({}, target)]  # [(chosen so far, still to reach)]
+    for v in sorted(counts, reverse=True):
+        partial = [
+            ({**chosen, v: c} if c else chosen, left - c * v)
+            for chosen, left in partial
+            for c in range(min(counts[v], left // v), -1, -1)
+        ]
+    return [chosen for chosen, left in partial if not left]
 
 
 def forgotten_coeff(lam: Partition, mu: Partition) -> int:

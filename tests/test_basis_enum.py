@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -168,10 +169,35 @@ def test_cv_matches_bruteforce():
 
 
 def test_cv_equals_revlex_and_cardinality():
-    for m in range(13):
+    for m in range(17):
         cv = cv_basis(m)
         assert cv.monomials == revlex_basis(m).monomials, m
         assert len(cv) == 2**m
+
+
+def staircase_tuples(m, slack):
+    """Exponent vectors with entries <= m + 2 satisfying
+    j*i_k + (j+1)*i_{k+1} + 2*sum_{p>k+1} i_p <= m - k + j + slack for
+    0 <= k <= m-1, 1 <= j <= k+1.  For slack <= 1 the j = 1 instances give
+    i_k <= m - k + 2, so the box holds every solution."""
+    return {
+        v for v in itertools.product(range(m + 3), repeat=m)
+        if all(
+            j * w[k] + (j + 1) * w[k + 1] + 2 * sum(w[k + 2:]) <= m - k + j + slack
+            for w in [v + (0,)]  # i_m := 0
+            for k in range(m)
+            for j in range(1, k + 2)
+        )
+    }
+
+
+def test_cv_bound_erratum():
+    # the source's displayed bound m-k+j+1 admits more than 2^m tuples
+    # (9 * 2^(m-2) for m >= 2), so it cannot describe a basis; the bound in
+    # use, m-k+j-1, admits exactly the revlex basis
+    assert [len(staircase_tuples(m, 1)) for m in range(1, 6)] == [4, 9, 18, 36, 72]
+    for m in range(1, 6):
+        assert staircase_tuples(m, -1) == revlex_basis(m).monomials, m
 
 
 def test_k0_j1_condition_specializes():

@@ -1,4 +1,6 @@
 import itertools
+import operator
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from sl2weyl.symfunc import (
     _added_horizontal_strips,
     _horizontal_substrips,
     _kostka,
+    _sub_partitions,
     coinvariant_reduce,
     complete_h,
     forgotten_coeff,
@@ -134,10 +137,10 @@ def test_added_strips_match_literal_substrips():
     # the shared strip table against the literal strip recursion read
     # backwards: lam gains the strip exactly when nu is a substrip of lam,
     # in increasing lexicographic order; one immutable tuple per key
-    for cap in range(6):
-        for n in range(7):
+    for cap in range(9):
+        for n in range(11):
             for nu in iter_partitions(n, cap, n):
-                for size in range(5):
+                for size in range(8):
                     strips = _added_horizontal_strips(nu, size, cap)
                     assert isinstance(strips, tuple)
                     assert _added_horizontal_strips(nu, size, cap) is strips
@@ -205,6 +208,23 @@ def test_forgotten_matches_bruteforce():
         for lam in all_partitions_of(n):
             for mu in all_partitions_of(n):
                 assert forgotten_coeff(lam, mu) == forgotten_coeff_bruteforce(lam, mu)
+
+
+def test_sub_partitions_match_the_product_of_copy_counts():
+    # every choice of copies per value, largest value first and most copies
+    # first, filtered by sum: the same dicts in the same order
+    for n in range(11):
+        for lam in all_partitions_of(n):
+            counts = dict(Counter(lam.parts))
+            values = sorted(counts, reverse=True)
+            for target in range(n + 1):
+                want = [
+                    {v: c for v, c in zip(values, copies) if c}
+                    for copies in itertools.product(*(range(counts[v], -1, -1) for v in values))
+                    if sum(map(operator.mul, values, copies)) == target
+                ]
+                got = _sub_partitions(counts, target)
+                assert [list(d.items()) for d in got] == [list(d.items()) for d in want], (lam, target)
 
 
 def test_forgotten_size_mismatch_zero():

@@ -17,7 +17,6 @@ from . import basis_enum, symfunc, weyl_ideal
 from .basis_enum import cv_basis, is_reduced_lex, lex_basis, revlex_basis
 from .dpalgebra import CoeffRing, MonomialOrder, RATIONALS
 from .partitions import (
-    Partition,
     check_mu_equals_nu,
     cmp_revlex,
     enumerate_partitions,
@@ -126,10 +125,10 @@ def criterion_identities(max_size=7, max_k=7, max_m=7):
     ok = True
     for m in range(1, max_m + 1):
         for lam in _all_partitions(max_size):
-            if lam.largest > m - 1:
+            if max(lam, default=0) > m - 1:
                 continue
             for k in range(1, max_k + 1):
-                if lam.length <= k and lam.length <= m - 1:
+                if len(lam) <= k and len(lam) <= m - 1:
                     ok = ok and weyl_ideal.transition_identity_holds(lam, k, m)
                 ok = ok and weyl_ideal.series_forgotten_identity_holds(lam, k, m)
     return ok, f"transition + series identities, |lam|<={max_size}, k<={max_k}, m<={max_m}"
@@ -156,12 +155,12 @@ def criterion_counting(max_m=12):
     return ok, f"closed form matches enumeration and the binary recursion, m<={max_m}"
 
 
-def _eta_brute(mu: Partition, m: int) -> Partition | None:
-    target_len = m - mu.length + 1
+def _eta_brute(mu: tuple[int, ...], m: int) -> tuple[int, ...] | None:
+    target_len = m - len(mu) + 1
     cands = [
         p
-        for p in enumerate_partitions(mu.size, mu.size, target_len)
-        if p.length == target_len and cmp_revlex(p, mu) >= 0
+        for p in enumerate_partitions(sum(mu), sum(mu), target_len)
+        if len(p) == target_len and cmp_revlex(p, mu) >= 0
     ]
     return min(cands, key=revlex_key) if cands else None
 
@@ -170,12 +169,12 @@ def criterion_stretch(max_m=8):
     ok = True
     for m in range(4, max_m + 1):
         for mu in _all_partitions((m - 1) * (m // 2), max_part=m - 1, max_len=m // 2):
-            if not (2 <= mu.length <= m // 2):
+            if not (2 <= len(mu) <= m // 2):
                 continue
             eta = eta_stretch(mu, m)
             ok = ok and eta == _eta_brute(mu, m)
             if eta is not None:
-                nu = nu_greatest(eta, mu.length)
+                nu = nu_greatest(eta, len(mu))
                 ok = ok and check_mu_equals_nu(mu, m) == (nu == mu)
     return ok, f"stretch algorithm matches brute force; index criterion, m<={max_m}"
 
@@ -190,7 +189,7 @@ def criterion_coinvariant(max_m=5):
             ok = ok and lead == expect
         for k in range(m + 1):
             for lam in _all_partitions(k * max(m - k, 0), max_part=max(m - k, 0), max_len=k):
-                if lam.length <= k and lam.largest <= m - k:
+                if len(lam) <= k and max(lam, default=0) <= m - k:
                     ok = ok and symfunc.schur_nonvanishing(lam, k, m)
     return ok, f"h-basis leading powers and Schur nonvanishing, m<={max_m}"
 

@@ -101,8 +101,8 @@ class CoeffRing(Record):
                     raise ZeroDivisionError("denominator not invertible mod p")
                 return c.numerator * pow(den, -1, self.char) % self.char
             return c.numerator if c.denominator == 1 else c
-        if isinstance(c, int):
-            return c % self.char if self.char else c
+        if isinstance(c, int):  # an int subclass, a bool say: as its plain int
+            return self.convert(int(c))
         raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
 
     def inv(self, a):
@@ -275,6 +275,8 @@ class DPoly:
 
     @classmethod
     def variable(cls, ring, m, i):
+        if not 0 <= i < m:
+            raise ValueError(f"variable x{i} is not among x0 ... x{m - 1} for m = {m}")
         mono = tuple(1 if j == i else 0 for j in range(m))
         return cls(ring, m, {mono: 1})
 

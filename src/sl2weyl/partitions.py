@@ -1,12 +1,16 @@
 """Integer partitions, their orders, and the stretch/level constructions
 used to locate leading monomials.
 
-A partition is its weakly decreasing tuple of positive parts and nothing
-else.  The paper pads a partition mu to k parts only to name the monomial
-x^(mu); the engine writes that monomial as an exponent vector whose x_0
-entry counts the zero parts (`dpalgebra.slice_monomials`), so no pad count
-is kept here.  `make_partition` and `parse_partition` drop zero entries, and
-the orders below read a missing trailing part as zero.
+A partition is its weakly decreasing tuple of positive int parts and
+nothing else: every function here, and every module that handles
+partitions, takes and returns such plain tuples, so |lam| is `sum(lam)`,
+l(lam) is `len(lam)` and lam_1 is `max(lam, default=0)`.  The paper pads a
+partition mu to k parts only to name the monomial x^(mu); the engine writes
+that monomial as an exponent vector whose x_0 entry counts the zero parts
+(`dpalgebra.slice_monomials`), so no pad count is kept here.  Values from
+outside the program become a partition through `make_partition` or
+`parse_partition`, which check the parts and drop zero entries; the orders
+below read a missing trailing part as zero.
 
 Reverse lexicographic convention (pinned here once and for all): comparing
 the part sequences front to back, a missing part counting as zero, the
@@ -22,59 +26,22 @@ from __future__ import annotations
 
 import functools
 from itertools import zip_longest
+from operator import index
 
-from ._record import Record
-
-
-class Partition(Record):
-    """Positive parts, weakly decreasing; a frozen value, equal and hashed
-    by its parts."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[int, ...] = ()):
-        if any(p <= 0 for p in parts):
-            raise ValueError("parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        Record.__init__(self, parts)
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
-
-    def multiplicities(self, upto: int) -> tuple[int, ...]:
-        """(m_1, ..., m_upto) as a fixed-length vector."""
-        out = [0] * upto
-        for p in self.parts:
-            if p <= upto:
-                out[p - 1] += 1
-        return tuple(out)
-
-    def __str__(self) -> str:
-        return format_partition(self)
+EMPTY = ()
 
 
-EMPTY = Partition()
-
-
-def make_partition(values) -> Partition:
-    """Sort values decreasingly, dropping zero entries."""
-    vals = list(values)
+def make_partition(values) -> tuple[int, ...]:
+    """Sort values decreasingly, dropping zero entries.  Each value is read
+    through `operator.index`: an int or a bool (as its int) is taken, a
+    float, str or Fraction raises TypeError."""
+    vals = list(map(index, values))
     if any(v < 0 for v in vals):
         raise ValueError(f"negative part in {vals!r}")
-    return Partition(tuple(sorted((v for v in vals if v), reverse=True)))
+    return tuple(sorted((v for v in vals if v), reverse=True))
 
 
-def parse_partition(text: str) -> Partition:
+def parse_partition(text: str) -> tuple[int, ...]:
     """Parse "3,1,1", dropping zero entries; "-" or "" is the empty
     partition.  Each part is ASCII digits alone: no sign, underscore or
     space, which `int` would accept."""
@@ -87,25 +54,22 @@ def parse_partition(text: str) -> Partition:
     return make_partition(map(int, parts))
 
 
-def format_partition(p: Partition) -> str:
-    return ",".join(map(str, p.parts)) or "-"
+def format_partition(p: tuple[int, ...]) -> str:
+    return ",".join(map(str, p)) or "-"
 
 
-def transpose(lam: Partition) -> Partition:
+def transpose(lam: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugate partition (rows and columns of the Ferrers diagram swapped)."""
-    if not lam.parts:
-        return EMPTY
-    cols = tuple(sum(1 for p in lam.parts if p > j) for j in range(lam.parts[0]))
-    return Partition(cols)
+    return tuple(sum(1 for p in lam if p > j) for j in range(max(lam, default=0)))
 
 
-def dominates(mu: Partition, lam: Partition) -> bool:
+def dominates(mu: tuple[int, ...], lam: tuple[int, ...]) -> bool:
     """True iff mu >= lam in dominance order (prefix sums of mu at least
     those of lam).  Partitions of different sizes are never comparable."""
-    if mu.size != lam.size:
+    if sum(mu) != sum(lam):
         return False
     sa = sb = 0
-    for a, b in zip_longest(mu.parts, lam.parts, fillvalue=0):
+    for a, b in zip_longest(mu, lam, fillvalue=0):
         sa += a
         sb += b
         if sa < sb:
@@ -113,16 +77,16 @@ def dominates(mu: Partition, lam: Partition) -> bool:
     return True
 
 
-def cmp_revlex(lam: Partition, mu: Partition) -> int:
+def cmp_revlex(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """-1, 0, or 1 as lam <, =, > mu in reverse lexicographic order.
 
     The smaller part at the first differing index wins.  Only defined for
     partitions of equal size, whose part sequences are equal or first
     differ within the shorter one, so no part is read as a zero.
     """
-    if lam.size != mu.size:
-        raise ValueError(f"revlex needs equal sizes, got {lam.size} != {mu.size}")
-    for a, b in zip(lam.parts, mu.parts):
+    if sum(lam) != sum(mu):
+        raise ValueError(f"revlex needs equal sizes, got {sum(lam)} != {sum(mu)}")
+    for a, b in zip(lam, mu):
         if a != b:
             return 1 if a < b else -1
     return 0
@@ -131,9 +95,9 @@ def cmp_revlex(lam: Partition, mu: Partition) -> int:
 revlex_key = functools.cmp_to_key(cmp_revlex)
 
 
-def uplus(lam: Partition, mu: Partition) -> Partition:
+def uplus(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
     """Multiset union of parts, rearranged decreasingly."""
-    return Partition(tuple(sorted(lam.parts + mu.parts, reverse=True)))
+    return tuple(sorted(lam + mu, reverse=True))
 
 
 def iter_partitions(size: int, max_part: int, max_len: int):
@@ -169,13 +133,13 @@ def _ascending(size, cap, slots):
         rest -= 1
 
 
-def enumerate_partitions(size: int, max_part: int, max_len: int) -> list[Partition]:
+def enumerate_partitions(size: int, max_part: int, max_len: int) -> list[tuple[int, ...]]:
     """All partitions of `size` with parts <= max_part and length <= max_len,
     in decreasing lexicographic order of part sequences."""
-    return [Partition(p) for p in iter_partitions(size, max_part, max_len)][::-1]
+    return list(iter_partitions(size, max_part, max_len))[::-1]
 
 
-def eta_stretch(mu: Partition, m: int) -> Partition | None:
+def eta_stretch(mu: tuple[int, ...], m: int) -> tuple[int, ...] | None:
     """Least partition (revlex) of |mu| with length m - l(mu) + 1 lying at or
     above mu in revlex, or None when |mu| is too small for that length.
 
@@ -185,50 +149,51 @@ def eta_stretch(mu: Partition, m: int) -> Partition | None:
     (part - r) followed by r ones.  The split appends exactly r ones so that
     the size |mu| is preserved (appending one fewer would lose a box).
     """
-    k = mu.length
+    k = len(mu)
     if not (2 <= k and 2 * k <= m):
         raise ValueError(f"need 2 <= l(mu) <= m/2, got l={k}, m={m}")
-    if mu.largest > m - 1:
+    if max(mu) > m - 1:
         raise ValueError(f"parts of mu must be <= m-1 = {m - 1}")
     target_len = m - k + 1
-    if mu.size < target_len:
+    if sum(mu) < target_len:
         return None
     r = m - 2 * k + 1
-    eta = list(mu.parts)
+    eta = list(mu)
     tail: list[int] = []
     for i in range(k - 1, -1, -1):
-        if mu.parts[i] <= r:
-            r = r - mu.parts[i] + 1
-            tail.extend([1] * (mu.parts[i] - 1))
+        if mu[i] <= r:
+            r = r - mu[i] + 1
+            tail.extend([1] * (mu[i] - 1))
             eta[i] = 1
         else:
-            eta[i] = mu.parts[i] - r
+            eta[i] = mu[i] - r
             tail.extend([1] * r)
             break
-    result = Partition(tuple(sorted(eta + tail, reverse=True)))
-    assert result.size == mu.size and result.length == target_len
+    result = tuple(sorted(eta + tail, reverse=True))
+    assert sum(result) == sum(mu) and len(result) == target_len
     return result
 
 
-def nu_greatest(eta: Partition, length: int) -> Partition:
+def nu_greatest(eta: tuple[int, ...], length: int) -> tuple[int, ...]:
     """Greatest partition (revlex) of |eta| with the given length that is
     <= eta in revlex.  Definitional search; desk-scale sizes only."""
+    n = sum(eta)
     cands = [
         p
-        for p in enumerate_partitions(eta.size, eta.size, length)
-        if p.length == length and cmp_revlex(p, eta) <= 0
+        for p in enumerate_partitions(n, n, length)
+        if len(p) == length and cmp_revlex(p, eta) <= 0
     ]
     if not cands:
-        raise ValueError(f"no partition of {eta.size} with length {length} below eta")
+        raise ValueError(f"no partition of {n} with length {length} below eta")
     return max(cands, key=revlex_key)
 
 
-def check_mu_equals_nu(mu: Partition, m: int) -> bool:
+def check_mu_equals_nu(mu: tuple[int, ...], m: int) -> bool:
     """Whether mu equals the greatest length-l(mu) partition below its
     stretch, decided by the boxing criterion mu_{i*} - mu_{l(mu)} <= 1 where
     i* is the least index with eta_{i*} < mu_{i*}."""
     eta = eta_stretch(mu, m)
     if eta is None:
         raise ValueError("stretch of mu does not exist for this m")
-    istar = next(i for i in range(mu.length) if eta.parts[i] < mu.parts[i])
-    return mu.parts[istar] - mu.parts[mu.length - 1] <= 1
+    istar = next(i for i in range(len(mu)) if eta[i] < mu[i])
+    return mu[istar] - mu[-1] <= 1

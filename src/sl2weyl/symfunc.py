@@ -29,7 +29,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from .partitions import Partition, dominates, enumerate_partitions
+from .partitions import dominates, enumerate_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +73,13 @@ def _horizontal_substrips(lam: tuple[int, ...], size: int) -> tuple:
     return tuple(tuple(x for x in nu if x) for nu, left in partial if not left)
 
 
-def kostka(lam: Partition, mu: Partition) -> int:
+def kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Number of semistandard Young tableaux of shape lam and content mu:
     0 unless lam dominates mu (partitions of one size), else the strip loop
     `_kostka`."""
     if not dominates(lam, mu):
         return 0
-    return _kostka(lam.parts, mu.parts)
+    return _kostka(lam, mu)
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +148,7 @@ def _sub_partitions(counts: dict[int, int], target: int) -> list[dict[int, int]]
     return [chosen for chosen, left in partial if not left]
 
 
-def forgotten_coeff(lam: Partition, mu: Partition) -> int:
+def forgotten_coeff(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Signed multiplicity of the monomial basis element mu in the forgotten
     polynomial attached to lam:
 
@@ -161,11 +161,11 @@ def forgotten_coeff(lam: Partition, mu: Partition) -> int:
     and a factor 1.  Returns 0 when no sequence exists (in particular when
     |lam| != |mu|).
     """
-    if lam.size != mu.size:
+    if sum(lam) != sum(mu):
         return 0
     # {lam's parts still to place, as (value, count) pairs: weighted count}
-    states = {tuple(Counter(lam.parts).items()): 1}
-    for part in mu.parts:
+    states = {tuple(Counter(lam).items()): 1}
+    for part in mu:
         placed = {}
         for left, total in states.items():
             for chosen in _sub_partitions(dict(left), part):
@@ -174,7 +174,7 @@ def forgotten_coeff(lam: Partition, mu: Partition) -> int:
                              if c > chosen.get(v, 0))
                 placed[rest] = placed.get(rest, 0) + _multiset_weight(eta) * total
         states = placed
-    sign = -1 if (mu.size - lam.length) % 2 else 1
+    sign = -1 if (sum(mu) - len(lam)) % 2 else 1
     return sign * states.get((), 0)
 
 
@@ -252,13 +252,13 @@ def _distinct_perms(vec):
             yield p
 
 
-def mono_sym(lam: Partition, r: int) -> OPoly:
+def mono_sym(lam: tuple[int, ...], r: int) -> OPoly:
     """Monomial symmetric polynomial of lam in r variables."""
     if r < 1:
         raise ValueError("need at least one variable")
-    if lam.length > r:
+    if len(lam) > r:
         return OPoly(r)
-    vec = lam.parts + (0,) * (r - lam.length)
+    vec = lam + (0,) * (r - len(lam))
     return OPoly(r, {p: 1 for p in _distinct_perms(vec)})
 
 
@@ -277,15 +277,15 @@ def complete_h(k: int, r: int) -> OPoly:
     return OPoly(r, terms)
 
 
-def schur_poly(lam: Partition, r: int) -> OPoly:
+def schur_poly(lam: tuple[int, ...], r: int) -> OPoly:
     """Schur polynomial in r variables: sum of K_{lam,mu} M_mu over mu
     dominated by lam (terms with more than r parts vanish)."""
-    if lam.length > r:
+    if len(lam) > r:
         raise ValueError("shape longer than the variable count")
-    if lam.size == 0:
+    if not lam:
         return OPoly(r, {(0,) * r: 1})
     out = OPoly(r)
-    for mu in enumerate_partitions(lam.size, lam.largest, r):
+    for mu in enumerate_partitions(sum(lam), max(lam), r):
         if dominates(lam, mu):
             out = out + mono_sym(mu, r).scale(kostka(lam, mu))
     return out
@@ -339,14 +339,14 @@ def coinvariant_reduce(f: OPoly, m: int) -> OPoly:
     return OPoly(m, work)
 
 
-def schur_nonvanishing(lam: Partition, k: int, m: int) -> bool:
+def schur_nonvanishing(lam: tuple[int, ...], k: int, m: int) -> bool:
     """Whether the Schur polynomial of lam in k variables survives in the
     m-variable coinvariant algebra.  Under the stated hypotheses
     (lam_1 <= m-k and l(lam) <= k <= m) the answer is always True."""
-    if not (lam.length <= k <= m):
-        raise ValueError(f"need l(lam) <= k <= m, got l={lam.length}, k={k}, m={m}")
-    if lam.largest > m - k:
-        raise ValueError(f"need lam_1 <= m-k, got {lam.largest} > {m - k}")
+    if not (len(lam) <= k <= m):
+        raise ValueError(f"need l(lam) <= k <= m, got l={len(lam)}, k={k}, m={m}")
+    if max(lam, default=0) > m - k:
+        raise ValueError(f"need lam_1 <= m-k, got {max(lam, default=0)} > {m - k}")
     if k == 0:
         poly = OPoly(m, {(0,) * m: 1})  # the empty product
     else:

@@ -59,7 +59,7 @@ from .dpalgebra import (
     slice_partitions,
     unit_normalize,
 )
-from .partitions import Partition, dominates, enumerate_partitions, iter_partitions, transpose
+from .partitions import dominates, enumerate_partitions, iter_partitions, transpose
 from .symfunc import _multiset_weight, forgotten_coeff, kostka, kostka_row
 
 
@@ -131,8 +131,8 @@ def _series_terms(s: int, v: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     u-exponents (m_1(eta), ..., m_s(eta)).  Summed, they are P_v(u)."""
     out = []
     for eta in enumerate_partitions(v, min(s, v), v):
-        c = _multiset_weight(eta.parts)
-        out.append((-c if eta.length % 2 else c, eta.multiplicities(s)))
+        c = _multiset_weight(eta)
+        out.append((-c if len(eta) % 2 else c, tuple(map(eta.count, range(1, s + 1)))))
     return tuple(out)
 
 
@@ -218,7 +218,7 @@ def series_power_coefficient(k: int, uexp, m: int) -> DPoly:
 def _series_exponents(m: int, d: int, w: int):
     """The u-exponents of the defining generators of slice (degree d, weight
     w): the multiplicities (m_1, ..., m_{m-1}) of each lam |- w with parts
-    <= m-1 and l(lam) >= m+1-d, in increasing order of lam.parts."""
+    <= m-1 and l(lam) >= m+1-d, in increasing order of lam."""
     if m < 1:
         return
     for lam in iter_partitions(w, m - 1, w):
@@ -279,7 +279,7 @@ def defining_generators(
 ) -> GeneratorSet:
     """All nonzero series coefficients with power + sum(uexp) >= m+1 landing
     in the box degree <= degree_bound, weight <= weight_bound, in (power,
-    weight, lam.parts) order, deduplicated up to a unit of the ring.
+    weight, lam) order, deduplicated up to a unit of the ring.
     Trailing-zero u-exponent vectors reproduce the lower-s coefficients, so s
     is fixed at m-1 without loss.
 
@@ -330,31 +330,30 @@ def truncation_relations(m: int, n_trunc: int, ring: CoeffRing) -> GeneratorSet:
 # the two families built from symmetric-function data
 
 
-def schur_dpoly(lam: Partition, k: int, m: int) -> DPoly:
+def schur_dpoly(lam: tuple[int, ...], k: int, m: int) -> DPoly:
     """Schur-type element over the rationals: sum of K_{lam,mu} x^(mu) over the monomials of
     slice (k, |lam|), each mu zero-padded to k parts; K_{lam,mu} vanishes
     unless lam dominates mu.  K_{lam,mu} is read from the Kostka row of mu
     capped at m-1, which holds lam since lam_1 <= m-1."""
-    if lam.length > k:
-        raise ValueError(f"need l(lam) <= k, got {lam.length} > {k}")
-    if lam.largest > m - 1:
-        raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
-    pairs = zip(slice_partitions(m, k, lam.size), slice_monomials(m, k, lam.size))
-    shape = lam.parts
-    return DPoly(RATIONALS, m, {mono: kostka_row(mu, m - 1).get(shape, 0) for mu, mono in pairs})
+    if len(lam) > k:
+        raise ValueError(f"need l(lam) <= k, got {len(lam)} > {k}")
+    if max(lam, default=0) > m - 1:
+        raise ValueError(f"need lam_1 <= m-1, got {max(lam, default=0)} > {m - 1}")
+    pairs = zip(slice_partitions(m, k, sum(lam)), slice_monomials(m, k, sum(lam)))
+    return DPoly(RATIONALS, m, {mono: kostka_row(mu, m - 1).get(lam, 0) for mu, mono in pairs})
 
 
-def forgotten_dpoly(lam: Partition, k: int, m: int) -> DPoly:
+def forgotten_dpoly(lam: tuple[int, ...], k: int, m: int) -> DPoly:
     """Forgotten-type element over the rationals: sum of the signed multiplicities times x^(mu)
     over mu dominating lam with exactly k parts (zeros included) and parts
     <= m-1.  May be zero.  The multiplicity of mu is (-1)^|lam| c(mu, mult
     lam), nonzero only for mu merged from the parts of lam (so mu dominates
     lam): the element is (-1)^|lam| times the series coefficient of u^(mult
     lam) in the k-th divided power."""
-    if lam.largest > m - 1:
-        raise ValueError(f"need lam_1 <= m-1, got {lam.largest} > {m - 1}")
-    return series_power_coefficient(k, lam.multiplicities(m - 1), m).scale(
-        -1 if lam.size % 2 else 1
+    if max(lam, default=0) > m - 1:
+        raise ValueError(f"need lam_1 <= m-1, got {max(lam, default=0)} > {m - 1}")
+    return series_power_coefficient(k, tuple(map(lam.count, range(1, m))), m).scale(
+        -1 if sum(lam) % 2 else 1
     )
 
 
@@ -414,13 +413,13 @@ def forgotten_family(m: int, ring: CoeffRing = RATIONALS) -> GeneratorSet:
 # identity checks
 
 
-def transition_identity_holds(lam: Partition, k: int, m: int) -> bool:
+def transition_identity_holds(lam: tuple[int, ...], k: int, m: int) -> bool:
     """Schur element as the Kostka-weighted sum of forgotten elements of the
     conjugate's dominance-lower set, checked exactly over the rationals."""
     lhs = schur_dpoly(lam, k, m)
     rhs = DPoly.zero(RATIONALS, m)
     lamt = transpose(lam)
-    for mu in enumerate_partitions(lam.size, lamt.largest, lam.size):
+    for mu in enumerate_partitions(sum(lam), max(lamt, default=0), sum(lam)):
         if dominates(lamt, mu):
             kk = kostka(lamt, mu)
             if kk:
@@ -428,15 +427,16 @@ def transition_identity_holds(lam: Partition, k: int, m: int) -> bool:
     return lhs == rhs
 
 
-def series_forgotten_identity_holds(lam: Partition, k: int, m: int) -> bool:
+def series_forgotten_identity_holds(lam: tuple[int, ...], k: int, m: int) -> bool:
     """The series coefficient at u^(multiplicities of lam) in the k-th
     divided power equals (-1)^|lam| times the forgotten element, the latter
     summed from the literal `symfunc.forgotten_coeff` (not from the product
     kernel both `forgotten_dpoly` and the series share)."""
-    coeff = series_power_coefficient(k, lam.multiplicities(lam.largest), m)
-    sign = -1 if lam.size % 2 else 1
+    uexp = tuple(map(lam.count, range(1, max(lam, default=0) + 1)))
+    coeff = series_power_coefficient(k, uexp, m)
+    sign = -1 if sum(lam) % 2 else 1
     terms = {
-        mono: sign * forgotten_coeff(lam, Partition(mu))
-        for mu, mono in zip(slice_partitions(m, k, lam.size), slice_monomials(m, k, lam.size))
+        mono: sign * forgotten_coeff(lam, mu)
+        for mu, mono in zip(slice_partitions(m, k, sum(lam)), slice_monomials(m, k, sum(lam)))
     }
     return coeff == DPoly(RATIONALS, m, terms)

@@ -74,6 +74,8 @@ def test_ring_convert():
                 DPoly(ring, 1, {(1,): inexact})
     assert RATIONALS.convert(7) == 7 and type(RATIONALS.convert(7)) is int
     assert RATIONALS.convert(True) == 1 and F3.convert(True) == 1
+    assert type(RATIONALS.convert(True)) is int and type(F3.convert(True)) is int
+    assert str(DPoly(RATIONALS, 2, {(1, 0): True}).terms[(1, 0)]) == "1"
     assert F3.convert(Fraction(4, 2)) == 2
     assert type(RATIONALS.convert(Fraction(4, 2))) is int
     assert DPoly(RATIONALS, 1, {(1,): Fraction(4, 2)}).terms == {(1,): 2}
@@ -195,6 +197,10 @@ def test_poly_ring_mismatch():
         DPoly.variable(RATIONALS, 2, 0) + DPoly.variable(F2, 2, 0)
     with pytest.raises(ValueError):
         DPoly.variable(RATIONALS, 2, 0) + DPoly.variable(RATIONALS, 3, 0)
+    # an index outside 0 ... m-1 names no variable, not the constant 1
+    for i in (5, -1):
+        with pytest.raises(ValueError, match=f"x{i} is not among x0 ... x2 for m = 3"):
+            DPoly.variable(RATIONALS, 3, i)
 
 
 def classic(f: DPoly):

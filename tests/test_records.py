@@ -2,8 +2,8 @@
 
 Pins what the one record class promises to every record: equality by class
 and fields, hashes of the records whose fields all hash, the repr text,
-refusal of assignment and deletion, sequence fields kept as tuples, the
-constructors' validation, and `CoeffRing` as one object per characteristic.
+refusal of assignment and deletion, sequence fields kept as tuples, and
+`CoeffRing` as one object per characteristic.
 The import checks run in a fresh interpreter, because the test process has
 long loaded what they look for.
 """
@@ -24,7 +24,6 @@ import sl2weyl
 from sl2weyl._record import Record
 from sl2weyl.basis_enum import BasisSet, lex_basis
 from sl2weyl.dpalgebra import RATIONALS, CoeffRing, DPoly
-from sl2weyl.partitions import Partition
 from sl2weyl.quotient_oracle import (
     DimReport,
     GradedSlice,
@@ -44,8 +43,6 @@ VERIFY = VerificationReport(1, 0, "lex", 3, [SLICE_ROW], 0.5)
 # (builder of a fresh record, a record of the same class differing in one
 # field, its field names in order, its repr)
 RECORDS = [
-    (lambda: Partition((2, 1)), Partition((3, 1)), ("parts",), "Partition(parts=(2, 1))"),
-    (lambda: Partition(), Partition((1,)), ("parts",), "Partition(parts=())"),
     (
         lambda: BasisSet(1, "lex", frozenset({(0,), (1,)})),
         BasisSet(1, "revlex", frozenset({(0,), (1,)})),
@@ -177,9 +174,8 @@ def test_a_wrong_field_count_raises_type_error_naming_the_class(make, other, fie
     values = [getattr(record, n) for n in fields]
     with pytest.raises(TypeError, match=cls.__qualname__):
         cls(*values, None)
-    if cls is not Partition:  # its parts default to ()
-        with pytest.raises(TypeError, match=cls.__qualname__):
-            cls(*values[:-1])
+    with pytest.raises(TypeError, match=cls.__qualname__):
+        cls(*values[:-1])
 
 
 def test_sequence_fields_are_tuples_and_every_field_refuses_assignment():
@@ -222,15 +218,6 @@ def test_generator_set_index_stays_out_of_equality_and_repr():
     assert index == {(1, 1): [X1]} and gs.by_slice() is index
     assert gs._index is index and fresh._index is None
     assert gs == fresh and repr(gs) == repr(fresh) and hash(gs) == hash(fresh)
-
-
-def test_constructors_keep_their_validation():
-    with pytest.raises(ValueError, match="parts must be positive"):
-        Partition((2, 0))
-    with pytest.raises(ValueError, match="weakly decreasing"):
-        Partition((1, 2))
-    assert Partition(parts=(2, 1)) == Partition((2, 1))
-    assert Partition.__slots__ == ("parts",)
 
 
 def test_coeff_ring_is_one_object_per_characteristic():

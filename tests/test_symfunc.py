@@ -40,8 +40,6 @@ def all_partitions_of(n):
 
 def ssyt_count_bruteforce(shape, content):
     """Fill cells left-to-right, top-to-bottom with entries 1..len(content)."""
-    shape = shape.parts
-    content = content.parts
     cells = [(r, c) for r, row in enumerate(shape) for c in range(row)]
     counts = [0] * len(content)
 
@@ -105,7 +103,7 @@ def test_kostka_dominance_shortcut_equals_the_strip_recursion():
     for n in range(9):
         for lam in all_partitions_of(n):
             for mu in all_partitions_of(n):
-                assert kostka(lam, mu) == _kostka(lam.parts, mu.parts), (lam, mu)
+                assert kostka(lam, mu) == _kostka(lam, mu), (lam, mu)
 
 
 def test_kostka_ignores_content_padding():
@@ -115,7 +113,7 @@ def test_kostka_ignores_content_padding():
             for mu in all_partitions_of(n):
                 want = kostka(lam, mu)
                 for z in range(1, 4):
-                    padded = list(mu.parts) + [0] * z
+                    padded = list(mu) + [0] * z
                     assert kostka(lam, make_partition(padded)) == want
                     text = ",".join(map(str, padded))
                     assert kostka(lam, parse_partition(text)) == want
@@ -128,9 +126,9 @@ def test_kostka_rows_match_literal_kostka():
         for size in range((m - 1) * (m + 1) + 1):
             shapes = enumerate_partitions(size, m - 1, size)
             for mu in enumerate_partitions(size, m - 1, m + 1):
-                row = kostka_row(mu.parts, m - 1)
+                row = kostka_row(mu, m - 1)
                 for lam in shapes:
-                    assert row.get(lam.parts, 0) == kostka(lam, mu), (m, lam, mu)
+                    assert row.get(lam, 0) == kostka(lam, mu), (m, lam, mu)
 
 
 def test_added_strips_match_literal_substrips():
@@ -164,25 +162,24 @@ def forgotten_coeff_bruteforce(lam, mu):
     """Enumerate ordered sequences of partitions directly."""
     from math import factorial
 
-    parts = mu.parts
-    if lam.size != mu.size:
+    if sum(lam) != sum(mu):
         return 0
-    options = [all_partitions_of(p) for p in parts]
+    options = [all_partitions_of(p) for p in mu]
     total = 0
     for seq in itertools.product(*options):
         merged = EMPTY
         for eta in seq:
             merged = uplus(merged, eta)
-        if merged.parts != lam.parts:
+        if merged != lam:
             continue
         w = 1
         for eta in seq:
-            ww = factorial(eta.length)
-            for v in set(eta.parts):
-                ww //= factorial(eta.parts.count(v))
+            ww = factorial(len(eta))
+            for v in set(eta):
+                ww //= factorial(eta.count(v))
             w *= ww
         total += w
-    return total * (-1) ** (mu.size - lam.length)
+    return total * (-1) ** (sum(mu) - len(lam))
 
 
 def test_forgotten_diagonal_unit():
@@ -215,7 +212,7 @@ def test_sub_partitions_match_the_product_of_copy_counts():
     # first, filtered by sum: the same dicts in the same order
     for n in range(11):
         for lam in all_partitions_of(n):
-            counts = dict(Counter(lam.parts))
+            counts = dict(Counter(lam))
             values = sorted(counts, reverse=True)
             for target in range(n + 1):
                 want = [
@@ -238,7 +235,7 @@ def test_forgotten_padding_invariant():
             for mu in all_partitions_of(n):
                 want = forgotten_coeff(lam, mu)
                 for z in range(1, 4):
-                    padded = [0] * z + list(mu.parts)
+                    padded = [0] * z + list(mu)
                     assert forgotten_coeff(lam, make_partition(padded)) == want
                     text = ",".join(map(str, padded))
                     assert forgotten_coeff(lam, parse_partition(text)) == want
@@ -267,7 +264,7 @@ def test_forgotten_expansion_vs_transition():
     # schur = sum over mu <= lam' of K_{lam',mu} * (sum_{nu >= mu} D * M_nu)
     for n in range(1, 7):
         for lam in all_partitions_of(n):
-            for r in range(lam.length, 7):
+            for r in range(len(lam), 7):
                 lhs = schur_poly(lam, r)
                 lamt = transpose(lam)
                 rhs = OPoly(r)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sl2weyl import partitions
 from sl2weyl._record import Record
+from sl2weyl.dpalgebra import RATIONALS, slice_partitions
 from sl2weyl.partitions import (
     EMPTY,
     check_mu_equals_nu,
@@ -24,6 +25,8 @@ from sl2weyl.partitions import (
     transpose,
     uplus,
 )
+from sl2weyl.symfunc import kostka_row
+from sl2weyl.weyl_ideal import forgotten_family, schur_family
 
 parts_lists = st.lists(st.integers(min_value=0, max_value=6), max_size=6)
 
@@ -59,6 +62,18 @@ def test_make_partition_rejects_negative():
             make_partition(bad)
     p = make_partition([True, 2])
     assert p == (2, 1) and all(type(v) is int for v in p)
+
+
+def test_constructors_keep_their_validation():
+    # make_partition and parse_partition are where outside values become a
+    # partition: they refuse what is not one and normalise what is
+    with pytest.raises(ValueError, match="negative part"):
+        make_partition((2, -1))
+    with pytest.raises(ValueError, match="parts must be ASCII digits"):
+        parse_partition("2,-1")
+    assert make_partition((1, 2)) == parse_partition("1,2") == (2, 1)
+    assert make_partition((2, 0)) == parse_partition("2,0") == (2,)
+    assert make_partition(()) == parse_partition("-") == parse_partition("") == EMPTY
 
 
 @given(parts_lists)
@@ -322,3 +337,75 @@ def test_a_partition_is_a_plain_tuple_of_ints():
         if isinstance(cls, type) and issubclass(cls, Record)
     }
     assert records == set()
+
+
+# -- every partition the engine builds is one ------------------------------------
+
+
+def _iterated():
+    for n in range(11):
+        for mp in range(n + 1):
+            for ml in range(n + 1):
+                yield from iter_partitions(n, mp, ml)
+
+
+def _transposed_and_joined():
+    for n in range(9):
+        for lam in all_partitions_of(n):
+            yield transpose(lam)
+            for mu in all_partitions_of(8 - n):
+                yield uplus(lam, mu)
+
+
+def _stretched_and_boxed():
+    for m in range(4, 9):
+        for mu in valid_mus(m):
+            eta = eta_stretch(mu, m)
+            if eta is not None:
+                yield eta
+                yield nu_greatest(eta, len(mu))
+
+
+def _slice_contents():
+    for m in range(1, 7):
+        for d in range(m + 2):
+            for w in range((m - 1) * d + 1):
+                yield from slice_partitions(m, d, w)
+
+
+def _kostka_shapes():
+    for m in range(2, 6):
+        for d in range(m + 2):
+            for w in range((m - 1) * d + 1):
+                for mu in slice_partitions(m, d, w):
+                    yield from kostka_row(mu, m - 1)
+
+
+def _family_shapes():
+    for m in range(1, 5):
+        for family in (schur_family, forgotten_family):
+            for entry in family(m, RATIONALS).entries:
+                yield entry.provenance[1]
+
+
+@pytest.mark.parametrize(
+    "produce",
+    [
+        _iterated,
+        _transposed_and_joined,
+        _stretched_and_boxed,
+        _slice_contents,
+        _kostka_shapes,
+        _family_shapes,
+    ],
+)
+def test_every_partition_the_engine_builds_is_weakly_decreasing_and_positive(produce):
+    # no constructor checks a part tuple any more, so each producer is pinned
+    # to hand back only partitions: plain tuples of positive ints, weakly
+    # decreasing
+    count = 0
+    for p in produce():
+        count += 1
+        assert type(p) is tuple and all(type(v) is int and v > 0 for v in p), p
+        assert all(a >= b for a, b in zip(p, p[1:])), p
+    assert count > 100

@@ -10,7 +10,9 @@ that monomial as an exponent vector whose x_0 entry counts the zero parts
 (`dpalgebra.slice_monomials`), so no pad count is kept here.  Values from
 outside the program become a partition through `make_partition` or
 `parse_partition`, which check the parts and drop zero entries; the orders
-below read a missing trailing part as zero.
+below read a missing trailing part as zero.  `symfunc.kostka` and
+`weyl_ideal.schur_dpoly`, which take a shape as it stands, refuse any
+other tuple through `check_partition`.
 
 Reverse lexicographic convention (pinned here once and for all): comparing
 the part sequences front to back, a missing part counting as zero, the
@@ -54,8 +56,13 @@ def parse_partition(text: str) -> tuple[int, ...]:
     return make_partition(map(int, parts))
 
 
-def format_partition(p: tuple[int, ...]) -> str:
-    return ",".join(map(str, p)) or "-"
+def check_partition(lam: tuple[int, ...]) -> None:
+    """Raise ValueError unless lam is a partition as this module means it:
+    a tuple of positive parts in weakly decreasing order.  The library
+    functions that read a shape as it stands check it here once; the
+    engine's own part tuples are partitions by construction and skip it."""
+    if not (isinstance(lam, tuple) and all(a >= b > 0 for a, b in zip(lam, lam[1:] + (1,)))):
+        raise ValueError(f"not a partition: {lam!r} (parts must be positive, weakly decreasing)")
 
 
 def transpose(lam: tuple[int, ...]) -> tuple[int, ...]:

@@ -58,7 +58,9 @@ slices it can show are full:
   each one batch, which the echelon's row form fills in one call
   (`_Echelon.fill`).  A fill makes every row whose lead is free a pivot at
   once and the rest follow by lead, so it stops before it cancels a row
-  when the free leads fill the slice.
+  when the free leads fill the slice.  Only rows that exist cost anything:
+  a lower slice of rank 0 (no unit column, no pivot) is skipped before its
+  shift map is built, and a batch without rows is not offered.
 
 * the pivot leads, unit columns and row leads alike, are the DPLEX leading
   monomials of the ideal slice (rows lead at their least column, and the
@@ -137,6 +139,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import starmap
 from math import gcd, lcm
+from operator import itemgetter
 
 from ._record import Record
 from .basis_enum import BasisSet, truncated_basis
@@ -387,7 +390,10 @@ class _Echelon:
         free is a pivot at once: a kept row with nothing to strip as it
         stands, shared read-only (it is normalized already), any other row
         normalized first.  Then the rows whose lead was taken follow by
-        lead, through `_insert`; a kept row is copied first."""
+        lead, through `_insert`: each is kept with the lead it was read at,
+        as a (lead, row) pair, and the pairs are sorted by lead alone, so
+        rows of one lead keep their order; a kept row is copied first.  `_eliminate` offers no batch without
+        rows."""
         pivots, units, p = self.pivots, self.units, self.p
         leads, rest = self.leads, []
         for shift, rows in sources:
@@ -408,7 +414,7 @@ class _Echelon:
                     continue
                 lead = min(row)
                 if lead in pivots:
-                    rest.append(dict(row) if shared else row)
+                    rest.append((lead, dict(row) if shared else row))
                     continue
                 pivots[lead] = row if shared else unit_normalize(row, lead, p)
                 leads |= 1 << lead
@@ -416,9 +422,9 @@ class _Echelon:
                     self.leads = leads
                     return True
         self.leads = leads
-        rest.sort(key=min)
-        for row in rest:
-            if self._insert(row) and len(pivots) == target:
+        rest.sort(key=itemgetter(0))
+        for lead, row in rest:
+            if self._insert(row, lead) and len(pivots) == target:
                 return True
         return False
 
@@ -428,23 +434,24 @@ class _Echelon:
         dropped on entry, which is the cancellation against their unit
         pivots."""
         units = self.units
-        return self._insert({c: v for c, v in row.items() if not units >> c & 1})
+        row = {c: v for c, v in row.items() if not units >> c & 1}
+        return bool(row) and self._insert(row, min(row))
 
-    def _insert(self, row) -> bool:
-        """`add` for a row of its own in the form that avoids the unit
-        columns; the row is consumed, and normalized if it becomes a
-        pivot."""
+    def _insert(self, row, lead) -> bool:
+        """`add` for a nonzero row of its own in the form that avoids the
+        unit columns, starting from `lead`, the lead the caller has read;
+        the row is consumed, and normalized if it becomes a pivot.  A new
+        lead is read only after a cancel leaves the row nonzero."""
         pivots, p = self.pivots, self.p
         cancel = _cancel_p if p else _cancel_q
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = unit_normalize(row, lead, p)
-                self.leads |= 1 << lead
-                return True
+        while (piv := pivots.get(lead)) is not None:
             row = cancel(row, piv, lead, p)
-        return False
+            if not row:
+                return False
+            lead = min(row)
+        pivots[lead] = unit_normalize(row, lead, p)
+        self.leads |= 1 << lead
+        return True
 
     def residue(self, row):
         """Normal form against the pivot rows, fraction-free: returns
@@ -501,7 +508,7 @@ class _Bits(_Echelon):
                 low = row & -row
                 lead = low.bit_length() - 1
                 if lead in pivots:
-                    rest.append(row)
+                    rest.append((lead, row))
                     continue
                 pivots[lead] = row
                 leads |= low
@@ -509,9 +516,9 @@ class _Bits(_Echelon):
                     self.leads = leads
                     return True
         self.leads = leads
-        rest.sort(key=lambda row: row & -row)
-        for row in rest:
-            if self._insert(row) and len(pivots) == target:
+        rest.sort(key=itemgetter(0))
+        for lead, row in rest:
+            if self._insert(row, lead) and len(pivots) == target:
                 return True
         return False
 
@@ -524,20 +531,19 @@ class _Bits(_Echelon):
         return bits
 
     def add(self, row) -> bool:
-        return self._insert(self.pack(row) & ~self.units)
+        row = self.pack(row) & ~self.units
+        return bool(row) and self._insert(row, (row & -row).bit_length() - 1)
 
-    def _insert(self, row) -> bool:
+    def _insert(self, row, lead) -> bool:
         pivots = self.pivots
-        while row:
-            low = row & -row
-            lead = low.bit_length() - 1
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = row
-                self.leads |= low
-                return True
+        while (piv := pivots.get(lead)) is not None:
             row ^= piv
-        return False
+            if not row:
+                return False
+            lead = (row & -row).bit_length() - 1
+        pivots[lead] = row
+        self.leads |= 1 << lead
+        return True
 
     def _reduce(self, row, scale):
         bits, heads, pivots = self.pack(row), self.leads ^ self.units, self.pivots
@@ -716,9 +722,9 @@ class OracleSession:
         self.weight_bound = degree_bound * max(m - 1, 0)
         self.gens = gens
         self.relations = relations
-        for given in (gens, relations):
-            if given is None:
-                continue
+        # the given sets, family first, in the order `_eliminate` reads them
+        self._given = tuple(given for given in (gens, relations) if given is not None)
+        for given in self._given:
             if given.m != m or given.ring != ring:
                 raise ConfigurationError(
                     f"{given.family} set is for m = {given.m} over {given.ring}, "
@@ -787,7 +793,8 @@ class OracleSession:
         slice ends full.  `lower[k]` is full for each bit k set in `part`,
         and only the others are read in `echs`.
 
-        The first step is a rank test: a slice that a given family's or
+        The first step is a rank test, in the one loop that reads the kept
+        rows of the session's given sets: a slice that a given family's or
         relation set's own kept rows fill is full with no row operation.
         The kept rows of a set are independent in the session's ring
         (`_kept`), so when they number the slice's size the slice is full,
@@ -816,11 +823,21 @@ class OracleSession:
         rest follow by lead, so a slice that its unit columns and kept rows
         fill builds no shifted row.  The row space, and so the rank, the
         leads, the normal forms and the series rows pulled, do not depend
-        on that order."""
+        on that order.
+
+        Nothing is paid for rows that do not exist: a lower slice of rank 0
+        has no unit column and no pivot, so it is skipped before its
+        `_shift` map is built or its unit image is read, and a batch without
+        rows (a given set with no kept rows in the slice, lower slices with
+        no pivots) gets no `fill`."""
         key, lower, masks, shifts = sl.key, sl.lower, sl.masks, sl.shifts
-        kept = [_kept(given, *key) for given in (self.gens, self.relations) if given is not None]
-        if any(len(rows) == sl.size for rows in kept):
-            return None
+        kept = []
+        for given in self._given:
+            rows = _kept(given, *key)
+            if len(rows) == sl.size:
+                return None
+            if rows:
+                kept.append(rows)
         if part and masks[0] is None:
             masks[:] = _masks(self.m, *key, lower)
         covered, lows = 0, []
@@ -829,10 +846,13 @@ class OracleSession:
                 covered |= masks[k]
                 continue
             ech = echs[pos]
+            if not ech.leads:
+                continue  # rank 0: no unit column and no pivot to carry up
             shift = shifts[k]
             if shift is None:
                 shift = shifts[k] = _shift(self.m, self.ring, *key, i, j)
-            lows.append((shift, ech))
+            if ech.pivots:
+                lows.append((shift, ech))
             # the shifted unit row e_a is C(a_i + j, j) e_b: a unit column
             # of this slice wherever the constant is nonzero
             units = ech.units
@@ -850,7 +870,7 @@ class OracleSession:
             if ech.fill(((None, rows),), target):
                 return None
         # the lower pivot rows are read only if the kept rows leave room
-        if ech.fill(((shift, low.pivots.values()) for shift, low in lows), target):
+        if lows and ech.fill(((shift, low.pivots.values()) for shift, low in lows), target):
             return None
         if self.gens is None and self._fill_series(ech, *key, target):
             return None
@@ -902,7 +922,7 @@ class OracleSession:
         top, masks = candidate.column_masks()
         if top > self.degree_bound:
             raise ValueError("candidate monomials exceed the degree bound")
-        spaces, rows, overlays = self._spaces or self._build_box(), [], []
+        spaces, rows, overlays, passed = self._spaces or self._build_box(), [], [], True
         for sl in _plan(m, self.ring, self.degree_bound):
             ech = spaces[sl.key]
             cands = masks.get(sl.key, 0)
@@ -914,13 +934,13 @@ class OracleSession:
             count = cands.bit_count()
             q = sl.size - ech.leads.bit_count()
             rows.append((*sl.key, sl.size, q, count, indep, q == count))
-        report = VerificationReport(
+            passed = passed and indep and q == count
+        if passed:
+            self.verified[candidate] = frozenset(overlays)
+        return VerificationReport(
             m, self.ring.char, candidate.provenance, self.degree_bound, rows,
             time.monotonic() - t0,
         )
-        if report.passed:
-            self.verified[candidate] = frozenset(overlays)
-        return report
 
     def reduce_element(self, f: DPoly, candidate: BasisSet):
         """Coordinates of the residue of f in the verified candidate basis.

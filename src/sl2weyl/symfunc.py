@@ -29,7 +29,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from .partitions import dominates, enumerate_partitions
+from .partitions import check_partition, dominates, enumerate_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,9 @@ def _horizontal_substrips(lam: tuple[int, ...], size: int) -> tuple:
 def kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Number of semistandard Young tableaux of shape lam and content mu:
     0 unless lam dominates mu (partitions of one size), else the strip loop
-    `_kostka`."""
+    `_kostka`.  A shape lam that is not a partition raises ValueError
+    (`check_partition`); the content is read as it stands."""
+    check_partition(lam)
     if not dominates(lam, mu):
         return 0
     return _kostka(lam, mu)

@@ -59,7 +59,13 @@ from .dpalgebra import (
     slice_partitions,
     unit_normalize,
 )
-from .partitions import dominates, enumerate_partitions, iter_partitions, transpose
+from .partitions import (
+    check_partition,
+    dominates,
+    enumerate_partitions,
+    iter_partitions,
+    transpose,
+)
 from .symfunc import _multiset_weight, forgotten_coeff, kostka, kostka_row
 
 
@@ -334,7 +340,9 @@ def schur_dpoly(lam: tuple[int, ...], k: int, m: int) -> DPoly:
     """Schur-type element over the rationals: sum of K_{lam,mu} x^(mu) over the monomials of
     slice (k, |lam|), each mu zero-padded to k parts; K_{lam,mu} vanishes
     unless lam dominates mu.  K_{lam,mu} is read from the Kostka row of mu
-    capped at m-1, which holds lam since lam_1 <= m-1."""
+    capped at m-1, which holds lam since lam_1 <= m-1.  A lam that is not a
+    partition raises ValueError (`check_partition`)."""
+    check_partition(lam)
     if len(lam) > k:
         raise ValueError(f"need l(lam) <= k, got {len(lam)} > {k}")
     if max(lam, default=0) > m - 1:

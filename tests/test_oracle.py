@@ -129,11 +129,11 @@ def _variables(m, ring, indices):
 
 
 def _assert_ranks_match_literal(m, ring, bound, sess, gens):
-    for d in range(bound + 1):
-        for w in range(d * max(m - 1, 0) + 1):
-            if slice_monomials(m, d, w):
-                lit = slice_rank(build_slice(m, ring, d, w, gens))
-                assert lit == sess.space(d, w).rank, (m, ring.char, gens.family, d, w)
+    """Every slice of the session has the rank of the literal rows of
+    `gens` and the lead mask of one echelon fed all of them."""
+    for key, (rank, leads) in _literal_slices(m, ring, bound, gens).items():
+        ech = sess.space(*key)
+        assert (ech.rank, ech.leads) == (rank, leads), (m, ring.char, gens.family, *key)
 
 
 def test_cascade_rank_equals_literal_rank():
@@ -764,6 +764,41 @@ def test_kept_rows_fill_a_slice_before_any_shifted_row(monkeypatch):
             assert sess.space(*sl.key) is sl.filled, where
             assert not made[sl.key] and not reads[sl.key], where
         assert filled_by_kept == len(visited) - 42 == full, ring.char
+
+
+def test_rank_0_lower_slices_and_empty_batches_cost_nothing(monkeypatch):
+    # a lower slice whose echelon has rank 0 has no unit column and no
+    # pivot, so a Schur session builds no shift map for it; and no fill is
+    # offered a batch without rows: a given set with no kept rows in the
+    # slice, or lower slices with no pivots, get none.  m = 5, box 6, on a
+    # fresh plan, four rings
+    m = 5
+
+    def checked(method):
+        def fill(self, sources, target):
+            sources = [(shift, list(rows)) for shift, rows in sources]
+            assert sources and all(rows for _, rows in sources), self.p
+            return method(self, sources, target)
+        return fill
+
+    for ring in RINGS:
+        schur = schur_family(m, ring)
+        quotient_oracle._plan.cache_clear()
+        with monkeypatch.context() as patch:
+            _patch_every_form(patch, "fill", checked)
+            sess = OracleSession(m, ring, m + 1, gens=schur)
+            assert sess.dims().total == 2**m
+        plan = quotient_oracle._plan(m, ring, m + 1)
+        skipped = 0
+        for sl in plan:
+            for k, (pos, *_) in enumerate(sl.lower):
+                low = sess.space(*plan[pos].key)
+                if low is not plan[pos].filled and not low.leads:
+                    assert sl.shifts[k] is None, (ring.char, sl.key, k)
+                    # counted where the slice was eliminated, so not covered
+                    skipped += sess.space(*sl.key) is not sl.filled
+        assert skipped, ring.char
+    quotient_oracle._plan.cache_clear()
 
 
 def _literal_slices(m, ring, bound, literal):

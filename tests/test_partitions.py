@@ -12,12 +12,12 @@ from sl2weyl.dpalgebra import RATIONALS, slice_partitions
 from sl2weyl.partitions import (
     EMPTY,
     check_mu_equals_nu,
+    check_partition,
     cmp_revlex,
     dominates,
     enumerate_partitions,
     eta_stretch,
     iter_partitions,
-    format_partition,
     make_partition,
     nu_greatest,
     parse_partition,
@@ -86,14 +86,27 @@ def test_make_partition_is_decreasing(vals):
 @given(parts_lists)
 def test_text_roundtrip(vals):
     p = make_partition(vals)
-    assert parse_partition(format_partition(p)) == p
+    assert parse_partition(",".join(map(str, p)) or "-") == p
     assert make_partition(vals + [0, 0]) == make_partition([0] + vals) == p
-    for text in ["3,1,1", "-", "5"]:
-        assert format_partition(parse_partition(text)) == text
+    for text, parts in [("3,1,1", (3, 1, 1)), ("-", ()), ("5", (5,))]:
+        assert parse_partition(text) == parts
+        assert (",".join(map(str, parts)) or "-") == text
     assert parse_partition("2,0,0") == (2,)
     for text in ["2,x", "2|oops", "3,1|+2z", "-|+3z", "1_0", "+2", "2, 1", "\u0661"]:
         with pytest.raises(ValueError):
             parse_partition(text)
+
+
+def test_check_partition_refuses_every_other_tuple():
+    # the one shape check of the public functions: positive parts, weakly
+    # decreasing, as a tuple
+    for n in range(9):
+        for lam in all_partitions_of(n):
+            check_partition(lam)
+    check_partition(EMPTY)
+    for bad in [(1, 2), (2, 0, 1), (2, 1, 0), (0,), (-1,), (1, 1, 2), [2, 1]]:
+        with pytest.raises(ValueError, match="not a partition"):
+            check_partition(bad)
 
 
 # -- transpose ---------------------------------------------------------------
@@ -321,7 +334,7 @@ def test_a_partition_is_a_plain_tuple_of_ints():
     for n in range(9):
         for lam in all_partitions_of(n):
             assert plain(lam)
-            assert plain(make_partition(lam)) and plain(parse_partition(format_partition(lam)))
+            assert plain(make_partition(lam)) and plain(parse_partition(",".join(map(str, lam)) or "-"))
             assert plain(transpose(lam)) and plain(uplus(lam, lam))
             if len(lam) < 2:
                 continue

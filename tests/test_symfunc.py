@@ -97,6 +97,16 @@ def test_kostka_positivity_iff_dominance():
                 assert (kostka(lam, mu) > 0) == dominates(lam, mu)
 
 
+def test_kostka_refuses_a_shape_that_is_not_a_partition():
+    # an unsorted or zero-padded shape raised nothing and answered wrongly
+    # (K_{(2,1),(1,1,1)} is 2, and both read 1); the content is read as it
+    # stands, zero entries dropped
+    for lam in [(1, 2), (2, 0, 1), (2, 1, 0)]:
+        with pytest.raises(ValueError, match="not a partition"):
+            kostka(lam, (1, 1, 1))
+    assert kostka((2, 1), (1, 1, 1, 0)) == kostka((2, 1), (1, 0, 1, 1)) == 2
+
+
 def test_kostka_dominance_shortcut_equals_the_strip_recursion():
     # `kostka` answers 0 for a shape that does not dominate the content
     # without running the strip recursion; that recursion must agree

@@ -421,6 +421,14 @@ def test_element_builders_reject_shapes_outside_their_slice():
             builder(make_partition([3]), 2, 3)
 
 
+def test_schur_dpoly_refuses_a_shape_that_is_not_a_partition():
+    # (1, 2) gave the zero element; (2, 1) gives x0*x1*x2 + 2*x1^(3)
+    for lam in [(1, 2), (2, 0, 1)]:
+        with pytest.raises(ValueError, match="not a partition"):
+            schur_dpoly(lam, 3, 4)
+    assert schur_dpoly((2, 1), 3, 4) == parse_dpoly("x0*x1*x2 + 2*x1^(3)", 4, RATIONALS)
+
+
 def test_families_reject_m_0():
     for family in (schur_family, forgotten_family):
         with pytest.raises(ValueError, match="m must be >= 1"):

@@ -10,9 +10,13 @@ that monomial as an exponent vector whose x_0 entry counts the zero parts
 (`dpalgebra.slice_monomials`), so no pad count is kept here.  Values from
 outside the program become a partition through `make_partition` or
 `parse_partition`, which check the parts and drop zero entries; the orders
-below read a missing trailing part as zero.  `symfunc.kostka` and
-`weyl_ideal.schur_dpoly`, which take a shape as it stands, refuse any
-other tuple through `check_partition`.
+below read a missing trailing part as zero.  The public functions that take
+a shape as it stands refuse any other tuple through `check_partition`:
+`dominates` and `cmp_revlex` (both arguments), `eta_stretch` (its mu),
+`symfunc.kostka` (its shape; the content is read as it stands),
+`symfunc.forgotten_coeff` (its lam; its mu may keep zero parts) and
+`weyl_ideal.schur_dpoly`.  `transpose` needs no check, as it reads the
+multiset of parts.
 
 Reverse lexicographic convention (pinned here once and for all): comparing
 the part sequences front to back, a missing part counting as zero, the
@@ -73,6 +77,8 @@ def transpose(lam: tuple[int, ...]) -> tuple[int, ...]:
 def dominates(mu: tuple[int, ...], lam: tuple[int, ...]) -> bool:
     """True iff mu >= lam in dominance order (prefix sums of mu at least
     those of lam).  Partitions of different sizes are never comparable."""
+    check_partition(mu)
+    check_partition(lam)
     if sum(mu) != sum(lam):
         return False
     sa = sb = 0
@@ -91,6 +97,8 @@ def cmp_revlex(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     partitions of equal size, whose part sequences are equal or first
     differ within the shorter one, so no part is read as a zero.
     """
+    check_partition(lam)
+    check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"revlex needs equal sizes, got {sum(lam)} != {sum(mu)}")
     for a, b in zip(lam, mu):
@@ -100,11 +108,6 @@ def cmp_revlex(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 revlex_key = functools.cmp_to_key(cmp_revlex)
-
-
-def uplus(lam: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
-    """Multiset union of parts, rearranged decreasingly."""
-    return tuple(sorted(lam + mu, reverse=True))
 
 
 def iter_partitions(size: int, max_part: int, max_len: int):
@@ -156,6 +159,7 @@ def eta_stretch(mu: tuple[int, ...], m: int) -> tuple[int, ...] | None:
     (part - r) followed by r ones.  The split appends exactly r ones so that
     the size |mu| is preserved (appending one fewer would lose a box).
     """
+    check_partition(mu)
     k = len(mu)
     if not (2 <= k and 2 * k <= m):
         raise ValueError(f"need 2 <= l(mu) <= m/2, got l={k}, m={m}")

@@ -57,10 +57,12 @@ slices it can show are full:
   rows of a given family, those of the relations and the shifted rows are
   each one batch, which the echelon's row form fills in one call
   (`_Echelon.fill`).  A fill makes every row whose lead is free a pivot at
-  once and the rest follow by lead, so it stops before it cancels a row
-  when the free leads fill the slice.  Only rows that exist cost anything:
-  a lower slice of rank 0 (no unit column, no pivot) is skipped before its
-  shift map is built, and a batch without rows is not offered.
+  once, in a first pass of the form's own, and the rest follow by lead in
+  one second pass that every form shares (`_Echelon._fill_taken`), so it
+  stops before it cancels a row when the free leads fill the slice.  Only
+  rows that exist cost anything: a lower slice of rank 0 (no unit column,
+  no pivot) is skipped before its shift map is built, and a batch without
+  rows is not offered.
 
 * the pivot leads, unit columns and row leads alike, are the DPLEX leading
   monomials of the ideal slice (rows lead at their least column, and the
@@ -348,7 +350,8 @@ class _Echelon:
     """Exact rows, fraction-free in every ring.  `_Echelon(p, units)` makes
     the row form of the ring, once: this class over the rationals (p = 0)
     and odd F_p, `_Bits` over F_2.  A form owns every operation on its rows,
-    each one loop: `fill` (a batch of rows of the form), `add` with
+    each one loop: `fill` (a batch of rows of the form, its second pass
+    `_fill_taken` shared by every form), `add` with
     `_insert` (one column row), and `residue` with `_reduce`, so the
     elimination is written once for every ring.  Here a row is an integer
     dict {column: entry} that leads at its least column; over the rationals
@@ -389,11 +392,13 @@ class _Echelon:
         column map `shift` without the unit columns.  A row whose lead is
         free is a pivot at once: a kept row with nothing to strip as it
         stands, shared read-only (it is normalized already), any other row
-        normalized first.  Then the rows whose lead was taken follow by
-        lead, through `_insert`: each is kept with the lead it was read at,
-        as a (lead, row) pair, and the pairs are sorted by lead alone, so
-        rows of one lead keep their order; a kept row is copied first.  `_eliminate` offers no batch without
-        rows."""
+        normalized first.  That first pass is each form's own, as it reads
+        the form's rows.  Then the rows whose lead was taken follow by lead,
+        through `_insert`, in the second pass that every form shares
+        (`_fill_taken`): each is kept with the lead it was read at, as a
+        (lead, row) pair, and the pairs are sorted by lead alone, so rows of
+        one lead keep their order; a kept row is copied first.  `_eliminate`
+        offers no batch without rows."""
         pivots, units, p = self.pivots, self.units, self.p
         leads, rest = self.leads, []
         for shift, rows in sources:
@@ -421,7 +426,13 @@ class _Echelon:
                 if len(pivots) == target:
                     self.leads = leads
                     return True
-        self.leads = leads
+        return self._fill_taken(leads, rest, target)
+
+    def _fill_taken(self, leads, rest, target) -> bool:
+        """The second pass of `fill`, one for every form: store the first
+        pass's `leads`, then `_insert` the (lead, row) pairs of `rest`, the
+        rows whose lead was taken, by lead until `target` rows are pivots."""
+        self.leads, pivots = leads, self.pivots
         rest.sort(key=itemgetter(0))
         for lead, row in rest:
             if self._insert(row, lead) and len(pivots) == target:
@@ -515,12 +526,7 @@ class _Bits(_Echelon):
                 if len(pivots) == target:
                     self.leads = leads
                     return True
-        self.leads = leads
-        rest.sort(key=itemgetter(0))
-        for lead, row in rest:
-            if self._insert(row, lead) and len(pivots) == target:
-                return True
-        return False
+        return self._fill_taken(leads, rest, target)
 
     @staticmethod
     def pack(row):

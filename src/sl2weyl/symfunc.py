@@ -4,8 +4,9 @@ the coinvariant algebra.
 
 Kostka numbers come two ways: one pair at a time from the literal strip
 loop (`kostka`), the reference, which peels a horizontal strip per content
-part from every shape reached so far, and one content at a time as a row of
-all shapes by the Pieri rule (`kostka_row`), which the Schur family reads.
+part from every shape reached so far and decides a zero by that count
+alone, and one content at a time as a row of all shapes by the Pieri rule
+(`kostka_row`), which the Schur family reads.
 Each reads one process-wide strip table, of removed strips
 (`_horizontal_substrips`) or of added ones (`_added_horizontal_strips`),
 so each strip set is enumerated once and every row keys on the table's
@@ -36,29 +37,13 @@ from .partitions import check_partition, dominates, enumerate_partitions
 # transition numbers
 
 
-def _kostka(lam: tuple[int, ...], content: tuple[int, ...]) -> int:
-    """Semistandard tableaux of shape lam and content `content`: one loop over
-    the content from its last entry, in which every shape reached so far peels
-    each horizontal strip of that entry's size; the empty shape's count."""
-    counts = {lam: 1}
-    for c in reversed(content):
-        if c == 0:
-            continue
-        peeled = {}
-        for shape, k in counts.items():
-            for nu in _horizontal_substrips(shape, c):
-                peeled[nu] = peeled.get(nu, 0) + k
-        counts = peeled
-    return counts.get((), 0)
-
-
 @lru_cache(maxsize=None)
 def _horizontal_substrips(lam: tuple[int, ...], size: int) -> tuple:
     """Shapes nu <= lam with lam/nu a horizontal strip of `size` cells, in
     decreasing lexicographic order, built row by row with lam_{i+1} <= nu_i <=
     lam_i: only the last row of a run of equal parts can shrink, and a partial
     strip that owes more than the lam_{i+1} cells below row i is dropped.
-    Cached for the whole process by (lam, size), as `_kostka` peels the same
+    Cached for the whole process by (lam, size), as `kostka` peels the same
     strips again and again; read only."""
     partial, start = [((), size)], 0  # [(nu_0, ..., nu_i; cells still owed)]
     for i, (top, below) in enumerate(zip(lam, lam[1:] + (0,))):
@@ -75,13 +60,25 @@ def _horizontal_substrips(lam: tuple[int, ...], size: int) -> tuple:
 
 def kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Number of semistandard Young tableaux of shape lam and content mu:
-    0 unless lam dominates mu (partitions of one size), else the strip loop
-    `_kostka`.  A shape lam that is not a partition raises ValueError
-    (`check_partition`); the content is read as it stands."""
+    one loop over the content from its last entry, in which every shape
+    reached so far peels each horizontal strip of that entry's size; the
+    empty shape's count.  The count alone decides a zero: it is 0 exactly
+    when lam does not dominate the sorted content, sizes that differ
+    included.  Zero entries of mu peel nothing and the order of its entries
+    does not change the count, so mu may be any tuple of nonnegative ints.
+    A shape lam that is not a partition raises ValueError
+    (`check_partition`)."""
     check_partition(lam)
-    if not dominates(lam, mu):
-        return 0
-    return _kostka(lam, mu)
+    counts = {lam: 1}
+    for c in reversed(mu):
+        if c == 0:
+            continue
+        peeled = {}
+        for shape, k in counts.items():
+            for nu in _horizontal_substrips(shape, c):
+                peeled[nu] = peeled.get(nu, 0) + k
+        counts = peeled
+    return counts.get((), 0)
 
 
 @lru_cache(maxsize=None)
@@ -161,8 +158,10 @@ def forgotten_coeff(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     The sum runs over the positive parts of mu alone: a zero part, as in the
     mu of a monomial x^(mu) padded to k parts, would take the empty eta^i
     and a factor 1.  Returns 0 when no sequence exists (in particular when
-    |lam| != |mu|).
+    |lam| != |mu|).  A lam that is not a partition raises ValueError
+    (`check_partition`).
     """
+    check_partition(lam)
     if sum(lam) != sum(mu):
         return 0
     # {lam's parts still to place, as (value, count) pairs: weighted count}

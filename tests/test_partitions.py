@@ -23,9 +23,8 @@ from sl2weyl.partitions import (
     parse_partition,
     revlex_key,
     transpose,
-    uplus,
 )
-from sl2weyl.symfunc import kostka_row
+from sl2weyl.symfunc import forgotten_coeff, kostka_row
 from sl2weyl.weyl_ideal import forgotten_family, schur_family
 
 parts_lists = st.lists(st.integers(min_value=0, max_value=6), max_size=6)
@@ -109,6 +108,27 @@ def test_check_partition_refuses_every_other_tuple():
             check_partition(bad)
 
 
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        pytest.param(lambda lam: dominates(lam, (1, 1, 1)), True, id="dominates-mu"),
+        pytest.param(lambda lam: dominates((3,), lam), True, id="dominates-lam"),
+        pytest.param(lambda lam: cmp_revlex(lam, (3,)), 1, id="cmp_revlex-lam"),
+        pytest.param(lambda lam: cmp_revlex((1, 1, 1), lam), 1, id="cmp_revlex-mu"),
+        pytest.param(lambda lam: eta_stretch(lam, 4), (1, 1, 1), id="eta_stretch"),
+        pytest.param(lambda lam: forgotten_coeff(lam, (3, 0)), -2, id="forgotten_coeff"),
+    ],
+)
+def test_shape_taking_functions_refuse_a_shape_that_is_not_a_partition(call, want):
+    # an unsorted or zero-padded shape was read as it stood: a wrong answer,
+    # or a ZeroDivisionError from forgotten_coeff; the partition (2, 1)
+    # answers, and forgotten_coeff still reads a zero-padded mu
+    for bad in [(1, 2), (2, 0, 1)]:
+        with pytest.raises(ValueError, match="not a partition"):
+            call(bad)
+    assert call((2, 1)) == want
+
+
 # -- transpose ---------------------------------------------------------------
 
 
@@ -181,24 +201,6 @@ def test_dominance_refines_revlex():
         for mu, lam in itertools.permutations(all_partitions_of(n), 2):
             if dominates(mu, lam):
                 assert cmp_revlex(mu, lam) <= 0
-
-
-# -- uplus -------------------------------------------------------------------
-
-
-def test_uplus_examples():
-    assert uplus(make_partition([2, 1]), make_partition([3])) == make_partition([3, 2, 1])
-    lam = make_partition([4, 2])
-    assert uplus(lam, EMPTY) == lam
-    assert uplus(make_partition([1, 1]), make_partition([1])) == make_partition([1, 1, 1])
-
-
-@given(parts_lists, parts_lists, parts_lists)
-def test_uplus_commutative_associative(a, b, c):
-    pa, pb, pc = make_partition(a), make_partition(b), make_partition(c)
-    assert uplus(pa, pb) == uplus(pb, pa)
-    assert uplus(uplus(pa, pb), pc) == uplus(pa, uplus(pb, pc))
-    assert sum(uplus(pa, pb)) == sum(pa) + sum(pb)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -335,7 +337,7 @@ def test_a_partition_is_a_plain_tuple_of_ints():
         for lam in all_partitions_of(n):
             assert plain(lam)
             assert plain(make_partition(lam)) and plain(parse_partition(",".join(map(str, lam)) or "-"))
-            assert plain(transpose(lam)) and plain(uplus(lam, lam))
+            assert plain(transpose(lam))
             if len(lam) < 2:
                 continue
             for m in range(max(2 * len(lam), lam[0] + 1), 2 * len(lam) + 3):
@@ -362,12 +364,10 @@ def _iterated():
                 yield from iter_partitions(n, mp, ml)
 
 
-def _transposed_and_joined():
-    for n in range(9):
+def _transposed():
+    for n in range(11):
         for lam in all_partitions_of(n):
             yield transpose(lam)
-            for mu in all_partitions_of(8 - n):
-                yield uplus(lam, mu)
 
 
 def _stretched_and_boxed():
@@ -405,7 +405,7 @@ def _family_shapes():
     "produce",
     [
         _iterated,
-        _transposed_and_joined,
+        _transposed,
         _stretched_and_boxed,
         _slice_contents,
         _kostka_shapes,

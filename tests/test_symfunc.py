@@ -12,13 +12,11 @@ from sl2weyl.partitions import (
     make_partition,
     parse_partition,
     transpose,
-    uplus,
 )
 from sl2weyl.symfunc import (
     OPoly,
     _added_horizontal_strips,
     _horizontal_substrips,
-    _kostka,
     _sub_partitions,
     coinvariant_reduce,
     complete_h,
@@ -91,7 +89,7 @@ def test_kostka_matches_bruteforce():
 
 
 def test_kostka_positivity_iff_dominance():
-    for n in range(1, 8):
+    for n in range(1, 10):
         for lam in all_partitions_of(n):
             for mu in all_partitions_of(n):
                 assert (kostka(lam, mu) > 0) == dominates(lam, mu)
@@ -105,15 +103,6 @@ def test_kostka_refuses_a_shape_that_is_not_a_partition():
         with pytest.raises(ValueError, match="not a partition"):
             kostka(lam, (1, 1, 1))
     assert kostka((2, 1), (1, 1, 1, 0)) == kostka((2, 1), (1, 0, 1, 1)) == 2
-
-
-def test_kostka_dominance_shortcut_equals_the_strip_recursion():
-    # `kostka` answers 0 for a shape that does not dominate the content
-    # without running the strip recursion; that recursion must agree
-    for n in range(9):
-        for lam in all_partitions_of(n):
-            for mu in all_partitions_of(n):
-                assert kostka(lam, mu) == _kostka(lam, mu), (lam, mu)
 
 
 def test_kostka_ignores_content_padding():
@@ -179,7 +168,7 @@ def forgotten_coeff_bruteforce(lam, mu):
     for seq in itertools.product(*options):
         merged = EMPTY
         for eta in seq:
-            merged = uplus(merged, eta)
+            merged = tuple(sorted(merged + eta, reverse=True))
         if merged != lam:
             continue
         w = 1

@@ -13,7 +13,7 @@ outside the program become a partition through `make_partition` or
 below read a missing trailing part as zero.  The public functions that take
 a shape as it stands refuse any other tuple through `check_partition`:
 `dominates` and `cmp_revlex` (both arguments), `eta_stretch` (its mu),
-`symfunc.kostka` (its shape; the content is read as it stands),
+`symfunc.kostka` (its shape; its content may be unsorted or zero-padded),
 `symfunc.forgotten_coeff` (its lam; its mu may keep zero parts) and
 `weyl_ideal.schur_dpoly`.  `transpose` needs no check, as it reads the
 multiset of parts.
@@ -63,8 +63,12 @@ def parse_partition(text: str) -> tuple[int, ...]:
 def check_partition(lam: tuple[int, ...]) -> None:
     """Raise ValueError unless lam is a partition as this module means it:
     a tuple of positive parts in weakly decreasing order.  The library
-    functions that read a shape as it stands check it here once; the
-    engine's own part tuples are partitions by construction and skip it."""
+    functions that read a shape as it stands check it here on every call,
+    internal callers included: the acceptance checks pay for it through
+    `dominates` (`weyl_ideal.transition_identity_holds`, `symfunc.schur_poly`),
+    `cmp_revlex` and `revlex_key` (`nu_greatest`, `acceptance._eta_brute`,
+    two checks per sort comparison) and `eta_stretch`.  The engine's
+    generator building and elimination call none of these."""
     if not (isinstance(lam, tuple) and all(a >= b > 0 for a, b in zip(lam, lam[1:] + (1,)))):
         raise ValueError(f"not a partition: {lam!r} (parts must be positive, weakly decreasing)")
 

@@ -4,8 +4,8 @@ the coinvariant algebra.
 
 Kostka numbers come two ways: one pair at a time from the literal strip
 loop (`kostka`), the reference, which peels a horizontal strip per content
-part from every shape reached so far and decides a zero by that count
-alone, and one content at a time as a row of all shapes by the Pieri rule
+part from every shape reached so far once the dominance test lets the pair
+through, and one content at a time as a row of all shapes by the Pieri rule
 (`kostka_row`), which the Schur family reads.
 Each reads one process-wide strip table, of removed strips
 (`_horizontal_substrips`) or of added ones (`_added_horizontal_strips`),
@@ -30,7 +30,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from .partitions import check_partition, dominates, enumerate_partitions
+from .partitions import check_partition, dominates, enumerate_partitions, make_partition
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +60,19 @@ def _horizontal_substrips(lam: tuple[int, ...], size: int) -> tuple:
 
 def kostka(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Number of semistandard Young tableaux of shape lam and content mu:
-    one loop over the content from its last entry, in which every shape
-    reached so far peels each horizontal strip of that entry's size; the
-    empty shape's count.  The count alone decides a zero: it is 0 exactly
-    when lam does not dominate the sorted content, sizes that differ
-    included.  Zero entries of mu peel nothing and the order of its entries
-    does not change the count, so mu may be any tuple of nonnegative ints.
-    A shape lam that is not a partition raises ValueError
-    (`check_partition`)."""
+    0 at once unless lam dominates the sorted content (`make_partition(mu)`,
+    so sizes that differ give 0), else one loop over the content from its
+    last entry, in which every shape reached so far peels each horizontal
+    strip of that entry's size; the empty shape's count.  The strip count is
+    0 on every pair the dominance test refuses, but it can reach that 0 only
+    at its last peel, after walking every shape in between, where the
+    dominance test answers from the prefix sums.  Zero entries of mu peel
+    nothing and the order of its entries does not change the count, so mu
+    may be any tuple of nonnegative ints.  A shape lam that is not a
+    partition raises ValueError (`check_partition`)."""
     check_partition(lam)
+    if not dominates(lam, make_partition(mu)):
+        return 0
     counts = {lam: 1}
     for c in reversed(mu):
         if c == 0:
